@@ -10,14 +10,23 @@ total degree.  Each coefficient satisfies a scalar linear ODE whose
 forcing only involves strictly lower-degree entries, and is solved
 exactly in the exponential-polynomial ring.
 
+The recursion is online (the "relaxed" series product of van der Hoeven,
+J. Symb. Comput. 34, 2002): every homogeneous piece is computed once, as
+soon as its inputs are known.  One table holds the degree pieces of
+phi^A for every monomial A of the forcing and the prefixes B = A - e_i
+that build it, phi^A[d] = sum_s phi_i[s] * phi^B[d - s], and is shared
+by all components and loop frequencies.  Each degree-d forcing is then
+one sum g_j[d] = sum_A (sum_m c_{m,j,A} e^(2 pi i m t)) * phi^A[d].
+
 Both formal flows of autonomous polynomial fields (single frequency 0)
 and holonomy monodromy systems use this engine.
 """
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
-from .exppoly import ExpPoly, Frequency, solve_linear_ode
+from .exppoly import ExpPoly, Frequency, mul_terms_into, solve_linear_ode
 from .jets import Jet, JetMap, grlex_key
 
 
@@ -37,18 +46,6 @@ class CoefficientTable:
 
     def entry(self, component: int, exp) -> ExpPoly:
         return self.entries.get((component, tuple(exp)), ExpPoly.zero())
-
-    def expoly_components(self, order: int | None = None) -> List[Jet]:
-        order = self.order if order is None else order
-        comps = []
-        for j in range(self.n_vars):
-            coeffs = {
-                exp: poly
-                for (i, exp), poly in self.entries.items()
-                if i == j and sum(exp) <= order
-            }
-            comps.append(Jet(self.n_vars, order, coeffs))
-        return comps
 
     def at_time(self, t: complex) -> JetMap:
         comps = []
@@ -92,6 +89,8 @@ class CoefficientTable:
 
 
 ForcingTerm = Tuple[int, Jet]  # (integer frequency m for e^(2 pi i m t), jet)
+# a homogeneous piece of a series: monomial -> ExpPoly term dict
+Piece = Dict[tuple, dict]
 
 
 def solve_coefficient_system(
@@ -114,28 +113,110 @@ def solve_coefficient_system(
                 )
 
     table = CoefficientTable(n, order, freqs)
+    # phi[j][d]: the degree-d piece of component j, filled in as it is solved
+    phi: List[List[Piece]] = []
     # degree 1: a_{j,e_j}' = alpha_j a, a(0)=1  ->  e^(alpha_j t)
     for j in range(n):
         exp = tuple(1 if k == j else 0 for k in range(n))
         table.entries[(j, exp)] = solve_linear_ode(freqs[j], ExpPoly.zero(), 1.0)
         table.forcings[(j, exp)] = ExpPoly.zero()
+        phi.append([{}, {exp: table.entries[(j, exp)].terms}])
 
+    weights = [_loop_weights(terms, order) for terms in forcing]
+    powers = _PowerTable(phi, dict.fromkeys(a for w in weights for a in w), order)
     for d in range(2, order + 1):
-        phi = [c.truncate(d) for c in table.expoly_components(order)]
+        powers.extend(d)
         for j in range(n):
-            g_total = Jet.zero(n, d)
-            for m, jet in forcing[j]:
-                if jet.is_zero():
+            g: Piece = {}
+            for a, w in weights[j].items():
+                for exp, p in powers.pieces[a][d].items():
+                    acc = g.get(exp)
+                    if acc is None:
+                        acc = g[exp] = {}
+                    mul_terms_into(acc, w, p)
+            solved: Piece = {}
+            for exp, terms in g.items():
+                gp = ExpPoly._from_clean(terms)
+                if not gp.terms:
                     continue
-                composed = jet.truncate(d).compose(phi)
-                if m != 0:
-                    composed = composed * ExpPoly.exponential(Frequency.rational(m))
-                g_total = g_total + composed
-            for exp, g in g_total.coeffs.items():
-                if sum(exp) != d:
-                    continue
-                if not isinstance(g, ExpPoly):
-                    g = ExpPoly.constant(g)
-                table.entries[(j, exp)] = solve_linear_ode(freqs[j], g, 0.0)
-                table.forcings[(j, exp)] = g
+                entry = solve_linear_ode(freqs[j], gp, 0.0)
+                table.entries[(j, exp)] = entry
+                table.forcings[(j, exp)] = gp
+                solved[exp] = entry.terms
+            phi[j].append(solved)
     return table
+
+
+def _loop_weights(terms: Sequence[ForcingTerm], order: int) -> Dict[tuple, dict]:
+    """Monomial A -> term dict of sum_m c_{m,A} e^(2 pi i m t), degrees <= order."""
+    weights: Dict[tuple, dict] = {}
+    for m, jet in terms:
+        key = (0, Frequency.rational(m))
+        for exp, c in jet.coeffs.items():
+            if sum(exp) <= order:
+                w = weights.setdefault(exp, {})
+                w[key] = w.get(key, 0.0 + 0j) + c
+    return weights
+
+
+class _PowerTable:
+    """Degree pieces of phi^A, each computed once from lower-degree pieces.
+
+    Every monomial A of degree >= 2 is phi_i * phi^B with B = A - e_i for
+    the last i with A_i > 0; B joins the table too, down to the single
+    variables, whose pieces are the solved components themselves.  A piece
+    of degree d only reads pieces of degree <= d - 1, so all of them are
+    known before any degree-d coefficient is solved.
+    """
+
+    def __init__(self, phi: List[List[Piece]], monomials, order: int):
+        self.phi = phi
+        self.split: Dict[tuple, Tuple[int, tuple]] = {}
+        stack = list(monomials)
+        while stack:
+            a = stack.pop()
+            if sum(a) > 1 and a not in self.split:
+                i = max(k for k, e in enumerate(a) if e)
+                b = a[:i] + (a[i] - 1,) + a[i + 1:]
+                self.split[a] = (i, b)
+                stack.append(b)
+        self.schedule = sorted(self.split, key=sum)
+        # need[A]: the highest degree of phi^A that anything reads; walking
+        # the schedule backwards settles each need before its prefix reads it
+        self.need = dict.fromkeys(monomials, order)
+        for a in reversed(self.schedule):
+            b = self.split[a][1]
+            self.need[b] = max(self.need.get(b, 0), self.need[a] - 1)
+        # pieces[A][d] for d <= need[A]; the entries below degree |A| are empty
+        self.pieces: Dict[tuple, List[Piece]] = {}
+        for a in self.need:
+            deg = sum(a)
+            self.pieces[a] = phi[a.index(1)] if deg == 1 else [{}] * deg
+
+    def extend(self, d: int):
+        """Append the degree-d piece of every phi^A (|A| >= 2) still needed."""
+        for a in self.schedule:
+            deg = sum(a)
+            if not deg <= d <= self.need[a]:
+                continue
+            i, b = self.split[a]
+            phi_i, low = self.phi[i], self.pieces[b]
+            acc: Piece = {}
+            for s in range(1, d - deg + 2):
+                _mul_pieces_into(acc, phi_i[s], low[d - s])
+            piece: Piece = {}
+            for exp, terms in acc.items():
+                terms = ExpPoly._from_clean(terms).terms
+                if terms:
+                    piece[exp] = terms
+            self.pieces[a].append(piece)
+
+
+def _mul_pieces_into(acc: Piece, left: Piece, right: Piece):
+    for e1, p1 in left.items():
+        for e2, p2 in right.items():
+            exp = tuple(map(add, e1, e2))
+            terms = acc.get(exp)
+            if terms is None:
+                terms = acc[exp] = {}
+            mul_terms_into(terms, p1, p2)

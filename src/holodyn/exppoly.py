@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -25,17 +24,52 @@ RESONANCE_TOL = 1e-12
 _RATIONAL_MAX_DEN = 64
 
 
-@dataclass(frozen=True)
 class Frequency:
-    """An exponential frequency, exact when it is 2*pi*i times a rational."""
+    """An exponential frequency, exact when it is 2*pi*i times a rational.
 
-    q: Fraction | None
-    value: complex
+    Frequencies are interned: ``Frequency(q)`` returns the one object for
+    the rational q, and ``Frequency(None, value)`` the one object for that
+    complex value.  Equality is therefore identity, the hash is the
+    object's own, and sums are cached per pair, so ring products never
+    hash or add Fractions in their inner loop.  Resonance stays exact:
+    rational frequencies still add as Fractions, once per pair.
+    """
+
+    __slots__ = ("q", "value", "_zero", "_sums")
+    _rationals: Dict[Fraction, "Frequency"] = {}
+    _complexes: Dict[complex, "Frequency"] = {}
+
+    def __new__(cls, q, value=None):
+        if q is not None:
+            freq = cls._rationals.get(q)
+            if freq is None:
+                q = Fraction(q)
+                freq = cls._rationals.get(q)
+                if freq is None:
+                    freq = cls._rationals[q] = cls._make(q, TWO_PI_I * float(q), q == 0)
+            return freq
+        value = complex(value)
+        freq = cls._complexes.get(value)
+        if freq is None:
+            freq = cls._complexes[value] = cls._make(None, value, abs(value) < RESONANCE_TOL)
+        return freq
+
+    @classmethod
+    def _make(cls, q, value, zero) -> "Frequency":
+        freq = object.__new__(cls)
+        for name, v in (("q", q), ("value", value), ("_zero", zero), ("_sums", {})):
+            object.__setattr__(freq, name, v)
+        return freq
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Frequency is immutable")
+
+    def __reduce__(self):
+        return (Frequency, (self.q, self.value))
 
     @classmethod
     def rational(cls, q) -> "Frequency":
-        q = Fraction(q)
-        return cls(q, TWO_PI_I * float(q))
+        return cls(q)
 
     @classmethod
     def from_complex(cls, z: complex) -> "Frequency":
@@ -44,7 +78,7 @@ class Frequency:
         if abs(ratio.imag) < RESONANCE_TOL:
             q = Fraction(ratio.real).limit_denominator(_RATIONAL_MAX_DEN)
             if abs(ratio.real - float(q)) < RESONANCE_TOL:
-                return cls.rational(q)
+                return cls(q)
         return cls(None, z)
 
     @classmethod
@@ -52,44 +86,33 @@ class Frequency:
         if isinstance(x, Frequency):
             return x
         if isinstance(x, (Fraction, int)):
-            return cls.rational(x)
+            return cls(x)
         return cls.from_complex(x)
 
     @classmethod
     def zero(cls) -> "Frequency":
-        return cls.rational(0)
+        return cls(0)
 
     def is_zero(self) -> bool:
-        if self.q is not None:
-            return self.q == 0
-        return abs(self.value) < RESONANCE_TOL
+        return self._zero
 
     def __add__(self, other: "Frequency") -> "Frequency":
-        if self.q is not None and other.q is not None:
-            return Frequency.rational(self.q + other.q)
-        return Frequency.from_complex(self.value + other.value)
+        total = self._sums.get(other)
+        if total is None:
+            if self.q is not None and other.q is not None:
+                total = Frequency(self.q + other.q)
+            else:
+                total = Frequency.from_complex(self.value + other.value)
+            self._sums[other] = total
+        return total
 
     def __sub__(self, other: "Frequency") -> "Frequency":
         return self + (-other)
 
     def __neg__(self) -> "Frequency":
         if self.q is not None:
-            return Frequency.rational(-self.q)
+            return Frequency(-self.q)
         return Frequency(None, -self.value)
-
-    def __hash__(self):
-        if self.q is not None:
-            return hash(("q", self.q))
-        return hash(("c", self.value))
-
-    def __eq__(self, other):
-        if not isinstance(other, Frequency):
-            return NotImplemented
-        if (self.q is None) != (other.q is None):
-            return False
-        if self.q is not None:
-            return self.q == other.q
-        return self.value == other.value
 
     def exp_at(self, t: complex) -> complex:
         return cmath.exp(self.value * t)
@@ -120,6 +143,14 @@ class ExpPoly:
                 key = (int(k), Frequency.coerce(freq))
                 clean[key] = clean.get(key, 0.0 + 0j) + c
         self.terms = {key: c for key, c in clean.items() if abs(c) >= PRUNE_TOL}
+
+    @classmethod
+    def _from_clean(cls, terms: Dict[Key, complex]) -> "ExpPoly":
+        """Wrap terms whose keys are already (int, Frequency) and whose values
+        are complex, dropping the negligible ones."""
+        out = cls.__new__(cls)
+        out.terms = {key: c for key, c in terms.items() if abs(c) >= PRUNE_TOL}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -157,7 +188,7 @@ class ExpPoly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0.0 + 0j) + c
-        return ExpPoly(out)
+        return ExpPoly._from_clean(out)
 
     __radd__ = __add__
 
@@ -174,19 +205,16 @@ class ExpPoly:
         return other + (-self)
 
     def __neg__(self):
-        return ExpPoly({key: -c for key, c in self.terms.items()})
+        return ExpPoly._from_clean({key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return ExpPoly({key: c * other for key, c in self.terms.items()})
+            return ExpPoly._from_clean({key: c * other for key, c in self.terms.items()})
         if not isinstance(other, ExpPoly):
             return NotImplemented
         out: Dict[Key, complex] = {}
-        for (k1, f1), c1 in self.terms.items():
-            for (k2, f2), c2 in other.terms.items():
-                key = (k1 + k2, f1 + f2)
-                out[key] = out.get(key, 0.0 + 0j) + c1 * c2
-        return ExpPoly(out)
+        mul_terms_into(out, self.terms, other.terms)
+        return ExpPoly._from_clean(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -202,14 +230,16 @@ class ExpPoly:
             if not f.is_zero():
                 key = (k, f)
                 out[key] = out.get(key, 0.0 + 0j) + c * f.value
-        return ExpPoly(out)
+        return ExpPoly._from_clean(out)
 
     def antiderivative(self) -> "ExpPoly":
         """The antiderivative F with F(0) = 0, term by term in closed form."""
-        out = ExpPoly.zero()
+        out: Dict[Key, complex] = {}
+        zero = Frequency.zero()
         for (k, f), c in self.terms.items():
             if f.is_zero():
-                out = out + ExpPoly.term(c / (k + 1), k=k + 1)
+                key = (k + 1, zero)
+                out[key] = out.get(key, 0.0 + 0j) + c / (k + 1)
             else:
                 mu = f.value
                 # int t^k e^(mu t) = e^(mu t) * sum_j (-1)^j k!/(k-j)! t^(k-j) / mu^(j+1)
@@ -217,11 +247,12 @@ class ExpPoly:
                 for j in range(k + 1):
                     if j > 0:
                         fact *= k - j + 1
-                    coef = c * ((-1) ** j) * fact / mu ** (j + 1)
-                    out = out + ExpPoly.term(coef, k=k - j, freq=f)
+                    key = (k - j, f)
+                    out[key] = out.get(key, 0.0 + 0j) + c * ((-1) ** j) * fact / mu ** (j + 1)
                 const = c * ((-1) ** k) * math.factorial(k) / mu ** (k + 1)
-                out = out - ExpPoly.constant(const)
-        return out
+                key = (0, zero)
+                out[key] = out.get(key, 0.0 + 0j) - const
+        return ExpPoly._from_clean(out)
 
     def eval(self, t: complex) -> complex:
         t = complex(t)
@@ -291,6 +322,15 @@ class ExpPoly:
                 s += f"*exp[{f!r}*t]"
             parts.append(s)
         return "ExpPoly(" + (" + ".join(parts) if parts else "0") + ")"
+
+
+def mul_terms_into(acc: Dict[Key, complex], a: Dict[Key, complex], b: Dict[Key, complex]):
+    """acc += a * b on term dicts; nothing is pruned, the caller does that once."""
+    for (k1, f1), c1 in a.items():
+        sums = f1._sums
+        for (k2, f2), c2 in b.items():
+            key = (k1 + k2, sums.get(f2) or f1 + f2)
+            acc[key] = acc.get(key, 0.0 + 0j) + c1 * c2
 
 
 def _coerce(x):

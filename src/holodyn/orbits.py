@@ -251,14 +251,20 @@ class _NewtonInverse(EvaluableMap):
     def eval(self, q: Point) -> Point:
         (target,) = q
         d, c = self.fwd.d, self.fwd.c
+        scale = max(1.0, abs(target))
         x = target
         for _ in range(60):
             gx = x + c * x ** (d + 1) - target
-            if abs(gx) < 1e-16 * max(1.0, abs(target)):
-                break
+            if abs(gx) < 1e-16 * scale:
+                return (x,)
             dgx = 1.0 + (d + 1) * c * x ** d
+            if dgx == 0:
+                raise OrbitError("inverse Newton iteration hit a critical point")
             x = x - gx / dgx
-        return (x,)
+        # the residual can stall at rounding level, just above the tolerance
+        if abs(x + c * x ** (d + 1) - target) < 1e-14 * scale:
+            return (x,)
+        raise OrbitError("inverse Newton iteration did not converge")
 
 
 class TimeOneMap(EvaluableMap):

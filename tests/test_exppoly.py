@@ -132,3 +132,18 @@ def test_json_round_trip():
     back = ExpPoly.from_json_dict(d)
     assert (p - back).max_abs_coeff() < 1e-15
     assert back.to_json_dict() == d
+
+
+def test_frequencies_are_interned():
+    import copy
+    import pickle
+
+    half = Frequency.rational(Fraction(1, 2))
+    assert Frequency.rational(Fraction(2, 4)) is half
+    assert Frequency.from_complex(0.5 * TWO_PI_I) is half
+    assert Frequency.rational(1) + Frequency.rational(-1) is Frequency.zero()
+    mu = Frequency.from_complex(0.3 + 0.7j)
+    assert Frequency(None, 0.3 + 0.7j) is mu and mu != half
+    p = ExpPoly.term(2.0, 1, half) + ExpPoly.term(1.0, 0, mu)
+    for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert back.terms == p.terms

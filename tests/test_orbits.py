@@ -114,6 +114,20 @@ def test_parabolic_inverse_round_trip():
         assert abs(inv.eval(h.eval((x,)))[0] - x) < 1e-12
 
 
+def test_parabolic_inverse_raises_when_newton_cycles():
+    # x + x^2 = -1 has no real root; Newton from x = -1 cycles -1, 0, -1, ...
+    inv = OneVarParabolicMap(1, 1.0).inverse()
+    with pytest.raises(OrbitError, match="did not converge"):
+        inv.eval((-1.0,))
+
+
+def test_parabolic_inverse_raises_at_critical_point():
+    # the derivative 1 + 2x of x + x^2 vanishes at the start point x = -1/2
+    inv = OneVarParabolicMap(1, 1.0).inverse()
+    with pytest.raises(OrbitError, match="critical point"):
+        inv.eval((-0.5,))
+
+
 # -- grid experiments ---------------------------------------------------------
 
 
