@@ -7,8 +7,7 @@ Exit codes: 0 success, 1 reproduction-check failure, 2 bad configuration
 All emitted files embed the resolved configuration: JSON outputs carry a
 "config" field, CSV and SVG outputs a leading comment block.  Grids are
 deterministic lattices unless --random-seeds/--seed is given (NumPy
-default_rng, PCG64).  --threads (or HOLODYN_THREADS) is accepted for
-interface stability; execution is sequential.
+default_rng, PCG64).
 """
 from __future__ import annotations
 
@@ -185,9 +184,7 @@ def _write_svg(path: str, config: dict, points, width: int = 480) -> None:
 
 
 @click.group()
-@click.option("--threads", type=int, default=None, envvar="HOLODYN_THREADS",
-              help="Accepted for interface stability; execution is sequential.")
-def main(threads):
+def main():
     """Holonomy maps, formal/numeric flows and orbit experiments."""
 
 

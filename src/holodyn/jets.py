@@ -44,9 +44,14 @@ def coeff_is_negligible(c, tol: float = PRUNE_TOL) -> bool:
 
 
 class Jet:
-    """A polynomial truncated at total degree ``order`` in ``n_vars`` variables."""
+    """A polynomial truncated at total degree ``order`` in ``n_vars`` variables.
 
-    __slots__ = ("n_vars", "order", "coeffs")
+    Jets are never mutated after construction: every operation returns a
+    new jet, and :meth:`eval` caches a term plan built from ``coeffs`` on
+    first use.
+    """
+
+    __slots__ = ("n_vars", "order", "coeffs", "_plan")
 
     def __init__(self, n_vars: int, order: int, coeffs=None):
         if n_vars < 1:
@@ -68,6 +73,7 @@ class Jet:
                 if not coeff_is_negligible(c):
                     clean[exp] = clean[exp] + c if exp in clean else c
         self.coeffs = {e: c for e, c in clean.items() if not coeff_is_negligible(c)}
+        self._plan = None
 
     # -- constructors ------------------------------------------------------
 
@@ -243,15 +249,27 @@ class Jet:
         return out
 
     def eval(self, point) -> complex:
+        """Value at a point: the sum of c * prod p_i^e_i over the terms in
+        graded-lex order.
+
+        The term plan, a list of (c, ((i, e), ...)) with only the nonzero
+        exponents, is built once per jet; it keeps the order of the
+        operations, so the result does not depend on whether it is cached.
+        """
         point = tuple(point)
         if len(point) != self.n_vars:
             raise JetError("evaluation point has wrong dimension")
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = [
+                (c, tuple((i, e) for i, e in enumerate(exp) if e))
+                for exp, c in self.terms()
+            ]
         total = 0.0 + 0j
-        for exp, c in self.terms():
+        for c, factors in plan:
             m = 1.0 + 0j
-            for p, e in zip(point, exp):
-                if e:
-                    m *= p ** e
+            for i, e in factors:
+                m *= point[i] ** e
             total += c * m
         return total
 

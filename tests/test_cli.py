@@ -141,8 +141,3 @@ def test_reproduce_paper_unknown_check(tmp_path):
     res = run("reproduce-paper", "--only", "nope",
               "--report", str(tmp_path / "r.md"))
     assert res.exit_code == 2
-
-
-def test_threads_flag_accepted():
-    res = run("--threads", "4", "petal", "--d", "1", "--c", "1")
-    assert res.exit_code == 0

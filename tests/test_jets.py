@@ -113,6 +113,37 @@ def test_reciprocal_requires_unit():
         Jet.variable(0, 2, 4).reciprocal()
 
 
+def reference_eval(j: Jet, point) -> complex:
+    """The former evaluation loop: re-sort the terms on every call."""
+    point = tuple(point)
+    total = 0.0 + 0j
+    for exp, c in j.terms():
+        m = 1.0 + 0j
+        for p, e in zip(point, exp):
+            if e:
+                m *= p ** e
+        total += c * m
+    return total
+
+
+real_st = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+complex_st = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
+@given(data=st.data())
+def test_eval_matches_reference_loop_bit_for_bit(n_vars, data):
+    j = data.draw(jet_strategy(n_vars=n_vars, order=6, max_terms=10))
+    coord = data.draw(st.sampled_from([real_st, complex_st]))
+    point = data.draw(st.tuples(*([coord] * n_vars)))
+    want = reference_eval(j, point)
+    # first call builds the term plan, the second reuses it
+    assert j.eval(point) == want
+    assert j.eval(point) == want
+    arr = np.array(point, dtype=complex)
+    assert j.eval(arr) == reference_eval(j, arr)
+
+
 def test_compose_eval_oracle():
     g = Jet(2, 6, {(2, 1): 1.0 + 2.0j, (0, 3): -0.5, (1, 0): 1.0})
     h = JetMap([
