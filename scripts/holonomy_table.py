@@ -9,7 +9,7 @@ and its value at t = 1, i.e. the holonomy jet coefficient.
 import sys
 
 from holodyn import presets
-from holodyn.holonomy import extract_normal_form, holonomy_series
+from holodyn.holonomy import NormalFormError, extract_normal_form, holonomy_series
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     try:
         nf = extract_normal_form(h)
         print(f"normal form: (a, b) = ({nf.a}, {nf.b}), f(0) = {nf.f0:.9g}")
-    except Exception as e:
+    except NormalFormError as e:
         print(f"normal form: n/a ({e})")
 
 

@@ -32,6 +32,7 @@ from .flows import (
     lie_derivative,
 )
 from .holonomy import (
+    Foliation,
     HolonomyError,
     NormalFormError,
     extract_normal_form,
@@ -41,6 +42,7 @@ from .holonomy import (
 from .jets import Jet, JetMap, JetError, DEFAULT_ORDER
 from .orbits import (
     DomainBall,
+    GridSummary,
     OrbitError,
     TruncatedJetMap,
     group_closure,
@@ -75,8 +77,13 @@ def _parse_complex(s: str) -> complex:
         raise ConfigError(f"cannot parse complex number {s!r}")
 
 
-def _parse_point(s: str) -> Tuple[complex, ...]:
-    return tuple(_parse_complex(p) for p in s.split(","))
+def _parse_point(s: str, n_vars: int) -> Tuple[complex, ...]:
+    point = tuple(_parse_complex(p) for p in s.split(","))
+    if len(point) != n_vars:
+        raise ConfigError(
+            f"--point {s!r} has {len(point)} coordinate(s); the field has {n_vars} variables"
+        )
+    return point
 
 
 def _load_json_file(path: str) -> dict:
@@ -106,8 +113,6 @@ def _load_foliation(spec: str, order: int):
     if spec.endswith(".json"):
         d = _load_json_file(spec)
         try:
-            from .holonomy import Foliation
-
             return Foliation(
                 VectorField.from_json_dict(d["field"]).extend(order),
                 separatrix_axis=int(d["separatrix_axis"]),
@@ -264,6 +269,7 @@ def flow(field_spec, time_str, order, point, emit_path):
         raise ConfigError("--order must be >= 1")
     t = _parse_complex(time_str)
     X = _load_field(field_spec, order)
+    p = _parse_point(point, X.n_vars) if point else None
     config = {"command": "flow", "field": field_spec, "time": [t.real, t.imag],
               "order": order, "point": point}
     try:
@@ -274,8 +280,7 @@ def flow(field_spec, time_str, order, point, emit_path):
     for j, comp in enumerate(fmap.components):
         for exp, c in comp.terms():
             click.echo(f"  component {j}, x^{list(exp)}: {_fmt_complex(complex(c))}")
-    if point:
-        p = _parse_point(point)
+    if p is not None:
         try:
             num = numeric_flow(X, p, t)
         except (DomainEscape, StepUnderflow) as e:
@@ -289,8 +294,9 @@ def flow(field_spec, time_str, order, point, emit_path):
 
 
 def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, seed):
+    n = map_obj.n_vars
     if level_circle:
-        if getattr(map_obj, "n_vars", 2) != 2:
+        if n != 2:
             raise ConfigError("--level-circle needs a planar map")
         C = presets.F_LEVEL_CONSTANT
         k = random_seeds or 8
@@ -300,26 +306,30 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
         ]
     if random_seeds:
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-radius, radius, size=(random_seeds, map_obj.n_vars))
+        pts = rng.uniform(-radius, radius, size=(random_seeds, n))
         return [tuple(complex(v) for v in row) for row in pts]
     try:
-        nx, ny = (int(v) for v in grid.lower().split("x"))
+        counts = [int(v) for v in grid.lower().split("x")]
     except ValueError:
         raise ConfigError(f"cannot parse --grid {grid!r}; expected e.g. 20x20")
-    if map_obj.n_vars == 1:
-        return [(complex(v),) for v in np.linspace(
-            grid_low if grid_low is not None else -radius, radius, nx * ny)]
-    lo = grid_low if grid_low is not None else -radius
-    vals_x = np.linspace(lo, radius, nx)
-    vals_y = np.linspace(lo, radius, ny)
-    return [(complex(x), complex(y)) for x in vals_x for y in vals_y]
+    if min(counts) < 1:
+        raise ConfigError(f"--grid {grid!r}: every count must be a positive integer")
+    if n == 1:
+        counts = [math.prod(counts)]
+    elif len(counts) != n:
+        raise ConfigError(
+            f"--grid {grid!r} gives {len(counts)} counts but the map has {n} variables; "
+            f"give one count per variable"
+        )
+    return lattice_seeds(radius, counts, n_vars=n, low=grid_low)
 
 
 @main.command()
 @click.option("--map", "map_spec", required=True,
               help="Map preset (F, H, h1, h2, parabolic(d,c), phiX(n,m,a,b)) or jet-map JSON.")
 @click.option("--radius", type=float, default=0.3, show_default=True)
-@click.option("--grid", default="20x20", show_default=True)
+@click.option("--grid", default="20x20", show_default=True,
+              help="Lattice counts, one per variable; a one-variable map takes their product.")
 @click.option("--grid-low", type=float, default=None,
               help="Lower lattice bound (default -radius).")
 @click.option("--budget", type=int, default=100_000, show_default=True)
@@ -340,6 +350,8 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
     """Classify orbits of a germ on the polydisc of the given radius."""
     if radius <= 0 or budget <= 0:
         raise ConfigError("--radius and --budget must be positive")
+    if random_seeds is not None and random_seeds < 1:
+        raise ConfigError(f"--random-seeds must be a positive integer, got {random_seeds}")
     h = _load_map(map_spec)
     config = {"command": "orbit", "map": map_spec, "radius": radius, "grid": grid,
               "grid_low": grid_low, "budget": budget, "level_circle": level_circle,
@@ -354,28 +366,26 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
             records.append(iterate_orbit(h, s, V, budget=budget, keep_points=keep))
         except OrbitError as e:
             raise ConfigError(str(e))
-    counts = {"Escaped": 0, "Periodic": 0, "BudgetExhausted": 0}
-    for r in records:
-        counts[r.status] += 1
+    counts = GridSummary(records).counts
     click.echo(
         f"{len(records)} seeds: {counts['Escaped']} escaped, {counts['Periodic']} "
         f"periodic, {counts['BudgetExhausted']} budget-exhausted (infinite-suspected)"
     )
     if csv_path:
+        # two seed columns per coordinate; a one-variable seed gets y = 0
+        n_cols = max(2, h.n_vars)
+        axes = "xyz"[:n_cols] if n_cols <= 3 else [f"x{k}" for k in range(n_cols)]
         rows = []
         for r in records:
-            sx = r.seed[0]
-            sy = r.seed[1] if len(r.seed) > 1 else 0.0 + 0j
-            rows.append([
-                f"{sx.real:.12g}", f"{sx.imag:.12g}",
-                f"{sy.real:.12g}", f"{sy.imag:.12g}",
+            coords = list(r.seed) + [0j] * (n_cols - len(r.seed))
+            rows.append([f"{v:.12g}" for c in coords for v in (c.real, c.imag)] + [
                 "infinite-suspected" if r.status == "BudgetExhausted" else r.status,
                 r.period if r.period is not None else "",
                 r.mu_label, r.cardinality,
             ])
         _write_csv(csv_path, config,
-                   ["seed_re_x", "seed_im_x", "seed_re_y", "seed_im_y",
-                    "status", "period", "mu", "cardinality"], rows)
+                   [f"seed_{part}_{a}" for a in axes for part in ("re", "im")]
+                   + ["status", "period", "mu", "cardinality"], rows)
         click.echo(f"wrote {csv_path}")
     if svg_path:
         pts = []
@@ -487,14 +497,14 @@ def verify_integral(field_spec, exponents, point, tol):
         raise ConfigError(f"cannot parse --exponents {exponents!r}")
     if len(exp) != X.n_vars or any(e < 0 for e in exp):
         raise ConfigError("--exponents must list one non-negative integer per variable")
+    if point is None:
+        p = tuple(0.05 * (1 + 0.3 * k) for k in range(X.n_vars))
+    else:
+        p = _parse_point(point, X.n_vars)
     g = Jet(X.n_vars, X.order, {exp: 1.0 + 0j})
     lie = lie_derivative(X, g)
     symbolic_zero = lie.is_zero()
     click.echo(f"symbolic derivative along the field vanishes: {symbolic_zero}")
-    if point is None:
-        p = tuple(0.05 * (1 + 0.3 * k) for k in range(X.n_vars))
-    else:
-        p = _parse_point(point)
     try:
         drift = first_integral_drift(X, g, p)
     except (DomainEscape, StepUnderflow) as e:

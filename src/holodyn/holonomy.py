@@ -9,7 +9,9 @@ holonomy.  It is computed by two independent routes:
   equations and dividing by the axis unit on jets yields a truncated
   non-autonomous polynomial system in the transverse variables
   ("monodromy system"), whose series coefficients are solved in closed
-  form;
+  form.  It accepts a field exactly when the axis unit u(0, z) =
+  X_axis(0, z)/z is constant and the linear part of the system is diagonal
+  with loop frequency 0; neither condition depends on the order;
 * adaptive numeric integration of the leafwise equations themselves over
   one period (:func:`holonomy_numeric`), with no truncation.  It shares
   only the integrator with the exact route.
@@ -77,6 +79,13 @@ class Foliation:
         exp = tuple(1 if k == self.separatrix_axis else 0 for k in range(n))
         return complex(self.field.components[self.separatrix_axis].coeff(exp))
 
+    def axis_unit_on_axis(self) -> dict:
+        """u(0, z) = X_axis(0, z) / z as {power of z: coefficient}."""
+        axis = self.separatrix_axis
+        return {exp[axis] - 1: complex(c)
+                for exp, c in self.field.components[axis].coeffs.items()
+                if sum(exp) == exp[axis]}
+
     @property
     def transverse_indices(self) -> List[int]:
         return [j for j in range((self.field.n_vars)) if j != self.separatrix_axis]
@@ -89,8 +98,6 @@ class MonodromySystem:
     n_transverse: int
     order: int
     terms: List[List[Tuple[int, Jet]]]  # per transverse component: (m, jet)
-    z0: complex = 1.0 + 0j
-    period: float = 1.0
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_transverse, dtype=complex)
@@ -144,39 +151,42 @@ def build_monodromy_system(
 ) -> MonodromySystem:
     """Substitute z = z0*e^(2 pi i t) into the leafwise equations.
 
-    dx_j/dt = 2 pi i * z * A_j / C with C = z*u; the division is carried
-    out as A_j * u^{-1} on jets, and each z-power k becomes the loop
-    frequency e^(2 pi i k t) * z0^k.
+    dx_j/dt = 2 pi i * z * X_j / X_axis with X_axis = z*u is formed as
+    X_j * u^{-1} on jets, keeping transverse degree <= ``order``; each
+    z-power m becomes the loop frequency e^(2 pi i m t) * z0^m.
+
+    The exact route accepts a field whatever the order when u(0, z) is
+    constant and the linear part is diagonal with frequency 0 (see
+    :meth:`MonodromySystem.linear_diagonal`).  A unit with z-only terms is
+    rejected: 1/u then has infinitely many loop frequencies.  Otherwise a
+    kept term x^T z^m has m <= zmax + rho*(order - 1), with zmax the
+    largest z-degree of the transverse components and rho the largest
+    k/|T| over the terms x^T z^k of u - u(0), so one division at total
+    degree order + zmax + floor(rho*(order - 1)) clips no kept term.
     """
-    n = F.field.n_vars
     axis = F.separatrix_axis
-    zmax = max(c.max_degree_in(axis) for c in F.field.components)
-    work_order = order + max(zmax, 1)
-
-    axis_comp = F.field.components[axis].extend(work_order)
-    # u = C / z (exact shift; divisibility was checked by the Foliation)
-    u_coeffs = {}
-    for exp, c in axis_comp.coeffs.items():
-        e = list(exp)
-        e[axis] -= 1
-        u_coeffs[tuple(e)] = c
-    u = Jet(n, work_order, u_coeffs)
-    u_inv = u.reciprocal()
-
     trans = F.transverse_indices
-    unit_constant = all(sum(e) == 0 for e in u.coeffs)
+    unit_on_axis = F.axis_unit_on_axis()
+    if len(unit_on_axis) > 1:
+        poly = " + ".join(f"({c:.6g})*z^{k}" for k, c in sorted(unit_on_axis.items()))
+        raise HolonomyError(
+            f"the axis unit u(0, z) = {poly} is not constant: 1/u has infinitely "
+            f"many loop frequencies, so no truncation of the monodromy system is exact"
+        )
+    axis_comp = F.field.components[axis]
+    zmax = max(F.field.components[j].max_degree_in(axis) for j in trans)
+    # floor(k*(order - 1)/|T|) for each term x^T z^(k+1) of X_axis with |T| > 0
+    rho_steps = [(exp[axis] - 1) * (order - 1) // (sum(exp) - exp[axis])
+                 for exp in axis_comp.coeffs if sum(exp) > exp[axis]]
+    work_order = order + zmax + max(rho_steps, default=0)
+
+    u_coeffs = {exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: c
+                for exp, c in axis_comp.extend(work_order).coeffs.items()}
+    u_inv = Jet(F.field.n_vars, work_order, u_coeffs).reciprocal()
 
     terms: List[List[Tuple[int, Jet]]] = []
     for j in trans:
         numer = F.field.components[j].extend(work_order) * u_inv * TWO_PI_I
-        if not unit_constant:
-            # truncation of u^{-1} must not clip the transverse-degree <= order part
-            check = (
-                F.field.components[j].extend(work_order + 1)
-                * u.extend(work_order + 1).reciprocal()
-                * TWO_PI_I
-            )
-            _check_division_stable(numer, check, trans, order, axis)
         by_freq = {}
         for exp, c in numer.coeffs.items():
             t_exp = tuple(exp[k] for k in trans)
@@ -190,18 +200,7 @@ def build_monodromy_system(
             (m, Jet(len(trans), order, coeffs)) for m, coeffs in sorted(by_freq.items())
         ]
         terms.append([(m, jet) for m, jet in rows if not jet.is_zero()])
-    return MonodromySystem(len(trans), order, terms, z0=complex(z0))
-
-
-def _check_division_stable(numer: Jet, check: Jet, trans, order: int, axis: int):
-    for exp, c in check.coeffs.items():
-        if sum(exp[k] for k in trans) > order:
-            continue
-        if abs(numer.coeffs.get(exp, 0.0 + 0j) - c) > 1e-10:
-            raise HolonomyError(
-                "division by the axis unit does not stabilize under truncation; "
-                "the monodromy system is not polynomial-after-truncation"
-            )
+    return MonodromySystem(len(trans), order, terms)
 
 
 def holonomy_coefficient_table(
@@ -290,9 +289,7 @@ def _check_loop(F: Foliation, z0: complex):
     """The loop |z| = |z0| must not enclose or meet a zero of the axis unit
     u(0, z) = X_axis(0, z) / z: there the axis has another singular point,
     and the leaves' return map is not the holonomy at the origin."""
-    axis = F.separatrix_axis
-    unit = {exp[axis] - 1: complex(c) for exp, c in F.field.components[axis].coeffs.items()
-            if sum(exp) == exp[axis]}
+    unit = F.axis_unit_on_axis()
     top = max(unit)
     if top == 0:
         return

@@ -24,10 +24,6 @@ class JetError(ValueError):
     pass
 
 
-def total_degree(exp: Sequence[int]) -> int:
-    return sum(exp)
-
-
 def grlex_key(exp: Sequence[int]):
     """Graded-lex sort key: total degree first, then lexicographic."""
     return (sum(exp), tuple(exp))
@@ -125,9 +121,6 @@ class Jet:
 
     def constant_term(self):
         return self.coeffs.get((0,) * self.n_vars, 0.0 + 0j)
-
-    def coeff_norm(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values() if _is_scalar(c))
 
     def _check_compat(self, other: "Jet"):
         if self.n_vars != other.n_vars or self.order != other.order:
@@ -273,9 +266,6 @@ class Jet:
             total += c * m
         return total
 
-    def map_coeffs(self, fn) -> "Jet":
-        return Jet(self.n_vars, self.order, {e: fn(c) for e, c in self.coeffs.items()})
-
     # -- comparison / io ---------------------------------------------------
 
     def max_abs_diff(self, other: "Jet") -> float:
@@ -400,9 +390,6 @@ class JetMap:
 
     def truncate(self, order: int) -> "JetMap":
         return JetMap([c.truncate(order) for c in self.components])
-
-    def map_coeffs(self, fn) -> "JetMap":
-        return JetMap([c.map_coeffs(fn) for c in self.components])
 
     def max_abs_diff(self, other: "JetMap") -> float:
         if self.n_vars != other.n_vars:

@@ -215,7 +215,7 @@ class OneVarParabolicMap(EvaluableMap):
 
     def __init__(self, d: int, c: complex, name: str = "parabolic"):
         if d < 1:
-            raise ValueError("d must be positive")
+            raise ValueError(f"d must be a positive integer, got {d}")
         if c == 0:
             raise ValueError("c must be nonzero")
         self.d = int(d)
@@ -463,17 +463,17 @@ def classify_seed_grid(
     return GridSummary(records)
 
 
-def lattice_seeds(radius: float, per_axis: int, n_vars: int = 2,
+def lattice_seeds(radius: float, per_axis: int | Sequence[int], n_vars: int = 2,
                   low: float | None = None) -> List[Point]:
-    """Deterministic real lattice inside the polydisc (no RNG)."""
+    """Deterministic real lattice inside the polydisc (no RNG): ``per_axis``
+    points on every axis, or one count per axis; the first axis varies slowest."""
     lo = -radius if low is None else low
-    vals = np.linspace(lo, radius, per_axis)
-    pts = []
-    grids = np.meshgrid(*([vals] * n_vars), indexing="ij")
+    counts = [per_axis] * n_vars if np.ndim(per_axis) == 0 else list(per_axis)
+    if len(counts) != n_vars:
+        raise ValueError(f"{len(counts)} lattice counts for {n_vars} variables")
+    grids = np.meshgrid(*(np.linspace(lo, radius, k) for k in counts), indexing="ij")
     flat = np.stack([g.ravel() for g in grids], axis=-1)
-    for row in flat:
-        pts.append(tuple(complex(v) for v in row))
-    return pts
+    return [tuple(complex(v) for v in row) for row in flat]
 
 
 # -- pseudogroup orbits ----------------------------------------------------

@@ -208,7 +208,10 @@ def load_map(spec: str) -> EvaluableMap:
         raise PresetError(
             f"unknown map preset {name!r}; available: {', '.join(available_maps())}"
         )
-    return _MAP_BUILDERS[name](args)
+    try:
+        return _MAP_BUILDERS[name](args)
+    except ValueError as e:
+        raise PresetError(f"invalid map preset {spec!r}: {e}") from e
 
 
 def pseudogroup_preset(name: str) -> List[EvaluableMap]:

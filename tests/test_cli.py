@@ -1,9 +1,11 @@
 """CLI contracts: formats, exit codes, determinism, provenance headers."""
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from holodyn.cli import main
+from holodyn.jets import JetMap
 
 
 def run(*args):
@@ -141,3 +143,38 @@ def test_reproduce_paper_unknown_check(tmp_path):
     res = run("reproduce-paper", "--only", "nope",
               "--report", str(tmp_path / "r.md"))
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["flow", "--field", "thmB", "--point", "0.1"],
+     "--point '0.1' has 1 coordinate(s); the field has 3 variables"),
+    (["verify-integral", "--field", "thmB", "--exponents", "1,1,2", "--point", "0.1"],
+     "--point '0.1' has 1 coordinate(s); the field has 3 variables"),
+    (["orbit", "--map", "H", "--grid", "-1x5"],
+     "--grid '-1x5': every count must be a positive integer"),
+    (["orbit", "--map", "H", "--random-seeds", "-3"],
+     "--random-seeds must be a positive integer, got -3"),
+    (["orbit", "--map", "parabolic(0,1)"],
+     "invalid map preset 'parabolic(0,1)': d must be a positive integer, got 0"),
+    (["orbit", "--map", "{jet_map_3d}", "--grid", "3x3"],
+     "gives 2 counts but the map has 3 variables"),
+])
+def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
+    jet_map = tmp_path / "map3.json"
+    jet_map.write_text(json.dumps(JetMap.identity(3, 2).to_json_dict()))
+    res = run(*(a.replace("{jet_map_3d}", str(jet_map)) for a in args))
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert reason in res.output
+
+
+def test_orbit_csv_keeps_every_seed_coordinate(tmp_path):
+    jet_map = tmp_path / "map3.json"
+    jet_map.write_text(json.dumps(JetMap.identity(3, 2).to_json_dict()))
+    out = tmp_path / "o.csv"
+    res = run("orbit", "--map", str(jet_map), "--radius", "0.1", "--grid", "2x2x2",
+              "--grid-low", "0.02", "--budget", "5", "--csv", str(out))
+    assert res.exit_code == 0
+    lines = out.read_text().splitlines()
+    assert lines[1].startswith("seed_re_x,seed_im_x,seed_re_y,seed_im_y,seed_re_z,seed_im_z,")
+    assert len(set(line.split(",Periodic")[0] for line in lines[2:])) == 8

@@ -3,6 +3,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -194,14 +195,18 @@ def test_direct_oracle_matches_order12_monodromy_system(name, z0):
         assert np.max(np.abs(direct - old)) <= 1e-12
 
 
-def test_oracle_rejects_loop_around_axis_singularity():
-    # z(1 + z) d/dz: the axis has a second singular point at z = -1
+def axis_singularity_foliation() -> Foliation:
+    """(x, -y, z(1 + z)): the axis has a second singular point at z = -1."""
     X = VectorField([
         Jet(3, 4, {(1, 0, 0): 1.0}),
         Jet(3, 4, {(0, 1, 0): -1.0}),
         Jet(3, 4, {(0, 0, 1): 1.0, (0, 0, 2): 1.0}),
     ])
-    F = Foliation(X, separatrix_axis=2)
+    return Foliation(X, separatrix_axis=2)
+
+
+def test_oracle_rejects_loop_around_axis_singularity():
+    F = axis_singularity_foliation()
     with pytest.raises(HolonomyError, match=r"z = -1"):
         holonomy_numeric(F, (0.01, 0.01), z0=1.0)
     with pytest.raises(HolonomyError, match=r"z = -1"):
@@ -211,25 +216,162 @@ def test_oracle_rejects_loop_around_axis_singularity():
     assert np.max(np.abs(out - 0.01)) < 1e-9
 
 
-def test_oracle_on_field_with_x_dependent_axis_unit():
-    # (x + x^2 y, -y, -z - x z^3): the order-12 monodromy system is not
-    # division-stable for this field, the direct oracle needs no division
+def x_dependent_unit_foliation() -> Foliation:
+    """(x + x^2 y, -y, -z - x z^3): the axis unit u = -1 - x z^2 has a
+    constant z-only part, so the exact route accepts it at every order."""
     X = VectorField([
         Jet(3, 4, {(1, 0, 0): 1.0, (2, 1, 0): 1.0}),
         Jet(3, 4, {(0, 1, 0): -1.0}),
         Jet(3, 4, {(0, 0, 1): -1.0, (1, 0, 3): -1.0}),
     ])
-    F = Foliation(X, separatrix_axis=2)
-    with pytest.raises(HolonomyError):
-        build_monodromy_system(F, 12)
-    h, _ = holonomy_series(F, 4)
-    errs = []
-    for r in (0.02, 0.01):
-        series = np.array(h.eval((r, r)), dtype=complex)
-        errs.append(float(np.max(np.abs(series - holonomy_numeric(F, (r, r))))))
-        assert errs[-1] <= 1e3 * r ** 5
-    # the order-4 truncation error is O(r^5): halving r divides it by ~2^5
-    assert 2 ** 4.5 < errs[0] / errs[1] < 2 ** 5.5
+    return Foliation(X, separatrix_axis=2)
+
+
+def test_oracle_on_field_with_x_dependent_axis_unit():
+    F = x_dependent_unit_foliation()
+    numeric = {r: holonomy_numeric(F, (r, r)) for r in (0.04, 0.02)}
+    for order in range(2, 7):
+        h, _ = holonomy_series(F, order)
+        errs = [float(np.max(np.abs(np.array(h.eval((r, r)), dtype=complex) - numeric[r])))
+                for r in (0.04, 0.02)]
+        # the truncation error is O(r^(order+1)) (measured constants 6 to 300)
+        # and falls by ~2^(order+1) when r halves; from order 7 up both
+        # errors sit at the integrator's ~1e-10
+        for r, err in zip((0.04, 0.02), errs):
+            assert err <= 1e3 * r ** (order + 1), (order, r, err)
+        assert 2 ** (order + 0.5) <= errs[0] / errs[1] <= 2 ** (order + 1.5), (order, errs)
+
+
+def test_exact_route_rejects_axis_unit_with_z_terms_at_every_order():
+    # 1/u(0, z) = 1/(1 + z) has infinitely many loop frequencies
+    F = axis_singularity_foliation()
+    want = "the axis unit u(0, z) = (1+0j)*z^0 + (1+0j)*z^1 is not constant"
+    messages = set()
+    for order in (2, 3, 4, 7):
+        with pytest.raises(HolonomyError, match=re.escape(want)) as err:
+            build_monodromy_system(F, order)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def reference_monodromy_terms(F: Foliation, order: int, z0: complex = 1.0 + 0j):
+    """The builder the sized working order replaced: divide at order +
+    max(zmax, 1) and, when the unit is not constant, once more one degree
+    higher, rejecting the field (None) unless the two agree."""
+    n = F.field.n_vars
+    axis = F.separatrix_axis
+    zmax = max(c.max_degree_in(axis) for c in F.field.components)
+    work_order = order + max(zmax, 1)
+    axis_comp = F.field.components[axis].extend(work_order)
+    u_coeffs = {}
+    for exp, c in axis_comp.coeffs.items():
+        e = list(exp)
+        e[axis] -= 1
+        u_coeffs[tuple(e)] = c
+    u = Jet(n, work_order, u_coeffs)
+    u_inv = u.reciprocal()
+    trans = F.transverse_indices
+    unit_constant = all(sum(e) == 0 for e in u.coeffs)
+    terms = []
+    for j in trans:
+        numer = F.field.components[j].extend(work_order) * u_inv * TWO_PI_I
+        if not unit_constant:
+            check = (F.field.components[j].extend(work_order + 1)
+                     * u.extend(work_order + 1).reciprocal() * TWO_PI_I)
+            for exp, c in check.coeffs.items():
+                if sum(exp[k] for k in trans) > order:
+                    continue
+                if abs(numer.coeffs.get(exp, 0.0 + 0j) - c) > 1e-10:
+                    return None
+        by_freq = {}
+        for exp, c in numer.coeffs.items():
+            t_exp = tuple(exp[k] for k in trans)
+            if sum(t_exp) > order:
+                continue
+            m = exp[axis]
+            scaled = c * z0 ** m if m else c
+            bucket = by_freq.setdefault(m, {})
+            bucket[t_exp] = bucket.get(t_exp, 0.0 + 0j) + scaled
+        rows = [(m, Jet(len(trans), order, coeffs)) for m, coeffs in sorted(by_freq.items())]
+        terms.append([(m, jet) for m, jet in rows if not jet.is_zero()])
+    return terms
+
+
+def high_axis_foliation() -> Foliation:
+    """An x-dependent axis unit with terms of degree 8 and 9, above the
+    orders it is built at."""
+    X = VectorField([
+        Jet(3, 9, {(1, 0, 0): 1.0, (2, 1, 0): 0.5, (2, 0, 1): 0.25}),
+        Jet(3, 9, {(0, 1, 0): -2.0, (1, 2, 0): 0.3j}),
+        Jet(3, 9, {(0, 0, 1): 3.0, (1, 1, 1): 0.5, (4, 3, 1): 0.7, (0, 8, 1): -0.2}),
+    ])
+    return Foliation(X, separatrix_axis=2)
+
+
+def _differential_cases(name):
+    if name == "dense":
+        return [(seeded_dense_foliation(seed), order, 1.0)
+                for seed in range(6) for order in (4, 6, 8)]
+    if name == "high-axis":
+        return [(high_axis_foliation(), order, 1.0) for order in (2, 3, 4, 5)]
+    F = presets.load_foliation(name)
+    return [(F, order, z0) for order in (4, 8, 12) for z0 in (1.0, 0.7, 0.3 + 0.5j)]
+
+
+@pytest.mark.parametrize("name", ["thmB", "example3", "linear(1,-1,-2)", "genF", "genH",
+                                  "genLinear", "dense", "high-axis"])
+def test_sized_working_order_matches_reference_builder(name):
+    for F, order, z0 in _differential_cases(name):
+        want = reference_monodromy_terms(F, order, z0)
+        assert want is not None, (order, z0)
+        got = build_monodromy_system(F, order, z0=z0).terms
+        # same frequencies, same monomials in the same order, same floats
+        assert [[(m, list(jet.coeffs.items())) for m, jet in row] for row in got] == \
+            [[(m, list(jet.coeffs.items())) for m, jet in row] for row in want]
+
+
+def fractional_unit_foliation() -> Foliation:
+    """u = 3 + 0.5 x z + 0.7 x^2 z^3: the largest k/|T| is 3/2, so the
+    z-degree bound has a floor; the x z term of X_x reaches zmax = 1."""
+    X = VectorField([
+        Jet(3, 6, {(1, 0, 0): 1.0, (1, 0, 1): 0.5}),
+        Jet(3, 6, {(0, 1, 0): -2.0, (1, 1, 0): 0.3j}),
+        Jet(3, 6, {(0, 0, 1): 3.0, (1, 0, 2): 0.5, (2, 0, 4): 0.7}),
+    ])
+    return Foliation(X, separatrix_axis=2)
+
+
+def single_division_terms(F: Foliation, order: int, work_order: int) -> dict:
+    """{(component, m, transverse exponent): coefficient} of 2 pi i X_j/u,
+    divided once at ``work_order`` and cut to transverse degree <= order."""
+    axis = F.separatrix_axis
+    trans = F.transverse_indices
+    u_coeffs = {exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: c
+                for exp, c in F.field.components[axis].extend(work_order).coeffs.items()}
+    u_inv = Jet(F.field.n_vars, work_order, u_coeffs).reciprocal()
+    out = {}
+    for row, j in enumerate(trans):
+        numer = F.field.components[j].extend(work_order) * u_inv * TWO_PI_I
+        for exp, c in numer.coeffs.items():
+            t_exp = tuple(exp[k] for k in trans)
+            if sum(t_exp) <= order:
+                out[row, exp[axis], t_exp] = c
+    return out
+
+
+@pytest.mark.parametrize("make", [x_dependent_unit_foliation, fractional_unit_foliation])
+def test_sized_working_order_clips_no_kept_term(make):
+    # the units here have x-dependent terms carrying z, so the working order
+    # grows with floor(k*(order - 1)/|T|); ten degrees more must add nothing
+    F = make()
+    for order in range(2, 10):
+        got = {(row, m, t_exp): c
+               for row, freqs in enumerate(build_monodromy_system(F, order).terms)
+               for m, jet in freqs for t_exp, c in jet.coeffs.items()}
+        want = single_division_terms(F, order, 3 * order + 11)
+        for key in got.keys() | want.keys():
+            a, b = got.get(key, 0j), want.get(key, 0j)
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (order, key, a, b)
 
 
 EIGENVALUES = (1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5)
