@@ -21,6 +21,7 @@ import click
 import numpy as np
 
 from . import presets, reproduce
+from .coefficients import CoefficientSystemError
 from .flows import (
     DomainEscape,
     FlowError,
@@ -56,6 +57,7 @@ from .presets import PresetError
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
+SVG_WIDTH = 480
 
 
 class ConfigError(click.ClickException):
@@ -143,25 +145,31 @@ def _config_header(config: dict) -> List[str]:
     return [f"# config: {blob}"]
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}")
+
+
 def _write_csv(path: str, config: dict, header: Sequence[str], rows) -> None:
     lines = _config_header(config)
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(str(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, config: dict, payload: dict) -> None:
     payload = dict(payload)
     payload["config"] = config
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _write_svg(path: str, config: dict, points, width: int = 480) -> None:
+def _write_svg(path: str, config: dict, points) -> None:
     """Static scatter of complex points (re, im of the chosen projection)."""
+    width = SVG_WIDTH
     xs = [p[0] for p in points] or [0.0]
     ys = [p[1] for p in points] or [0.0]
     span = max(max(map(abs, xs)), max(map(abs, ys)), 1e-12) * 1.1
@@ -184,8 +192,7 @@ def _write_svg(path: str, config: dict, points, width: int = 480) -> None:
             f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="1.5" fill="#1f77b4" fill-opacity="0.6"/>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 @click.group()
@@ -212,7 +219,7 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
               "z0": [z0c.real, z0c.imag]}
     try:
         h, table = holonomy_series(F, order, z0=z0c)
-    except (HolonomyError, JetError) as e:
+    except (HolonomyError, CoefficientSystemError, JetError) as e:
         raise ConfigError(str(e))
 
     click.echo(f"holonomy of {field_spec} (axis {F.separatrix_axis}, order {order}):")
@@ -274,7 +281,7 @@ def flow(field_spec, time_str, order, point, emit_path):
               "order": order, "point": point}
     try:
         fmap = formal_flow(X, t, order)
-    except (FlowError, JetError) as e:
+    except (FlowError, CoefficientSystemError, JetError) as e:
         raise ConfigError(str(e))
     click.echo(f"time-{time_str} map of {field_spec} (order {order}):")
     for j, comp in enumerate(fmap.components):
@@ -526,7 +533,7 @@ def reproduce_paper(only, report_path):
         raise ConfigError(str(e.args[0]))
     for r in results:
         click.echo(r.line)
-    reproduce.write_report(results, report_path)
+    _write_text(report_path, reproduce.render_report(results))
     click.echo(f"wrote {report_path}")
     if not all(r.passed for r in results):
         sys.exit(EXIT_CHECK_FAILED)

@@ -2,12 +2,14 @@
 
 Solves non-autonomous systems of the form
 
-    dx_j/dt = alpha_j x_j + sum_m e^(2 pi i m t) * R_{m,j}(x),
+    dx_j/dt = sum_m e^(2 pi i m t) * J_{m,j}(x),
 
-with R_{m,j} polynomial of valuation >= 2, by expanding the solution as
-x_j(t) = sum_A a_{j,A}(t) x0^A and processing multi-indices in increasing
-total degree.  Each coefficient satisfies a scalar linear ODE whose
-forcing only involves strictly lower-degree entries, and is solved
+given as built, linear part included: the J_{m,j} vanish at x = 0 and
+their degree-1 part is alpha_j x_j at m = 0 alone.  The solution is
+expanded as x_j(t) = sum_A a_{j,A}(t) x0^A and multi-indices are processed
+in increasing total degree.  Each coefficient satisfies the scalar linear
+ODE a' = alpha_j a + g, whose forcing g comes from the terms of degree
+>= 2 and only involves strictly lower-degree entries, and is solved
 exactly in the exponential-polynomial ring.
 
 The recursion is online (the "relaxed" series product of van der Hoeven,
@@ -88,29 +90,24 @@ class CoefficientTable:
         }
 
 
-ForcingTerm = Tuple[int, Jet]  # (integer frequency m for e^(2 pi i m t), jet)
+SystemTerm = Tuple[int, Jet]  # (integer frequency m for e^(2 pi i m t), jet)
 # a homogeneous piece of a series: monomial -> ExpPoly term dict
 Piece = Dict[tuple, dict]
 
 
 def solve_coefficient_system(
-    alphas: Sequence,
-    forcing: Sequence[Sequence[ForcingTerm]],
-    order: int,
+    system: Sequence[Sequence[SystemTerm]], order: int
 ) -> CoefficientTable:
-    """Solve the triangular system; ``forcing[j]`` lists (m, jet) pairs with
-    jets of valuation >= 2 in the same n variables."""
-    n = len(alphas)
-    freqs = [Frequency.coerce(a) for a in alphas]
-    for j, terms in enumerate(forcing):
-        for m, jet in terms:
-            if jet.n_vars != n:
-                raise CoefficientSystemError("forcing jet arity mismatch")
-            if not jet.is_zero() and jet.valuation() < 2:
-                raise CoefficientSystemError(
-                    f"forcing for component {j} has degree-{jet.valuation()} terms; "
-                    "the recursion requires valuation >= 2"
-                )
+    """Solve dx_j/dt = sum of e^(2 pi i m t) * jet(x) over the (m, jet) pairs
+    of ``system[j]``, jets in n = len(system) variables, linear part included.
+
+    The degree-1 terms must form a diagonal alpha_j x_j at frequency 0, the
+    one shape for which the recursion is triangular; anything else raises
+    CoefficientSystemError.
+    """
+    n = len(system)
+    freqs, weights = zip(*(_split_row(j, terms, n, order)
+                           for j, terms in enumerate(system)))
 
     table = CoefficientTable(n, order, freqs)
     # phi[j][d]: the degree-d piece of component j, filled in as it is solved
@@ -122,7 +119,6 @@ def solve_coefficient_system(
         table.forcings[(j, exp)] = ExpPoly.zero()
         phi.append([{}, {exp: table.entries[(j, exp)].terms}])
 
-    weights = [_loop_weights(terms, order) for terms in forcing]
     powers = _PowerTable(phi, dict.fromkeys(a for w in weights for a in w), order)
     for d in range(2, order + 1):
         powers.extend(d)
@@ -147,16 +143,32 @@ def solve_coefficient_system(
     return table
 
 
-def _loop_weights(terms: Sequence[ForcingTerm], order: int) -> Dict[tuple, dict]:
-    """Monomial A -> term dict of sum_m c_{m,A} e^(2 pi i m t), degrees <= order."""
+def _split_row(j: int, terms: Sequence[SystemTerm], n: int, order: int):
+    """alpha_j and the loop weights of row j: monomial A of degree 2..order
+    -> term dict of sum_m c_{m,A} e^(2 pi i m t)."""
+    alpha = None
     weights: Dict[tuple, dict] = {}
     for m, jet in terms:
+        if jet.n_vars != n:
+            raise CoefficientSystemError("system jet arity mismatch")
         key = (0, Frequency.rational(m))
         for exp, c in jet.coeffs.items():
-            if sum(exp) <= order:
-                w = weights.setdefault(exp, {})
-                w[key] = w.get(key, 0.0 + 0j) + c
-    return weights
+            deg = sum(exp)
+            if deg >= 2:
+                if deg <= order:
+                    w = weights.setdefault(exp, {})
+                    w[key] = w.get(key, 0.0 + 0j) + c
+            elif deg == 0:
+                raise CoefficientSystemError(
+                    f"row {j} has a constant term; the system must vanish at x = 0")
+            elif m != 0:
+                raise CoefficientSystemError("degree-1 term with nonzero loop frequency; "
+                                             "coefficient recursion is not triangular")
+            elif exp[j] != 1:
+                raise CoefficientSystemError("non-diagonal linear part in the system")
+            else:
+                alpha = complex(c) if alpha is None else alpha + c
+    return Frequency.coerce(0j if alpha is None else alpha), weights
 
 
 class _PowerTable:

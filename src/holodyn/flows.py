@@ -122,14 +122,7 @@ def flow_coefficient_table(X: VectorField, order: int) -> CoefficientTable:
     """Exact series coefficients of the flow map of X (diagonal linear part)."""
     if X.eigenvalues is None:
         raise FlowError("formal flow requires a diagonal linear part")
-    n = X.n_vars
-    forcing = []
-    for j, comp in enumerate(X.components):
-        lam = X.eigenvalues[j]
-        exp_j = tuple(1 if k == j else 0 for k in range(n))
-        rest = comp.extend(order) - Jet.monomial(exp_j, lam, order)
-        forcing.append([(0, rest)])
-    return solve_coefficient_system(X.eigenvalues, forcing, order)
+    return solve_coefficient_system([[(0, comp)] for comp in X.components], order)
 
 
 def formal_flow(X: VectorField, t: complex, order: int) -> JetMap:

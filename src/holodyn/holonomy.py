@@ -44,15 +44,12 @@ class Foliation:
 
     field: VectorField
     separatrix_axis: int
-    transversal_radius: float = 0.1
 
     def __post_init__(self):
         n = self.field.n_vars
         axis = self.separatrix_axis
         if not 0 <= axis < n:
             raise HolonomyError(f"axis index {axis} out of range for n={n}")
-        if self.transversal_radius <= 0:
-            raise HolonomyError("transversal_radius must be positive")
         # axis invariance: every transverse component must vanish on the axis,
         # i.e. each of its monomials contains a transverse variable
         for j, comp in enumerate(self.field.components):
@@ -109,42 +106,6 @@ class MonodromySystem:
             out[j] = acc
         return out
 
-    def linear_diagonal(self) -> List[complex]:
-        """Diagonal of the frequency-0 linear part; raises if the degree-1
-        structure is not triangularizable (non-diagonal or oscillating)."""
-        n = self.n_transverse
-        diag = [0.0 + 0j] * n
-        for j, terms in enumerate(self.terms):
-            for m, jet in terms:
-                for exp, c in jet.terms():
-                    if sum(exp) != 1:
-                        continue
-                    if m != 0:
-                        raise HolonomyError(
-                            "degree-1 term with nonzero loop frequency; "
-                            "coefficient recursion is not triangular"
-                        )
-                    k = exp.index(1)
-                    if k == j:
-                        diag[j] = complex(c)
-                    else:
-                        raise HolonomyError(
-                            "non-diagonal linear part in the monodromy system"
-                        )
-        return diag
-
-    def nonlinear_terms(self) -> List[List[Tuple[int, Jet]]]:
-        out = []
-        for terms in self.terms:
-            rows = []
-            for m, jet in terms:
-                kept = {e: c for e, c in jet.coeffs.items() if sum(e) >= 2}
-                jet2 = Jet(jet.n_vars, jet.order, kept)
-                if not jet2.is_zero():
-                    rows.append((m, jet2))
-            out.append(rows)
-        return out
-
 
 def build_monodromy_system(
     F: Foliation, order: int, z0: complex = 1.0 + 0j
@@ -156,14 +117,15 @@ def build_monodromy_system(
     z-power m becomes the loop frequency e^(2 pi i m t) * z0^m.
 
     The exact route accepts a field whatever the order when u(0, z) is
-    constant and the linear part is diagonal with frequency 0 (see
-    :meth:`MonodromySystem.linear_diagonal`).  A unit with z-only terms is
+    constant and the linear part is diagonal with frequency 0 (checked by
+    :func:`solve_coefficient_system`).  A unit with z-only terms is
     rejected: 1/u then has infinitely many loop frequencies.  Otherwise a
     kept term x^T z^m has m <= zmax + rho*(order - 1), with zmax the
     largest z-degree of the transverse components and rho the largest
     k/|T| over the terms x^T z^k of u - u(0), so one division at total
     degree order + zmax + floor(rho*(order - 1)) clips no kept term.
     """
+    _check_base_point(z0)
     axis = F.separatrix_axis
     trans = F.transverse_indices
     unit_on_axis = F.axis_unit_on_axis()
@@ -206,9 +168,7 @@ def build_monodromy_system(
 def holonomy_coefficient_table(
     F: Foliation, order: int, z0: complex = 1.0 + 0j
 ) -> CoefficientTable:
-    system = build_monodromy_system(F, order, z0=z0)
-    diag = system.linear_diagonal()
-    return solve_coefficient_system(diag, system.nonlinear_terms(), order)
+    return solve_coefficient_system(build_monodromy_system(F, order, z0=z0).terms, order)
 
 
 def holonomy_series(
@@ -289,6 +249,7 @@ def _check_loop(F: Foliation, z0: complex):
     """The loop |z| = |z0| must not enclose or meet a zero of the axis unit
     u(0, z) = X_axis(0, z) / z: there the axis has another singular point,
     and the leaves' return map is not the holonomy at the origin."""
+    _check_base_point(z0)
     unit = F.axis_unit_on_axis()
     top = max(unit)
     if top == 0:
@@ -300,6 +261,14 @@ def _check_loop(F: Foliation, z0: complex):
                 f"inside the loop |z| = {abs(z0):.6g}: the loop encircles another "
                 f"singular point of the axis"
             )
+
+
+def _check_base_point(z0: complex):
+    if z0 == 0:
+        raise HolonomyError(
+            "z0 = 0 puts the loop z = z0*e^(2 pi i t) on the singular point; "
+            "the transversal needs z0 != 0"
+        )
 
 
 def realize_as_holonomy(Y: VectorField) -> Foliation:

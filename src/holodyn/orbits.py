@@ -20,13 +20,23 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .flows import VectorField, numeric_flow, DomainEscape, StepUnderflow
-from .jets import Jet, JetMap
+from .jets import Jet, JetError, JetMap
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_POINT_BUDGET = 10_000
 DEFAULT_WORD_BUDGET = 40
 CYCLE_EPS_FACTOR = 1e-9
 DEDUP_EPS_FACTOR = 1e-9
+TIME_ONE_RTOL = 1e-10
+TIME_ONE_ATOL = 1e-12
+# TruncatedJetMap.inverse accepts an inverse jet when h^-1(h(p)) returns
+# probes of this radius to within INVERSE_TOL
+INVERSE_PROBE_RADIUS = 0.05
+INVERSE_TOL = 1e-8
+# petal runs: seed modulus, angular offset from the direction, step budget
+PETAL_SEED_RADIUS = 0.08
+PETAL_SEED_OFFSET = 1e-3
+PETAL_ITERATIONS = 50_000
 
 Point = Tuple[complex, ...]
 
@@ -270,11 +280,8 @@ class _NewtonInverse(EvaluableMap):
 class TimeOneMap(EvaluableMap):
     """Time-one map of a polynomial vector field, evaluated numerically."""
 
-    def __init__(self, X: VectorField, rtol: float = 1e-10, atol: float = 1e-12,
-                 name: str = "time-one"):
+    def __init__(self, X: VectorField, name: str = "time-one"):
         self.X = X
-        self.rtol = rtol
-        self.atol = atol
         self.name = name
         self._direction = 1.0
 
@@ -283,11 +290,11 @@ class TimeOneMap(EvaluableMap):
         return self.X.n_vars
 
     def eval(self, p: Point) -> Point:
-        out = numeric_flow(self.X, p, self._direction, rtol=self.rtol, atol=self.atol)
+        out = numeric_flow(self.X, p, self._direction, rtol=TIME_ONE_RTOL, atol=TIME_ONE_ATOL)
         return tuple(out)
 
     def inverse(self) -> "TimeOneMap":
-        inv = TimeOneMap(self.X, self.rtol, self.atol, name=self.name + "^-1")
+        inv = TimeOneMap(self.X, name=self.name + "^-1")
         inv._direction = -self._direction
         return inv
 
@@ -295,12 +302,9 @@ class TimeOneMap(EvaluableMap):
 class TruncatedJetMap(EvaluableMap):
     """Iteration of a truncated jet map; the inverse is only approximate."""
 
-    def __init__(self, jmap: JetMap, name: str = "jet", probe_radius: float = 0.05,
-                 inverse_tol: float = 1e-8):
+    def __init__(self, jmap: JetMap, name: str = "jet"):
         self.jmap = jmap
         self.name = name
-        self.probe_radius = probe_radius
-        self.inverse_tol = inverse_tol
 
     @property
     def n_vars(self) -> int:
@@ -312,20 +316,18 @@ class TruncatedJetMap(EvaluableMap):
     def inverse(self) -> Optional["TruncatedJetMap"]:
         try:
             inv = self.jmap.inverse()
-        except Exception:
+        except JetError:
             return None
         # quality check: h^-1(h(p)) must return probes within tolerance
         n = self.n_vars
-        r = self.probe_radius
+        r = INVERSE_PROBE_RADIUS
         probes = [tuple(r * (0.3 + 0.5 * ((i + j) % 3) / 2) * cmath.exp(2j * math.pi * (i + 2 * j) / 7)
                         for j in range(n)) for i in range(4)]
         for p in probes:
             q = inv.eval(self.jmap.eval(p))
-            if max(abs(a - b) for a, b in zip(p, q)) > self.inverse_tol:
+            if max(abs(a - b) for a, b in zip(p, q)) > INVERSE_TOL:
                 return None
-        return TruncatedJetMap(inv, name=self.name + "^-1",
-                               probe_radius=self.probe_radius,
-                               inverse_tol=self.inverse_tol)
+        return TruncatedJetMap(inv, name=self.name + "^-1")
 
 
 # -- single-map orbits -----------------------------------------------------
@@ -672,13 +674,7 @@ class PetalReport:
         return 2 * self.d
 
 
-def petal_analysis(
-    d: int,
-    c: complex,
-    seed_radius: float = 0.08,
-    seed_offset: float = 1e-3,
-    iterations: int = 50_000,
-) -> PetalReport:
+def petal_analysis(d: int, c: complex) -> PetalReport:
     """Characteristic directions of x -> x + c x^(d+1) plus an empirical run.
 
     Attracting directions: arg x where c x^d is negative real; repelling:
@@ -696,9 +692,9 @@ def petal_analysis(
     h = OneVarParabolicMap(d, c)
     runs = []
     for ang in attract:
-        x = seed_radius * cmath.exp(1j * (ang + seed_offset))
+        x = PETAL_SEED_RADIUS * cmath.exp(1j * (ang + PETAL_SEED_OFFSET))
         start_mod = abs(x)
-        for _ in range(iterations):
+        for _ in range(PETAL_ITERATIONS):
             (x,) = h.eval((x,))
             if abs(x) > 10.0:
                 break

@@ -1,7 +1,7 @@
 """One-shot reproduction suite: every headline computation as a named check.
 
 Each check returns a :class:`CheckResult`; :func:`run_all` executes them in
-order and :func:`write_report` renders a markdown pass/fail report.  The
+order and :func:`render_report` renders a markdown pass/fail report.  The
 same checks back the acceptance test suite.
 """
 from __future__ import annotations
@@ -393,7 +393,7 @@ def run_all(only: Optional[List[str]] = None) -> List[CheckResult]:
     return results
 
 
-def write_report(results: List[CheckResult], path: str) -> None:
+def render_report(results: List[CheckResult]) -> str:
     lines = ["# Reproduction report", ""]
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} checks passed.")
@@ -404,5 +404,4 @@ def write_report(results: List[CheckResult], path: str) -> None:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"| {r.name} | {status} | {r.detail} |")
     lines.append("")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+    return "\n".join(lines)

@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from holodyn.cli import main
-from holodyn.jets import JetMap
+from holodyn.flows import VectorField
+from holodyn.jets import Jet, JetMap
 
 
 def run(*args):
@@ -158,11 +159,45 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "invalid map preset 'parabolic(0,1)': d must be a positive integer, got 0"),
     (["orbit", "--map", "{jet_map_3d}", "--grid", "3x3"],
      "gives 2 counts but the map has 3 variables"),
+    (["holonomy", "--field", "{off_diagonal}"],
+     "non-diagonal linear part in the system"),
+    (["holonomy", "--field", "{oscillating}"],
+     "degree-1 term with nonzero loop frequency; coefficient recursion is not triangular"),
+    (["holonomy", "--field", "thmB", "--z0", "0"], "z0 = 0 puts the loop"),
+    (["holonomy", "--field", "thmB", "--z0", "0", "--oracle", "{tmp}/o.csv"],
+     "z0 = 0 puts the loop"),
+    (["holonomy", "--field", "thmB", "--emit", "{tmp}/missing/t.json"],
+     "cannot write {tmp}/missing/t.json"),
+    (["orbit", "--map", "H", "--grid", "2x2", "--csv", "{tmp}/missing/o.csv"],
+     "cannot write {tmp}/missing/o.csv"),
+    (["petal", "--d", "2", "--c", "1", "--json", "{tmp}/missing/x.json"],
+     "cannot write {tmp}/missing/x.json"),
+    (["reproduce-paper", "--only", "linear-model", "--report", "{tmp}/missing/r.md"],
+     "cannot write {tmp}/missing/r.md"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
     jet_map.write_text(json.dumps(JetMap.identity(3, 2).to_json_dict()))
-    res = run(*(a.replace("{jet_map_3d}", str(jet_map)) for a in args))
+    # X = (x + y, -y, -z) and (x + xz, -y, -z) along the z-axis: the first
+    # monodromy system has the off-diagonal term y in row 0, the second the
+    # term x at loop frequency 1
+    files = {"{jet_map_3d}": str(jet_map)}
+    for name, x_comp in (("off_diagonal", {(1, 0, 0): 1.0, (0, 1, 0): 1.0}),
+                         ("oscillating", {(1, 0, 0): 1.0, (1, 0, 1): 1.0})):
+        field = VectorField([Jet(3, 4, x_comp), Jet(3, 4, {(0, 1, 0): -1.0}),
+                             Jet(3, 4, {(0, 0, 1): -1.0})])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"field": field.to_json_dict(), "separatrix_axis": 2}))
+        files[f"{{{name}}}"] = str(path)
+    files["{tmp}"] = str(tmp_path)
+
+    def fill(text):
+        for key, value in files.items():
+            text = text.replace(key, value)
+        return text
+
+    res = run(*map(fill, args))
+    reason = fill(reason)
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert reason in res.output

@@ -1,6 +1,12 @@
-"""The online coefficient engine against the compose-based recursion it replaced."""
+"""The online coefficient engine against the compose-based recursion it replaced.
+
+The solver takes a system as built, linear part included; the reference
+takes the split it used to be handed: the diagonal alpha_j and the forcing
+terms of degree >= 2.
+"""
 import itertools
 import random
+import re
 
 import pytest
 
@@ -10,7 +16,7 @@ from holodyn.coefficients import (
     CoefficientTable,
     solve_coefficient_system,
 )
-from holodyn.exppoly import ExpPoly, Frequency, solve_linear_ode
+from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I, solve_linear_ode
 from holodyn.flows import VectorField, flow_coefficient_table
 from holodyn.holonomy import Foliation, build_monodromy_system
 from holodyn.jets import Jet
@@ -54,17 +60,40 @@ def reference_solve(alphas, forcing, order) -> CoefficientTable:
     return table
 
 
+def split_linear_part(system):
+    """The frequency-0 diagonal of the linear part and the terms of degree
+    >= 2, as the monodromy system used to split itself."""
+    alphas, forcing = [], []
+    for j, terms in enumerate(system):
+        diag = 0j
+        rows = []
+        for m, jet in terms:
+            for exp, c in jet.terms():
+                if sum(exp) == 1:
+                    assert m == 0 and exp[j] == 1, (j, m, exp)
+                    diag = complex(c)
+            kept = {e: c for e, c in jet.coeffs.items() if sum(e) >= 2}
+            if kept:
+                rows.append((m, Jet(jet.n_vars, jet.order, kept)))
+        alphas.append(diag)
+        forcing.append(rows)
+    return alphas, forcing
+
+
 def holonomy_system(F: Foliation, order: int):
-    system = build_monodromy_system(F, order)
-    return system.linear_diagonal(), system.nonlinear_terms(), order
+    """(system as built, reference arguments) for the holonomy of F."""
+    system = build_monodromy_system(F, order).terms
+    return system, (*split_linear_part(system), order)
 
 
 def flow_system(X: VectorField, order: int):
+    """(system as built, reference arguments) for the flow of X; the reference
+    forcing is each component minus its eigenvalue monomial."""
     forcing = []
     for j, comp in enumerate(X.components):
         exp_j = tuple(1 if k == j else 0 for k in range(X.n_vars))
         forcing.append([(0, comp.extend(order) - Jet.monomial(exp_j, X.eigenvalues[j], order))])
-    return X.eigenvalues, forcing, order
+    return [[(0, comp)] for comp in X.components], (X.eigenvalues, forcing, order)
 
 
 def _monomials(n, lo, hi):
@@ -104,6 +133,10 @@ def dense_planar_field(seed: int, order: int) -> VectorField:
     return VectorField(comps)
 
 
+def entry_terms(table: CoefficientTable) -> dict:
+    return {key: poly.terms for key, poly in table.entries.items()}
+
+
 def assert_tables_match(new: CoefficientTable, ref: CoefficientTable):
     assert set(new.entries) == set(ref.entries)
     for key, want in ref.entries.items():
@@ -117,26 +150,28 @@ def assert_tables_match(new: CoefficientTable, ref: CoefficientTable):
 @pytest.mark.parametrize("order", [4, 8, 12])
 @pytest.mark.parametrize("name", PRESETS)
 def test_presets_match_reference(name, order):
-    args = holonomy_system(presets.load_foliation(name), order)
-    new = solve_coefficient_system(*args)
-    assert_tables_match(new, reference_solve(*args))
+    system, ref_args = holonomy_system(presets.load_foliation(name), order)
+    new = solve_coefficient_system(system, order)
+    assert_tables_match(new, reference_solve(*ref_args))
     if order <= 8:
         assert new.ode_residual_max() == 0.0
     assert new.ode_residual_max() <= TOL
 
 
 def test_dense_foliation_matches_reference():
-    args = holonomy_system(dense_foliation(seed=11), 5)
-    new = solve_coefficient_system(*args)
-    assert_tables_match(new, reference_solve(*args))
+    system, ref_args = holonomy_system(dense_foliation(seed=11), 5)
+    new = solve_coefficient_system(system, 5)
+    assert_tables_match(new, reference_solve(*ref_args))
     assert new.ode_residual_max() <= TOL
 
 
 def test_dense_planar_flow_matches_reference():
     X = dense_planar_field(seed=12, order=6)
+    system, ref_args = flow_system(X, 6)
     new = flow_coefficient_table(X, 6)
-    assert_tables_match(new, reference_solve(*flow_system(X, 6)))
+    assert_tables_match(new, reference_solve(*ref_args))
     assert new.ode_residual_max() <= TOL
+    assert entry_terms(solve_coefficient_system(system, 6)) == entry_terms(new)
 
 
 def test_sparse_forcing_with_shared_prefixes_matches_reference():
@@ -144,16 +179,32 @@ def test_sparse_forcing_with_shared_prefixes_matches_reference():
     # itself a forcing monomial: x^3 is read at two depths
     jet = Jet(3, 7, {(3, 0, 2): 0.5 - 1j, (3, 1, 0): 2.0, (0, 2, 3): -1.5j, (1, 1, 1): 0.25})
     forcing = [[(0, jet), (1, jet * 0.5j)], [(-2, jet)], []]
-    args = ([Frequency.rational(1), Frequency.rational(-1), Frequency.rational(2)], forcing, 7)
-    new = solve_coefficient_system(*args)
-    assert_tables_match(new, reference_solve(*args))
+    qs = (1, -1, 2)
+    # the linear part 2 pi i q_j x_j, as a separate frequency-0 jet or
+    # merged into the row's own frequency-0 jet
+    linear = [Jet.monomial(tuple(int(k == j) for k in range(3)), TWO_PI_I * q, 7)
+              for j, q in enumerate(qs)]
+    system = [[(0, jet + linear[0]), (1, jet * 0.5j)],
+              [(0, linear[1]), (-2, jet)],
+              [(0, linear[2])]]
+    alphas = [Frequency.rational(q) for q in qs]
+    new = solve_coefficient_system(system, 7)
+    assert new.alphas == alphas
+    assert_tables_match(new, reference_solve(alphas, forcing, 7))
     assert new.ode_residual_max() <= TOL
 
 
-def test_linear_forcing_rejected():
-    x = Jet.variable(0, 2, 4)
-    y = Jet.variable(1, 2, 4)
-    forcing = [[(0, x * x + y)], []]
-    with pytest.raises(CoefficientSystemError, match="degree-1 terms; the recursion "
-                       "requires valuation >= 2"):
-        solve_coefficient_system([1.0, -1.0], forcing, 4)
+X2 = Jet.variable(0, 2, 4)
+Y2 = Jet.variable(1, 2, 4)
+
+
+@pytest.mark.parametrize("system, message", [
+    ([[(0, X2 * X2 + Y2)], []], "non-diagonal linear part in the system"),
+    ([[(0, X2), (1, X2 * 0.5)], []],
+     "degree-1 term with nonzero loop frequency; coefficient recursion is not triangular"),
+    ([[(0, X2 + Jet.constant(2, 4, 0.1))], []], "row 0 has a constant term"),
+    ([[(0, X2)], [(0, Jet.variable(0, 3, 4))]], "system jet arity mismatch"),
+], ids=["off-diagonal", "oscillating", "constant", "arity"])
+def test_linear_part_outside_the_triangular_shape_rejected(system, message):
+    with pytest.raises(CoefficientSystemError, match=re.escape(message)):
+        solve_coefficient_system(system, 4)

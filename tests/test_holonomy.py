@@ -18,6 +18,7 @@ from holodyn.holonomy import (
     NormalFormError,
     build_monodromy_system,
     extract_normal_form,
+    holonomy_coefficient_table,
     holonomy_numeric,
     holonomy_series,
     monodromy_invariant_drift,
@@ -69,7 +70,8 @@ def test_monodromy_frequencies_degree4_example():
     freqs = {m for terms in sys.terms for m, _ in terms}
     assert freqs == {0, 3}
     # linear part: dx/dt = -2 pi i x, dy/dt = -2 pi i y
-    assert np.allclose(sys.linear_diagonal(), [-TWO_PI_I, -TWO_PI_I])
+    alphas = holonomy_coefficient_table(F, 4).alphas
+    assert np.allclose([a.value for a in alphas], [-TWO_PI_I, -TWO_PI_I])
     # the frequency-3 coupling is +/- 2 pi i x^3 y (resp. x^2 y^2)
     x_terms = dict(sys.terms[0])
     assert abs(complex(x_terms[3].coeff((3, 1))) + TWO_PI_I) < 1e-12
@@ -214,6 +216,17 @@ def test_oracle_rejects_loop_around_axis_singularity():
     # the loop |z| = 0.5 encloses only z = 0, whose residue gives x -> x, y -> y
     out = holonomy_numeric(F, (0.01, 0.01), z0=0.5)
     assert np.max(np.abs(out - 0.01)) < 1e-9
+
+
+def test_both_routes_reject_base_point_zero():
+    F = presets.load_foliation("thmB")
+    g = Jet(2, 4, {(1, 1): 1.0})
+    for call in (lambda: build_monodromy_system(F, 4, z0=0),
+                 lambda: holonomy_series(F, 4, z0=0j),
+                 lambda: holonomy_numeric(F, (0.01, 0.01), z0=0),
+                 lambda: monodromy_invariant_drift(F, g, (0.01, 0.01), z0=0)):
+        with pytest.raises(HolonomyError, match=r"z0 = 0"):
+            call()
 
 
 def x_dependent_unit_foliation() -> Foliation:
