@@ -1,45 +1,27 @@
 #!/usr/bin/env python3
 """Side-by-side orbit survey: the finite-orbit germ vs. the irrational-rotation one.
 
-Runs the H-type germ on a calibrated grid (all orbits provably finite; the
-experiment should report 0 infinite-suspected) and the F-type germ seeded on
-the golden-mean level set (bounded but never closing: infinite-suspected).
+Runs the two orbit reproduction checks: the H-type germ on a calibrated
+400-seed grid (all orbits provably finite; the experiment should report 0
+infinite-suspected) and the F-type germ seeded on the golden-mean level set
+(bounded but never closing: infinite-suspected).  The level-set orbit gets
+at most 20,000 steps each way.
 
 Usage: python scripts/orbit_survey.py [budget]
 """
 import sys
 import time
 
-from holodyn import presets
-from holodyn.orbits import DomainBall, classify_seed_grid, iterate_orbit, lattice_seeds
+from holodyn.reproduce import check_finite_orbits, check_infinite_contrast
 
 
 def main():
     budget = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
-
-    t0 = time.time()
-    h = presets.map_H()
-    seeds = lattice_seeds(0.3, 20, n_vars=2, low=0.05)
-    summary = classify_seed_grid(h, DomainBall(0.3), seeds, budget=budget)
-    c = summary.counts
-    print(f"H-type germ, {len(seeds)} seeds in ball 0.3, budget {budget}:")
-    print(f"  escaped {c['Escaped']}, periodic {c['Periodic']}, "
-          f"infinite-suspected {c['BudgetExhausted']}  [{time.time()-t0:.1f}s]")
-    mus = [r.mu for r in summary.records if r.mu is not None]
-    print(f"  iteration counts mu: min {min(mus)}, max {max(mus)}")
-
-    t0 = time.time()
-    f = presets.map_F()
-    C = presets.F_LEVEL_CONSTANT
-    x0 = 0.55
-    rec = iterate_orbit(f, (x0, C / x0), DomainBall(1.0),
-                        budget=min(budget, 20_000), keep_points=True)
-    bounded = all(max(abs(z) for z in p) <= 1.0
-                  for p in rec.forward_points + rec.backward_points)
-    print(f"F-type germ on the level set x*y = C, |C| = {abs(C):.3f} "
-          f"(golden rotation number):")
-    print(f"  status {rec.status}, {rec.cardinality} distinct points, "
-          f"bounded {bounded}  [{time.time()-t0:.1f}s]")
+    for check, check_budget in ((check_finite_orbits, budget),
+                                (check_infinite_contrast, min(budget, 20_000))):
+        t0 = time.time()
+        line = check(check_budget).line
+        print(f"{line}  [budget {check_budget}, {time.time() - t0:.1f}s]")
 
 
 if __name__ == "__main__":

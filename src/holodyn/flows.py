@@ -18,7 +18,8 @@ import numpy as np
 from .coefficients import CoefficientTable, solve_coefficient_system
 from .jets import Jet, JetMap, JetError
 
-DIAG_TOL = 1e-13
+# a component's constant term above this makes the field not vanish at 0
+ORIGIN_TOL = 1e-13
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
 DEFAULT_MAX_STEPS = 1_000_000
@@ -59,20 +60,14 @@ class VectorField:
         for c in comps:
             if c.n_vars != n or c.order != comps[0].order:
                 raise JetError("components must share n_vars and order")
-            if abs(complex(c.constant_term())) > DIAG_TOL:
+            if abs(complex(c.constant_term())) > ORIGIN_TOL:
                 raise JetError("vector field must vanish at the origin")
         self.components = comps
-        diag = []
-        is_diag = True
-        for i, c in enumerate(comps):
-            for j in range(n):
-                exp = tuple(1 if k == j else 0 for k in range(n))
-                val = complex(c.coeff(exp))
-                if i == j:
-                    diag.append(val)
-                elif abs(val) > DIAG_TOL:
-                    is_diag = False
-        self.eigenvalues = diag if is_diag else None
+        # the coefficient solver's rule: any stored off-diagonal linear
+        # coefficient (every one down to the jets' PRUNE_TOL) is non-diagonal
+        is_diag = all(sum(e) != 1 or e[i] == 1 for i, c in enumerate(comps) for e in c.coeffs)
+        self.eigenvalues = [complex(c.coeff([int(k == i) for k in range(n)]))
+                            for i, c in enumerate(comps)] if is_diag else None
 
     @property
     def n_vars(self) -> int:

@@ -110,12 +110,6 @@ class Jet:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def valuation(self) -> int:
-        """Lowest total degree with a stored coefficient; order+1 if zero."""
-        if not self.coeffs:
-            return self.order + 1
-        return min(sum(e) for e in self.coeffs)
-
     def max_degree_in(self, i: int) -> int:
         return max((e[i] for e in self.coeffs), default=0)
 

@@ -15,6 +15,7 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,9 +125,18 @@ class ProductPreservingMap(EvaluableMap):
     """(x, y) -> (x*u, y/u) with u = 1 + w f(w), w = x^a y^b.
 
     The product x*y is preserved exactly (u and 1/u are evaluated
-    pointwise, not truncated).  The inverse solves for the preimage by a
-    1-d Newton iteration on the invariant level set x*y = C, which is
-    exact to rounding for every (a, b).
+    pointwise, not truncated), so the inverse works on the level set
+    x*y = C of the target (X, Y).  Two cases have closed forms:
+
+    - a = b, any f: w = C^a is invariant, so u is read at the target and
+      the preimage is x = X/u, y = C/x.
+    - a = b + 1, constant f = c: on the level set x moves as
+      x -> x + k x^2 with k = c C^b, and the inverse takes the root that is
+      tangent to the identity, x = 2X / (1 + sqrt(1 + 4kX)), y = C/x.
+
+    Every other (a, b, f) solves for the preimage by a 1-d Newton iteration
+    with the analytic derivative, which raises OrbitError when it does not
+    converge.  The case is chosen once, here.
     """
 
     def __init__(self, a: int, b: int, f: Jet, name: str = "product-preserving"):
@@ -138,6 +148,12 @@ class ProductPreservingMap(EvaluableMap):
         self.b = int(b)
         self.f = f
         self.name = name
+        if self.a == self.b:
+            self._inverse_type = _InvariantUnitInverse
+        elif self.a == self.b + 1 and all(e == (0,) for e in f.coeffs):
+            self._inverse_type = _TangentRootInverse
+        else:
+            self._inverse_type = _ProductPreservingInverse
 
     @property
     def n_vars(self) -> int:
@@ -155,13 +171,20 @@ class ProductPreservingMap(EvaluableMap):
         return (x * u, y / u)
 
     def inverse(self) -> "EvaluableMap":
-        return _ProductPreservingInverse(self)
+        return self._inverse_type(self)
 
 
 class _ProductPreservingInverse(EvaluableMap):
+    """Newton inverse on the level set, for any (a, b, f).
+
+    With a >= b it solves z u(z) = X for z = x, where w(z) = z^(a-b) C^b;
+    with b > a it solves z / u(z) = Y for z = y, where w(z) = z^(b-a) C^a.
+    """
+
     def __init__(self, fwd: ProductPreservingMap):
         self.fwd = fwd
         self.name = fwd.name + "^-1"
+        self.df = fwd.f.diff(0)
 
     @property
     def n_vars(self) -> int:
@@ -171,53 +194,85 @@ class _ProductPreservingInverse(EvaluableMap):
         return self.fwd
 
     def eval(self, q: Point) -> Point:
-        a, b, f = self.fwd.a, self.fwd.b, self.fwd.f
+        a, b, f, df = self.fwd.a, self.fwd.b, self.fwd.f, self.df
         xq, yq = q
-        C = xq * yq  # invariant: equals x*y at the preimage
         if xq == 0 or yq == 0:
             # on the axes w = 0 so the map is the identity
             return (xq, yq)
-        # solve x * (1 + w(x) f(w(x))) = xq with w(x) = x^(a-b) * C^b  (a >= b)
-        # or the symmetric equation in y when b > a
+        C = xq * yq  # invariant: equals x*y at the preimage
         if a >= b:
-            target, other_from = xq, (lambda x: C / x)
-            ex, cpow = a - b, C ** b
+            target, ex, cpow = xq, a - b, C ** b
         else:
-            target, other_from = yq, (lambda y: C / y)
-            ex, cpow = b - a, C ** a
+            target, ex, cpow = yq, b - a, C ** a
 
-        def w_of(z: complex) -> complex:
-            return (z ** ex) * cpow if ex else cpow
+        def g_dg(z: complex) -> Tuple[complex, complex]:
+            """Residual and its derivative, with u' = (f(w) + w f'(w)) w'."""
+            w = (z ** ex) * cpow if ex else cpow
+            fw = f.eval((w,))
+            u = 1.0 + w * fw
+            du = (fw + w * df.eval((w,))) * (ex * z ** (ex - 1) * cpow) if ex else 0.0
+            if a >= b:
+                return z * u - target, u + z * du
+            if u == 0:
+                raise OrbitError("map is singular at this point (u = 0)")
+            return z / u - target, (u - z * du) / (u * u)
 
-        sign = 1.0 if a >= b else -1.0
-
-        def g(z: complex) -> complex:
-            w = w_of(z)
-            u = 1.0 + w * f.eval((w,))
-            return z * (u if a >= b else 1.0 / u) - target
-
+        scale = max(1.0, abs(target))
         z = target
         for _ in range(60):
-            gz = g(z)
-            if abs(gz) < 1e-15 * max(1.0, abs(target)):
+            gz, dg = g_dg(z)
+            if abs(gz) < 1e-15 * scale:
                 break
-            h = 1e-7 * max(abs(z), 1e-8)
-            dg = (g(z + h) - gz) / h
             if dg == 0:
-                raise OrbitError("inverse Newton iteration stalled")
+                raise OrbitError("inverse Newton iteration hit a critical point")
             step = gz / dg
             z = z - step
             if abs(step) < 1e-16 * max(1.0, abs(z)):
+                # the step stalled at rounding level: accept only a small residual
+                if abs(g_dg(z)[0]) > 1e-14 * scale:
+                    raise OrbitError("inverse Newton iteration stalled off the level set")
                 break
         else:
             raise OrbitError("inverse Newton iteration did not converge")
-        if a >= b:
-            x = z
-            y = C / x
-        else:
-            y = z
-            x = C / y
-        return (x, y)
+        return (z, C / z) if a >= b else (C / z, z)
+
+
+class _InvariantUnitInverse(_ProductPreservingInverse):
+    """a = b: w = (x y)^a = C^a is invariant, so u is read at the target."""
+
+    def __init__(self, fwd: ProductPreservingMap):
+        super().__init__(fwd)
+        self.a, self.f = fwd.a, fwd.f
+
+    def eval(self, q: Point) -> Point:
+        X, Y = q
+        if X == 0 or Y == 0:
+            return (X, Y)
+        C = X * Y
+        w = C ** self.a
+        u = 1.0 + w * self.f.eval((w,))
+        if u == 0:
+            raise OrbitError("map is singular at this point (u = 0)")
+        x = X / u
+        return (x, C / x)
+
+
+class _TangentRootInverse(_ProductPreservingInverse):
+    """a = b + 1, constant f = c: x + k x^2 = X with k = c C^b on the level
+    set, solved by the root that is tangent to the identity."""
+
+    def __init__(self, fwd: ProductPreservingMap):
+        super().__init__(fwd)
+        self.b, self.c = fwd.b, fwd.f.constant_term()
+
+    def eval(self, q: Point) -> Point:
+        X, Y = q
+        if X == 0 or Y == 0:
+            return (X, Y)
+        C = X * Y
+        k = self.c * C ** self.b
+        x = 2.0 * X / (1.0 + cmath.sqrt(1.0 + 4.0 * k * X))
+        return (x, C / x)
 
 
 class OneVarParabolicMap(EvaluableMap):
@@ -375,26 +430,31 @@ def iterate_orbit(
     fwd_pts: List[Point] = []
     bwd_pts: List[Point] = []
 
+    # inside(|c|) is |c| <= radius, as in V.contains: False for NaN and inf,
+    # so a non-finite image escapes at the step that produced it
+    inside = float(V.radius).__ge__
+
     def run(direction_map, store) -> Tuple[str, int, Optional[int]]:
         """Returns (outcome, steps_inside + 1 escape credit, period)."""
+        step_map = direction_map.eval
+        add = seen.add
         cur = p
         for step in range(1, budget + 1):
             prev = cur
             try:
-                cur = direction_map.eval(cur)
+                cur = step_map(cur)
             except (OrbitError, DomainEscape, StepUnderflow, OverflowError):
                 return "escaped", step, None
-            if any(not math.isfinite(c.real) or not math.isfinite(c.imag) for c in cur):
+            if not all(map(inside, map(abs, cur))):
                 return "escaped", step, None
-            if not V.contains(cur):
-                return "escaped", step, None
-            if max(abs(a - b) for a, b in zip(cur, p)) < eps_cycle:
+            if max(map(abs, map(sub, cur, p))) < eps_cycle:
                 return "periodic", step, step
-            if max(abs(a - b) for a, b in zip(cur, prev)) < eps_cycle:
+            if max(map(abs, map(sub, cur, prev))) < eps_cycle:
                 # converged onto an interior fixed point: the run accumulates
                 # there and no further distinct points can appear
                 return "budget", step, None
-            seen.add(_quantize(cur, eps_dedup))
+            # _quantize(cur, eps_dedup), inlined
+            add(tuple([(round(c.real / eps_dedup), round(c.imag / eps_dedup)) for c in cur]))
             if keep_points:
                 store.append(cur)
         return "budget", budget, None

@@ -80,6 +80,22 @@ def test_formal_flow_requires_diagonal_linear_part():
         formal_flow(Y, 1.0, 3)
 
 
+def test_diagonal_rule_matches_the_coefficient_solver():
+    """Any stored off-diagonal linear coefficient makes the field non-diagonal,
+    as in the solver; one pruned by the jets (below 1e-14) does not."""
+    def field(off):
+        return VectorField([Jet(2, 4, {(1, 0): 1.0, (0, 1): off, (2, 0): 0.5}),
+                            Jet(2, 4, {(0, 1): -1.0})])
+
+    stored = field(5e-14)
+    assert stored.eigenvalues is None
+    with pytest.raises(FlowError, match="diagonal linear part"):
+        flow_coefficient_table(stored, 4)
+    pruned = field(5e-15)
+    assert pruned.eigenvalues == [1.0 + 0j, -1.0 + 0j]
+    assert flow_coefficient_table(pruned, 4).ode_residual_max() == 0.0
+
+
 def test_flow_table_ode_residual_zero():
     X = presets.field_example1(1, 1, 1, 1, order=6)
     table = flow_coefficient_table(X, 6)

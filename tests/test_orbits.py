@@ -9,6 +9,7 @@ from holodyn import presets
 from holodyn.jets import Jet, JetMap
 from holodyn.orbits import (
     DomainBall,
+    EvaluableMap,
     LinearMap,
     OneVarParabolicMap,
     OrbitError,
@@ -62,6 +63,22 @@ def test_one_sided_escape_without_inverse():
     assert rec.mu == 4  # 0.2, 0.4, 0.8 inside; step 4 leaves
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+def test_non_finite_image_escapes_at_its_step(bad):
+    """(x, y) -> (2x, y) until |x| > 0.15, then a non-finite y: the orbit of
+    (0.1, 0.1) escapes at step 2, exactly as when it leaves the ball."""
+    class Blows(EvaluableMap):
+        n_vars = 2
+
+        def eval(self, p):
+            x, y = p
+            return (2 * x, y) if abs(x) < 0.15 else (x, bad)
+
+    rec = iterate_orbit(Blows(), (0.1, 0.1), V1)
+    assert rec.status == "Escaped" and rec.one_sided
+    assert rec.mu == 2 and rec.cardinality == 2
+
+
 def test_double_sided_escape_mu():
     # x -> 2x on an annulus-avoiding seed cannot happen linearly; use an
     # affine-free product map instead: H escapes both ways off the axes
@@ -105,6 +122,150 @@ def test_product_preserving_inverse_round_trip():
             # and the other way round
             there = h.eval(inv.eval(p))
             assert max(abs(u - v) for u, v in zip(p, there)) < 1e-12
+
+
+def reference_product_inverse(fwd, q):
+    """The former inverse of a ProductPreservingMap: Newton on the level set
+    x*y = C with a finite-difference derivative, for every (a, b, f)."""
+    a, b, f = fwd.a, fwd.b, fwd.f
+    xq, yq = q
+    C = xq * yq
+    if xq == 0 or yq == 0:
+        return (xq, yq)
+    if a >= b:
+        target, ex, cpow = xq, a - b, C ** b
+    else:
+        target, ex, cpow = yq, b - a, C ** a
+
+    def g(z):
+        w = (z ** ex) * cpow if ex else cpow
+        u = 1.0 + w * f.eval((w,))
+        return z * (u if a >= b else 1.0 / u) - target
+
+    z = target
+    for _ in range(60):
+        gz = g(z)
+        if abs(gz) < 1e-15 * max(1.0, abs(target)):
+            break
+        h = 1e-7 * max(abs(z), 1e-8)
+        step = gz / ((g(z + h) - gz) / h)
+        z = z - step
+        if abs(step) < 1e-16 * max(1.0, abs(z)):
+            break
+    else:
+        raise OrbitError("reference Newton iteration did not converge")
+    return (z, C / z) if a >= b else (C / z, z)
+
+
+class ReferenceInverseMap(ProductPreservingMap):
+    """A ProductPreservingMap whose inverse is the reference Newton."""
+
+    def inverse(self):
+        fwd = self
+
+        class Inverse(EvaluableMap):
+            name = fwd.name + "^-1"
+            n_vars = 2
+
+            def eval(self, q):
+                return reference_product_inverse(fwd, q)
+
+        return Inverse()
+
+
+def ball_points(n, radius, seed):
+    """n seeded points of the polydisc, uniform in each coordinate disc."""
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.uniform(size=(n, 2)))
+    z = r * np.exp(2j * math.pi * rng.uniform(size=(n, 2)))
+    return [tuple(complex(c) for c in row) for row in z]
+
+
+def test_closed_form_inverses_agree_with_the_reference_newton():
+    """F (a = b) and H (a = b + 1, constant f) take closed forms; on 2,000
+    points of the 0.3-ball they agree with the reference to 1e-12
+    (relative) and return h(h^-1(q)) to q within 4e-15 (relative), a bound
+    the reference itself misses."""
+    points = ball_points(2000, 0.3, seed=6)
+    for h in (presets.map_F(), presets.map_H()):
+        inv = h.inverse()
+        assert type(inv).__name__ != "_ProductPreservingInverse"
+        for q in points:
+            p = inv.eval(q)
+            ref = reference_product_inverse(h, q)
+            assert max(abs(s - t) / abs(t) for s, t in zip(p, ref)) <= 1e-12
+            assert max(abs(s - t) / abs(t) for s, t in zip(h.eval(p), q)) <= 4e-15
+
+
+LATTICE = lattice_seeds(0.3, 20, n_vars=2, low=0.05)
+
+
+@pytest.fixture(scope="module")
+def H_lattice_records():
+    """H on the 400-seed lattice of the finite-orbits check."""
+    return classify_seed_grid(presets.map_H(), DomainBall(0.3), LATTICE).records
+
+
+def test_orbit_verdicts_unchanged_with_the_reference_inverse(H_lattice_records):
+    ref_H = ReferenceInverseMap(2, 1, presets.const_f_jet(), "H")
+    old = classify_seed_grid(ref_H, DomainBall(0.3), LATTICE).records
+    assert [(r.status, r.mu, r.cardinality) for r in H_lattice_records] \
+        == [(r.status, r.mu, r.cardinality) for r in old]
+    C = presets.F_LEVEL_CONSTANT
+    seed = (0.55 + 0j, C / 0.55)
+    new = iterate_orbit(presets.map_F(), seed, V1, budget=20_000)
+    ref_F = ReferenceInverseMap(1, 1, presets.const_f_jet(), "F")
+    old = iterate_orbit(ref_F, seed, V1, budget=20_000)
+    assert new.status == old.status == "BudgetExhausted"
+    assert (new.mu, new.cardinality) == (old.mu, old.cardinality)
+
+
+def test_H_lattice_mu_by_the_one_variable_level_restriction(H_lattice_records):
+    """Second route for H: on xy = C the germ is x -> x + 2 pi i C x^2, with
+    the domain rule max(|x|, |C/x|) <= 0.3.  Iterating that map and its
+    Newton inverse gives every mu of the 400-seed lattice."""
+    rho = 0.3
+    for (x0, y0), rec in zip(LATTICE, H_lattice_records):
+        C = x0 * y0
+        level = OneVarParabolicMap(1, 2j * math.pi * C)
+        steps = []
+        for g in (level, level.inverse()):
+            x = x0
+            for n in range(1, 100_001):
+                (x,) = g.eval((x,))
+                if max(abs(x), abs(C / x)) > rho:
+                    steps.append(n)
+                    break
+        assert rec.status == "Escaped" and len(steps) == 2
+        assert rec.mu == steps[0] + steps[1] + 1
+
+
+def test_newton_fallback_round_trip():
+    """(1, 3) and (3, 1) with a non-constant f have no closed form."""
+    f = Jet(1, 4, {(0,): 2j * math.pi, (1,): 0.3})
+    for a, b in ((1, 3), (3, 1)):
+        h = ProductPreservingMap(a, b, f)
+        inv = h.inverse()
+        assert type(inv).__name__ == "_ProductPreservingInverse"
+        for p in ball_points(50, 0.3, seed=a):
+            assert max(abs(u - v) for u, v in zip(inv.eval(h.eval(p)), p)) < 1e-13
+            assert max(abs(u - v) for u, v in zip(h.eval(inv.eval(p)), p)) < 1e-13
+
+
+def test_newton_fallback_raises_when_it_cannot_converge():
+    # (3, 1), f = -1/2 at the target (1, 1): the level-set equation is
+    # z - z^3/2 = 1, on which Newton from z = 1 cycles 1, 0, 1, ...
+    inv = ProductPreservingMap(3, 1, presets.const_f_jet(-0.5)).inverse()
+    with pytest.raises(OrbitError, match="did not converge"):
+        inv.eval((1.0 + 0j, 1.0 + 0j))
+
+
+def test_newton_fallback_checks_the_residual_when_the_step_stalls():
+    # a derivative 1e40 too large makes the first step vanish off the level set
+    inv = ProductPreservingMap(3, 1, presets.const_f_jet(0.5)).inverse()
+    inv.df = Jet(1, 4, {(0,): 1e40})
+    with pytest.raises(OrbitError, match="stalled off the level set"):
+        inv.eval((0.2 + 0j, 0.1 + 0j))
 
 
 def test_parabolic_inverse_round_trip():
