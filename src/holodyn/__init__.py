@@ -24,6 +24,7 @@ from .holonomy import (
     build_monodromy_system,
     holonomy_series,
     holonomy_numeric,
+    holonomy_cross_check,
     holonomy_coefficient_table,
     monodromy_invariant_drift,
     extract_normal_form,

@@ -37,7 +37,7 @@ from .holonomy import (
     HolonomyError,
     NormalFormError,
     extract_normal_form,
-    holonomy_numeric,
+    holonomy_cross_check,
     holonomy_series,
 )
 from .jets import Jet, JetMap, JetError, DEFAULT_ORDER
@@ -88,6 +88,11 @@ def _parse_point(s: str, n_vars: int) -> Tuple[complex, ...]:
     return point
 
 
+def _check_finite(option: str, value: Optional[float]) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{option} must be a finite number, got {value}")
+
+
 def _load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -98,46 +103,24 @@ def _load_json_file(path: str) -> dict:
         raise ConfigError(f"malformed JSON in {path}: line {e.lineno}, col {e.colno}: {e.msg}")
 
 
-def _load_field(spec: str, order: int) -> VectorField:
+def _load(spec: str, kind: str, from_json, from_preset):
+    """A JSON file (by its .json suffix) or a preset spec; every rejection is a ConfigError."""
     if spec.endswith(".json"):
         d = _load_json_file(spec)
         try:
-            return VectorField.from_json_dict(d).extend(order)
-        except (KeyError, TypeError, JetError, ValueError) as e:
-            raise ConfigError(f"invalid vector-field JSON in {spec}: {e}")
+            return from_json(d)
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"invalid {kind} JSON in {spec}: {e}")
     try:
-        return presets.load_field(spec, order)
-    except PresetError as e:
-        raise ConfigError(str(e))
-
-
-def _load_foliation(spec: str, order: int):
-    if spec.endswith(".json"):
-        d = _load_json_file(spec)
-        try:
-            return Foliation(
-                VectorField.from_json_dict(d["field"]).extend(order),
-                separatrix_axis=int(d["separatrix_axis"]),
-            )
-        except (KeyError, TypeError, JetError, HolonomyError, ValueError) as e:
-            raise ConfigError(f"invalid foliation JSON in {spec}: {e}")
-    try:
-        return presets.load_foliation(spec, order)
+        return from_preset(spec)
     except (PresetError, HolonomyError) as e:
         raise ConfigError(str(e))
 
 
-def _load_map(spec: str):
-    if spec.endswith(".json"):
-        d = _load_json_file(spec)
-        try:
-            return TruncatedJetMap(JetMap.from_json_dict(d), name=spec)
-        except (KeyError, TypeError, JetError, ValueError) as e:
-            raise ConfigError(f"invalid jet-map JSON in {spec}: {e}")
-    try:
-        return presets.load_map(spec)
-    except PresetError as e:
-        raise ConfigError(str(e))
+def _load_field(spec: str, order: int) -> VectorField:
+    return _load(spec, "vector-field",
+                 lambda d: VectorField.from_json_dict(d).extend(order),
+                 lambda s: presets.load_field(s, order))
 
 
 def _config_header(config: dict) -> List[str]:
@@ -214,7 +197,10 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
     if order < 1:
         raise ConfigError("--order must be >= 1")
     z0c = _parse_complex(z0)
-    F = _load_foliation(field_spec, order)
+    F = _load(field_spec, "foliation",
+              lambda d: Foliation(VectorField.from_json_dict(d["field"]).extend(order),
+                                  separatrix_axis=int(d["separatrix_axis"])),
+              lambda s: presets.load_foliation(s, order))
     config = {"command": "holonomy", "field": field_spec, "order": order,
               "z0": [z0c.real, z0c.imag]}
     try:
@@ -242,23 +228,17 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
         })
         click.echo(f"wrote {emit_path}")
     if oracle_path:
-        rows = []
-        vals = np.linspace(0.01, 0.05, 5)
         n_t = len(F.transverse_indices)
+        points = [tuple(v * (1 + 0.2 * k) for k in range(n_t))
+                  for v in np.linspace(0.01, 0.05, 5)]
         try:
-            for v in vals:
-                p = tuple(v * (1 + 0.2 * k) for k in range(n_t))
-                series = np.array(h.eval(p), dtype=complex)
-                numeric = holonomy_numeric(F, p, z0=z0c)
-                err = float(np.max(np.abs(series - numeric)))
-                rows.append([
-                    ";".join(_fmt_complex(c) for c in p),
-                    ";".join(_fmt_complex(c) for c in series),
-                    ";".join(_fmt_complex(complex(c)) for c in numeric),
-                    f"{err:.3e}",
-                ])
+            checked = holonomy_cross_check(F, h, points, z0=z0c)
         except (DomainEscape, StepUnderflow) as e:
             raise NumericFailure(str(e))
+        rows = [[";".join(_fmt_complex(c) for c in p),
+                 ";".join(_fmt_complex(c) for c in series),
+                 ";".join(_fmt_complex(complex(c)) for c in numeric),
+                 f"{err:.3e}"] for p, series, numeric, err in checked]
         _write_csv(oracle_path, config,
                    ["point", "series_value", "monodromy_value", "abs_error"], rows)
         click.echo(f"wrote {oracle_path}")
@@ -355,11 +335,15 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
 def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
           random_seeds, seed, csv_path, svg_path, svg_projection):
     """Classify orbits of a germ on the polydisc of the given radius."""
+    _check_finite("--radius", radius)
+    _check_finite("--grid-low", grid_low)
     if radius <= 0 or budget <= 0:
         raise ConfigError("--radius and --budget must be positive")
     if random_seeds is not None and random_seeds < 1:
         raise ConfigError(f"--random-seeds must be a positive integer, got {random_seeds}")
-    h = _load_map(map_spec)
+    h = _load(map_spec, "jet-map",
+              lambda d: TruncatedJetMap(JetMap.from_json_dict(d), name=map_spec),
+              presets.load_map)
     config = {"command": "orbit", "map": map_spec, "radius": radius, "grid": grid,
               "grid_low": grid_low, "budget": budget, "level_circle": level_circle,
               "random_seeds": random_seeds, "seed": seed}
@@ -419,6 +403,7 @@ def pseudogroup(preset, n_seeds, radius, word_budget, point_budget, json_path):
         gens = presets.pseudogroup_preset(preset)
     except PresetError as e:
         raise ConfigError(str(e))
+    _check_finite("--radius", radius)
     if n_seeds <= 0 or radius <= 0:
         raise ConfigError("--seeds and --radius must be positive")
     config = {"command": "pseudogroup", "preset": preset, "seeds": n_seeds,

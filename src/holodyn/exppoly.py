@@ -18,8 +18,9 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from .jets import PRUNE_TOL
+
 TWO_PI_I = 2j * math.pi
-PRUNE_TOL = 1e-14
 RESONANCE_TOL = 1e-12
 _RATIONAL_MAX_DEN = 64
 

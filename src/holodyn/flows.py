@@ -18,8 +18,6 @@ import numpy as np
 from .coefficients import CoefficientTable, solve_coefficient_system
 from .jets import Jet, JetMap, JetError
 
-# a component's constant term above this makes the field not vanish at 0
-ORIGIN_TOL = 1e-13
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
 DEFAULT_MAX_STEPS = 1_000_000
@@ -60,7 +58,8 @@ class VectorField:
         for c in comps:
             if c.n_vars != n or c.order != comps[0].order:
                 raise JetError("components must share n_vars and order")
-            if abs(complex(c.constant_term())) > ORIGIN_TOL:
+            # the coefficient solver's rule: any stored constant term
+            if (0,) * n in c.coeffs:
                 raise JetError("vector field must vanish at the origin")
         self.components = comps
         # the coefficient solver's rule: any stored off-diagonal linear
@@ -258,14 +257,20 @@ def first_integral_drift(
     ``expected`` is None for a true first integral, or an ExpPoly
     modulation for covariant integrals.
     """
+    return observed_drift(g, p, expected, lambda watch: numeric_flow(
+        X, p, path, rtol=rtol, atol=atol, escape_radius=escape_radius, observer=watch))
+
+
+def observed_drift(g: Jet, p, expected, integrate: Callable) -> float:
+    """Max of |g(x) - g(p) * expected(t)| over the states (t, x) that
+    ``integrate(observer)`` reports while it integrates from p."""
     base = g.eval(p)
     worst = 0.0
 
-    def watch(tz, x):
+    def watch(t, x):
         nonlocal worst
-        target = base if expected is None else base * expected.eval(tz)
+        target = base if expected is None else base * expected.eval(t)
         worst = max(worst, abs(g.eval(x) - target))
 
-    numeric_flow(X, p, path, rtol=rtol, atol=atol,
-                 escape_radius=escape_radius, observer=watch)
+    integrate(watch)
     return worst

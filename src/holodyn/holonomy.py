@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import CoefficientTable, solve_coefficient_system
 from .exppoly import ExpPoly, TWO_PI_I
-from .flows import VectorField, integrate_ode, DEFAULT_RTOL, DEFAULT_ATOL
+from .flows import VectorField, integrate_ode, observed_drift, DEFAULT_RTOL, DEFAULT_ATOL
 from .jets import Jet, JetMap, JetError
 
 LINEAR_TOL = 1e-12
@@ -48,6 +48,11 @@ class Foliation:
     def __post_init__(self):
         n = self.field.n_vars
         axis = self.separatrix_axis
+        if n < 2:
+            raise HolonomyError(
+                f"a foliation on C^{n} has no variable transverse to the axis; "
+                f"the holonomy needs n >= 2"
+            )
         if not 0 <= axis < n:
             raise HolonomyError(f"axis index {axis} out of range for n={n}")
         # axis invariance: every transverse component must vanish on the axis,
@@ -203,6 +208,20 @@ def holonomy_numeric(
     )
 
 
+def holonomy_cross_check(F: Foliation, h: JetMap, points, z0: complex = 1.0 + 0j):
+    """The exact holonomy jet h against :func:`holonomy_numeric`, point by point.
+
+    Returns one (point, series, numeric, abs_error) row per point, with the
+    error the max-norm of series - numeric.
+    """
+    rows = []
+    for p in points:
+        series = np.array(h.eval(p), dtype=complex)
+        numeric = holonomy_numeric(F, p, z0=z0)
+        rows.append((p, series, numeric, float(np.max(np.abs(series - numeric)))))
+    return rows
+
+
 def monodromy_invariant_drift(
     F: Foliation,
     g: Jet,
@@ -213,19 +232,10 @@ def monodromy_invariant_drift(
     atol: float = DEFAULT_ATOL,
 ) -> float:
     """Max over the loop of |g(x(t)) - g(p)*expected(t)| along the leaf through p."""
-    base = g.eval(p)
-    worst = 0.0
-
-    def watch(t, x):
-        nonlocal worst
-        target = base if expected is None else base * expected.eval(t)
-        worst = max(worst, abs(g.eval(x) - target))
-
-    integrate_ode(
+    return observed_drift(g, p, expected, lambda watch: integrate_ode(
         _leafwise_rhs(F, z0), 0.0, 1.0, np.array(p, dtype=complex),
         rtol=rtol, atol=atol, escape_radius=10.0, observer=watch,
-    )
-    return worst
+    ))
 
 
 def _leafwise_rhs(F: Foliation, z0: complex):

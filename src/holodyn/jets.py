@@ -382,9 +382,6 @@ class JetMap:
     def eval(self, point):
         return tuple(c.eval(point) for c in self.components)
 
-    def truncate(self, order: int) -> "JetMap":
-        return JetMap([c.truncate(order) for c in self.components])
-
     def max_abs_diff(self, other: "JetMap") -> float:
         if self.n_vars != other.n_vars:
             raise JetError("dimension mismatch")

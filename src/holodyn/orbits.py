@@ -53,8 +53,8 @@ class DomainBall:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not math.isfinite(self.radius) or self.radius <= 0:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     def contains(self, p: Point) -> bool:
         return all(abs(c) <= self.radius for c in p)
@@ -118,7 +118,6 @@ class PermutationMap(LinearMap):
         for i, j in enumerate(perm):
             matrix[i][j] = complex(scalars[i])
         super().__init__(matrix, name=name)
-        self.perm = tuple(perm)
 
 
 class ProductPreservingMap(EvaluableMap):
@@ -217,23 +216,7 @@ class _ProductPreservingInverse(EvaluableMap):
                 raise OrbitError("map is singular at this point (u = 0)")
             return z / u - target, (u - z * du) / (u * u)
 
-        scale = max(1.0, abs(target))
-        z = target
-        for _ in range(60):
-            gz, dg = g_dg(z)
-            if abs(gz) < 1e-15 * scale:
-                break
-            if dg == 0:
-                raise OrbitError("inverse Newton iteration hit a critical point")
-            step = gz / dg
-            z = z - step
-            if abs(step) < 1e-16 * max(1.0, abs(z)):
-                # the step stalled at rounding level: accept only a small residual
-                if abs(g_dg(z)[0]) > 1e-14 * scale:
-                    raise OrbitError("inverse Newton iteration stalled off the level set")
-                break
-        else:
-            raise OrbitError("inverse Newton iteration did not converge")
+        z = _newton(g_dg, target)
         return (z, C / z) if a >= b else (C / z, z)
 
 
@@ -316,20 +299,36 @@ class _NewtonInverse(EvaluableMap):
     def eval(self, q: Point) -> Point:
         (target,) = q
         d, c = self.fwd.d, self.fwd.c
-        scale = max(1.0, abs(target))
-        x = target
-        for _ in range(60):
-            gx = x + c * x ** (d + 1) - target
-            if abs(gx) < 1e-16 * scale:
-                return (x,)
-            dgx = 1.0 + (d + 1) * c * x ** d
-            if dgx == 0:
-                raise OrbitError("inverse Newton iteration hit a critical point")
-            x = x - gx / dgx
-        # the residual can stall at rounding level, just above the tolerance
-        if abs(x + c * x ** (d + 1) - target) < 1e-14 * scale:
-            return (x,)
-        raise OrbitError("inverse Newton iteration did not converge")
+
+        def g_dg(x: complex) -> Tuple[complex, complex]:
+            return x + c * x ** (d + 1) - target, 1.0 + (d + 1) * c * x ** d
+
+        return (_newton(g_dg, target),)
+
+
+def _newton(g_dg, target: complex) -> complex:
+    """Root of g near ``target`` by Newton from z = target; g_dg(z) = (g, g').
+
+    Stops when |g| < 1e-16 * max(1, |target|).  After 60 steps a residual
+    up to 1e-14 times that scale is accepted (it can stall at rounding
+    level); otherwise the iteration "stalled off the level set" if its last
+    step was at rounding level and "did not converge" if not.
+    """
+    scale = max(1.0, abs(target))
+    z = target
+    for _ in range(60):
+        gz, dg = g_dg(z)
+        if abs(gz) < 1e-16 * scale:
+            return z
+        if dg == 0:
+            raise OrbitError("inverse Newton iteration hit a critical point")
+        step = gz / dg
+        z = z - step
+    if abs(g_dg(z)[0]) <= 1e-14 * scale:
+        return z
+    if abs(step) < 1e-16 * max(1.0, abs(z)):
+        raise OrbitError("inverse Newton iteration stalled off the level set")
+    raise OrbitError("inverse Newton iteration did not converge")
 
 
 class TimeOneMap(EvaluableMap):
@@ -509,10 +508,6 @@ class GridSummary:
             out[r.status] += 1
         return out
 
-    @property
-    def infinite_suspected(self) -> int:
-        return self.counts["BudgetExhausted"]
-
 
 def classify_seed_grid(
     h: EvaluableMap,
@@ -669,7 +664,6 @@ def _matrix_key(M: np.ndarray):
 @dataclass
 class GroupClosure:
     order: Optional[int]  # None when the budget was exceeded
-    elements: List[np.ndarray]
     non_commuting_pair: Optional[Tuple[int, int]]
 
     @property
@@ -683,8 +677,7 @@ def group_closure(generators: Sequence[LinearMap], budget: int = 10_000) -> Grou
     gens = [np.array(g.matrix, dtype=complex) for g in generators]
     n = gens[0].shape[0]
     ident = np.eye(n, dtype=complex)
-    elements = [ident]
-    seen = {_matrix_key(ident): 0}
+    seen = {_matrix_key(ident)}
     queue = deque([ident])
     exceeded = False
     while queue:
@@ -694,12 +687,11 @@ def group_closure(generators: Sequence[LinearMap], budget: int = 10_000) -> Grou
             key = _matrix_key(nxt)
             if key in seen:
                 continue
-            if len(elements) >= budget:
+            if len(seen) >= budget:
                 exceeded = True
                 queue.clear()
                 break
-            seen[key] = len(elements)
-            elements.append(nxt)
+            seen.add(key)
             queue.append(nxt)
     pair = None
     for i in range(len(gens)):
@@ -709,11 +701,7 @@ def group_closure(generators: Sequence[LinearMap], budget: int = 10_000) -> Grou
                 break
         if pair:
             break
-    return GroupClosure(
-        order=None if exceeded else len(elements),
-        elements=elements,
-        non_commuting_pair=pair,
-    )
+    return GroupClosure(order=None if exceeded else len(seen), non_commuting_pair=pair)
 
 
 # -- parabolic petal analysis ----------------------------------------------

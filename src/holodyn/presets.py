@@ -70,6 +70,10 @@ def field_example3(order: int = DEFAULT_ORDER) -> VectorField:
 def field_example1(n: int, m: int, a: int, b: int,
                    order: int = DEFAULT_ORDER) -> VectorField:
     """x^a y^b * (x d/dx - (n/m) y d/dy) on (C^2, 0)."""
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    if a < 0 or b < 0:
+        raise ValueError(f"exponents a, b must be non-negative, got a={a}, b={b}")
     lam = Fraction(n, m)
     order = max(order, a + b + 1)
     cx = Jet(2, order, {(a + 1, b): 1.0})
@@ -79,6 +83,8 @@ def field_example1(n: int, m: int, a: int, b: int,
 
 def field_linear(lambdas: Sequence[complex], order: int = DEFAULT_ORDER) -> VectorField:
     n = len(lambdas)
+    if n == 0:
+        raise ValueError("a linear field needs at least one eigenvalue")
     comps = []
     for i, lam in enumerate(lambdas):
         exp = tuple(1 if k == i else 0 for k in range(n))
@@ -113,9 +119,7 @@ def generator_linear(order: int = DEFAULT_ORDER) -> VectorField:
 _FIELD_BUILDERS = {
     "thmB": lambda args, order: field_thmB(order),
     "example3": lambda args, order: field_example3(order),
-    "example1": lambda args, order: field_example1(
-        *[int(a.real) for a in _expect(args, 4)], order=order
-    ),
+    "example1": lambda args, order: field_example1(*_integers(_expect(args, 4)), order=order),
     "linear": lambda args, order: field_linear(args, order),
     "genF": lambda args, order: generator_F(order),
     "genH": lambda args, order: generator_H(order),
@@ -129,6 +133,13 @@ def _expect(args, n):
     return args
 
 
+def _integers(args) -> List[int]:
+    ints = [int(a.real) for a in args]
+    if ints != args:
+        raise PresetError("expected integer arguments")
+    return ints
+
+
 def available_fields() -> List[str]:
     return sorted(_FIELD_BUILDERS)
 
@@ -139,7 +150,10 @@ def load_field(spec: str, order: int = DEFAULT_ORDER) -> VectorField:
         raise PresetError(
             f"unknown field preset {name!r}; available: {', '.join(available_fields())}"
         )
-    return _FIELD_BUILDERS[name](args, order)
+    try:
+        return _FIELD_BUILDERS[name](args, order)
+    except ValueError as e:
+        raise PresetError(f"invalid field preset {spec!r}: {e}") from e
 
 
 def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
@@ -189,12 +203,9 @@ _MAP_BUILDERS = {
     "h2": lambda args: map_h2(),
     "swap": lambda args: map_h2(),
     "parabolic": lambda args: OneVarParabolicMap(
-        int(_expect(args, 2)[0].real), args[1], name="parabolic"
+        *_integers(_expect(args, 2)[:1]), args[1], name="parabolic"
     ),
-    "phiX": lambda args: TimeOneMap(
-        field_example1(*[int(a.real) for a in _expect(args, 4)]),
-        name="phiX",
-    ),
+    "phiX": lambda args: TimeOneMap(field_example1(*_integers(_expect(args, 4))), name="phiX"),
 }
 
 

@@ -19,7 +19,9 @@ from .exppoly import ExpPoly, Frequency, TWO_PI_I
 from .flows import formal_flow, flow_coefficient_table, first_integral_drift, lie_derivative
 from .holonomy import (
     extract_normal_form,
+    holonomy_cross_check,
     holonomy_numeric,
+    monodromy_invariant_drift,
     holonomy_series,
     realize_as_holonomy,
 )
@@ -82,13 +84,9 @@ def check_holonomy_exact() -> CheckResult:
 def check_holonomy_oracle() -> CheckResult:
     F = presets.load_foliation("thmB")
     h, _ = holonomy_series(F, 8)
-    worst = 0.0
     vals = np.linspace(0.01, 0.05, 5)
-    for x in vals:
-        for y in vals:
-            series = np.array(h.eval((x, y)), dtype=complex)
-            numeric = holonomy_numeric(F, (x, y))
-            worst = max(worst, float(np.max(np.abs(series - numeric))))
+    rows = holonomy_cross_check(F, h, [(x, y) for x in vals for y in vals])
+    worst = max(err for *_, err in rows)
     passed = worst < 1e-6
     return _ok(
         "holonomy-oracle",
@@ -136,8 +134,6 @@ def check_product_preservation() -> CheckResult:
         xy = Jet(2, 8, {(1, 1): 1.0 + 0j})
         worst_exact = max(worst_exact, xy.compose(h).max_abs_diff(xy))
     # covariant law along the numeric monodromy: xy(t) = x0 y0 e^(-4 pi i t)
-    from .holonomy import monodromy_invariant_drift
-
     F3 = presets.load_foliation("example3")
     xy = Jet(2, 12, {(1, 1): 1.0 + 0j})
     expected = ExpPoly.exponential(Frequency.rational(-2))

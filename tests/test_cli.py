@@ -1,11 +1,14 @@
 """CLI contracts: formats, exit codes, determinism, provenance headers."""
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from holodyn import presets
 from holodyn.cli import main
 from holodyn.flows import VectorField
+from holodyn.holonomy import holonomy_cross_check, holonomy_series
 from holodyn.jets import Jet, JetMap
 
 
@@ -34,6 +37,24 @@ def test_holonomy_emits_table_and_oracle(tmp_path):
     assert lines[0].startswith("# config:")
     assert lines[1] == "point,series_value,monodromy_value,abs_error"
     assert all(float(line.rsplit(",", 1)[1]) < 1e-6 for line in lines[2:])
+
+
+def test_holonomy_oracle_rows_are_the_cross_check_rows(tmp_path):
+    """The --oracle CSV is holonomy_cross_check on the 5-point diagonal, formatted."""
+    oracle = tmp_path / "oracle.csv"
+    res = run("holonomy", "--field", "thmB", "--order", "6", "--z0", "0.3+0.5i",
+              "--oracle", str(oracle))
+    assert res.exit_code == 0
+    F = presets.load_foliation("thmB", 6)
+    h, _ = holonomy_series(F, 6, z0=0.3 + 0.5j)
+    points = [tuple(v * (1 + 0.2 * k) for k in range(2)) for v in np.linspace(0.01, 0.05, 5)]
+
+    def fmt(values):
+        return ";".join(f"{z.real:+.12g}{z.imag:+.12g}i" for z in values)
+
+    rows = [f"{fmt(p)},{fmt(series)},{fmt(numeric)},{err:.3e}"
+            for p, series, numeric, err in holonomy_cross_check(F, h, points, z0=0.3 + 0.5j)]
+    assert oracle.read_text().splitlines()[2:] == rows
 
 
 def test_unknown_preset_exits_2_and_lists_available():
@@ -174,6 +195,23 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "cannot write {tmp}/missing/x.json"),
     (["reproduce-paper", "--only", "linear-model", "--report", "{tmp}/missing/r.md"],
      "cannot write {tmp}/missing/r.md"),
+    (["flow", "--field", "linear()"],
+     "invalid field preset 'linear()': a linear field needs at least one eigenvalue"),
+    (["flow", "--field", "example1(1,0,1,1)"],
+     "invalid field preset 'example1(1,0,1,1)': m must be nonzero"),
+    (["orbit", "--map", "phiX(1,0,1,1)"], "invalid map preset 'phiX(1,0,1,1)': m must be nonzero"),
+    (["flow", "--field", "example1(1,1,-1,1)"],
+     "invalid field preset 'example1(1,1,-1,1)': exponents a, b must be non-negative, "
+     "got a=-1, b=1"),
+    (["flow", "--field", "example1(1.5,1,1,1)"],
+     "invalid field preset 'example1(1.5,1,1,1)': expected integer arguments"),
+    (["holonomy", "--field", "linear(1)"],
+     "a foliation on C^1 has no variable transverse to the axis"),
+    (["orbit", "--map", "H", "--grid", "2x2", "--radius", "inf"],
+     "--radius must be a finite number, got inf"),
+    (["orbit", "--map", "H", "--radius", "nan"], "--radius must be a finite number, got nan"),
+    (["orbit", "--map", "H", "--grid-low", "nan"], "--grid-low must be a finite number, got nan"),
+    (["pseudogroup", "--radius", "nan"], "--radius must be a finite number, got nan"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"

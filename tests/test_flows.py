@@ -16,7 +16,8 @@ from holodyn.flows import (
     lie_derivative,
     numeric_flow,
 )
-from holodyn.jets import Jet, JetMap
+from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I
+from holodyn.jets import Jet, JetError, JetMap
 from holodyn import presets
 
 
@@ -27,6 +28,20 @@ def linear_field(lams, order=6):
 def test_vector_field_rejects_constant_term():
     with pytest.raises(Exception):
         VectorField([Jet(1, 3, {(0,): 1.0})])
+
+
+def test_origin_rule_matches_the_coefficient_solver():
+    """Any stored constant term is rejected by the field itself, as by the
+    solver; one pruned by the jets (below 1e-14) is not there at all."""
+    def field(const):
+        return [Jet(2, 4, {(0, 0): const, (1, 0): 1.0, (2, 0): 0.5}),
+                Jet(2, 4, {(0, 1): -1.0})]
+
+    with pytest.raises(JetError, match="vanish at the origin"):
+        VectorField(field(5e-14))
+    comps = field(5e-15)
+    assert comps[0].constant_term() == 0
+    assert flow_coefficient_table(VectorField(comps), 4).ode_residual_max() == 0.0
 
 
 def test_eigenvalues_cached_iff_diagonal():
@@ -166,6 +181,33 @@ def test_first_integral_drift_conservation():
         X = presets.field_example1(n, m, a, b, order=8)
         g = Jet(2, 8, {(n, m): 1.0})
         assert first_integral_drift(X, g, (0.1, 0.12)) < 1e-8
+
+
+def reference_first_integral_drift(X, g, p, path=1.0, expected=None):
+    """The former first_integral_drift, with its own observer closure."""
+    base = g.eval(p)
+    worst = 0.0
+
+    def watch(tz, x):
+        nonlocal worst
+        target = base if expected is None else base * expected.eval(tz)
+        worst = max(worst, abs(g.eval(x) - target))
+
+    numeric_flow(X, p, path, observer=watch)
+    return worst
+
+
+def test_first_integral_drift_equals_the_former_observer():
+    """The conservation check's inputs, plus a covariant x under x' = 2 pi i x."""
+    cases = []
+    for (n, m, a, b) in ((1, 1, 1, 1), (2, 3, 1, 2)):
+        cases.append((presets.field_example1(n, m, a, b), Jet(2, 8, {(n, m): 1.0 + 0j}), None))
+    rotation = linear_field([TWO_PI_I, -TWO_PI_I], order=8)
+    cases.append((rotation, Jet.variable(0, 2, 8), ExpPoly.exponential(Frequency.rational(1))))
+    for X, g, expected in cases:
+        for path in (1.0, [0, 0.5 + 0.5j, 1.0]):
+            assert first_integral_drift(X, g, (0.1, 0.12), path, expected) \
+                == reference_first_integral_drift(X, g, (0.1, 0.12), path, expected)
 
 
 def test_first_integral_drift_zero_field():

@@ -23,6 +23,7 @@ from holodyn.holonomy import (
     holonomy_series,
     monodromy_invariant_drift,
     realize_as_holonomy,
+    _leafwise_rhs,
 )
 from holodyn.jets import Jet, JetMap
 
@@ -436,6 +437,32 @@ def test_covariant_product_law():
     xy = Jet(2, 12, {(1, 1): 1.0})
     expected = ExpPoly.exponential(Frequency.rational(-2))
     assert monodromy_invariant_drift(F, xy, (0.04, 0.05), expected=expected) < 1e-8
+
+
+def reference_monodromy_invariant_drift(F, g, p, expected=None, z0=1.0 + 0j):
+    """The former monodromy_invariant_drift, with its own observer closure."""
+    base = g.eval(p)
+    worst = 0.0
+
+    def watch(t, x):
+        nonlocal worst
+        target = base if expected is None else base * expected.eval(t)
+        worst = max(worst, abs(g.eval(x) - target))
+
+    integrate_ode(_leafwise_rhs(F, z0), 0.0, 1.0, np.array(p, dtype=complex),
+                  escape_radius=10.0, observer=watch)
+    return worst
+
+
+def test_monodromy_invariant_drift_equals_the_former_observer():
+    """The product-preservation check's input, plus plain x*y on thmB at z0 = 0.7."""
+    xy = Jet(2, 12, {(1, 1): 1.0 + 0j})
+    cases = [(presets.load_foliation("example3"), ExpPoly.exponential(Frequency.rational(-2)),
+              1.0 + 0j),
+             (presets.load_foliation("thmB"), None, 0.7 + 0j)]
+    for F, expected, z0 in cases:
+        assert monodromy_invariant_drift(F, xy, (0.04, 0.05), expected=expected, z0=z0) \
+            == reference_monodromy_invariant_drift(F, xy, (0.04, 0.05), expected, z0)
 
 
 # -- product preservation and normal forms --------------------------------------

@@ -289,6 +289,52 @@ def test_parabolic_inverse_raises_at_critical_point():
         inv.eval((-0.5,))
 
 
+def reference_parabolic_inverse(d, c, target):
+    """The former inverse of x -> x + c x^(d+1): its own Newton loop."""
+    scale = max(1.0, abs(target))
+    x = target
+    for _ in range(60):
+        gx = x + c * x ** (d + 1) - target
+        if abs(gx) < 1e-16 * scale:
+            return x
+        dgx = 1.0 + (d + 1) * c * x ** d
+        if dgx == 0:
+            raise OrbitError("reference Newton iteration hit a critical point")
+        x = x - gx / dgx
+    if abs(x + c * x ** (d + 1) - target) < 1e-14 * scale:
+        return x
+    raise OrbitError("reference Newton iteration did not converge")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_parabolic_inverse_equals_the_reference_newton(d):
+    """The shared Newton gives the former parabolic loop's values bit for
+    bit on seeded targets with |target| <= 0.9, and raises on the same ones."""
+    rng = np.random.default_rng(100 + d)
+    r = 0.9 * np.sqrt(rng.uniform(size=1000))
+    targets = [complex(z) for z in r * np.exp(2j * math.pi * rng.uniform(size=1000))]
+    targets += [-1.0, -0.5, -0.5 + 1e-9j]  # for d = c = 1: a Newton cycle, a critical point and a point next to it
+    raised = 0
+    for c in (1.0, -0.5, 0.5 + 1.0j, 2j, 3.0 - 1.0j):
+        inv = OneVarParabolicMap(d, c).inverse()
+        for q in targets:
+            try:
+                want = reference_parabolic_inverse(d, c, q)
+            except OrbitError:
+                raised += 1
+                with pytest.raises(OrbitError):
+                    inv.eval((q,))
+                continue
+            assert inv.eval((q,)) == (want,)
+    assert raised > 0
+
+
+def test_domain_ball_needs_a_finite_positive_radius():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DomainBall(bad)
+
+
 # -- grid experiments ---------------------------------------------------------
 
 
@@ -298,7 +344,6 @@ def test_finite_orbit_grid_small():
     seeds = lattice_seeds(0.3, 5, n_vars=2, low=0.05)
     summary = classify_seed_grid(h, V, seeds, budget=100_000)
     assert summary.counts["BudgetExhausted"] == 0
-    assert summary.infinite_suspected == 0
 
 
 def test_infinite_contrast_level_seed():

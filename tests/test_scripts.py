@@ -1,7 +1,13 @@
 """Smoke runs of the example scripts under scripts/."""
+import hashlib
 import pathlib
 import runpy
 import sys
+
+import pytest
+from click.testing import CliRunner
+
+from holodyn.cli import main as cli_main
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -25,3 +31,21 @@ def test_orbit_survey_script_runs_both_orbit_checks(monkeypatch, capsys):
     assert "[budget 500," in finite
     assert contrast.startswith("[PASS] infinite-contrast:")
     assert "1001 distinct points" in contrast and "[budget 500," in contrast
+
+
+def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, tmp_path):
+    # a named subset: the full run takes about a minute
+    script = SCRIPTS / "output_digest.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "flow_table:genF", "cli:petal"])
+    runpy.run_path(str(script), run_name="__main__")
+    digests = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert list(digests) == ["flow_table:genF:table", "cli:petal:exit", "cli:petal:stdout",
+                             "cli:petal:out.json"]
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests.values())
+    out = tmp_path / "petal.json"
+    assert CliRunner().invoke(cli_main, ["petal", "--d", "2", "--c", "1",
+                                         "--json", str(out)]).exit_code == 0
+    assert digests["cli:petal:out.json"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    monkeypatch.setattr(sys, "argv", [str(script), "nosuch*"])
+    with pytest.raises(SystemExit, match="no entry matches nosuch"):
+        runpy.run_path(str(script), run_name="__main__")
