@@ -4,7 +4,9 @@
 The outputs are the exact holonomy series (coefficient table and forcings)
 of the six foliation presets at orders 4, 8 and 12 and base points
 z0 = 1, 0.7 and 0.3+0.5i, the flow coefficient tables of the field presets
-at order 8, and the files and standard output of a fixed set of CLI runs.
+at order 8, the numeric route (``holonomy_numeric`` of each foliation
+preset and ``numeric_flow`` of each field preset at fixed points), and the
+files and standard output of a fixed set of CLI runs.
 Two checkouts produce byte-identical outputs exactly when their digest
 listings are equal, so a refactor is checked with one diff:
 
@@ -14,9 +16,9 @@ listings are equal, so a refactor is checked with one diff:
 Usage: python scripts/output_digest.py [pattern ...]
 
 Each pattern is an fnmatch pattern over the entry names (for example
-'flow_table:*' or 'cli:petal'); with none, every entry is digested.  The
-full run takes about a minute, most of it in the orbit and reproduce-paper
-CLI runs.
+'flow_table:*', 'numeric:*' or 'cli:petal'); with none, every entry is
+digested.  The full run takes about a minute, most of it in the orbit and
+reproduce-paper CLI runs.
 """
 import fnmatch
 import hashlib
@@ -29,13 +31,18 @@ from click.testing import CliRunner
 
 from holodyn import presets
 from holodyn.cli import main as cli_main
-from holodyn.holonomy import holonomy_series
+from holodyn.flows import numeric_flow
+from holodyn.holonomy import holonomy_numeric, holonomy_series
 
 FOLIATIONS = ("thmB", "example3", "linear(1,-1,-2)", "genF", "genH", "genLinear")
 FIELDS = ("thmB", "example3", "example1(1,1,1,1)", "example1(2,3,1,2)",
           "linear(1,-1,-2)", "genF", "genH", "genLinear")
 ORDERS = (4, 8, 12)
 BASE_POINTS = {"1": 1.0 + 0j, "0.7": 0.7 + 0j, "0.3+0.5i": 0.3 + 0.5j}
+# transversal points of the numeric holonomy, and flow start points (their
+# first n coordinates) for the numeric time-one map
+NUMERIC_POINTS = ((0.03, 0.04j, 0.02), (0.05, -0.02 + 0.01j, 0.01j),
+                  (-0.01 + 0.04j, 0.02, -0.03))
 # name -> CLI arguments; "{out}" names an output file in a fresh directory
 CLI_RUNS = {
     "holonomy-example3": ["holonomy", "--field", "example3", "--order", "8",
@@ -75,6 +82,20 @@ def _flow_table(spec):
                                 .to_json_dict())}
 
 
+def _numeric(run):
+    return {"values": _canonical([[[v.real, v.imag] for v in run(p)] for p in NUMERIC_POINTS])}
+
+
+def _numeric_holonomy(spec):
+    F = presets.load_foliation(spec)
+    return _numeric(lambda p: holonomy_numeric(F, p[:2]))
+
+
+def _numeric_flow(spec):
+    X = presets.load_field(spec)
+    return _numeric(lambda p: numeric_flow(X, p[:X.n_vars]))
+
+
 def _cli(args):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
@@ -96,6 +117,10 @@ def entries():
                        lambda s=spec, o=order, z=z0: _series(s, o, z))
     for spec in FIELDS:
         yield f"flow_table:{spec}", lambda s=spec: _flow_table(s)
+    for spec in FOLIATIONS:
+        yield f"numeric:holonomy:{spec}", lambda s=spec: _numeric_holonomy(s)
+    for spec in FIELDS:
+        yield f"numeric:flow:{spec}", lambda s=spec: _numeric_flow(s)
     for name, args in CLI_RUNS.items():
         yield f"cli:{name}", lambda a=args: _cli(a)
 

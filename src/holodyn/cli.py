@@ -74,9 +74,12 @@ def _fmt_complex(z: complex) -> str:
 
 def _parse_complex(s: str) -> complex:
     try:
-        return complex(s.replace("i", "j").replace(" ", ""))
+        z = complex(s.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise ConfigError(f"cannot parse complex number {s!r}")
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number {s!r} is not finite")
+    return z
 
 
 def _parse_point(s: str, n_vars: int) -> Tuple[complex, ...]:
@@ -482,6 +485,9 @@ def petal(d, c, json_path):
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 def verify_integral(field_spec, exponents, point, tol):
     """Check that a monomial is a first integral (symbolically and numerically)."""
+    _check_finite("--tol", tol)
+    if tol <= 0:
+        raise ConfigError(f"--tol must be positive, got {tol}")
     X = _load_field(field_spec, DEFAULT_ORDER)
     try:
         exp = tuple(int(v) for v in exponents.split(","))

@@ -203,7 +203,7 @@ def holonomy_numeric(
     leaves the integration domain.
     """
     return integrate_ode(
-        _leafwise_rhs(F, z0), 0.0, 1.0, np.array(p, dtype=complex),
+        _leafwise_rhs(F, z0), 0.0, 1.0, p,
         rtol=rtol, atol=atol, escape_radius=escape_radius,
     )
 
@@ -233,7 +233,7 @@ def monodromy_invariant_drift(
 ) -> float:
     """Max over the loop of |g(x(t)) - g(p)*expected(t)| along the leaf through p."""
     return observed_drift(g, p, expected, lambda watch: integrate_ode(
-        _leafwise_rhs(F, z0), 0.0, 1.0, np.array(p, dtype=complex),
+        _leafwise_rhs(F, z0), 0.0, 1.0, p,
         rtol=rtol, atol=atol, escape_radius=10.0, observer=watch,
     ))
 
@@ -247,10 +247,9 @@ def _leafwise_rhs(F: Foliation, z0: complex):
 
     def rhs(t, x):
         z = z0 * cmath.exp(TWO_PI_I * t)
-        point = x.tolist()
-        point.insert(axis, z)
+        point = (*x[:axis], z, *x[axis:])
         scale = TWO_PI_I * z / axis_comp.eval(point)
-        return np.array([scale * comp.eval(point) for comp in trans_comps], dtype=complex)
+        return [scale * comp.eval(point) for comp in trans_comps]
 
     return rhs
 

@@ -43,9 +43,12 @@ def _parse(spec: str):
         for part in argstr.split(","):
             part = part.strip()
             try:
-                args.append(complex(part.replace("i", "j")))
+                value = complex(part.replace("i", "j"))
             except ValueError as e:
                 raise PresetError(f"bad numeric argument {part!r} in {spec!r}") from e
+            if not cmath.isfinite(value):
+                raise PresetError(f"numeric argument {part!r} in {spec!r} is not finite")
+            args.append(value)
     return name, args
 
 

@@ -212,6 +212,18 @@ def test_reproduce_paper_unknown_check(tmp_path):
     (["orbit", "--map", "H", "--radius", "nan"], "--radius must be a finite number, got nan"),
     (["orbit", "--map", "H", "--grid-low", "nan"], "--grid-low must be a finite number, got nan"),
     (["pseudogroup", "--radius", "nan"], "--radius must be a finite number, got nan"),
+    (["holonomy", "--field", "thmB", "--z0", "nan"], "complex number 'nan' is not finite"),
+    (["holonomy", "--field", "linear(1,nan)"],
+     "numeric argument 'nan' in 'linear(1,nan)' is not finite"),
+    (["petal", "--d", "2", "--c", "nan"], "complex number 'nan' is not finite"),
+    (["verify-integral", "--field", "thmB", "--exponents", "1,1,2", "--tol", "nan"],
+     "--tol must be a finite number, got nan"),
+    (["verify-integral", "--field", "thmB", "--exponents", "1,1,2", "--tol", "0"],
+     "--tol must be positive, got 0.0"),
+    (["flow", "--field", "thmB", "--point", "0.1,1e999j,0.1"],
+     "complex number '1e999j' is not finite"),
+    (["orbit", "--map", "parabolic(2,nan)"],
+     "numeric argument 'nan' in 'parabolic(2,nan)' is not finite"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"

@@ -1,13 +1,23 @@
 """Formal and numeric flows: analytic solutions, group law, conservation."""
 import cmath
+import importlib.util
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holodyn.flows as flows
 from holodyn.flows import (
+    DEFAULT_ATOL,
+    DEFAULT_ESCAPE_RADIUS,
+    DEFAULT_MAX_STEPS,
+    DEFAULT_RTOL,
     DomainEscape,
     FlowError,
+    StepUnderflow,
     VectorField,
     first_integral_drift,
     flow_coefficient_table,
@@ -17,8 +27,22 @@ from holodyn.flows import (
     numeric_flow,
 )
 from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I
+from holodyn.holonomy import _leafwise_rhs, holonomy_numeric
 from holodyn.jets import Jet, JetError, JetMap
 from holodyn import presets
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path once (perfbench is not a package)."""
+    module_name = f"perfbench_{name}"
+    if module_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[module_name] = module  # dataclasses look their module up by name
+        spec.loader.exec_module(module)
+    return sys.modules[module_name]
 
 
 def linear_field(lams, order=6):
@@ -222,3 +246,168 @@ def test_vector_field_json_round_trip():
     for a, b in zip(X.components, back.components):
         assert a.max_abs_diff(b) == 0.0
     assert back.eigenvalues == X.eigenvalues
+
+
+# -- the DP5(4) core against the NumPy integrator it replaced --------------------
+
+
+def reference_integrate_ode(f, t0, t1, x0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                            max_steps=DEFAULT_MAX_STEPS, escape_radius=DEFAULT_ESCAPE_RADIUS,
+                            observer=None):
+    """The former integrate_ode: seven stages on every step, each a Python
+    sum over ndarrays, and a NumPy error norm.  ``f`` gets the state as a
+    list and its value is taken with np.array, so both integrators run the
+    same right-hand sides."""
+    x = np.array(x0, dtype=complex)
+    t = float(t0)
+    t1 = float(t1)
+    span = t1 - t0
+    if span == 0:
+        return x
+    direction = 1.0 if span > 0 else -1.0
+    h = direction * min(abs(span), 1e-2)
+    h_min = abs(span) * 1e-14
+    if observer is not None:
+        observer(t, x)
+    k = [None] * 7
+    for _ in range(max_steps):
+        if direction * (t + h - t1) > 0:
+            h = t1 - t
+        k[0] = np.array(f(t, x.tolist()), dtype=complex)
+        for i in range(1, 7):
+            xi = x + h * sum(a * k[j] for j, a in enumerate(flows._DP_A[i]))
+            k[i] = np.array(f(t + flows._DP_C[i] * h, xi.tolist()), dtype=complex)
+        x5 = x + h * sum(b * ki for b, ki in zip(flows._DP_B5, k) if b)
+        err = h * sum((b5 - b4) * ki for b5, b4, ki in zip(flows._DP_B5, flows._DP_B4, k))
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
+        err_norm = math.sqrt(float(np.mean(np.abs(err / scale) ** 2)))
+        if err_norm <= 1.0:
+            t = t + h
+            x = x5
+            if np.max(np.abs(x)) > escape_radius:
+                raise DomainEscape(t, x, escape_radius)
+            if observer is not None:
+                observer(t, x)
+            if direction * (t - t1) >= 0 or abs(t - t1) < h_min:
+                return x
+            factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
+        else:
+            factor = max(0.2, 0.9 * err_norm ** -0.2)
+        h = h * factor
+        if abs(h) < h_min:
+            raise StepUnderflow(t, x)
+    raise FlowError(f"integration did not finish within {max_steps} steps")
+
+
+def counted(f):
+    """f and a one-element list that counts its calls."""
+    calls = [0]
+
+    def g(t, x):
+        calls[0] += 1
+        return f(t, x)
+
+    return g, calls
+
+
+def observed_run(integrate, f, x0, **kwargs):
+    """(end state, accepted steps, calls of f) of one integration over [0, 1]."""
+    g, calls = counted(f)
+    states = []
+    out = integrate(g, 0.0, 1.0, x0, observer=lambda t, x: states.append(t), **kwargs)
+    return out, len(states) - 1, calls[0]
+
+
+def assert_close(new, old, tol=1e-13):
+    new, old = np.asarray(new), np.asarray(old)
+    assert isinstance(new, np.ndarray) and new.dtype == complex
+    assert np.max(np.abs(new - old)) <= tol * np.max(np.abs(old))
+
+
+def oracle_cases():
+    """The presets and one benchmark dense foliation, with points |p| <= 0.05."""
+    workloads = perfbench_module("workloads")
+    rng = random.Random("integrate-ode")
+    cases = [(presets.load_foliation("thmB"), 1.0 + 0j),
+             (presets.load_foliation("example3"), 1.0 + 0j),
+             (presets.load_foliation("thmB"), 0.3 + 0.5j),
+             (workloads.dense_foliation(rng, 4), 1.0 + 0j)]
+    return [(F, z0, workloads.polydisc_point(rng, 0.05)) for F, z0 in cases for _ in range(6)]
+
+
+def test_dp5_tableau_is_first_same_as_last():
+    assert flows._DP_A[6] == flows._DP_B5[:6] and flows._DP_B5[6] == 0.0
+    assert flows._DP_C[6] == 1.0
+
+
+def test_lean_core_retraces_the_numpy_integrator_on_oracle_points():
+    """Same accepted steps, end points within 1e-13 relative."""
+    for F, z0, p in oracle_cases():
+        rhs = _leafwise_rhs(F, z0)
+        new, steps, _ = observed_run(integrate_ode, rhs, p, escape_radius=10.0)
+        old, old_steps, _ = observed_run(reference_integrate_ode, rhs, p, escape_radius=10.0)
+        assert steps == old_steps
+        assert_close(new, old)
+        assert np.array_equal(holonomy_numeric(F, p, z0=z0), new)
+
+
+@pytest.mark.parametrize("spec, p, path", [
+    ("example1(1,1,1,1)", (0.1, 0.12), 1.0),
+    ("example1(2,3,1,2)", (0.05 + 0.02j, -0.04j), 1.0),
+    ("thmB", (0.04, 0.03j, 0.2), [0.0, 0.5 + 0.5j, 1.0 + 0.25j, 1.0]),
+])
+def test_lean_core_retraces_the_numpy_integrator_on_flows(monkeypatch, spec, p, path):
+    X = presets.load_field(spec)
+    runs = []
+    for integrate in (integrate_ode, reference_integrate_ode):
+        monkeypatch.setattr(flows, "integrate_ode", integrate)
+        times = []
+        runs.append((numeric_flow(X, p, path, observer=lambda tz, x: times.append(tz)), times))
+    (new, new_times), (old, old_times) = runs
+    assert len(new_times) == len(old_times)
+    assert_close(new, old)
+
+
+def test_fsal_makes_six_calls_per_step():
+    """1 + 6 * (accepted + rejected) calls, against 7 per step before; the
+    reference's step sequence gives the rejections."""
+    thmB = _leafwise_rhs(presets.load_foliation("thmB"), 1.0 + 0j)
+    stiff = lambda t, x: [-300.0 * v for v in x]  # noqa: E731
+    for f, x0, kwargs, rejected in (
+            (thmB, (0.03, 0.04j), {}, 0),
+            (stiff, (1.0 + 0.5j,), {"rtol": 1e-13, "atol": 1e-13}, None)):
+        _, steps, calls = observed_run(integrate_ode, f, x0, **kwargs)
+        _, old_steps, old_calls = observed_run(reference_integrate_ode, f, x0, **kwargs)
+        assert steps == old_steps and old_calls % 7 == 0
+        tried = old_calls // 7
+        if rejected is not None:
+            assert tried - steps == rejected
+        else:
+            assert tried > steps  # the stiff case rejects steps
+        assert calls == 1 + 6 * tried
+    assert observed_run(integrate_ode, thmB, (0.03, 0.04j))[1:] == (86, 517)
+
+
+def test_tracer_counts_six_calls_per_step():
+    """The benchmark tracer's flows.rhs_per_integrate on one thmB point."""
+    tracer = perfbench_module("tracing").Tracer()
+    tracer.install()
+    try:
+        holonomy_numeric(presets.load_foliation("thmB"), (0.03, 0.04j))
+    finally:
+        tracer.uninstall()
+    assert tracer.layer_metrics()["flows.rhs_per_integrate"] == 517.0
+
+
+def test_integrate_ode_takes_ndarray_right_hand_sides():
+    """f may return an ndarray; the end state and a failure's point are ndarrays."""
+    f = lambda t, x: np.array(x, dtype=complex) * (1.0 + 0.5j)  # noqa: E731
+    out = integrate_ode(f, 0.0, 1.0, [0.2, 0.1j])
+    assert_close(out, np.array([0.2, 0.1j]) * cmath.exp(1.0 + 0.5j), tol=1e-9)
+    with pytest.raises(DomainEscape) as escape:
+        integrate_ode(f, 0.0, 10.0, [0.2, 0.1j])
+    assert isinstance(escape.value.point, np.ndarray)
+    with pytest.raises(StepUnderflow) as underflow:
+        integrate_ode(lambda t, x: [v * v for v in x], 0.0, 2.0, [1.0 + 0j],
+                      escape_radius=1e300)
+    assert isinstance(underflow.value.point, np.ndarray)

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts under scripts/."""
 import hashlib
+import json
 import pathlib
 import runpy
 import sys
@@ -7,7 +8,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from holodyn import presets
 from holodyn.cli import main as cli_main
+from holodyn.holonomy import holonomy_numeric
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -36,12 +39,18 @@ def test_orbit_survey_script_runs_both_orbit_checks(monkeypatch, capsys):
 def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, tmp_path):
     # a named subset: the full run takes about a minute
     script = SCRIPTS / "output_digest.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "flow_table:genF", "cli:petal"])
-    runpy.run_path(str(script), run_name="__main__")
+    monkeypatch.setattr(sys, "argv", [str(script), "flow_table:genF", "numeric:holonomy:genH",
+                                      "cli:petal"])
+    script_globals = runpy.run_path(str(script), run_name="__main__")
     digests = dict(line.split() for line in capsys.readouterr().out.splitlines())
-    assert list(digests) == ["flow_table:genF:table", "cli:petal:exit", "cli:petal:stdout",
-                             "cli:petal:out.json"]
+    assert list(digests) == ["flow_table:genF:table", "numeric:holonomy:genH:values",
+                             "cli:petal:exit", "cli:petal:stdout", "cli:petal:out.json"]
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests.values())
+    F = presets.load_foliation("genH")
+    values = [[[v.real, v.imag] for v in holonomy_numeric(F, p[:2])]
+              for p in script_globals["NUMERIC_POINTS"]]
+    assert digests["numeric:holonomy:genH:values"] \
+        == hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
     out = tmp_path / "petal.json"
     assert CliRunner().invoke(cli_main, ["petal", "--d", "2", "--c", "1",
                                          "--json", str(out)]).exit_code == 0
