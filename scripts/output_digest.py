@@ -5,8 +5,10 @@ The outputs are the exact holonomy series (coefficient table and forcings)
 of the six foliation presets at orders 4, 8 and 12 and base points
 z0 = 1, 0.7 and 0.3+0.5i, the flow coefficient tables of the field presets
 at order 8, the numeric route (``holonomy_numeric`` of each foliation
-preset and ``numeric_flow`` of each field preset at fixed points), and the
-files and standard output of a fixed set of CLI runs.
+preset and ``numeric_flow`` of each field preset at fixed points), full
+orbit and pseudogroup records (every field and every kept point) of fixed
+map, seed and budget choices, and the files and standard output of a fixed
+set of CLI runs.
 Two checkouts produce byte-identical outputs exactly when their digest
 listings are equal, so a refactor is checked with one diff:
 
@@ -16,7 +18,7 @@ listings are equal, so a refactor is checked with one diff:
 Usage: python scripts/output_digest.py [pattern ...]
 
 Each pattern is an fnmatch pattern over the entry names (for example
-'flow_table:*', 'numeric:*' or 'cli:petal'); with none, every entry is
+'flow_table:*', 'numeric:*', 'orbit:*' or 'cli:petal'); with none, every entry is
 digested.  The full run takes about a minute, most of it in the orbit and
 reproduce-paper CLI runs.
 """
@@ -33,6 +35,8 @@ from holodyn import presets
 from holodyn.cli import main as cli_main
 from holodyn.flows import numeric_flow
 from holodyn.holonomy import holonomy_numeric, holonomy_series
+from holodyn.orbits import (DomainBall, TruncatedJetMap, iterate_orbit, lattice_seeds,
+                            pseudogroup_orbit)
 
 FOLIATIONS = ("thmB", "example3", "linear(1,-1,-2)", "genF", "genH", "genLinear")
 FIELDS = ("thmB", "example3", "example1(1,1,1,1)", "example1(2,3,1,2)",
@@ -43,6 +47,29 @@ BASE_POINTS = {"1": 1.0 + 0j, "0.7": 0.7 + 0j, "0.3+0.5i": 0.3 + 0.5j}
 # first n coordinates) for the numeric time-one map
 NUMERIC_POINTS = ((0.03, 0.04j, 0.02), (0.05, -0.02 + 0.01j, 0.01j),
                   (-0.01 + 0.04j, 0.02, -0.03))
+
+
+def _example3_jet():
+    """The order-6 holonomy jet of example3, iterated as a truncated jet map."""
+    return TruncatedJetMap(holonomy_series(presets.load_foliation("example3"), 6)[0],
+                           name="example3")
+
+
+# name -> (map, seeds, ball radius, budget, keep_points) of the orbit entries;
+# each is built when its entry runs
+ORBITS = {
+    "H-lattice": (presets.map_H, lambda: lattice_seeds(0.3, 5, low=0.05), 0.3, 100_000, False),
+    "F-level-circle": (presets.map_F,
+                       lambda: [(0.55 + 0j, presets.F_LEVEL_CONSTANT / 0.55)], 1.0, 2_000, True),
+    "parabolic": (lambda: presets.load_map("parabolic(2,0.5+1i)"),
+                  lambda: lattice_seeds(0.3, 20, n_vars=1), 0.3, 2_000, False),
+    "h1": (presets.map_h1, lambda: lattice_seeds(0.3, 4), 0.3, 100_000, False),
+    "phiX": (lambda: presets.load_map("phiX(1,1,1,1)"), lambda: lattice_seeds(0.2, 2, low=0.1),
+             0.3, 50, False),
+    "example3-jet": (_example3_jet,
+                     lambda: [(0.008, 0.008j), (-0.006 + 0.005j, 0.007), (0.01j, -0.009)],
+                     0.3, 2_000, True),
+}
 # name -> CLI arguments; "{out}" names an output file in a fresh directory
 CLI_RUNS = {
     "holonomy-example3": ["holonomy", "--field", "example3", "--order", "8",
@@ -96,6 +123,29 @@ def _numeric_flow(spec):
     return _numeric(lambda p: numeric_flow(X, p[:X.n_vars]))
 
 
+def _points(points):
+    return [[[c.real, c.imag] for c in p] for p in points]
+
+
+def _orbit(make_map, make_seeds, radius, budget, keep_points):
+    h, V = make_map(), DomainBall(radius)
+    records = [iterate_orbit(h, s, V, budget=budget, keep_points=keep_points)
+               for s in make_seeds()]
+    return {"records": _canonical([
+        {"seed": _points([r.seed])[0], "status": r.status, "period": r.period, "mu": r.mu,
+         "mu_label": r.mu_label, "mu_exhausted": r.mu_exhausted, "one_sided": r.one_sided,
+         "cardinality": r.cardinality, "forward_points": _points(r.forward_points),
+         "backward_points": _points(r.backward_points)} for r in records])}
+
+
+def _pseudogroup():
+    gens, V = presets.pseudogroup_preset("schur24"), DomainBall(1.0)
+    orbits = [pseudogroup_orbit(gens, s, V) for s in lattice_seeds(0.8, 4)[:10]]
+    return {"records": _canonical([
+        {"seed": _points([o.seed])[0], "points": _points(o.points), "words": o.words,
+         "truncated": o.truncated, "cardinality": o.cardinality} for o in orbits])}
+
+
 def _cli(args):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
@@ -121,6 +171,9 @@ def entries():
         yield f"numeric:holonomy:{spec}", lambda s=spec: _numeric_holonomy(s)
     for spec in FIELDS:
         yield f"numeric:flow:{spec}", lambda s=spec: _numeric_flow(s)
+    for name, spec in ORBITS.items():
+        yield f"orbit:{name}", lambda s=spec: _orbit(*s)
+    yield "pseudogroup:schur24", _pseudogroup
     for name, args in CLI_RUNS.items():
         yield f"cli:{name}", lambda a=args: _cli(a)
 

@@ -74,12 +74,11 @@ def _fmt_complex(z: complex) -> str:
 
 def _parse_complex(s: str) -> complex:
     try:
-        z = complex(s.replace("i", "j").replace(" ", ""))
+        return presets.parse_complex(s)
+    except presets.NonFiniteNumber:
+        raise ConfigError(f"complex number {s!r} is not finite")
     except ValueError:
         raise ConfigError(f"cannot parse complex number {s!r}")
-    if not cmath.isfinite(z):
-        raise ConfigError(f"complex number {s!r} is not finite")
-    return z
 
 
 def _parse_point(s: str, n_vars: int) -> Tuple[complex, ...]:
@@ -210,6 +209,8 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
         h, table = holonomy_series(F, order, z0=z0c)
     except (HolonomyError, CoefficientSystemError, JetError) as e:
         raise ConfigError(str(e))
+    except OverflowError as e:
+        raise NumericFailure(f"--z0 {z0!r}: the monodromy system overflows ({e})")
 
     click.echo(f"holonomy of {field_spec} (axis {F.separatrix_axis}, order {order}):")
     for j, comp in enumerate(h.components):
@@ -266,6 +267,8 @@ def flow(field_spec, time_str, order, point, emit_path):
         fmap = formal_flow(X, t, order)
     except (FlowError, CoefficientSystemError, JetError) as e:
         raise ConfigError(str(e))
+    except OverflowError as e:
+        raise NumericFailure(f"--time {time_str!r}: the time-t map overflows ({e})")
     click.echo(f"time-{time_str} map of {field_spec} (order {order}):")
     for j, comp in enumerate(fmap.components):
         for exp, c in comp.terms():
@@ -409,6 +412,9 @@ def pseudogroup(preset, n_seeds, radius, word_budget, point_budget, json_path):
     _check_finite("--radius", radius)
     if n_seeds <= 0 or radius <= 0:
         raise ConfigError("--seeds and --radius must be positive")
+    for option, value in (("--word-budget", word_budget), ("--point-budget", point_budget)):
+        if value < 1:
+            raise ConfigError(f"{option} must be a positive integer, got {value}")
     config = {"command": "pseudogroup", "preset": preset, "seeds": n_seeds,
               "radius": radius, "word_budget": word_budget,
               "point_budget": point_budget}

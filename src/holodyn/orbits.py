@@ -46,6 +46,10 @@ class OrbitError(RuntimeError):
     pass
 
 
+# what one map step may raise when the image leaves the germ's domain
+STEP_FAILURES = (OrbitError, DomainEscape, StepUnderflow, OverflowError)
+
+
 @dataclass(frozen=True)
 class DomainBall:
     """Closed polydisc of radius rho in the max-norm."""
@@ -72,9 +76,11 @@ class DomainBall:
 
 
 class EvaluableMap:
-    """A germ that can be evaluated at points; subclasses add exact inverses."""
+    """A germ on C^n_vars that can be evaluated at points; subclasses add
+    exact inverses and set ``n_vars``."""
 
     name = "map"
+    n_vars: int
 
     def eval(self, p: Point) -> Point:
         raise NotImplementedError
@@ -83,19 +89,24 @@ class EvaluableMap:
         """Exact inverse, or None when only forward iteration is trusted."""
         return None
 
-    @property
-    def n_vars(self) -> int:
-        raise NotImplementedError
+
+class _InverseMap(EvaluableMap):
+    """The inverse of ``fwd``, named fwd.name + "^-1"; its inverse is ``fwd``."""
+
+    def __init__(self, fwd: EvaluableMap):
+        self.fwd = fwd
+        self.name = fwd.name + "^-1"
+        self.n_vars = fwd.n_vars
+
+    def inverse(self) -> EvaluableMap:
+        return self.fwd
 
 
 class LinearMap(EvaluableMap):
     def __init__(self, matrix, name: str = "linear"):
         self.matrix = [[complex(v) for v in row] for row in matrix]
         self.name = name
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.matrix)
+        self.n_vars = len(self.matrix)
 
     def eval(self, p: Point) -> Point:
         return tuple(
@@ -138,6 +149,8 @@ class ProductPreservingMap(EvaluableMap):
     converge.  The case is chosen once, here.
     """
 
+    n_vars = 2
+
     def __init__(self, a: int, b: int, f: Jet, name: str = "product-preserving"):
         if a < 1 or b < 1:
             raise ValueError("exponents a, b must be positive")
@@ -154,10 +167,6 @@ class ProductPreservingMap(EvaluableMap):
         else:
             self._inverse_type = _ProductPreservingInverse
 
-    @property
-    def n_vars(self) -> int:
-        return 2
-
     def _u(self, x: complex, y: complex) -> complex:
         w = (x ** self.a) * (y ** self.b)
         return 1.0 + w * self.f.eval((w,))
@@ -173,7 +182,7 @@ class ProductPreservingMap(EvaluableMap):
         return self._inverse_type(self)
 
 
-class _ProductPreservingInverse(EvaluableMap):
+class _ProductPreservingInverse(_InverseMap):
     """Newton inverse on the level set, for any (a, b, f).
 
     With a >= b it solves z u(z) = X for z = x, where w(z) = z^(a-b) C^b;
@@ -181,16 +190,8 @@ class _ProductPreservingInverse(EvaluableMap):
     """
 
     def __init__(self, fwd: ProductPreservingMap):
-        self.fwd = fwd
-        self.name = fwd.name + "^-1"
+        super().__init__(fwd)
         self.df = fwd.f.diff(0)
-
-    @property
-    def n_vars(self) -> int:
-        return 2
-
-    def inverse(self) -> ProductPreservingMap:
-        return self.fwd
 
     def eval(self, q: Point) -> Point:
         a, b, f, df = self.fwd.a, self.fwd.b, self.fwd.f, self.df
@@ -220,7 +221,7 @@ class _ProductPreservingInverse(EvaluableMap):
         return (z, C / z) if a >= b else (C / z, z)
 
 
-class _InvariantUnitInverse(_ProductPreservingInverse):
+class _InvariantUnitInverse(_InverseMap):
     """a = b: w = (x y)^a = C^a is invariant, so u is read at the target."""
 
     def __init__(self, fwd: ProductPreservingMap):
@@ -240,7 +241,7 @@ class _InvariantUnitInverse(_ProductPreservingInverse):
         return (x, C / x)
 
 
-class _TangentRootInverse(_ProductPreservingInverse):
+class _TangentRootInverse(_InverseMap):
     """a = b + 1, constant f = c: x + k x^2 = X with k = c C^b on the level
     set, solved by the root that is tangent to the identity."""
 
@@ -261,6 +262,8 @@ class _TangentRootInverse(_ProductPreservingInverse):
 class OneVarParabolicMap(EvaluableMap):
     """x -> x + c x^(d+1) on (C, 0)."""
 
+    n_vars = 1
+
     def __init__(self, d: int, c: complex, name: str = "parabolic"):
         if d < 1:
             raise ValueError(f"d must be a positive integer, got {d}")
@@ -270,10 +273,6 @@ class OneVarParabolicMap(EvaluableMap):
         self.c = complex(c)
         self.name = name
 
-    @property
-    def n_vars(self) -> int:
-        return 1
-
     def eval(self, p: Point) -> Point:
         (x,) = p
         return (x + self.c * x ** (self.d + 1),)
@@ -282,19 +281,8 @@ class OneVarParabolicMap(EvaluableMap):
         return _NewtonInverse(self)
 
 
-class _NewtonInverse(EvaluableMap):
+class _NewtonInverse(_InverseMap):
     """Generic 1-d Newton inverse for maps x -> x + O(x^2)."""
-
-    def __init__(self, fwd: OneVarParabolicMap):
-        self.fwd = fwd
-        self.name = fwd.name + "^-1"
-
-    @property
-    def n_vars(self) -> int:
-        return 1
-
-    def inverse(self):
-        return self.fwd
 
     def eval(self, q: Point) -> Point:
         (target,) = q
@@ -337,11 +325,8 @@ class TimeOneMap(EvaluableMap):
     def __init__(self, X: VectorField, name: str = "time-one"):
         self.X = X
         self.name = name
+        self.n_vars = X.n_vars
         self._direction = 1.0
-
-    @property
-    def n_vars(self) -> int:
-        return self.X.n_vars
 
     def eval(self, p: Point) -> Point:
         out = numeric_flow(self.X, p, self._direction, rtol=TIME_ONE_RTOL, atol=TIME_ONE_ATOL)
@@ -359,10 +344,7 @@ class TruncatedJetMap(EvaluableMap):
     def __init__(self, jmap: JetMap, name: str = "jet"):
         self.jmap = jmap
         self.name = name
-
-    @property
-    def n_vars(self) -> int:
-        return self.jmap.n_vars
+        self.n_vars = jmap.n_vars
 
     def eval(self, p: Point) -> Point:
         return self.jmap.eval(p)
@@ -393,11 +375,14 @@ class OrbitRecord:
     status: str  # "Escaped" | "Periodic" | "BudgetExhausted"
     period: Optional[int] = None
     mu: Optional[int] = None  # None <=> infinite (periodic) or budget-exceeded
-    mu_exhausted: bool = False
     cardinality: int = 0
     one_sided: bool = False
     forward_points: List[Point] = field(default_factory=list)
     backward_points: List[Point] = field(default_factory=list)
+
+    @property
+    def mu_exhausted(self) -> bool:
+        return self.status == "BudgetExhausted"
 
     @property
     def mu_label(self) -> str:
@@ -433,8 +418,9 @@ def iterate_orbit(
     # so a non-finite image escapes at the step that produced it
     inside = float(V.radius).__ge__
 
-    def run(direction_map, store) -> Tuple[str, int, Optional[int]]:
-        """Returns (outcome, steps_inside + 1 escape credit, period)."""
+    def run(direction_map, store) -> Tuple[str, int]:
+        """Returns (outcome, steps): steps_inside + 1 escape credit when the
+        run escapes, and the period when it closes."""
         step_map = direction_map.eval
         add = seen.add
         cur = p
@@ -442,58 +428,37 @@ def iterate_orbit(
             prev = cur
             try:
                 cur = step_map(cur)
-            except (OrbitError, DomainEscape, StepUnderflow, OverflowError):
-                return "escaped", step, None
+            except STEP_FAILURES:
+                return "escaped", step
             if not all(map(inside, map(abs, cur))):
-                return "escaped", step, None
+                return "escaped", step
             if max(map(abs, map(sub, cur, p))) < eps_cycle:
-                return "periodic", step, step
+                return "periodic", step
             if max(map(abs, map(sub, cur, prev))) < eps_cycle:
                 # converged onto an interior fixed point: the run accumulates
                 # there and no further distinct points can appear
-                return "budget", step, None
+                return "budget", step
             # _quantize(cur, eps_dedup), inlined
             add(tuple([(round(c.real / eps_dedup), round(c.imag / eps_dedup)) for c in cur]))
             if keep_points:
                 store.append(cur)
-        return "budget", budget, None
+        return "budget", budget
 
-    f_out, f_steps, f_period = run(h, fwd_pts)
-    if f_out == "periodic":
-        return OrbitRecord(
-            seed=p, status="Periodic", period=f_period, mu=None,
-            cardinality=len(seen), forward_points=fwd_pts,
-        )
-
-    inv = h.inverse()
-    if inv is None:
-        rec = OrbitRecord(
-            seed=p,
-            status="Escaped" if f_out == "escaped" else "BudgetExhausted",
-            mu=f_steps if f_out == "escaped" else None,
-            mu_exhausted=f_out != "escaped",
-            cardinality=len(seen),
-            one_sided=True,
-            forward_points=fwd_pts,
-        )
-        return rec
-
-    b_out, b_steps, b_period = run(inv, bwd_pts)
-    if b_out == "periodic":
-        return OrbitRecord(
-            seed=p, status="Periodic", period=b_period, mu=None,
-            cardinality=len(seen), forward_points=fwd_pts, backward_points=bwd_pts,
-        )
-    if f_out == "escaped" and b_out == "escaped":
+    f_out, f_steps = run(h, fwd_pts)
+    inv = None if f_out == "periodic" else h.inverse()
+    b_out, b_steps = run(inv, bwd_pts) if inv is not None else (None, 0)
+    if "periodic" in (f_out, b_out):
+        status, period, mu = "Periodic", f_steps if f_out == "periodic" else b_steps, None
+    elif f_out == "escaped" and b_out in ("escaped", None):
         # mu counts n in Z with p in Dom(h^n): the escaping step itself still
-        # has p in its domain, plus n = 0
-        return OrbitRecord(
-            seed=p, status="Escaped", mu=f_steps + b_steps + 1,
-            cardinality=len(seen), forward_points=fwd_pts, backward_points=bwd_pts,
-        )
+        # has p in its domain, plus n = 0 when the orbit is two-sided
+        status, period, mu = "Escaped", None, f_steps + b_steps + 1 if b_out else f_steps
+    else:
+        status, period, mu = "BudgetExhausted", None, None
     return OrbitRecord(
-        seed=p, status="BudgetExhausted", mu=None, mu_exhausted=True,
-        cardinality=len(seen), forward_points=fwd_pts, backward_points=bwd_pts,
+        seed=p, status=status, period=period, mu=mu, cardinality=len(seen),
+        one_sided=f_out != "periodic" and inv is None,
+        forward_points=fwd_pts, backward_points=bwd_pts,
     )
 
 
@@ -582,7 +547,7 @@ def pseudogroup_orbit(
         for label, mv in moves:
             try:
                 nxt = mv.eval(cur)
-            except (OrbitError, DomainEscape, StepUnderflow, OverflowError):
+            except STEP_FAILURES:
                 continue
             if not V.contains(nxt):
                 continue

@@ -30,6 +30,24 @@ class PresetError(ValueError):
     pass
 
 
+class NonFiniteNumber(ValueError):
+    pass
+
+
+def parse_complex(text: str) -> complex:
+    """The finite complex number ``text`` spells, with a trailing i or j as
+    the imaginary unit ("0.3+0.5i", "2i", "-1e-3i", "1+2j"); spaces are
+    ignored.  Raises NonFiniteNumber (a ValueError) for an infinity or a NaN,
+    and ValueError for anything that is not a number."""
+    s = text.replace(" ", "")
+    if s.endswith("i"):
+        s = s[:-1] + "j"
+    z = complex(s)
+    if not cmath.isfinite(z):
+        raise NonFiniteNumber(text)
+    return z
+
+
 _CALL_RE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*(?:\((.*)\))?\s*$")
 
 
@@ -43,12 +61,11 @@ def _parse(spec: str):
         for part in argstr.split(","):
             part = part.strip()
             try:
-                value = complex(part.replace("i", "j"))
+                args.append(parse_complex(part))
+            except NonFiniteNumber as e:
+                raise PresetError(f"numeric argument {part!r} in {spec!r} is not finite") from e
             except ValueError as e:
                 raise PresetError(f"bad numeric argument {part!r} in {spec!r}") from e
-            if not cmath.isfinite(value):
-                raise PresetError(f"numeric argument {part!r} in {spec!r} is not finite")
-            args.append(value)
     return name, args
 
 

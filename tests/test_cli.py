@@ -224,6 +224,12 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "complex number '1e999j' is not finite"),
     (["orbit", "--map", "parabolic(2,nan)"],
      "numeric argument 'nan' in 'parabolic(2,nan)' is not finite"),
+    (["holonomy", "--field", "thmB", "--z0", "inf"], "complex number 'inf' is not finite"),
+    (["petal", "--d", "2", "--c", "-infinity"], "complex number '-infinity' is not finite"),
+    (["flow", "--field", "linear(1,inf)"],
+     "numeric argument 'inf' in 'linear(1,inf)' is not finite"),
+    (["pseudogroup", "--word-budget", "-1"], "--word-budget must be a positive integer, got -1"),
+    (["pseudogroup", "--point-budget", "0"], "--point-budget must be a positive integer, got 0"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -263,3 +269,35 @@ def test_orbit_csv_keeps_every_seed_coordinate(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1].startswith("seed_re_x,seed_im_x,seed_re_y,seed_im_y,seed_re_z,seed_im_z,")
     assert len(set(line.split(",Periodic")[0] for line in lines[2:])) == 8
+
+
+def test_complex_spellings_keep_their_values_and_infinities_are_not_finite():
+    for text, value in (("0.3+0.5i", 0.3 + 0.5j), ("2i", 2j), ("-1e-3i", -1e-3j),
+                        ("1+2j", 1 + 2j), ("1 + 2i", 1 + 2j), ("i", 1j), ("-0.7", -0.7)):
+        assert presets.parse_complex(text) == value
+    for text in ("1e999j", "inf", "-infinity", "Infinity", "nan", "infi"):
+        with pytest.raises(presets.NonFiniteNumber):
+            presets.parse_complex(text)
+    for text in ("", "x", "1+2k", "1i+2", "ii"):
+        with pytest.raises(ValueError) as info:
+            presets.parse_complex(text)
+        assert not isinstance(info.value, presets.NonFiniteNumber)
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["flow", "--field", "linear(1,2)", "--time", "1e308"],
+     "--time '1e308': the time-t map overflows"),
+    (["flow", "--field", "linear(1,2)", "--time", "1000", "--point", "0.1,0.1"],
+     "--time '1000': the time-t map overflows"),
+    (["holonomy", "--field", "thmB", "--z0", "1e200"],
+     "--z0 '1e200': the monodromy system overflows"),
+    (["verify-integral", "--field", "linear(1,-1)", "--exponents", "1,1", "--point", "20,20"],
+     "trajectory left the domain"),
+])
+def test_numeric_failure_exits_3_with_reason(args, reason):
+    res = run(*args)
+    assert res.exit_code == 3
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    # a one-line reason, not a traceback
+    assert res.output.splitlines()[-1].startswith("Error: ")
+    assert reason in res.output.splitlines()[-1]

@@ -8,6 +8,7 @@ import pytest
 from holodyn import presets
 from holodyn.jets import Jet, JetMap
 from holodyn.orbits import (
+    DEFAULT_BUDGET,
     DomainBall,
     EvaluableMap,
     LinearMap,
@@ -87,6 +88,62 @@ def test_double_sided_escape_mu():
     assert rec.status == "Escaped"
     assert rec.mu is not None and rec.mu > 0
     assert not rec.one_sided
+
+
+class Rigged(LinearMap):
+    """A LinearMap whose inverse() is chosen by the test and counts its calls:
+    the exact inverse by default, else ``backward`` (None for no inverse)."""
+
+    def __init__(self, matrix, backward="exact"):
+        super().__init__(matrix)
+        self.backward = backward
+        self.inverse_calls = 0
+
+    def inverse(self):
+        self.inverse_calls += 1
+        return super().inverse() if self.backward == "exact" else self.backward
+
+
+QUARTER_TURN = LinearMap([[1j]])
+
+
+# (map, seed, budget) -> status, period, mu, mu_label, mu_exhausted,
+# one_sided, cardinality, forward points, backward points, inverse() calls
+@pytest.mark.parametrize("make, seed, budget, want", [
+    pytest.param(lambda: Rigged([[1j]]), (0.4,), DEFAULT_BUDGET,
+                 ("Periodic", 4, None, "inf", False, False, 4,
+                  [(0.4j,), (-0.4,), (-0.4j,)], [], 0), id="forward-periodic"),
+    pytest.param(lambda: Rigged([[2.0]], QUARTER_TURN), (0.1,), DEFAULT_BUDGET,
+                 ("Periodic", 4, None, "inf", False, False, 7,
+                  [(0.2,), (0.4,), (0.8,)], [(0.1j,), (-0.1,), (-0.1j,)], 1),
+                 id="backward-periodic"),
+    pytest.param(lambda: Rigged([[2.0]], None), (0.1,), DEFAULT_BUDGET,
+                 ("Escaped", None, 4, "4", False, True, 4,
+                  [(0.2,), (0.4,), (0.8,)], [], 1), id="one-sided-escaped"),
+    pytest.param(lambda: Rigged([[0.5]], None), (0.8,), 3,
+                 ("BudgetExhausted", None, None, "budget", True, True, 4,
+                  [(0.4,), (0.2,), (0.1,)], [], 1), id="one-sided-budget"),
+    pytest.param(lambda: Rigged([[2.0, 0.0], [0.0, 0.5]]), (0.1, 0.1), DEFAULT_BUDGET,
+                 ("Escaped", None, 9, "9", False, False, 7,
+                  [(0.2, 0.05), (0.4, 0.025), (0.8, 0.0125)],
+                  [(0.05, 0.2), (0.025, 0.4), (0.0125, 0.8)], 1), id="two-sided-escaped"),
+    pytest.param(lambda: Rigged([[2.0]]), (0.3,), 3,
+                 ("BudgetExhausted", None, None, "budget", True, False, 5,
+                  [(0.6,)], [(0.15,), (0.075,), (0.0375,)], 1), id="two-sided-budget"),
+    pytest.param(lambda: Rigged([[0.5]]), (0.3,), 3,
+                 ("BudgetExhausted", None, None, "budget", True, False, 5,
+                  [(0.15,), (0.075,), (0.0375,)], [(0.6,)], 1),
+                 id="two-sided-budget-backward-escapes"),
+])
+def test_orbit_record_fields_on_every_outcome_path(make, seed, budget, want):
+    """Every OrbitRecord field on each way iterate_orbit can end; inverse()
+    is asked for once, and only after a forward run that did not close."""
+    h = make()
+    rec = iterate_orbit(h, seed, V1, budget=budget, keep_points=True)
+    assert rec.seed == tuple(complex(c) for c in seed)
+    assert (rec.status, rec.period, rec.mu, rec.mu_label, rec.mu_exhausted, rec.one_sided,
+            rec.cardinality, rec.forward_points, rec.backward_points,
+            h.inverse_calls) == want
 
 
 def test_orbit_of_origin_is_fixed():

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from holodyn import presets
 from holodyn.cli import main as cli_main
 from holodyn.holonomy import holonomy_numeric
+from holodyn.orbits import DomainBall, iterate_orbit, lattice_seeds
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -40,17 +41,28 @@ def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, t
     # a named subset: the full run takes about a minute
     script = SCRIPTS / "output_digest.py"
     monkeypatch.setattr(sys, "argv", [str(script), "flow_table:genF", "numeric:holonomy:genH",
-                                      "cli:petal"])
+                                      "orbit:h1", "cli:petal"])
     script_globals = runpy.run_path(str(script), run_name="__main__")
     digests = dict(line.split() for line in capsys.readouterr().out.splitlines())
     assert list(digests) == ["flow_table:genF:table", "numeric:holonomy:genH:values",
-                             "cli:petal:exit", "cli:petal:stdout", "cli:petal:out.json"]
+                             "orbit:h1:records", "cli:petal:exit", "cli:petal:stdout",
+                             "cli:petal:out.json"]
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests.values())
     F = presets.load_foliation("genH")
     values = [[[v.real, v.imag] for v in holonomy_numeric(F, p[:2])]
               for p in script_globals["NUMERIC_POINTS"]]
     assert digests["numeric:holonomy:genH:values"] \
         == hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
+    records = [iterate_orbit(presets.map_h1(), s, DomainBall(0.3))
+               for s in lattice_seeds(0.3, 4)]
+    fields = [{"seed": [[c.real, c.imag] for c in r.seed], "status": r.status,
+               "period": r.period, "mu": r.mu, "mu_label": r.mu_label,
+               "mu_exhausted": r.mu_exhausted, "one_sided": r.one_sided,
+               "cardinality": r.cardinality, "forward_points": [], "backward_points": []}
+              for r in records]
+    assert {r["status"] for r in fields} == {"Periodic"}
+    assert digests["orbit:h1:records"] \
+        == hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
     out = tmp_path / "petal.json"
     assert CliRunner().invoke(cli_main, ["petal", "--d", "2", "--c", "1",
                                          "--json", str(out)]).exit_code == 0
