@@ -7,8 +7,10 @@ z0 = 1, 0.7 and 0.3+0.5i, the flow coefficient tables of the field presets
 at order 8, the numeric route (``holonomy_numeric`` of each foliation
 preset and ``numeric_flow`` of each field preset at fixed points), full
 orbit and pseudogroup records (every field and every kept point) of fixed
-map, seed and budget choices, and the files and standard output of a fixed
-set of CLI runs.
+map, seed and budget choices, the jet-layer results (the inverse of
+example3's order-8 holonomy jet, x*y composed with thmB's, the Lie
+derivative of x*y*z^2 along thmB and the JSON form of every field preset),
+and the files and standard output of a fixed set of CLI runs.
 Two checkouts produce byte-identical outputs exactly when their digest
 listings are equal, so a refactor is checked with one diff:
 
@@ -18,7 +20,7 @@ listings are equal, so a refactor is checked with one diff:
 Usage: python scripts/output_digest.py [pattern ...]
 
 Each pattern is an fnmatch pattern over the entry names (for example
-'flow_table:*', 'numeric:*', 'orbit:*' or 'cli:petal'); with none, every entry is
+'flow_table:*', 'numeric:*', 'orbit:*', 'jets:*' or 'cli:petal'); with none, every entry is
 digested.  The full run takes about a minute, most of it in the orbit and
 reproduce-paper CLI runs.
 """
@@ -33,8 +35,9 @@ from click.testing import CliRunner
 
 from holodyn import presets
 from holodyn.cli import main as cli_main
-from holodyn.flows import numeric_flow
+from holodyn.flows import lie_derivative, numeric_flow
 from holodyn.holonomy import holonomy_numeric, holonomy_series
+from holodyn.jets import Jet
 from holodyn.orbits import (DomainBall, TruncatedJetMap, iterate_orbit, lattice_seeds,
                             pseudogroup_orbit)
 
@@ -123,6 +126,25 @@ def _numeric_flow(spec):
     return _numeric(lambda p: numeric_flow(X, p[:X.n_vars]))
 
 
+def _holonomy_jet(spec):
+    return holonomy_series(presets.load_foliation(spec, 8), 8)[0]
+
+
+def _jet_results():
+    """name -> thunk returning the canonical JSON of one jet-layer result."""
+    xy = Jet(2, 8, {(1, 1): 1.0 + 0j})
+    xyz2 = Jet(3, 8, {(1, 1, 2): 1.0 + 0j})
+    results = {
+        "inverse:example3": lambda: _holonomy_jet("example3").inverse().to_json_dict(),
+        "compose:xy:thmB": lambda: xy.compose(_holonomy_jet("thmB")).to_json_dict(),
+        "lie_derivative:xyz2:thmB":
+            lambda: lie_derivative(presets.load_field("thmB", 8), xyz2).to_json_dict(),
+    }
+    for spec in FIELDS:
+        results[f"field:{spec}"] = lambda s=spec: presets.load_field(s, 8).to_json_dict()
+    return results
+
+
 def _points(points):
     return [[[c.real, c.imag] for c in p] for p in points]
 
@@ -174,6 +196,8 @@ def entries():
     for name, spec in ORBITS.items():
         yield f"orbit:{name}", lambda s=spec: _orbit(*s)
     yield "pseudogroup:schur24", _pseudogroup
+    for name, result in _jet_results().items():
+        yield f"jets:{name}", lambda r=result: {"json": _canonical(r())}
     for name, args in CLI_RUNS.items():
         yield f"cli:{name}", lambda a=args: _cli(a)
 

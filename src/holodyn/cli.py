@@ -28,11 +28,12 @@ from .flows import (
     StepUnderflow,
     VectorField,
     first_integral_drift,
+    flow_cross_check,
     formal_flow,
-    numeric_flow,
     lie_derivative,
 )
 from .holonomy import (
+    BasePointUnderflow,
     Foliation,
     HolonomyError,
     NormalFormError,
@@ -211,6 +212,8 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
         raise ConfigError(str(e))
     except OverflowError as e:
         raise NumericFailure(f"--z0 {z0!r}: the monodromy system overflows ({e})")
+    except BasePointUnderflow as e:
+        raise NumericFailure(f"--z0 {z0!r}: the monodromy system underflows ({e})")
 
     click.echo(f"holonomy of {field_spec} (axis {F.separatrix_axis}, order {order}):")
     for j, comp in enumerate(h.components):
@@ -275,11 +278,9 @@ def flow(field_spec, time_str, order, point, emit_path):
             click.echo(f"  component {j}, x^{list(exp)}: {_fmt_complex(complex(c))}")
     if p is not None:
         try:
-            num = numeric_flow(X, p, t)
+            [(_, _, _, err)] = flow_cross_check(X, fmap, [p], t)
         except (DomainEscape, StepUnderflow) as e:
             raise NumericFailure(str(e))
-        ser = np.array(fmap.eval(p), dtype=complex)
-        err = float(np.max(np.abs(ser - num)))
         click.echo(f"numeric cross-check at {point}: max abs error {err:.3e}")
     if emit_path:
         _write_json(emit_path, config, {"flow_jet": fmap.to_json_dict()})

@@ -42,43 +42,21 @@ class StepUnderflow(FlowError):
         self.point = point
 
 
-class VectorField:
-    """Polynomial field vanishing at the origin, with cached eigenvalue data.
+class VectorField(JetMap):
+    """The right-hand side of dx/dt = X(x): a :class:`JetMap`, with cached eigenvalue data.
 
     ``eigenvalues`` is populated iff the linear part is diagonal.
     """
 
-    __slots__ = ("components", "eigenvalues")
+    __slots__ = ("eigenvalues",)
 
     def __init__(self, components: Sequence[Jet]):
-        comps = list(components)
-        n = comps[0].n_vars
-        if len(comps) != n:
-            raise JetError("VectorField must have one component per variable")
-        for c in comps:
-            if c.n_vars != n or c.order != comps[0].order:
-                raise JetError("components must share n_vars and order")
-            # the coefficient solver's rule: any stored constant term
-            if (0,) * n in c.coeffs:
-                raise JetError("vector field must vanish at the origin")
-        self.components = comps
+        super().__init__(components)
         # the coefficient solver's rule: any stored off-diagonal linear
-        # coefficient (every one down to the jets' PRUNE_TOL) is non-diagonal
-        is_diag = all(sum(e) != 1 or e[i] == 1 for i, c in enumerate(comps) for e in c.coeffs)
-        self.eigenvalues = [complex(c.coeff([int(k == i) for k in range(n)]))
-                            for i, c in enumerate(comps)] if is_diag else None
-
-    @property
-    def n_vars(self) -> int:
-        return self.components[0].n_vars
-
-    @property
-    def order(self) -> int:
-        return self.components[0].order
-
-    def eval(self, point) -> list:
-        """The components at a point, as a list of complex."""
-        return [c.eval(point) for c in self.components]
+        # coefficient is non-diagonal (stored ones are >= PRUNE_TOL, others 0)
+        L = self.linear_part()
+        is_diag = all(v == 0 for i, row in enumerate(L) for j, v in enumerate(row) if i != j)
+        self.eigenvalues = [row[i] for i, row in enumerate(L)] if is_diag else None
 
     def extend(self, order: int) -> "VectorField":
         return VectorField([c.extend(order) for c in self.components])
@@ -86,15 +64,11 @@ class VectorField:
     def to_json_dict(self) -> dict:
         return {
             "n_vars": self.n_vars,
-            "components": [c.to_json_dict() for c in self.components],
+            **super().to_json_dict(),
             "eigenvalues": None
             if self.eigenvalues is None
             else [[l.real, l.imag] for l in self.eigenvalues],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "VectorField":
-        return cls([Jet.from_json_dict(c) for c in d["components"]])
 
     def __repr__(self):
         return f"VectorField({self.components!r})"
@@ -106,7 +80,7 @@ def lie_derivative(X: VectorField, g: Jet) -> Jet:
         raise JetError("vector field and function have different n_vars")
     out = Jet.zero(g.n_vars, g.order)
     for i, comp in enumerate(X.components):
-        out = out + comp.truncate(g.order).extend(g.order) * g.diff(i)
+        out = out + comp.truncate(g.order) * g.diff(i)
     return out
 
 
@@ -268,6 +242,21 @@ def numeric_flow(
             escape_radius=escape_radius, observer=seg_obs,
         )
     return x
+
+
+def series_vs_numeric(jmap: JetMap, numeric: Callable, points):
+    """One (point, series, numeric, abs_error) row per point: the jet map's
+    value against ``numeric(point)``, the error their max-norm distance."""
+    rows = []
+    for p in points:
+        series, value = np.array(jmap.eval(p), dtype=complex), numeric(p)
+        rows.append((p, series, value, float(np.max(np.abs(series - value)))))
+    return rows
+
+
+def flow_cross_check(X: VectorField, fmap: JetMap, points, t: complex = 1.0):
+    """The time-t map jet ``fmap`` of X against :func:`numeric_flow`, point by point."""
+    return series_vs_numeric(fmap, lambda p: numeric_flow(X, p, t), points)
 
 
 def first_integral_drift(

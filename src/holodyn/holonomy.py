@@ -27,8 +27,9 @@ import numpy as np
 
 from .coefficients import CoefficientTable, solve_coefficient_system
 from .exppoly import ExpPoly, TWO_PI_I
-from .flows import VectorField, integrate_ode, observed_drift, DEFAULT_RTOL, DEFAULT_ATOL
-from .jets import Jet, JetMap, JetError
+from .flows import (VectorField, integrate_ode, observed_drift, series_vs_numeric,
+                    DEFAULT_RTOL, DEFAULT_ATOL)
+from .jets import Jet, JetMap, JetError, PRUNE_TOL
 
 LINEAR_TOL = 1e-12
 NORMAL_FORM_TOL = 1e-10
@@ -36,6 +37,10 @@ NORMAL_FORM_TOL = 1e-10
 
 class HolonomyError(ValueError):
     pass
+
+
+class BasePointUnderflow(ArithmeticError):
+    """|z0|^m < PRUNE_TOL for a kept loop frequency m: its terms would be pruned."""
 
 
 @dataclass
@@ -77,9 +82,8 @@ class Foliation:
             raise HolonomyError("axis eigenvalue must be nonzero")
 
     def axis_eigenvalue(self) -> complex:
-        n = self.field.n_vars
-        exp = tuple(1 if k == self.separatrix_axis else 0 for k in range(n))
-        return complex(self.field.components[self.separatrix_axis].coeff(exp))
+        axis = self.separatrix_axis
+        return self.field.linear_part()[axis][axis]
 
     def axis_unit_on_axis(self) -> dict:
         """u(0, z) = X_axis(0, z) / z as {power of z: coefficient}."""
@@ -119,7 +123,8 @@ def build_monodromy_system(
 
     dx_j/dt = 2 pi i * z * X_j / X_axis with X_axis = z*u is formed as
     X_j * u^{-1} on jets, keeping transverse degree <= ``order``; each
-    z-power m becomes the loop frequency e^(2 pi i m t) * z0^m.
+    z-power m becomes the loop frequency e^(2 pi i m t) * z0^m; a kept m with
+    |z0|^m below ``PRUNE_TOL`` raises :class:`BasePointUnderflow`.
 
     The exact route accepts a field whatever the order when u(0, z) is
     constant and the linear part is diagonal with frequency 0 (checked by
@@ -163,6 +168,10 @@ def build_monodromy_system(
             scaled = c * z0 ** m if m else c
             bucket = by_freq.setdefault(m, {})
             bucket[t_exp] = bucket.get(t_exp, 0.0 + 0j) + scaled
+        for m in by_freq:
+            if abs(z0) ** m < PRUNE_TOL:
+                raise BasePointUnderflow(f"|z0|^{m} = {abs(z0) ** m:.3g} at loop frequency "
+                                         f"m = {m} is below PRUNE_TOL = {PRUNE_TOL:g}")
         rows = [
             (m, Jet(len(trans), order, coeffs)) for m, coeffs in sorted(by_freq.items())
         ]
@@ -209,17 +218,8 @@ def holonomy_numeric(
 
 
 def holonomy_cross_check(F: Foliation, h: JetMap, points, z0: complex = 1.0 + 0j):
-    """The exact holonomy jet h against :func:`holonomy_numeric`, point by point.
-
-    Returns one (point, series, numeric, abs_error) row per point, with the
-    error the max-norm of series - numeric.
-    """
-    rows = []
-    for p in points:
-        series = np.array(h.eval(p), dtype=complex)
-        numeric = holonomy_numeric(F, p, z0=z0)
-        rows.append((p, series, numeric, float(np.max(np.abs(series - numeric)))))
-    return rows
+    """The exact holonomy jet h against :func:`holonomy_numeric`, point by point."""
+    return series_vs_numeric(h, lambda p: holonomy_numeric(F, p, z0=z0), points)
 
 
 def monodromy_invariant_drift(

@@ -2,9 +2,12 @@
 
 Coefficients are complex doubles by default, but the arithmetic is written
 against a generic coefficient ring: anything supporting ``+``, ``*`` and
-unary ``-`` works.  In particular :class:`holodyn.exppoly.ExpPoly`
-coefficients are used to thread time-dependent series through the flow and
-holonomy recursions.
+unary ``-`` works (the library builds complex jets only; the coefficient
+tests' reference recursion runs on :class:`holodyn.exppoly.ExpPoly` ones).
+One construction rule: ``Jet(...)`` alone checks outside input, and every
+arithmetic result is built by the trusted :meth:`Jet._from_clean`, which only
+prunes below ``PRUNE_TOL``; so a jet fixes the origin iff it stores no
+constant term.
 
 Monomials are keyed by exponent tuples and iterated in graded
 lexicographic order, which makes every textual or serialized form
@@ -39,6 +42,21 @@ def coeff_is_negligible(c, tol: float = PRUNE_TOL) -> bool:
     return c.is_negligible(tol)
 
 
+def _unit(j: int, n: int) -> tuple:
+    """The exponent of the j-th of n variables."""
+    return tuple(int(k == j) for k in range(n))
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a non-integral one (1.5, "2", inf) is a JetError."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise JetError(f"{what} must be an integer, got {value!r}")
+
+
 class Jet:
     """A polynomial truncated at total degree ``order`` in ``n_vars`` variables.
 
@@ -50,26 +68,32 @@ class Jet:
     __slots__ = ("n_vars", "order", "coeffs", "_plan")
 
     def __init__(self, n_vars: int, order: int, coeffs=None):
+        self.n_vars = n_vars = _integer(n_vars, "n_vars")
+        self.order = order = _integer(order, "order")
         if n_vars < 1:
             raise JetError("n_vars must be >= 1")
         if order < 0:
             raise JetError("order must be >= 0")
-        self.n_vars = n_vars
-        self.order = order
         clean = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != n_vars:
-                    raise JetError(f"exponent {exp} has wrong arity (n_vars={n_vars})")
-                if any(e < 0 for e in exp):
-                    raise JetError(f"negative exponent in {exp}")
-                if sum(exp) > order:
-                    raise JetError(f"monomial {exp} exceeds truncation order {order}")
-                if not coeff_is_negligible(c):
-                    clean[exp] = clean[exp] + c if exp in clean else c
+        for exp, c in (coeffs or {}).items():
+            exp = tuple(_integer(e, f"exponent entry of {tuple(exp)}") for e in exp)
+            if len(exp) != n_vars:
+                raise JetError(f"exponent {exp} has wrong arity (n_vars={n_vars})")
+            if any(e < 0 for e in exp):
+                raise JetError(f"negative exponent in {exp}")
+            if sum(exp) > order:
+                raise JetError(f"monomial {exp} exceeds truncation order {order}")
+            clean[exp] = clean[exp] + c if exp in clean else c
         self.coeffs = {e: c for e, c in clean.items() if not coeff_is_negligible(c)}
         self._plan = None
+
+    @classmethod
+    def _from_clean(cls, n_vars: int, order: int, coeffs: dict) -> "Jet":
+        """Wrap distinct, valid int-tuple exponents, pruning negligible coefficients."""
+        out = cls.__new__(cls)
+        out.n_vars, out.order, out._plan = n_vars, order, None
+        out.coeffs = {e: c for e, c in coeffs.items() if not coeff_is_negligible(c)}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -89,8 +113,7 @@ class Jet:
     def variable(cls, i: int, n_vars: int, order: int) -> "Jet":
         if not 0 <= i < n_vars:
             raise JetError(f"variable index {i} out of range")
-        exp = tuple(1 if j == i else 0 for j in range(n_vars))
-        return cls(n_vars, order, {exp: 1.0 + 0j})
+        return cls(n_vars, order, {_unit(i, n_vars): 1.0 + 0j})
 
     @classmethod
     def monomial(cls, exp: Sequence[int], coeff, order: int) -> "Jet":
@@ -132,7 +155,7 @@ class Jet:
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out[exp] + c if exp in out else c
-        return Jet(self.n_vars, self.order, out)
+        return Jet._from_clean(self.n_vars, self.order, out)
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -140,7 +163,7 @@ class Jet:
         return self + (-other)
 
     def __neg__(self):
-        return Jet(self.n_vars, self.order, {e: -c for e, c in self.coeffs.items()})
+        return Jet._from_clean(self.n_vars, self.order, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -154,20 +177,23 @@ class Jet:
                     exp = tuple(a + b for a, b in zip(e1, e2))
                     prod = c1 * c2
                     out[exp] = out[exp] + prod if exp in out else prod
-            return Jet(self.n_vars, self.order, out)
+            return Jet._from_clean(self.n_vars, self.order, out)
         # scalar (complex or ring element) multiplication
-        return Jet(self.n_vars, self.order, {e: c * other for e, c in self.coeffs.items()})
+        return Jet._from_clean(self.n_vars, self.order,
+                               {e: c * other for e, c in self.coeffs.items()})
 
     def __rmul__(self, other):
-        return Jet(self.n_vars, self.order, {e: other * c for e, c in self.coeffs.items()})
+        return Jet._from_clean(self.n_vars, self.order,
+                               {e: other * c for e, c in self.coeffs.items()})
 
     def truncate(self, order: int) -> "Jet":
-        return Jet(self.n_vars, order, {e: c for e, c in self.coeffs.items() if sum(e) <= order})
+        if order < 0:
+            raise JetError("order must be >= 0")
+        return Jet._from_clean(self.n_vars, order,
+                               {e: c for e, c in self.coeffs.items() if sum(e) <= order})
 
     def extend(self, order: int) -> "Jet":
-        if order < self.order:
-            return self.truncate(order)
-        return Jet(self.n_vars, order, dict(self.coeffs))
+        return self.truncate(order)
 
     def reciprocal(self) -> "Jet":
         """Multiplicative inverse up to the truncation order.
@@ -196,29 +222,28 @@ class Jet:
             de = list(exp)
             de[i] -= 1
             out[tuple(de)] = c * exp[i]
-        return Jet(self.n_vars, self.order, out)
+        return Jet._from_clean(self.n_vars, self.order, out)
 
     # -- composition / evaluation -----------------------------------------
 
     def compose(self, inner) -> "Jet":
         """Substitute jets for the variables; ``inner`` is a JetMap or a jet list.
 
-        Every inner component must have zero constant term so that the
+        Every inner component must have no stored constant term so that the
         substitution is well defined on truncations.
         """
-        if isinstance(inner, JetMap):
-            comps = inner.components
-        else:
-            comps = list(inner)
+        comps = inner.components if isinstance(inner, JetMap) else list(inner)
         if len(comps) != self.n_vars:
             raise JetError(f"composition needs {self.n_vars} inner jets, got {len(comps)}")
         m_vars, order = comps[0].n_vars, comps[0].order
+        origin = (0,) * m_vars
         for h in comps:
             if h.n_vars != m_vars or h.order != order:
                 raise JetError("inner jets must share n_vars and order")
-            if not coeff_is_negligible(h.constant_term()):
+            if origin in h.coeffs:
                 raise JetError("inner jets must have zero constant term")
-        powers = [{0: Jet.one(m_vars, order)} for _ in comps]
+        one = Jet._from_clean(m_vars, order, {origin: 1.0 + 0j})
+        powers = [{0: one} for _ in comps]
 
         def power(i: int, k: int) -> Jet:
             cache = powers[i]
@@ -228,7 +253,7 @@ class Jet:
 
         out = Jet.zero(m_vars, order)
         for exp, c in self.terms():
-            term = Jet.constant(m_vars, order, 1.0 + 0j)
+            term = one
             for i, e in enumerate(exp):
                 if e:
                     term = term * power(i, e)
@@ -283,7 +308,7 @@ class Jet:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Jet":
         coeffs = {tuple(t["exp"]): complex(t["re"], t["im"]) for t in d["terms"]}
-        return cls(int(d["n_vars"]), int(d["order"]), coeffs)
+        return cls(d["n_vars"], d["order"], coeffs)
 
     @classmethod
     def from_json(cls, s: str) -> "Jet":
@@ -301,29 +326,25 @@ class Jet:
 class JetMap:
     """An n-tuple of jets fixing the origin: a truncated germ of (C^n, 0)."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "n_vars", "order")
 
     def __init__(self, components: Iterable[Jet]):
         comps = list(components)
+        kind = type(self).__name__
         if not comps:
-            raise JetError("JetMap needs at least one component")
+            raise JetError(f"{kind} needs at least one component")
         n, order = comps[0].n_vars, comps[0].order
         if len(comps) != n:
-            raise JetError(f"JetMap must be square: {len(comps)} components, {n} variables")
+            raise JetError(f"{kind} must be square: {len(comps)} components, {n} variables")
+        origin = (0,) * n
         for c in comps:
             if c.n_vars != n or c.order != order:
                 raise JetError("components must share n_vars and order")
-            if not coeff_is_negligible(c.constant_term()):
-                raise JetError("JetMap components must vanish at the origin")
+            if origin in c.coeffs:
+                raise JetError(f"{kind} components must vanish at the origin")
         self.components = comps
-
-    @property
-    def n_vars(self) -> int:
-        return self.components[0].n_vars
-
-    @property
-    def order(self) -> int:
-        return self.components[0].order
+        self.n_vars = n
+        self.order = order
 
     @classmethod
     def identity(cls, n_vars: int, order: int) -> "JetMap":
@@ -332,26 +353,13 @@ class JetMap:
     @classmethod
     def linear(cls, matrix, order: int) -> "JetMap":
         n = len(matrix)
-        comps = []
-        for i in range(n):
-            coeffs = {}
-            for j in range(n):
-                exp = tuple(1 if k == j else 0 for k in range(n))
-                coeffs[exp] = complex(matrix[i][j])
-            comps.append(Jet(n, order, coeffs))
-        return cls(comps)
+        return cls([Jet(n, order, {_unit(j, n): complex(a) for j, a in enumerate(row)})
+                    for row in matrix])
 
     def linear_part(self):
         """The n x n matrix of degree-1 coefficients (list of rows)."""
-        n = self.n_vars
-        rows = []
-        for comp in self.components:
-            row = []
-            for j in range(n):
-                exp = tuple(1 if k == j else 0 for k in range(n))
-                row.append(complex(comp.coeff(exp)))
-            rows.append(row)
-        return rows
+        units = [_unit(j, self.n_vars) for j in range(self.n_vars)]
+        return [[complex(comp.coeff(e)) for e in units] for comp in self.components]
 
     def compose(self, other: "JetMap") -> "JetMap":
         return JetMap([c.compose(other) for c in self.components])

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from holodyn import presets
 from holodyn.cli import main
-from holodyn.flows import VectorField
+from holodyn.flows import VectorField, flow_cross_check, formal_flow
 from holodyn.holonomy import holonomy_cross_check, holonomy_series
 from holodyn.jets import Jet, JetMap
 
@@ -81,6 +81,23 @@ def test_flow_cross_check():
               "--point", "0.03,0.03")
     assert res.exit_code == 0
     assert "numeric cross-check" in res.output
+
+
+def test_flow_point_line_is_the_cross_check_value():
+    res = run("flow", "--field", "example1(2,3,1,2)", "--time", "0.5+0.5i", "--order", "6",
+              "--point", "0.04,0.03i")
+    assert res.exit_code == 0
+    X = presets.load_field("example1(2,3,1,2)", 6)
+    t = 0.5 + 0.5j
+    [(_, _, _, err)] = flow_cross_check(X, formal_flow(X, t, 6), [(0.04, 0.03j)], t)
+    assert f"numeric cross-check at 0.04,0.03i: max abs error {err:.3e}" \
+        in res.output.splitlines()
+
+
+def test_small_base_point_above_the_pruning_tolerance_keeps_the_normal_form():
+    res = run("holonomy", "--field", "thmB", "--z0", "1e-3")
+    assert res.exit_code == 0
+    assert "(a, b) = (2, 1)" in res.output
 
 
 def test_orbit_csv_columns_and_determinism(tmp_path):
@@ -230,6 +247,11 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "numeric argument 'inf' in 'linear(1,inf)' is not finite"),
     (["pseudogroup", "--word-budget", "-1"], "--word-budget must be a positive integer, got -1"),
     (["pseudogroup", "--point-budget", "0"], "--point-budget must be a positive integer, got 0"),
+    (["orbit", "--map", "{fractional_exp}", "--grid", "2x2"],
+     "exponent entry of (1.5, 0) must be an integer, got 1.5"),
+    (["orbit", "--map", "{fractional_n_vars}", "--grid", "2x2"],
+     "n_vars must be an integer, got 2.5"),
+    (["flow", "--field", "{fractional_order}"], "order must be an integer, got 2.7"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -244,6 +266,16 @@ def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
                              Jet(3, 4, {(0, 0, 1): -1.0})])
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"field": field.to_json_dict(), "separatrix_axis": 2}))
+        files[f"{{{name}}}"] = str(path)
+    # the planar identity map with a non-integral exponent, n_vars or order
+    for name, key, value in (
+            ("fractional_exp", "terms", [{"exp": [1.5, 0], "re": 1.0, "im": 0.0}]),
+            ("fractional_n_vars", "n_vars", 2.5),
+            ("fractional_order", "order", 2.7)):
+        d = JetMap.identity(2, 2).to_json_dict()
+        d["components"][0][key] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
         files[f"{{{name}}}"] = str(path)
     files["{tmp}"] = str(tmp_path)
 
@@ -293,6 +325,10 @@ def test_complex_spellings_keep_their_values_and_infinities_are_not_finite():
      "--z0 '1e200': the monodromy system overflows"),
     (["verify-integral", "--field", "linear(1,-1)", "--exponents", "1,1", "--point", "20,20"],
      "trajectory left the domain"),
+    (["holonomy", "--field", "thmB", "--z0", "1e-5"],
+     "--z0 '1e-5': the monodromy system underflows (|z0|^3 = 1e-15 at loop frequency m = 3"),
+    (["holonomy", "--field", "thmB", "--z0", "1e-200"],
+     "--z0 '1e-200': the monodromy system underflows (|z0|^3 = 0 at loop frequency m = 3"),
 ])
 def test_numeric_failure_exits_3_with_reason(args, reason):
     res = run(*args)

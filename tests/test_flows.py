@@ -21,6 +21,7 @@ from holodyn.flows import (
     VectorField,
     first_integral_drift,
     flow_coefficient_table,
+    flow_cross_check,
     formal_flow,
     integrate_ode,
     lie_derivative,
@@ -243,9 +244,38 @@ def test_first_integral_drift_zero_field():
 def test_vector_field_json_round_trip():
     X = presets.load_field("thmB")
     back = VectorField.from_json_dict(X.to_json_dict())
+    assert type(back) is VectorField
     for a, b in zip(X.components, back.components):
         assert a.max_abs_diff(b) == 0.0
     assert back.eigenvalues == X.eigenvalues
+
+
+def test_vector_field_is_a_jet_map():
+    X = presets.load_field("thmB", 4)
+    assert isinstance(X, JetMap) and (X.n_vars, X.order) == (3, X.components[0].order)
+    p = (0.1, 0.2j, -0.3)
+    assert X.eval(p) == tuple(c.eval(p) for c in X.components)
+    assert X.eigenvalues == [row[i] for i, row in enumerate(X.linear_part())]
+    with pytest.raises(JetError, match="VectorField must be square: 1 components, 2 variables"):
+        VectorField([Jet(2, 3, {(1, 0): 1.0})])
+    with pytest.raises(JetError, match="components must share n_vars and order"):
+        VectorField([Jet(2, 3, {(1, 0): 1.0}), Jet(2, 4, {(0, 1): 1.0})])
+
+
+def test_flow_cross_check_rows_are_series_against_numeric_flow():
+    """Each row is (p, fmap(p), numeric_flow(X, p, t), max-norm error), the
+    comparison `holodyn flow --point` made inline before."""
+    X = presets.field_example1(2, 3, 1, 2, order=6)
+    t = 0.5 + 0.5j
+    fmap = formal_flow(X, t, 6)
+    points = [(0.04, 0.03j), (-0.02 + 0.01j, 0.05)]
+    rows = flow_cross_check(X, fmap, points, t)
+    assert [row[0] for row in rows] == points
+    for p, series, numeric, err in rows:
+        num = numeric_flow(X, p, t)
+        ser = np.array(fmap.eval(p), dtype=complex)
+        assert series.tolist() == ser.tolist() and numeric.tolist() == num.tolist()
+        assert err == float(np.max(np.abs(ser - num))) and err < 1e-8
 
 
 # -- the DP5(4) core against the NumPy integrator it replaced --------------------

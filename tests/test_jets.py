@@ -2,11 +2,15 @@
 import itertools
 import json
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from holodyn.exppoly import ExpPoly, Frequency
+from holodyn.flows import VectorField
 from holodyn.jets import Jet, JetMap, JetError, grlex_key
 
 
@@ -235,3 +239,133 @@ def test_terms_iteration_graded_lex():
 def test_truncation_prunes_small_coefficients():
     j = Jet(1, 4, {(1,): 1e-15})
     assert j.is_zero()
+
+
+# -- the trusted constructor against the validating one it replaced ------------
+
+
+def random_jet(rng, n_vars, order, ring, terms=6, constant=True):
+    """A seeded random jet; about one coefficient in four sits near PRUNE_TOL."""
+    coeffs = {}
+    for _ in range(rng.randint(0, terms)):
+        exp = [0] * n_vars
+        for _ in range(rng.randint(0 if constant else 1, order)):
+            exp[rng.randrange(n_vars)] += 1
+        value = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        if rng.random() < 0.25:
+            value = rng.choice([4e-15, 2e-14])
+        coeffs[tuple(exp)] = ring(value, rng)
+    return Jet(n_vars, order, coeffs)
+
+
+def complex_ring(value, rng):
+    return value
+
+
+def expoly_ring(value, rng):
+    """An ExpPoly coefficient as the coefficient-test reference builds: a few
+    t^k e^(2 pi i m t) terms."""
+    return ExpPoly({(rng.randint(0, 2), Frequency.rational(rng.randint(-1, 1))): value * w
+                    for w in (1.0, 0.5j)[:rng.randint(1, 2)]})
+
+
+def near_negation(a: Jet, rng) -> Jet:
+    """-a up to a perturbation per coefficient of 0, 4e-15 or 3e-14, so that
+    a + near_negation(a) cancels below and just above PRUNE_TOL."""
+    return Jet(a.n_vars, a.order,
+               {e: -c + rng.choice([0.0, 4e-15, 3e-14]) for e, c in a.coeffs.items()})
+
+
+def assert_same_jet(got: Jet, want: Jet):
+    """Same n_vars, order, key order and coefficients (ExpPoly by terms)."""
+    assert (got.n_vars, got.order) == (want.n_vars, want.order)
+    assert list(got.coeffs) == list(want.coeffs)
+    for exp, c in got.coeffs.items():
+        w = want.coeffs[exp]
+        if hasattr(c, "terms"):
+            assert list(c.terms.items()) == list(w.terms.items())
+        else:
+            assert c == w
+
+
+def jet_operations(rng, ring):
+    """name -> thunk of every operation that builds a result, on seeded random jets."""
+    n, order = rng.randint(1, 3), rng.randint(1, 5)
+    a, b = random_jet(rng, n, order, ring), random_jet(rng, n, order, ring)
+    cancelling = near_negation(a, rng)
+    inner = [random_jet(rng, n, order, ring, constant=False) for _ in range(n)]
+    plain = random_jet(rng, n, order, complex_ring)
+    scalar = ring(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng)
+    ops = {
+        "add": lambda: a + b,
+        "add cancelling": lambda: a + cancelling,
+        "sub": lambda: a - b,
+        "neg": lambda: -a,
+        "mul": lambda: a * b,
+        "mul scalar": lambda: a * scalar,
+        "rmul scalar": lambda: scalar * a,
+        "mul tiny scalar": lambda: a * 1e-14,
+        "mul by ExpPoly": lambda: plain * ExpPoly.exponential(Frequency.rational(1)),
+        "truncate": lambda: a.truncate(order // 2),
+        "extend": lambda: a.extend(order + 2),
+        "diff": lambda: a.diff(n - 1),
+        "compose": lambda: plain.compose(inner),
+    }
+    if ring is complex_ring:
+        ops["reciprocal"] = lambda: (a + Jet.constant(n, order, 1.5)).reciprocal()
+    return ops
+
+
+@pytest.mark.parametrize("ring", [complex_ring, expoly_ring], ids=["complex", "ExpPoly"])
+def test_arithmetic_results_match_the_validating_constructor(ring):
+    """Each result is what Jet(n, order, coeffs) gives for its own coefficients,
+    and what the operation gives when every result goes through Jet(...)."""
+    def via_init(cls, n_vars, order, coeffs):
+        return Jet(n_vars, order, coeffs)
+
+    for seed in range(40):
+        for name, op in jet_operations(random.Random(seed), ring).items():
+            got = op()
+            assert_same_jet(got, Jet(got.n_vars, got.order, dict(got.coeffs)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Jet, "_from_clean", classmethod(via_init))
+                want = jet_operations(random.Random(seed), ring)[name]()
+            assert_same_jet(got, want)
+
+
+def test_origin_rule_is_any_stored_constant_term():
+    """A 5e-14 constant is stored and rejected by JetMap, VectorField and
+    Jet.compose alike; a 5e-15 one is pruned and accepted by all three."""
+    def comps(const):
+        return [Jet(2, 3, {(0, 0): const, (1, 0): 1.0}), Jet(2, 3, {(0, 1): 1.0})]
+
+    g = Jet(2, 3, {(1, 1): 1.0})
+    for build in (JetMap, VectorField, g.compose):
+        with pytest.raises(JetError, match="vanish at the origin|zero constant term"):
+            build(comps(5e-14))
+        build(comps(5e-15))
+    assert comps(5e-15)[0].coeffs == {(1, 0): 1.0}
+
+
+@pytest.mark.parametrize("n_vars, order, coeffs, reason", [
+    (2, 3, {(1.5, 0): 1.0}, "exponent entry of (1.5, 0) must be an integer, got 1.5"),
+    (2.5, 3, {}, "n_vars must be an integer, got 2.5"),
+    (2, 2.7, {}, "order must be an integer, got 2.7"),
+    (2, "3", {}, "order must be an integer, got '3'"),
+    (2, float("inf"), {}, "order must be an integer, got inf"),
+])
+def test_outside_input_must_be_integral(n_vars, order, coeffs, reason):
+    with pytest.raises(JetError) as info:
+        Jet(n_vars, order, coeffs)
+    assert str(info.value) == reason
+    d = {"n_vars": n_vars, "order": order,
+         "terms": [{"exp": list(e), "re": 1.0, "im": 0.0} for e in coeffs]}
+    with pytest.raises(JetError, match=re.escape(reason)):
+        Jet.from_json_dict(d)
+
+
+def test_integral_floats_are_accepted_as_ints():
+    j = Jet.from_json_dict({"n_vars": 2.0, "order": 3.0,
+                            "terms": [{"exp": [1.0, 2.0], "re": 1.0, "im": 0.0}]})
+    assert (j.n_vars, j.order, list(j.coeffs)) == (2, 3, [(1, 2)])
+    assert all(type(v) is int for v in (j.n_vars, j.order, *next(iter(j.coeffs))))
