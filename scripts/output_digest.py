@@ -10,7 +10,8 @@ orbit and pseudogroup records (every field and every kept point) of fixed
 map, seed and budget choices, the jet-layer results (the inverse of
 example3's order-8 holonomy jet, x*y composed with thmB's, the Lie
 derivative of x*y*z^2 along thmB and the JSON form of every field preset),
-and the files and standard output of a fixed set of CLI runs.
+and the files and standard output of a fixed set of CLI runs, two of them
+reading a preset written to a JSON file.
 Two checkouts produce byte-identical outputs exactly when their digest
 listings are equal, so a refactor is checked with one diff:
 
@@ -73,7 +74,8 @@ ORBITS = {
                      lambda: [(0.008, 0.008j), (-0.006 + 0.005j, 0.007), (0.01j, -0.009)],
                      0.3, 2_000, True),
 }
-# name -> CLI arguments; "{out}" names an output file in a fresh directory
+# name -> CLI arguments; "{out}" names an output file in a fresh directory and
+# "{in}" the JSON input file that CLI_INPUTS writes there
 CLI_RUNS = {
     "holonomy-example3": ["holonomy", "--field", "example3", "--order", "8",
                           "--emit", "{out}.json", "--oracle", "{out}.csv"],
@@ -87,6 +89,20 @@ CLI_RUNS = {
     "petal": ["petal", "--d", "2", "--c", "1", "--json", "{out}.json"],
     "pseudogroup": ["pseudogroup", "--json", "{out}.json"],
     "reproduce-paper": ["reproduce-paper", "--report", "{out}.md"],
+    "holonomy-thmB-json": ["holonomy", "--field", "{in}", "--order", "4"],
+    "flow-example1-json": ["flow", "--field", "{in}", "--point", "0.04,0.03i"],
+}
+
+
+def _foliation_json(spec, order):
+    F = presets.load_foliation(spec, order)
+    return {"field": F.field.to_json_dict(), "separatrix_axis": F.separatrix_axis}
+
+
+# CLI run name -> thunk returning the content of its "{in}" file
+CLI_INPUTS = {
+    "holonomy-thmB-json": lambda: _foliation_json("thmB", 4),
+    "flow-example1-json": lambda: presets.load_field("example1(2,3,1,2)").to_json_dict(),
 }
 
 
@@ -168,10 +184,14 @@ def _pseudogroup():
          "truncated": o.truncated, "cardinality": o.cardinality} for o in orbits])}
 
 
-def _cli(args):
+def _cli(args, make_input=None):
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        res = CliRunner().invoke(cli_main, [a.replace("{out}", out) for a in args])
+        out, path = os.path.join(tmp, "out"), os.path.join(tmp, "in.json")
+        if make_input:
+            with open(path, "w") as fh:
+                json.dump(make_input(), fh)
+        res = CliRunner().invoke(cli_main, [a.replace("{out}", out).replace("{in}", path)
+                                            for a in args])
         parts = {"exit": str(res.exit_code).encode(),
                  "stdout": res.output.replace(tmp, "<tmp>").encode()}
         for name in sorted(os.listdir(tmp)):
@@ -199,7 +219,7 @@ def entries():
     for name, result in _jet_results().items():
         yield f"jets:{name}", lambda r=result: {"json": _canonical(r())}
     for name, args in CLI_RUNS.items():
-        yield f"cli:{name}", lambda a=args: _cli(a)
+        yield f"cli:{name}", lambda a=args, i=CLI_INPUTS.get(name): _cli(a, i)
 
 
 def main(patterns):

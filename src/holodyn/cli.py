@@ -26,7 +26,6 @@ from .flows import (
     DomainEscape,
     FlowError,
     StepUnderflow,
-    VectorField,
     first_integral_drift,
     flow_cross_check,
     formal_flow,
@@ -34,19 +33,20 @@ from .flows import (
 )
 from .holonomy import (
     BasePointUnderflow,
-    Foliation,
     HolonomyError,
     NormalFormError,
     extract_normal_form,
     holonomy_cross_check,
     holonomy_series,
 )
-from .jets import Jet, JetMap, JetError, DEFAULT_ORDER
+from .jets import Jet, JetError, DEFAULT_ORDER
 from .orbits import (
+    DEFAULT_BUDGET,
+    DEFAULT_POINT_BUDGET,
+    DEFAULT_WORD_BUDGET,
     DomainBall,
     GridSummary,
     OrbitError,
-    TruncatedJetMap,
     group_closure,
     iterate_orbit,
     lattice_seeds,
@@ -96,34 +96,12 @@ def _check_finite(option: str, value: Optional[float]) -> None:
         raise ConfigError(f"{option} must be a finite number, got {value}")
 
 
-def _load_json_file(path: str) -> dict:
+def _load(loader, *args):
+    """``loader(*args)`` from holodyn.presets; a rejected spec or file exits 2."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"malformed JSON in {path}: line {e.lineno}, col {e.colno}: {e.msg}")
-
-
-def _load(spec: str, kind: str, from_json, from_preset):
-    """A JSON file (by its .json suffix) or a preset spec; every rejection is a ConfigError."""
-    if spec.endswith(".json"):
-        d = _load_json_file(spec)
-        try:
-            return from_json(d)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"invalid {kind} JSON in {spec}: {e}")
-    try:
-        return from_preset(spec)
+        return loader(*args)
     except (PresetError, HolonomyError) as e:
         raise ConfigError(str(e))
-
-
-def _load_field(spec: str, order: int) -> VectorField:
-    return _load(spec, "vector-field",
-                 lambda d: VectorField.from_json_dict(d).extend(order),
-                 lambda s: presets.load_field(s, order))
 
 
 def _config_header(config: dict) -> List[str]:
@@ -200,10 +178,7 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
     if order < 1:
         raise ConfigError("--order must be >= 1")
     z0c = _parse_complex(z0)
-    F = _load(field_spec, "foliation",
-              lambda d: Foliation(VectorField.from_json_dict(d["field"]).extend(order),
-                                  separatrix_axis=int(d["separatrix_axis"])),
-              lambda s: presets.load_foliation(s, order))
+    F = _load(presets.load_foliation, field_spec, order)
     config = {"command": "holonomy", "field": field_spec, "order": order,
               "z0": [z0c.real, z0c.imag]}
     try:
@@ -262,7 +237,7 @@ def flow(field_spec, time_str, order, point, emit_path):
     if order < 1:
         raise ConfigError("--order must be >= 1")
     t = _parse_complex(time_str)
-    X = _load_field(field_spec, order)
+    X = _load(presets.load_field, field_spec, order)
     p = _parse_point(point, X.n_vars) if point else None
     config = {"command": "flow", "field": field_spec, "time": [t.real, t.imag],
               "order": order, "point": point}
@@ -326,7 +301,7 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
               help="Lattice counts, one per variable; a one-variable map takes their product.")
 @click.option("--grid-low", type=float, default=None,
               help="Lower lattice bound (default -radius).")
-@click.option("--budget", type=int, default=100_000, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 @click.option("--level-circle", is_flag=True,
               help="Seed on the invariant level set x*y = C with the documented "
                    "golden-mean constant instead of a lattice.")
@@ -348,9 +323,7 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
         raise ConfigError("--radius and --budget must be positive")
     if random_seeds is not None and random_seeds < 1:
         raise ConfigError(f"--random-seeds must be a positive integer, got {random_seeds}")
-    h = _load(map_spec, "jet-map",
-              lambda d: TruncatedJetMap(JetMap.from_json_dict(d), name=map_spec),
-              presets.load_map)
+    h = _load(presets.load_map, map_spec)
     config = {"command": "orbit", "map": map_spec, "radius": radius, "grid": grid,
               "grid_low": grid_low, "budget": budget, "level_circle": level_circle,
               "random_seeds": random_seeds, "seed": seed}
@@ -401,15 +374,12 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
 @click.option("--preset", default="h1h2", show_default=True)
 @click.option("--seeds", "n_seeds", type=int, default=100, show_default=True)
 @click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--word-budget", type=int, default=40, show_default=True)
-@click.option("--point-budget", type=int, default=10_000, show_default=True)
+@click.option("--word-budget", type=int, default=DEFAULT_WORD_BUDGET, show_default=True)
+@click.option("--point-budget", type=int, default=DEFAULT_POINT_BUDGET, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def pseudogroup(preset, n_seeds, radius, word_budget, point_budget, json_path):
     """Pseudogroup orbits and the linear group closure of a generator preset."""
-    try:
-        gens = presets.pseudogroup_preset(preset)
-    except PresetError as e:
-        raise ConfigError(str(e))
+    gens = _load(presets.pseudogroup_preset, preset)
     _check_finite("--radius", radius)
     if n_seeds <= 0 or radius <= 0:
         raise ConfigError("--seeds and --radius must be positive")
@@ -495,7 +465,7 @@ def verify_integral(field_spec, exponents, point, tol):
     _check_finite("--tol", tol)
     if tol <= 0:
         raise ConfigError(f"--tol must be positive, got {tol}")
-    X = _load_field(field_spec, DEFAULT_ORDER)
+    X = _load(presets.load_field, field_spec, DEFAULT_ORDER)
     try:
         exp = tuple(int(v) for v in exponents.split(","))
     except ValueError:

@@ -29,7 +29,7 @@ from .coefficients import CoefficientTable, solve_coefficient_system
 from .exppoly import ExpPoly, TWO_PI_I
 from .flows import (VectorField, integrate_ode, observed_drift, series_vs_numeric,
                     DEFAULT_RTOL, DEFAULT_ATOL)
-from .jets import Jet, JetMap, JetError, PRUNE_TOL
+from .jets import Jet, JetMap, JetError, PRUNE_TOL, _integer
 
 LINEAR_TOL = 1e-12
 NORMAL_FORM_TOL = 1e-10
@@ -95,6 +95,12 @@ class Foliation:
     @property
     def transverse_indices(self) -> List[int]:
         return [j for j in range((self.field.n_vars)) if j != self.separatrix_axis]
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "Foliation":
+        """``{"field": <JetMap dict>, "separatrix_axis": int}``, at the field's own order."""
+        return cls(VectorField.from_json_dict(d["field"]),
+                   _integer(d["separatrix_axis"], "separatrix_axis"))
 
 
 @dataclass

@@ -1,11 +1,13 @@
-"""Named built-in vector fields, foliations and maps.
+"""Named built-in vector fields, foliations and maps, and the one input path.
 
 String syntax: a bare name ("thmB") or name(args) with numeric arguments,
-e.g. "example1(1,1,1,1)" or "linear(1,-1,-2)".
+e.g. "example1(1,1,1,1)" or "linear(1,-1,-2)".  The loaders also take a
+``.json`` path, and build every field to at least the requested order.
 """
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import re
 from fractions import Fraction
@@ -13,7 +15,7 @@ from typing import List, Sequence
 
 from .flows import VectorField
 from .holonomy import Foliation, realize_as_holonomy
-from .jets import Jet, DEFAULT_ORDER
+from .jets import Jet, JetMap, DEFAULT_ORDER
 from .orbits import (
     EvaluableMap,
     LinearMap,
@@ -21,6 +23,7 @@ from .orbits import (
     PermutationMap,
     ProductPreservingMap,
     TimeOneMap,
+    TruncatedJetMap,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -160,25 +163,52 @@ def _integers(args) -> List[int]:
     return ints
 
 
-def available_fields() -> List[str]:
-    return sorted(_FIELD_BUILDERS)
+def _read_json(path: str, kind: str, decode):
+    """``decode`` of the JSON file at ``path``; every rejection is a PresetError."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as e:
+        raise PresetError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise PresetError(
+            f"malformed JSON in {path}: line {e.lineno}, col {e.colno}: {e.msg}") from e
+    try:
+        return decode(d)
+    except (KeyError, TypeError, ValueError) as e:
+        raise PresetError(f"invalid {kind} JSON in {path}: {e}") from e
+
+
+def _at_least(X: VectorField, order: int) -> VectorField:
+    """The order rule of a JSON field: extended to ``order``, never truncated."""
+    return X.extend(max(X.order, order))
+
+
+def _build(kind: str, builders: dict, spec: str, *extra):
+    """The preset ``spec`` names in ``builders``; every rejection is a PresetError."""
+    name, args = _parse(spec)
+    if name not in builders:
+        raise PresetError(
+            f"unknown {kind} preset {name!r}; available: {', '.join(sorted(builders))}")
+    try:
+        return builders[name](args, *extra)
+    except ValueError as e:
+        raise PresetError(f"invalid {kind} preset {spec!r}: {e}") from e
 
 
 def load_field(spec: str, order: int = DEFAULT_ORDER) -> VectorField:
-    name, args = _parse(spec)
-    if name not in _FIELD_BUILDERS:
-        raise PresetError(
-            f"unknown field preset {name!r}; available: {', '.join(available_fields())}"
-        )
-    try:
-        return _FIELD_BUILDERS[name](args, order)
-    except ValueError as e:
-        raise PresetError(f"invalid field preset {spec!r}: {e}") from e
+    if spec.endswith(".json"):
+        return _read_json(spec, "vector-field",
+                          lambda d: _at_least(VectorField.from_json_dict(d), order))
+    return _build("field", _FIELD_BUILDERS, spec, order)
 
 
 def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
     """Foliation for a field preset: 3-var presets use the z-axis (index 2),
     linear presets the first axis, planar generators are realized."""
+    if spec.endswith(".json"):
+        F = _read_json(spec, "foliation", Foliation.from_json_dict)
+        return Foliation(_at_least(F.field, order), F.separatrix_axis)
     name, _ = _parse(spec)
     X = load_field(spec, order)
     if name in ("thmB", "example3"):
@@ -229,20 +259,11 @@ _MAP_BUILDERS = {
 }
 
 
-def available_maps() -> List[str]:
-    return sorted(_MAP_BUILDERS)
-
-
 def load_map(spec: str) -> EvaluableMap:
-    name, args = _parse(spec)
-    if name not in _MAP_BUILDERS:
-        raise PresetError(
-            f"unknown map preset {name!r}; available: {', '.join(available_maps())}"
-        )
-    try:
-        return _MAP_BUILDERS[name](args)
-    except ValueError as e:
-        raise PresetError(f"invalid map preset {spec!r}: {e}") from e
+    if spec.endswith(".json"):
+        return _read_json(spec, "jet-map",
+                          lambda d: TruncatedJetMap(JetMap.from_json_dict(d), name=spec))
+    return _build("map", _MAP_BUILDERS, spec)
 
 
 def pseudogroup_preset(name: str) -> List[EvaluableMap]:

@@ -168,6 +168,17 @@ def test_verify_integral_pass_and_fail():
     assert bad.exit_code == 1
 
 
+def test_verify_integral_reads_a_json_field_at_its_own_order(tmp_path):
+    # X = x^5 y^4 d/dx has no term at or below the default order 8, so a
+    # field cut to that order would make x a first integral
+    path = tmp_path / "deg9.json"
+    path.write_text(json.dumps(VectorField([Jet(2, 9, {(5, 4): 1.0}),
+                                            Jet(2, 9, {})]).to_json_dict()))
+    res = run("verify-integral", "--field", str(path), "--exponents", "1,0")
+    assert res.exit_code == 1
+    assert "symbolic derivative along the field vanishes: False" in res.output
+
+
 def test_reproduce_paper_subset(tmp_path):
     report = tmp_path / "rep.md"
     res = run("reproduce-paper", "--only", "linear-model",
@@ -252,6 +263,15 @@ def test_reproduce_paper_unknown_check(tmp_path):
     (["orbit", "--map", "{fractional_n_vars}", "--grid", "2x2"],
      "n_vars must be an integer, got 2.5"),
     (["flow", "--field", "{fractional_order}"], "order must be an integer, got 2.7"),
+    (["holonomy", "--field", "{tmp}/nosuch.json"], "cannot read {tmp}/nosuch.json"),
+    (["flow", "--field", "{tmp}/nosuch.json"], "cannot read {tmp}/nosuch.json"),
+    (["orbit", "--map", "{tmp}/nosuch.json"], "cannot read {tmp}/nosuch.json"),
+    (["holonomy", "--field", "{no_axis}"],
+     "invalid foliation JSON in {no_axis}: 'separatrix_axis'"),
+    (["pseudogroup", "--preset", "nosuch"],
+     "unknown pseudogroup preset 'nosuch'; available: h1h2, schur24"),
+    (["holonomy", "--field", "{fractional_axis}"],
+     "invalid foliation JSON in {fractional_axis}: separatrix_axis must be an integer, got 2.5"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -276,6 +296,12 @@ def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
         d["components"][0][key] = value
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(d))
+        files[f"{{{name}}}"] = str(path)
+    # thmB's foliation without its axis, and with a non-integral one
+    thmB = presets.load_foliation("thmB").field.to_json_dict()
+    for name, axis in (("no_axis", {}), ("fractional_axis", {"separatrix_axis": 2.5})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"field": thmB, **axis}))
         files[f"{{{name}}}"] = str(path)
     files["{tmp}"] = str(tmp_path)
 
@@ -337,3 +363,42 @@ def test_numeric_failure_exits_3_with_reason(args, reason):
     # a one-line reason, not a traceback
     assert res.output.splitlines()[-1].startswith("Error: ")
     assert reason in res.output.splitlines()[-1]
+
+
+# the foliation and field presets of scripts/output_digest.py
+FOLIATION_PRESETS = ("thmB", "example3", "linear(1,-1,-2)", "genF", "genH", "genLinear")
+FIELD_PRESETS = ("thmB", "example3", "example1(1,1,1,1)", "example1(2,3,1,2)",
+                 "linear(1,-1,-2)", "genF", "genH", "genLinear")
+
+
+@pytest.mark.parametrize("command, spec, written, order", [
+    (command, spec, written, order)
+    for command, specs in (("holonomy", FOLIATION_PRESETS), ("flow", FIELD_PRESETS))
+    for spec in specs for written in (4, 8) for order in (4, 6, 8)])
+def test_json_input_answers_as_its_preset(tmp_path, command, spec, written, order):
+    """A preset written to JSON at one order and read back at --order N gives
+    the preset's answer at --order N: no loader truncates a field."""
+    emit = tmp_path / "emit.json"
+    if command == "holonomy":
+        F = presets.load_foliation(spec, written)
+        d = {"field": F.field.to_json_dict(), "separatrix_axis": F.separatrix_axis}
+        options = ["--order", str(order), "--emit", str(emit)]
+    else:
+        X = presets.load_field(spec, written)
+        d = X.to_json_dict()
+        options = ["--order", str(order),
+                   "--point", ",".join(["0.03", "0.04i", "0.02"][:X.n_vars])]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(d))
+
+    def answer(field):
+        """Exit code, stdout after the title line and the --emit payload without config."""
+        res = run(command, "--field", field, *options)
+        payload = json.loads(emit.read_text()) if emit.exists() else {}
+        emit.unlink(missing_ok=True)
+        payload.pop("config", None)
+        return res.exit_code, res.output.split("\n", 1)[1], payload
+
+    expected = answer(spec)
+    assert expected[0] == 0
+    assert answer(str(path)) == expected

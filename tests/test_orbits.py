@@ -444,6 +444,24 @@ def test_pseudogroup_orbit_bounded_by_24():
     assert not orb.truncated
 
 
+def test_pseudogroup_word_budget_truncates_the_search_at_that_word_length():
+    gens = presets.pseudogroup_preset("h1h2")
+    orb = pseudogroup_orbit(gens, (0.3, 0.5), V1, word_budget=1)
+    # g1^-1 = g1 (the swap) reaches no new point
+    assert orb.words == ["", "g0", "g0^-1", "g1"]
+    assert orb.truncated
+
+
+def test_pseudogroup_point_budget_truncates_the_search_at_that_point_count():
+    gens = presets.pseudogroup_preset("h1h2")
+    orb = pseudogroup_orbit(gens, (0.3, 0.5), V1, point_budget=5)
+    assert orb.words == ["", "g0", "g0^-1", "g1", "g0 g0"]
+    assert orb.cardinality == 5 and orb.truncated
+    # the whole orbit has 24 points: a budget of 24 holds it untruncated
+    full = pseudogroup_orbit(gens, (0.3, 0.5), V1, point_budget=24)
+    assert full.cardinality == 24 and not full.truncated
+
+
 def test_pseudogroup_single_generator_matches_iterate():
     rot = LinearMap([[cmath.exp(2j * math.pi / 7)]])
     rec = iterate_orbit(rot, (0.5,), V1, keep_points=True)
