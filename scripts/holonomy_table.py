@@ -9,7 +9,7 @@ and its value at t = 1, i.e. the holonomy jet coefficient.
 import sys
 
 from holodyn import presets
-from holodyn.holonomy import NormalFormError, extract_normal_form, holonomy_series
+from holodyn.holonomy import NormalFormError, holonomy_series, normal_form_or_reason
 
 
 def main():
@@ -26,11 +26,11 @@ def main():
         v = poly.eval(1.0)
         print(f"component {j}  x^{list(exp)}  {poly!r}")
         print(f"    value at t=1: {v.real:+.9g}{v.imag:+.9g}i")
-    try:
-        nf = extract_normal_form(h)
+    nf = normal_form_or_reason(h)
+    if isinstance(nf, NormalFormError):
+        print(f"normal form: n/a ({nf})")
+    else:
         print(f"normal form: (a, b) = ({nf.a}, {nf.b}), f(0) = {nf.f0:.9g}")
-    except NormalFormError as e:
-        print(f"normal form: n/a ({e})")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ orbit and pseudogroup records (every field and every kept point) of fixed
 map, seed and budget choices, the jet-layer results (the inverse of
 example3's order-8 holonomy jet, x*y composed with thmB's, the Lie
 derivative of x*y*z^2 along thmB and the JSON form of every field preset),
-and the files and standard output of a fixed set of CLI runs, two of them
-reading a preset written to a JSON file.
+and the files, standard output and exit code of a fixed set of CLI runs:
+successful ones (two of them read a preset written to a JSON file), one
+rejected configuration (exit 2) per command and at least one numeric
+failure (exit 3) per command with a numeric path.
 Two checkouts produce byte-identical outputs exactly when their digest
 listings are equal, so a refactor is checked with one diff:
 
@@ -36,7 +38,7 @@ from click.testing import CliRunner
 
 from holodyn import presets
 from holodyn.cli import main as cli_main
-from holodyn.flows import lie_derivative, numeric_flow
+from holodyn.flows import VectorField, lie_derivative, numeric_flow
 from holodyn.holonomy import holonomy_numeric, holonomy_series
 from holodyn.jets import Jet
 from holodyn.orbits import (DomainBall, TruncatedJetMap, iterate_orbit, lattice_seeds,
@@ -63,8 +65,7 @@ def _example3_jet():
 # each is built when its entry runs
 ORBITS = {
     "H-lattice": (presets.map_H, lambda: lattice_seeds(0.3, 5, low=0.05), 0.3, 100_000, False),
-    "F-level-circle": (presets.map_F,
-                       lambda: [(0.55 + 0j, presets.F_LEVEL_CONSTANT / 0.55)], 1.0, 2_000, True),
+    "F-level-circle": (presets.map_F, lambda: presets.level_circle_seeds(1), 1.0, 2_000, True),
     "parabolic": (lambda: presets.load_map("parabolic(2,0.5+1i)"),
                   lambda: lattice_seeds(0.3, 20, n_vars=1), 0.3, 2_000, False),
     "h1": (presets.map_h1, lambda: lattice_seeds(0.3, 4), 0.3, 100_000, False),
@@ -91,6 +92,25 @@ CLI_RUNS = {
     "reproduce-paper": ["reproduce-paper", "--report", "{out}.md"],
     "holonomy-thmB-json": ["holonomy", "--field", "{in}", "--order", "4"],
     "flow-example1-json": ["flow", "--field", "{in}", "--point", "0.04,0.03i"],
+    "verify-integral-thmB": ["verify-integral", "--field", "thmB", "--exponents", "1,1,2"],
+    "verify-integral-thmB-x9": ["verify-integral", "--field", "thmB", "--exponents", "9,0,0"],
+    # exit 2: a rejected configuration
+    "holonomy-exit2": ["holonomy", "--field", "thmB", "--z0", "0"],
+    "flow-exit2-json": ["flow", "--field", "{in}"],
+    "orbit-exit2": ["orbit", "--map", "parabolic(0,1)"],
+    "pseudogroup-exit2": ["pseudogroup", "--preset", "nosuch"],
+    "petal-exit2": ["petal", "--d", "0"],
+    "verify-integral-exit2": ["verify-integral", "--field", "example1(1,1,-1,1)",
+                              "--exponents", "1,1"],
+    "reproduce-paper-exit2": ["reproduce-paper", "--only", "nope", "--report", "{out}.md"],
+    # exit 3: a numeric failure
+    "holonomy-exit3": ["holonomy", "--field", "thmB", "--z0", "1e-5"],
+    "flow-exit3": ["flow", "--field", "linear(1,2)", "--time", "1e308"],
+    "flow-exit3-point": ["flow", "--field", "thmB", "--point", "100,100,100"],
+    "verify-integral-exit3": ["verify-integral", "--field", "linear(1,-1)", "--exponents", "1,1",
+                              "--point", "20,20"],
+    "verify-integral-exit3-point": ["verify-integral", "--field", "example1(1,1,1,1)",
+                                    "--exponents", "1,1", "--point", "1e200,1e200"],
 }
 
 
@@ -103,6 +123,9 @@ def _foliation_json(spec, order):
 CLI_INPUTS = {
     "holonomy-thmB-json": lambda: _foliation_json("thmB", 4),
     "flow-example1-json": lambda: presets.load_field("example1(2,3,1,2)").to_json_dict(),
+    # (x + y, -y): a linear part that is not diagonal, so no formal flow
+    "flow-exit2-json": lambda: VectorField([Jet(2, 4, {(1, 0): 1.0, (0, 1): 1.0}),
+                                            Jet(2, 4, {(0, 1): -1.0})]).to_json_dict(),
 }
 
 

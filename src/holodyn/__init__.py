@@ -8,6 +8,7 @@ from .flows import (
     FlowError,
     DomainEscape,
     StepUnderflow,
+    MaxStepsExceeded,
     formal_flow,
     flow_coefficient_table,
     numeric_flow,

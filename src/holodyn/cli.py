@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 reproduction-check failure, 2 bad configuration
 (unknown preset, malformed JSON, invalid parameters), 3 numeric failure
-(integrator blow-up / escape).
+(integrator blow-up / escape); FAILURES sends each library failure to 2 or 3.
 
 All emitted files embed the resolved configuration: JSON outputs carry a
 "config" field, CSV and SVG outputs a leading comment block.  Grids are
@@ -11,11 +11,11 @@ default_rng, PCG64).
 """
 from __future__ import annotations
 
-import cmath
+import contextlib
 import json
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import click
 import numpy as np
@@ -25,6 +25,7 @@ from .coefficients import CoefficientSystemError
 from .flows import (
     DomainEscape,
     FlowError,
+    MaxStepsExceeded,
     StepUnderflow,
     first_integral_drift,
     flow_cross_check,
@@ -35,9 +36,9 @@ from .holonomy import (
     BasePointUnderflow,
     HolonomyError,
     NormalFormError,
-    extract_normal_form,
     holonomy_cross_check,
     holonomy_series,
+    normal_form_or_reason,
 )
 from .jets import Jet, JetError, DEFAULT_ORDER
 from .orbits import (
@@ -45,10 +46,9 @@ from .orbits import (
     DEFAULT_POINT_BUDGET,
     DEFAULT_WORD_BUDGET,
     DomainBall,
-    GridSummary,
     OrbitError,
+    classify_seed_grid,
     group_closure,
-    iterate_orbit,
     lattice_seeds,
     petal_analysis,
     pseudogroup_orbit,
@@ -67,6 +67,38 @@ class ConfigError(click.ClickException):
 
 class NumericFailure(click.ClickException):
     exit_code = EXIT_NUMERIC
+
+
+# library failure -> the CLI error it becomes; the nearest class in a
+# failure's MRO decides, so DomainEscape exits 3 although FlowError exits 2
+FAILURES = {
+    **dict.fromkeys((PresetError, HolonomyError, CoefficientSystemError, JetError, FlowError,
+                     OrbitError), ConfigError),
+    **dict.fromkeys((DomainEscape, StepUnderflow, MaxStepsExceeded, BasePointUnderflow,
+                     OverflowError), NumericFailure),
+}
+_VERBS = {OverflowError: "overflows", BasePointUnderflow: "underflows"}
+
+
+@contextlib.contextmanager
+def _library_failures(subject: Optional[str] = None):
+    """Re-raise a library failure as its CLI error from FAILURES.  Given a ``subject``
+    ("--z0 '1e200': the monodromy system"), an overflow or underflow reads
+    "<subject> overflows (<e>)" or "<subject> underflows (<e>)"."""
+    try:
+        yield
+    except tuple(FAILURES) as e:
+        kind = next(k for k in type(e).__mro__ if k in FAILURES)
+        verb = _VERBS.get(kind) if subject else None
+        raise FAILURES[kind](f"{subject} {verb} ({e})" if verb else str(e)) from e
+
+
+class _Main(click.Group):
+    """Runs every command inside :func:`_library_failures`."""
+
+    def invoke(self, ctx):
+        with _library_failures():
+            return super().invoke(ctx)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -96,19 +128,6 @@ def _check_finite(option: str, value: Optional[float]) -> None:
         raise ConfigError(f"{option} must be a finite number, got {value}")
 
 
-def _load(loader, *args):
-    """``loader(*args)`` from holodyn.presets; a rejected spec or file exits 2."""
-    try:
-        return loader(*args)
-    except (PresetError, HolonomyError) as e:
-        raise ConfigError(str(e))
-
-
-def _config_header(config: dict) -> List[str]:
-    blob = json.dumps(config, sort_keys=True)
-    return [f"# config: {blob}"]
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
@@ -118,17 +137,13 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, config: dict, header: Sequence[str], rows) -> None:
-    lines = _config_header(config)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
+    lines = [f"# config: {json.dumps(config, sort_keys=True)}", ",".join(header)]
+    lines += [",".join(str(v) for v in row) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, config: dict, payload: dict) -> None:
-    payload = dict(payload)
-    payload["config"] = config
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write_text(path, json.dumps({**payload, "config": config}, sort_keys=True, indent=1) + "\n")
 
 
 def _write_svg(path: str, config: dict, points) -> None:
@@ -159,7 +174,14 @@ def _write_svg(path: str, config: dict, points) -> None:
     _write_text(path, "\n".join(parts) + "\n")
 
 
-@click.group()
+def _echo_jet_map(title: str, jmap) -> None:
+    click.echo(title)
+    for j, comp in enumerate(jmap.components):
+        for exp, c in comp.terms():
+            click.echo(f"  component {j}, x^{list(exp)}: {_fmt_complex(complex(c))}")
+
+
+@click.group(cls=_Main)
 def main():
     """Holonomy maps, formal/numeric flows and orbit experiments."""
 
@@ -178,30 +200,21 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
     if order < 1:
         raise ConfigError("--order must be >= 1")
     z0c = _parse_complex(z0)
-    F = _load(presets.load_foliation, field_spec, order)
+    F = presets.load_foliation(field_spec, order)
     config = {"command": "holonomy", "field": field_spec, "order": order,
               "z0": [z0c.real, z0c.imag]}
-    try:
+    with _library_failures(f"--z0 {z0!r}: the monodromy system"):
         h, table = holonomy_series(F, order, z0=z0c)
-    except (HolonomyError, CoefficientSystemError, JetError) as e:
-        raise ConfigError(str(e))
-    except OverflowError as e:
-        raise NumericFailure(f"--z0 {z0!r}: the monodromy system overflows ({e})")
-    except BasePointUnderflow as e:
-        raise NumericFailure(f"--z0 {z0!r}: the monodromy system underflows ({e})")
 
-    click.echo(f"holonomy of {field_spec} (axis {F.separatrix_axis}, order {order}):")
-    for j, comp in enumerate(h.components):
-        for exp, c in comp.terms():
-            click.echo(f"  component {j}, x^{list(exp)}: {_fmt_complex(complex(c))}")
-    try:
-        nf = extract_normal_form(h)
+    _echo_jet_map(f"holonomy of {field_spec} (axis {F.separatrix_axis}, order {order}):", h)
+    nf = normal_form_or_reason(h)
+    if isinstance(nf, NormalFormError):
+        click.echo(f"normal form: not applicable ({nf})")
+    else:
         click.echo(
             f"normal form: (a, b) = ({nf.a}, {nf.b}), f(0) = {_fmt_complex(nf.f0)}, "
             f"|f(0)| = {abs(nf.f0):.12g}"
         )
-    except NormalFormError as e:
-        click.echo(f"normal form: not applicable ({e})")
 
     if emit_path:
         _write_json(emit_path, config, {
@@ -213,10 +226,7 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
         n_t = len(F.transverse_indices)
         points = [tuple(v * (1 + 0.2 * k) for k in range(n_t))
                   for v in np.linspace(0.01, 0.05, 5)]
-        try:
-            checked = holonomy_cross_check(F, h, points, z0=z0c)
-        except (DomainEscape, StepUnderflow) as e:
-            raise NumericFailure(str(e))
+        checked = holonomy_cross_check(F, h, points, z0=z0c)
         rows = [[";".join(_fmt_complex(c) for c in p),
                  ";".join(_fmt_complex(c) for c in series),
                  ";".join(_fmt_complex(complex(c)) for c in numeric),
@@ -237,25 +247,16 @@ def flow(field_spec, time_str, order, point, emit_path):
     if order < 1:
         raise ConfigError("--order must be >= 1")
     t = _parse_complex(time_str)
-    X = _load(presets.load_field, field_spec, order)
+    X = presets.load_field(field_spec, order)
     p = _parse_point(point, X.n_vars) if point else None
     config = {"command": "flow", "field": field_spec, "time": [t.real, t.imag],
               "order": order, "point": point}
-    try:
+    with _library_failures(f"--time {time_str!r}: the time-t map"):
         fmap = formal_flow(X, t, order)
-    except (FlowError, CoefficientSystemError, JetError) as e:
-        raise ConfigError(str(e))
-    except OverflowError as e:
-        raise NumericFailure(f"--time {time_str!r}: the time-t map overflows ({e})")
-    click.echo(f"time-{time_str} map of {field_spec} (order {order}):")
-    for j, comp in enumerate(fmap.components):
-        for exp, c in comp.terms():
-            click.echo(f"  component {j}, x^{list(exp)}: {_fmt_complex(complex(c))}")
+    _echo_jet_map(f"time-{time_str} map of {field_spec} (order {order}):", fmap)
     if p is not None:
-        try:
+        with _library_failures(f"--point {point!r}: the numeric cross-check"):
             [(_, _, _, err)] = flow_cross_check(X, fmap, [p], t)
-        except (DomainEscape, StepUnderflow) as e:
-            raise NumericFailure(str(e))
         click.echo(f"numeric cross-check at {point}: max abs error {err:.3e}")
     if emit_path:
         _write_json(emit_path, config, {"flow_jet": fmap.to_json_dict()})
@@ -267,12 +268,7 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
     if level_circle:
         if n != 2:
             raise ConfigError("--level-circle needs a planar map")
-        C = presets.F_LEVEL_CONSTANT
-        k = random_seeds or 8
-        return [
-            ((x0 := 0.55 * cmath.exp(2j * math.pi * i / k)), C / x0)
-            for i in range(k)
-        ]
+        return presets.level_circle_seeds(random_seeds or 8)
     if random_seeds:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-radius, radius, size=(random_seeds, n))
@@ -323,21 +319,15 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
         raise ConfigError("--radius and --budget must be positive")
     if random_seeds is not None and random_seeds < 1:
         raise ConfigError(f"--random-seeds must be a positive integer, got {random_seeds}")
-    h = _load(presets.load_map, map_spec)
+    h = presets.load_map(map_spec)
     config = {"command": "orbit", "map": map_spec, "radius": radius, "grid": grid,
               "grid_low": grid_low, "budget": budget, "level_circle": level_circle,
               "random_seeds": random_seeds, "seed": seed}
     V = DomainBall(radius if not level_circle else 1.0)
     seeds = _orbit_seeds(h, radius, grid, grid_low, level_circle, random_seeds, seed)
-    seeds = [s for s in seeds if V.contains(s)]
-    keep = svg_path is not None
-    records = []
-    for s in seeds:
-        try:
-            records.append(iterate_orbit(h, s, V, budget=budget, keep_points=keep))
-        except OrbitError as e:
-            raise ConfigError(str(e))
-    counts = GridSummary(records).counts
+    summary = classify_seed_grid(h, V, [s for s in seeds if V.contains(s)], budget=budget,
+                                 keep_points=svg_path is not None)
+    records, counts = summary.records, summary.counts
     click.echo(
         f"{len(records)} seeds: {counts['Escaped']} escaped, {counts['Periodic']} "
         f"periodic, {counts['BudgetExhausted']} budget-exhausted (infinite-suspected)"
@@ -379,7 +369,7 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def pseudogroup(preset, n_seeds, radius, word_budget, point_budget, json_path):
     """Pseudogroup orbits and the linear group closure of a generator preset."""
-    gens = _load(presets.pseudogroup_preset, preset)
+    gens = presets.pseudogroup_preset(preset)
     _check_finite("--radius", radius)
     if n_seeds <= 0 or radius <= 0:
         raise ConfigError("--seeds and --radius must be positive")
@@ -465,7 +455,7 @@ def verify_integral(field_spec, exponents, point, tol):
     _check_finite("--tol", tol)
     if tol <= 0:
         raise ConfigError(f"--tol must be positive, got {tol}")
-    X = _load(presets.load_field, field_spec, DEFAULT_ORDER)
+    X = presets.load_field(field_spec, DEFAULT_ORDER)
     try:
         exp = tuple(int(v) for v in exponents.split(","))
     except ValueError:
@@ -476,14 +466,11 @@ def verify_integral(field_spec, exponents, point, tol):
         p = tuple(0.05 * (1 + 0.3 * k) for k in range(X.n_vars))
     else:
         p = _parse_point(point, X.n_vars)
-    g = Jet(X.n_vars, X.order, {exp: 1.0 + 0j})
-    lie = lie_derivative(X, g)
-    symbolic_zero = lie.is_zero()
+    g = Jet(X.n_vars, max(X.order, sum(exp)), {exp: 1.0 + 0j})
+    symbolic_zero = lie_derivative(X, g).is_zero()
     click.echo(f"symbolic derivative along the field vanishes: {symbolic_zero}")
-    try:
+    with _library_failures(f"the numeric drift from {p}"):
         drift = first_integral_drift(X, g, p)
-    except (DomainEscape, StepUnderflow) as e:
-        raise NumericFailure(str(e))
     click.echo(f"numeric drift over t in [0, 1] from {p}: {drift:.3e} (tol {tol:g})")
     if not (symbolic_zero and drift < tol):
         sys.exit(EXIT_CHECK_FAILED)
@@ -495,10 +482,10 @@ def verify_integral(field_spec, exponents, point, tol):
               default="reproduction-report.md", show_default=True)
 def reproduce_paper(only, report_path):
     """Run the full reproduction suite and write a markdown report."""
-    try:
-        results = reproduce.run_all(list(only) or None)
-    except KeyError as e:
-        raise ConfigError(str(e.args[0]))
+    for name in only:
+        if name not in reproduce.CHECKS:
+            raise ConfigError(f"unknown check {name!r}; available: {', '.join(reproduce.CHECKS)}")
+    results = [reproduce.CHECKS[name]() for name in only or reproduce.CHECKS]
     for r in results:
         click.echo(r.line)
     _write_text(report_path, reproduce.render_report(results))

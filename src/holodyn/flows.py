@@ -42,6 +42,10 @@ class StepUnderflow(FlowError):
         self.point = point
 
 
+class MaxStepsExceeded(FlowError):
+    """The integrator took ``max_steps`` steps without reaching the end of its interval."""
+
+
 class VectorField(JetMap):
     """The right-hand side of dx/dt = X(x): a :class:`JetMap`, with cached eigenvalue data.
 
@@ -57,9 +61,6 @@ class VectorField(JetMap):
         L = self.linear_part()
         is_diag = all(v == 0 for i, row in enumerate(L) for j, v in enumerate(row) if i != j)
         self.eigenvalues = [row[i] for i, row in enumerate(L)] if is_diag else None
-
-    def extend(self, order: int) -> "VectorField":
-        return VectorField([c.extend(order) for c in self.components])
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,7 +144,7 @@ def integrate_ode(
     atol + rtol*|x|.  Returns the end state as a complex ndarray.  Raises
     :class:`DomainEscape` when the max-norm exceeds ``escape_radius`` and
     :class:`StepUnderflow` when the controller stalls; their ``point`` is
-    an ndarray.
+    an ndarray.  Raises :class:`MaxStepsExceeded` after ``max_steps`` steps.
     """
     t = float(t0)
     t1 = float(t1)
@@ -199,7 +200,7 @@ def integrate_ode(
         h = h * factor
         if abs(h) < h_min:
             raise StepUnderflow(t, np.array(x, dtype=complex))
-    raise FlowError(f"integration did not finish within {max_steps} steps")
+    raise MaxStepsExceeded(f"integration did not finish within {max_steps} steps")
 
 
 def numeric_flow(

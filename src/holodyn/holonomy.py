@@ -13,8 +13,9 @@ holonomy.  It is computed by two independent routes:
   X_axis(0, z)/z is constant and the linear part of the system is diagonal
   with loop frequency 0; neither condition depends on the order;
 * adaptive numeric integration of the leafwise equations themselves over
-  one period (:func:`holonomy_numeric`), with no truncation.  It shares
-  only the integrator with the exact route.
+  one period (:func:`holonomy_numeric`), with no truncation.  The exact
+  route never integrates; the two share only the Foliation, its axis unit
+  u(0, z) (:meth:`Foliation.axis_unit_on_axis`) and the check z0 != 0.
 """
 from __future__ import annotations
 
@@ -159,12 +160,12 @@ def build_monodromy_system(
     work_order = order + zmax + max(rho_steps, default=0)
 
     u_coeffs = {exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: c
-                for exp, c in axis_comp.extend(work_order).coeffs.items()}
+                for exp, c in axis_comp.truncate(work_order).coeffs.items()}
     u_inv = Jet(F.field.n_vars, work_order, u_coeffs).reciprocal()
 
     terms: List[List[Tuple[int, Jet]]] = []
     for j in trans:
-        numer = F.field.components[j].extend(work_order) * u_inv * TWO_PI_I
+        numer = F.field.components[j].truncate(work_order) * u_inv * TWO_PI_I
         by_freq = {}
         for exp, c in numer.coeffs.items():
             t_exp = tuple(exp[k] for k in trans)
@@ -211,8 +212,8 @@ def holonomy_numeric(
 
     Independent oracle for :func:`holonomy_series`.  The leafwise equations
     dx_j/dt = 2 pi i * z * X_j(x, z) / X_axis(x, z) along z = z0*e^(2 pi i t)
-    are integrated as they stand, with no monodromy system and no
-    truncation; the only code shared with the exact route is the
+    are integrated as they stand by :func:`integrate_ode`, with no
+    monodromy system and no truncation; the exact route never calls the
     integrator.  Raises HolonomyError when the loop encloses or meets
     another singular point of the axis, and DomainEscape when the leaf
     leaves the integration domain.
@@ -316,6 +317,14 @@ class NormalForm:
 
 class NormalFormError(HolonomyError):
     pass
+
+
+def normal_form_or_reason(h: JetMap) -> NormalForm | NormalFormError:
+    """:func:`extract_normal_form` of h, or the NormalFormError saying why h has none."""
+    try:
+        return extract_normal_form(h)
+    except NormalFormError as e:
+        return e
 
 
 def extract_normal_form(h: JetMap, tol: float = NORMAL_FORM_TOL) -> NormalForm:

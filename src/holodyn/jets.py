@@ -187,13 +187,11 @@ class Jet:
                                {e: other * c for e, c in self.coeffs.items()})
 
     def truncate(self, order: int) -> "Jet":
+        """The jet at ``order``, lower or higher: only terms above it are dropped."""
         if order < 0:
             raise JetError("order must be >= 0")
         return Jet._from_clean(self.n_vars, order,
                                {e: c for e, c in self.coeffs.items() if sum(e) <= order})
-
-    def extend(self, order: int) -> "Jet":
-        return self.truncate(order)
 
     def reciprocal(self) -> "Jet":
         """Multiplicative inverse up to the truncation order.
@@ -363,6 +361,10 @@ class JetMap:
 
     def compose(self, other: "JetMap") -> "JetMap":
         return JetMap([c.compose(other) for c in self.components])
+
+    def truncate(self, order: int) -> "JetMap":
+        """Every component at ``order``; a subclass (a VectorField) keeps its class."""
+        return type(self)([c.truncate(order) for c in self.components])
 
     def inverse(self) -> "JetMap":
         """Compositional inverse through the truncation order.

@@ -479,9 +479,10 @@ def classify_seed_grid(
     V: DomainBall,
     seeds: Iterable[Point],
     budget: int = DEFAULT_BUDGET,
+    keep_points: bool = False,
 ) -> GridSummary:
     """Classify every seed; BudgetExhausted means "infinite-suspected"."""
-    records = [iterate_orbit(h, s, V, budget=budget) for s in seeds]
+    records = [iterate_orbit(h, s, V, budget=budget, keep_points=keep_points) for s in seeds]
     return GridSummary(records)
 
 

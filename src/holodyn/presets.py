@@ -11,7 +11,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .flows import VectorField
 from .holonomy import Foliation, realize_as_holonomy
@@ -180,8 +180,8 @@ def _read_json(path: str, kind: str, decode):
 
 
 def _at_least(X: VectorField, order: int) -> VectorField:
-    """The order rule of a JSON field: extended to ``order``, never truncated."""
-    return X.extend(max(X.order, order))
+    """The order rule of a JSON field: raised to ``order``, never lowered."""
+    return X.truncate(max(X.order, order))
 
 
 def _build(kind: str, builders: dict, spec: str, *extra):
@@ -277,3 +277,9 @@ def pseudogroup_preset(name: str) -> List[EvaluableMap]:
 # gamma = (sqrt(5)-1)/2, i.e. 1 + 2 pi i C = e^(2 pi i gamma).
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 F_LEVEL_CONSTANT = (cmath.exp(TWO_PI_I * GOLDEN_ROTATION) - 1.0) / TWO_PI_I
+
+
+def level_circle_seeds(k: int) -> List[Tuple[complex, complex]]:
+    """``k`` seeds on the level set x*y = F_LEVEL_CONSTANT at x = 0.55 e^(2 pi i j/k)."""
+    return [((x0 := 0.55 * cmath.exp(2j * math.pi * j / k)), F_LEVEL_CONSTANT / x0)
+            for j in range(k)]

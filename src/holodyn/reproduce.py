@@ -1,8 +1,8 @@
 """One-shot reproduction suite: every headline computation as a named check.
 
-Each check returns a :class:`CheckResult`; :func:`run_all` executes them in
-order and :func:`render_report` renders a markdown pass/fail report.  The
-same checks back the acceptance test suite.
+Each check returns a :class:`CheckResult`; ``CHECKS`` names them in order
+and :func:`render_report` renders a markdown pass/fail report.  The same
+checks back the acceptance test suite.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -197,12 +197,11 @@ def check_linear_model() -> CheckResult:
 # -- 7: finite-orbit experiment ------------------------------------------------
 
 
-def check_finite_orbits(budget: int = 100_000) -> CheckResult:
+def check_finite_orbits() -> CheckResult:
     h = presets.map_H()
     V = DomainBall(0.3)
     seeds = lattice_seeds(0.3, 20, n_vars=2, low=0.05)
-    summary = classify_seed_grid(h, V, seeds, budget=budget)
-    counts = summary.counts
+    counts = classify_seed_grid(h, V, seeds).counts
     passed = counts["BudgetExhausted"] == 0 and len(seeds) == 400
     return _ok(
         "finite-orbits",
@@ -216,13 +215,11 @@ def check_finite_orbits(budget: int = 100_000) -> CheckResult:
 # -- 8: infinite-orbit contrast -------------------------------------------------
 
 
-def check_infinite_contrast(budget: int = 20_000) -> CheckResult:
+def check_infinite_contrast() -> CheckResult:
     h = presets.map_F()
-    C = presets.F_LEVEL_CONSTANT
-    x0 = 0.55 + 0j
-    seed = (x0, C / x0)
+    [seed] = presets.level_circle_seeds(1)
     V = DomainBall(1.0)
-    rec = iterate_orbit(h, seed, V, budget=budget, keep_points=True)
+    rec = iterate_orbit(h, seed, V, budget=20_000, keep_points=True)
     bounded = all(
         V.contains(p) for p in rec.forward_points + rec.backward_points
     )
@@ -377,16 +374,6 @@ CHECKS: Dict[str, Callable[[], CheckResult]] = {
     "conservation": check_conservation,
     "property-sweep": check_property_sweep,
 }
-
-
-def run_all(only: Optional[List[str]] = None) -> List[CheckResult]:
-    names = list(CHECKS) if not only else list(only)
-    results = []
-    for name in names:
-        if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}; available: {', '.join(CHECKS)}")
-        results.append(CHECKS[name]())
-    return results
 
 
 def render_report(results: List[CheckResult]) -> str:

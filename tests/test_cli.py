@@ -1,10 +1,13 @@
 """CLI contracts: formats, exit codes, determinism, provenance headers."""
+import functools
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import holodyn.flows as flows
+import holodyn.holonomy as holonomy
 from holodyn import presets
 from holodyn.cli import main
 from holodyn.flows import VectorField, flow_cross_check, formal_flow
@@ -177,6 +180,18 @@ def test_verify_integral_reads_a_json_field_at_its_own_order(tmp_path):
     res = run("verify-integral", "--field", str(path), "--exponents", "1,0")
     assert res.exit_code == 1
     assert "symbolic derivative along the field vanishes: False" in res.output
+
+
+def test_verify_integral_builds_a_candidate_above_the_field_order():
+    # x^9 has degree 9 > 8, the order of the loaded field: the answer is
+    # computed, not a JetError
+    res = run("verify-integral", "--field", "thmB", "--exponents", "9,0,0")
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.splitlines() == [
+        "symbolic derivative along the field vanishes: False",
+        "numeric drift over t in [0, 1] from (0.05, 0.065, 0.08000000000000002): "
+        "1.582e-08 (tol 1e-08)"]
 
 
 def test_reproduce_paper_subset(tmp_path):
@@ -355,6 +370,11 @@ def test_complex_spellings_keep_their_values_and_infinities_are_not_finite():
      "--z0 '1e-5': the monodromy system underflows (|z0|^3 = 1e-15 at loop frequency m = 3"),
     (["holonomy", "--field", "thmB", "--z0", "1e-200"],
      "--z0 '1e-200': the monodromy system underflows (|z0|^3 = 0 at loop frequency m = 3"),
+    (["flow", "--field", "thmB", "--point", "100,100,100"],
+     "--point '100,100,100': the numeric cross-check overflows (complex exponentiation)"),
+    (["verify-integral", "--field", "example1(1,1,1,1)", "--exponents", "1,1",
+      "--point", "1e200,1e200"],
+     "the numeric drift from ((1e+200+0j), (1e+200+0j)) overflows (complex exponentiation)"),
 ])
 def test_numeric_failure_exits_3_with_reason(args, reason):
     res = run(*args)
@@ -363,6 +383,22 @@ def test_numeric_failure_exits_3_with_reason(args, reason):
     # a one-line reason, not a traceback
     assert res.output.splitlines()[-1].startswith("Error: ")
     assert reason in res.output.splitlines()[-1]
+
+
+@pytest.mark.parametrize("args", [
+    ["flow", "--field", "linear(1,2)", "--point", "0.1,0.1"],
+    ["holonomy", "--field", "thmB", "--oracle", "{tmp}/o.csv"],
+    ["verify-integral", "--field", "thmB", "--exponents", "1,1,2"],
+])
+def test_step_limit_exits_3_with_reason(monkeypatch, tmp_path, args):
+    # an integrator capped at 2 steps stands for one that runs out of max_steps
+    capped = functools.partial(flows.integrate_ode, max_steps=2)
+    for module in (flows, holonomy):
+        monkeypatch.setattr(module, "integrate_ode", capped)
+    res = run(*(a.replace("{tmp}", str(tmp_path)) for a in args))
+    assert res.exit_code == 3
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1] == "Error: integration did not finish within 2 steps"
 
 
 # the foliation and field presets of scripts/output_digest.py

@@ -92,7 +92,7 @@ def flow_system(X: VectorField, order: int):
     forcing = []
     for j, comp in enumerate(X.components):
         exp_j = tuple(1 if k == j else 0 for k in range(X.n_vars))
-        forcing.append([(0, comp.extend(order) - Jet.monomial(exp_j, X.eigenvalues[j], order))])
+        forcing.append([(0, comp.truncate(order) - Jet.monomial(exp_j, X.eigenvalues[j], order))])
     return [[(0, comp)] for comp in X.components], (X.eigenvalues, forcing, order)
 
 

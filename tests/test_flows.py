@@ -17,6 +17,7 @@ from holodyn.flows import (
     DEFAULT_RTOL,
     DomainEscape,
     FlowError,
+    MaxStepsExceeded,
     StepUnderflow,
     VectorField,
     first_integral_drift,
@@ -183,6 +184,14 @@ def test_domain_escape_raised():
         numeric_flow(X, (1.0,), 2.0, escape_radius=10.0)
 
 
+def test_step_limit_is_its_own_flow_error():
+    X = linear_field([1.0])
+    with pytest.raises(MaxStepsExceeded, match="did not finish within 3 steps"):
+        integrate_ode(lambda t, x: X.eval(x), 0.0, 1.0, [0.1 + 0j], max_steps=3)
+    assert issubclass(MaxStepsExceeded, FlowError)
+    assert not issubclass(MaxStepsExceeded, (DomainEscape, StepUnderflow))
+
+
 def test_integrate_ode_zero_span():
     out = integrate_ode(lambda t, x: x, 0.0, 0.0, np.array([1.0 + 0j]))
     assert out[0] == 1.0 + 0j
@@ -260,6 +269,16 @@ def test_vector_field_is_a_jet_map():
         VectorField([Jet(2, 3, {(1, 0): 1.0})])
     with pytest.raises(JetError, match="components must share n_vars and order"):
         VectorField([Jet(2, 3, {(1, 0): 1.0}), Jet(2, 4, {(0, 1): 1.0})])
+
+
+def test_truncate_keeps_the_vector_field():
+    X = presets.load_field("thmB", 7)
+    up, down = X.truncate(9), X.truncate(4)
+    assert type(up) is VectorField and type(down) is VectorField
+    assert (up.order, down.order) == (9, 4)
+    assert [c.coeffs for c in up.components] == [c.coeffs for c in X.components]
+    assert all(sum(e) <= 4 for c in down.components for e in c.coeffs)
+    assert up.eigenvalues == down.eigenvalues == X.eigenvalues
 
 
 def test_flow_cross_check_rows_are_series_against_numeric_flow():

@@ -276,7 +276,7 @@ def reference_monodromy_terms(F: Foliation, order: int, z0: complex = 1.0 + 0j):
     axis = F.separatrix_axis
     zmax = max(c.max_degree_in(axis) for c in F.field.components)
     work_order = order + max(zmax, 1)
-    axis_comp = F.field.components[axis].extend(work_order)
+    axis_comp = F.field.components[axis].truncate(work_order)
     u_coeffs = {}
     for exp, c in axis_comp.coeffs.items():
         e = list(exp)
@@ -288,10 +288,10 @@ def reference_monodromy_terms(F: Foliation, order: int, z0: complex = 1.0 + 0j):
     unit_constant = all(sum(e) == 0 for e in u.coeffs)
     terms = []
     for j in trans:
-        numer = F.field.components[j].extend(work_order) * u_inv * TWO_PI_I
+        numer = F.field.components[j].truncate(work_order) * u_inv * TWO_PI_I
         if not unit_constant:
-            check = (F.field.components[j].extend(work_order + 1)
-                     * u.extend(work_order + 1).reciprocal() * TWO_PI_I)
+            check = (F.field.components[j].truncate(work_order + 1)
+                     * u.truncate(work_order + 1).reciprocal() * TWO_PI_I)
             for exp, c in check.coeffs.items():
                 if sum(exp[k] for k in trans) > order:
                     continue
@@ -361,11 +361,11 @@ def single_division_terms(F: Foliation, order: int, work_order: int) -> dict:
     axis = F.separatrix_axis
     trans = F.transverse_indices
     u_coeffs = {exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: c
-                for exp, c in F.field.components[axis].extend(work_order).coeffs.items()}
+                for exp, c in F.field.components[axis].truncate(work_order).coeffs.items()}
     u_inv = Jet(F.field.n_vars, work_order, u_coeffs).reciprocal()
     out = {}
     for row, j in enumerate(trans):
-        numer = F.field.components[j].extend(work_order) * u_inv * TWO_PI_I
+        numer = F.field.components[j].truncate(work_order) * u_inv * TWO_PI_I
         for exp, c in numer.coeffs.items():
             t_exp = tuple(exp[k] for k in trans)
             if sum(t_exp) <= order:

@@ -307,7 +307,7 @@ def jet_operations(rng, ring):
         "mul tiny scalar": lambda: a * 1e-14,
         "mul by ExpPoly": lambda: plain * ExpPoly.exponential(Frequency.rational(1)),
         "truncate": lambda: a.truncate(order // 2),
-        "extend": lambda: a.extend(order + 2),
+        "truncate up": lambda: a.truncate(order + 2),
         "diff": lambda: a.diff(n - 1),
         "compose": lambda: plain.compose(inner),
     }

@@ -601,3 +601,14 @@ def test_lattice_seeds_deterministic():
     a = lattice_seeds(0.3, 4, n_vars=2, low=0.05)
     b = lattice_seeds(0.3, 4, n_vars=2, low=0.05)
     assert a == b and len(a) == 16
+
+
+def test_level_circle_seeds_lie_on_the_level_set():
+    C = presets.F_LEVEL_CONSTANT
+    # the first seed is the infinite-contrast check's (0.55, C/0.55)
+    assert presets.level_circle_seeds(1) == [(0.55 + 0j, C / (0.55 + 0j))]
+    seeds = presets.level_circle_seeds(8)
+    assert len(seeds) == 8 and seeds[0] == presets.level_circle_seeds(1)[0]
+    for k, (x, y) in enumerate(seeds):
+        assert abs(x - 0.55 * cmath.exp(2j * math.pi * k / 8)) < 1e-15
+        assert abs(x * y - C) < 1e-15
