@@ -59,6 +59,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
 SVG_WIDTH = 480
+MAX_SEEDS = 1_000_000
 
 
 class ConfigError(click.ClickException):
@@ -126,6 +127,12 @@ def _parse_point(s: str, n_vars: int) -> Tuple[complex, ...]:
 def _check_finite(option: str, value: Optional[float]) -> None:
     if value is not None and not math.isfinite(value):
         raise ConfigError(f"{option} must be a finite number, got {value}")
+
+
+def _check_seed_count(option: str, count: int) -> None:
+    """Refuse a request for more than MAX_SEEDS seeds before any seed is built."""
+    if count > MAX_SEEDS:
+        raise ConfigError(f"{option} asks for {count} seeds, more than MAX_SEEDS = {MAX_SEEDS}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -279,6 +286,7 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
         raise ConfigError(f"cannot parse --grid {grid!r}; expected e.g. 20x20")
     if min(counts) < 1:
         raise ConfigError(f"--grid {grid!r}: every count must be a positive integer")
+    _check_seed_count(f"--grid {grid!r}", math.prod(counts))
     if n == 1:
         counts = [math.prod(counts)]
     elif len(counts) != n:
@@ -319,6 +327,8 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
         raise ConfigError("--radius and --budget must be positive")
     if random_seeds is not None and random_seeds < 1:
         raise ConfigError(f"--random-seeds must be a positive integer, got {random_seeds}")
+    if random_seeds is not None:
+        _check_seed_count("--random-seeds", random_seeds)
     h = presets.load_map(map_spec)
     config = {"command": "orbit", "map": map_spec, "radius": radius, "grid": grid,
               "grid_low": grid_low, "budget": budget, "level_circle": level_circle,
@@ -373,6 +383,7 @@ def pseudogroup(preset, n_seeds, radius, word_budget, point_budget, json_path):
     _check_finite("--radius", radius)
     if n_seeds <= 0 or radius <= 0:
         raise ConfigError("--seeds and --radius must be positive")
+    _check_seed_count("--seeds", n_seeds)
     for option, value in (("--word-budget", word_budget), ("--point-budget", point_budget)):
         if value < 1:
             raise ConfigError(f"{option} must be a positive integer, got {value}")

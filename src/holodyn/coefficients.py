@@ -50,14 +50,10 @@ class CoefficientTable:
         return self.entries.get((component, tuple(exp)), ExpPoly.zero())
 
     def at_time(self, t: complex) -> JetMap:
-        comps = []
-        for j in range(self.n_vars):
-            coeffs = {}
-            for (i, exp), poly in self.entries.items():
-                if i == j:
-                    coeffs[exp] = poly.eval(t)
-            comps.append(Jet(self.n_vars, self.order, coeffs))
-        return JetMap(comps)
+        coeffs = [{} for _ in range(self.n_vars)]
+        for (j, exp), poly in self.entries.items():
+            coeffs[j][exp] = poly.eval(t)
+        return JetMap([Jet(self.n_vars, self.order, c) for c in coeffs])
 
     def ode_residual_max(self) -> float:
         """Max coefficient of a' - alpha*a - g over all entries; 0 means the
@@ -151,7 +147,7 @@ def _split_row(j: int, terms: Sequence[SystemTerm], n: int, order: int):
     for m, jet in terms:
         if jet.n_vars != n:
             raise CoefficientSystemError("system jet arity mismatch")
-        key = (0, Frequency.rational(m))
+        key = (0, Frequency(m))
         for exp, c in jet.coeffs.items():
             deg = sum(exp)
             if deg >= 2:

@@ -3,22 +3,25 @@
 This ring is closed under differentiation, multiplication and under
 solving first-order linear ODEs a' = alpha*a + g by variation of
 parameters, which is exactly what the holonomy coefficient functions and
-formal flow coefficients require.
+formal flow coefficients require.  The solve multiplies by e^(-/+alpha t)
+as a one-term product on the term dicts (mu -> mu -/+ alpha), with no
+exponential polynomial built and no ``ExpPoly.__mul__`` call.
 
-Frequencies mu that are rational multiples q of 2*pi*i are kept exact
-(q stored as a Fraction), so resonance (mu - alpha == 0) is detected
-exactly; other frequencies fall back to complex doubles with a 1e-12
-resonance tolerance.
+``Frequency(q)`` is the exact frequency 2*pi*i*q (q a Fraction), so
+resonance (mu - alpha == 0) is detected exactly; ``Frequency.coerce(x)``
+takes any outside number and keeps one that is no such multiple as a
+complex double, with a 1e-12 resonance tolerance.  One construction rule:
+only ``ExpPoly(...)`` checks outside input, and it prunes once; arithmetic
+results are built by ``ExpPoly._from_clean``.
 """
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .jets import PRUNE_TOL
+from .jets import PRUNE_TOL, _integer
 
 TWO_PI_I = 2j * math.pi
 RESONANCE_TOL = 1e-12
@@ -69,10 +72,6 @@ class Frequency:
         return (Frequency, (self.q, self.value))
 
     @classmethod
-    def rational(cls, q) -> "Frequency":
-        return cls(q)
-
-    @classmethod
     def from_complex(cls, z: complex) -> "Frequency":
         z = complex(z)
         ratio = z / TWO_PI_I
@@ -90,10 +89,6 @@ class Frequency:
             return cls(x)
         return cls.from_complex(x)
 
-    @classmethod
-    def zero(cls) -> "Frequency":
-        return cls(0)
-
     def is_zero(self) -> bool:
         return self._zero
 
@@ -107,16 +102,10 @@ class Frequency:
             self._sums[other] = total
         return total
 
-    def __sub__(self, other: "Frequency") -> "Frequency":
-        return self + (-other)
-
     def __neg__(self) -> "Frequency":
         if self.q is not None:
             return Frequency(-self.q)
         return Frequency(None, -self.value)
-
-    def exp_at(self, t: complex) -> complex:
-        return cmath.exp(self.value * t)
 
     def __repr__(self):
         if self.q is not None:
@@ -134,21 +123,17 @@ class ExpPoly:
 
     def __init__(self, terms: Dict[Key, complex] | None = None):
         clean: Dict[Key, complex] = {}
-        if terms:
-            for (k, freq), c in terms.items():
-                if k < 0:
-                    raise ValueError("t-power must be non-negative")
-                c = complex(c)
-                if abs(c) < PRUNE_TOL:
-                    continue
-                key = (int(k), Frequency.coerce(freq))
-                clean[key] = clean.get(key, 0.0 + 0j) + c
+        for (k, freq), c in (terms or {}).items():
+            k = _integer(k, "t-power")
+            if k < 0:
+                raise ValueError("t-power must be non-negative")
+            key = (k, Frequency.coerce(freq))
+            clean[key] = clean.get(key, 0.0 + 0j) + complex(c)
         self.terms = {key: c for key, c in clean.items() if abs(c) >= PRUNE_TOL}
 
     @classmethod
     def _from_clean(cls, terms: Dict[Key, complex]) -> "ExpPoly":
-        """Wrap terms whose keys are already (int, Frequency) and whose values
-        are complex, dropping the negligible ones."""
+        """Wrap (int, Frequency) keys and complex values, pruning negligible terms."""
         out = cls.__new__(cls)
         out.terms = {key: c for key, c in terms.items() if abs(c) >= PRUNE_TOL}
         return out
@@ -161,19 +146,11 @@ class ExpPoly:
 
     @classmethod
     def constant(cls, c) -> "ExpPoly":
-        return cls({(0, Frequency.zero()): complex(c)})
-
-    @classmethod
-    def one(cls) -> "ExpPoly":
-        return cls.constant(1.0)
+        return cls({(0, 0): c})
 
     @classmethod
     def term(cls, c, k: int = 0, freq=0) -> "ExpPoly":
-        return cls({(k, Frequency.coerce(freq)): complex(c)})
-
-    @classmethod
-    def t_power(cls, k: int) -> "ExpPoly":
-        return cls.term(1.0, k=k)
+        return cls({(k, freq): c})
 
     @classmethod
     def exponential(cls, freq) -> "ExpPoly":
@@ -198,12 +175,6 @@ class ExpPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __neg__(self):
         return ExpPoly._from_clean({key: -c for key, c in self.terms.items()})
@@ -236,7 +207,7 @@ class ExpPoly:
     def antiderivative(self) -> "ExpPoly":
         """The antiderivative F with F(0) = 0, term by term in closed form."""
         out: Dict[Key, complex] = {}
-        zero = Frequency.zero()
+        zero = Frequency(0)
         for (k, f), c in self.terms.items():
             if f.is_zero():
                 key = (k + 1, zero)
@@ -259,7 +230,7 @@ class ExpPoly:
         t = complex(t)
         total = 0.0 + 0j
         for (k, f), c in self.terms.items():
-            total += c * (t ** k if k else 1.0) * f.exp_at(t)
+            total += c * (t ** k if k else 1.0) * cmath.exp(f.value * t)
         return total
 
     # -- queries / io ------------------------------------------------------
@@ -295,23 +266,16 @@ class ExpPoly:
             )
         return {"terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "ExpPoly":
         terms: Dict[Key, complex] = {}
         for t in d["terms"]:
             if t.get("q_re") is not None:
-                freq = Frequency.rational(Fraction(t["q_re"]))
+                freq = Frequency(Fraction(t["q_re"]))
             else:
                 freq = Frequency(None, complex(t["mu_re"], t["mu_im"]))
-            terms[(int(t["k"]), freq)] = complex(t["c_re"], t["c_im"])
+            terms[(t["k"], freq)] = complex(t["c_re"], t["c_im"])
         return cls(terms)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ExpPoly":
-        return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
         parts = []
@@ -351,6 +315,9 @@ def solve_linear_ode(alpha, g: ExpPoly, a0) -> ExpPoly:
     coefficients.
     """
     alpha = Frequency.coerce(alpha)
-    shifted = g * ExpPoly.exponential(-alpha)
-    integral = shifted.antiderivative()
-    return (ExpPoly.constant(a0) + integral) * ExpPoly.exponential(alpha)
+    shifted: Dict[Key, complex] = {}
+    mul_terms_into(shifted, g.terms, {(0, -alpha): 1.0 + 0j})
+    lifted = ExpPoly.constant(a0) + ExpPoly._from_clean(shifted).antiderivative()
+    out: Dict[Key, complex] = {}
+    mul_terms_into(out, lifted.terms, {(0, alpha): 1.0 + 0j})
+    return ExpPoly._from_clean(out)

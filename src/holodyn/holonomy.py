@@ -30,7 +30,7 @@ from .coefficients import CoefficientTable, solve_coefficient_system
 from .exppoly import ExpPoly, TWO_PI_I
 from .flows import (VectorField, integrate_ode, observed_drift, series_vs_numeric,
                     DEFAULT_RTOL, DEFAULT_ATOL)
-from .jets import Jet, JetMap, JetError, PRUNE_TOL, _integer
+from .jets import Jet, JetMap, PRUNE_TOL, _integer
 
 LINEAR_TOL = 1e-12
 NORMAL_FORM_TOL = 1e-10

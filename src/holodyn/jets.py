@@ -15,7 +15,6 @@ deterministic.
 """
 from __future__ import annotations
 
-import cmath
 import json
 from typing import Iterable, Iterator, Sequence
 

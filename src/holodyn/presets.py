@@ -13,6 +13,7 @@ import re
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from .exppoly import TWO_PI_I
 from .flows import VectorField
 from .holonomy import Foliation, realize_as_holonomy
 from .jets import Jet, JetMap, DEFAULT_ORDER
@@ -25,8 +26,6 @@ from .orbits import (
     TimeOneMap,
     TruncatedJetMap,
 )
-
-TWO_PI_I = 2j * math.pi
 
 
 class PresetError(ValueError):

@@ -25,7 +25,7 @@ from .holonomy import (
     holonomy_series,
     realize_as_holonomy,
 )
-from .jets import Jet, JetMap
+from .jets import Jet
 from .orbits import (
     DomainBall,
     classify_seed_grid,
@@ -136,7 +136,7 @@ def check_product_preservation() -> CheckResult:
     # covariant law along the numeric monodromy: xy(t) = x0 y0 e^(-4 pi i t)
     F3 = presets.load_foliation("example3")
     xy = Jet(2, 12, {(1, 1): 1.0 + 0j})
-    expected = ExpPoly.exponential(Frequency.rational(-2))
+    expected = ExpPoly.exponential(Frequency(-2))
     drift = monodromy_invariant_drift(F3, xy, (0.04, 0.05), expected=expected)
     passed = worst_exact < 1e-13 and drift < 1e-8
     return _ok(

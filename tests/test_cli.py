@@ -287,6 +287,12 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "unknown pseudogroup preset 'nosuch'; available: h1h2, schur24"),
     (["holonomy", "--field", "{fractional_axis}"],
      "invalid foliation JSON in {fractional_axis}: separatrix_axis must be an integer, got 2.5"),
+    (["pseudogroup", "--seeds", "1000000000000"],
+     "--seeds asks for 1000000000000 seeds, more than MAX_SEEDS = 1000000"),
+    (["orbit", "--map", "H", "--grid", "1000000x1000000"],
+     "--grid '1000000x1000000' asks for 1000000000000 seeds, more than MAX_SEEDS = 1000000"),
+    (["orbit", "--map", "H", "--random-seeds", "1000000000000"],
+     "--random-seeds asks for 1000000000000 seeds, more than MAX_SEEDS = 1000000"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"

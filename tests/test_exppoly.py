@@ -1,5 +1,6 @@
 """Exponential-polynomial ring: exact ODE solutions, resonance, oracles."""
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I, solve_linear_ode
 
 
 def test_frequency_rational_exactness():
-    f = Frequency.rational(3)
-    g = Frequency.rational(-3)
+    f = Frequency(3)
+    g = Frequency(-3)
     assert (f + g).is_zero()
     assert f.q == Fraction(3)
     assert abs(f.value - 3 * TWO_PI_I) < 1e-15
@@ -25,14 +26,14 @@ def test_frequency_from_complex_rationalizes():
 
 
 def test_exponential_product_cancels():
-    a = ExpPoly.exponential(Frequency.rational(1))
-    b = ExpPoly.exponential(Frequency.rational(-1))
-    assert (a * b - ExpPoly.one()).is_negligible()
+    a = ExpPoly.exponential(Frequency(1))
+    b = ExpPoly.exponential(Frequency(-1))
+    assert (a * b - ExpPoly.constant(1.0)).is_negligible()
 
 
 def test_t_power_product():
-    te = ExpPoly.t_power(1) * ExpPoly.exponential(Frequency.rational(2))
-    sq = te * ExpPoly.t_power(1)
+    te = ExpPoly.term(1.0, 1) * ExpPoly.exponential(Frequency(2))
+    sq = te * ExpPoly.term(1.0, 1)
     # t * e^{mu t} * t = t^2 e^{mu t}
     assert abs(sq.eval(0.7) - 0.49 * cmath.exp(2 * TWO_PI_I * 0.7)) < 1e-12
 
@@ -49,7 +50,7 @@ def test_product_pointwise_oracle(terms_a, terms_b):
     def build(terms):
         out = ExpPoly.zero()
         for k, m, c in terms:
-            out = out + ExpPoly.term(c, k, Frequency.rational(m))
+            out = out + ExpPoly.term(c, k, Frequency(m))
         return out
 
     a, b = build(terms_a), build(terms_b)
@@ -58,15 +59,15 @@ def test_product_pointwise_oracle(terms_a, terms_b):
 
 
 def test_solve_homogeneous():
-    sol = solve_linear_ode(Frequency.rational(-1), ExpPoly.zero(), 1.0)
+    sol = solve_linear_ode(Frequency(-1), ExpPoly.zero(), 1.0)
     assert abs(sol.eval(1.0) - 1.0) < 1e-12  # e^{-2 pi i} = 1
     assert abs(sol.eval(0.25) - cmath.exp(-TWO_PI_I * 0.25)) < 1e-12
 
 
 def test_solve_resonant_paper_value():
     # a' = -2 pi i (a + e^{-2 pi i t}), a(0) = 0  ->  -2 pi i t e^{-2 pi i t}
-    g = ExpPoly.term(-TWO_PI_I, 0, Frequency.rational(-1))
-    sol = solve_linear_ode(Frequency.rational(-1), g, 0.0)
+    g = ExpPoly.term(-TWO_PI_I, 0, Frequency(-1))
+    sol = solve_linear_ode(Frequency(-1), g, 0.0)
     assert abs(sol.eval(1.0) - (-TWO_PI_I)) < 1e-12
     # structure: single term t^1 e^{-2 pi i t}
     [(key, c)] = list(sol.terms.items())
@@ -76,7 +77,7 @@ def test_solve_resonant_paper_value():
 
 def test_solve_resonant_polynomial():
     # a' = t, a(0) = 0 -> t^2/2; resonance at frequency 0, no division by zero
-    sol = solve_linear_ode(Frequency.zero(), ExpPoly.t_power(1), 0.0)
+    sol = solve_linear_ode(Frequency(0), ExpPoly.term(1.0, 1), 0.0)
     assert abs(sol.eval(2.0) - 2.0) < 1e-12
     assert abs(sol.eval(3.0) - 4.5) < 1e-12
 
@@ -85,8 +86,8 @@ def test_solve_resonant_polynomial():
        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
 def test_ode_residual_identically_zero(alpha_m, g_m, g_k, g_c, a0):
-    alpha = Frequency.rational(alpha_m)
-    g = ExpPoly.term(g_c, g_k, Frequency.rational(g_m))
+    alpha = Frequency(alpha_m)
+    g = ExpPoly.term(g_c, g_k, Frequency(g_m))
     sol = solve_linear_ode(alpha, g, a0)
     resid = sol.derivative() - sol * alpha.value - g
     assert resid.max_abs_coeff() < 1e-9 * max(1.0, abs(g_c), abs(a0))
@@ -95,9 +96,9 @@ def test_ode_residual_identically_zero(alpha_m, g_m, g_k, g_c, a0):
 
 def test_numeric_ode_oracle():
     """Cross-check a closed-form solution against RK4 on its defining ODE."""
-    alpha = Frequency.rational(2)
-    g = (ExpPoly.term(1.5 - 0.5j, 1, Frequency.rational(-1))
-         + ExpPoly.term(1.0j, 0, Frequency.rational(2)))  # resonant part
+    alpha = Frequency(2)
+    g = (ExpPoly.term(1.5 - 0.5j, 1, Frequency(-1))
+         + ExpPoly.term(1.0j, 0, Frequency(2)))  # resonant part
     a0 = 0.3 + 0.1j
     sol = solve_linear_ode(alpha, g, a0)
 
@@ -118,7 +119,7 @@ def test_numeric_ode_oracle():
 
 
 def test_antiderivative_vanishes_at_zero():
-    p = ExpPoly.term(1.0, 2, Frequency.rational(1)) + ExpPoly.t_power(3)
+    p = ExpPoly.term(1.0, 2, Frequency(1)) + ExpPoly.term(1.0, 3)
     F = p.antiderivative()
     assert abs(F.eval(0.0)) < 1e-14
     # derivative returns the original
@@ -126,7 +127,7 @@ def test_antiderivative_vanishes_at_zero():
 
 
 def test_json_round_trip():
-    p = (ExpPoly.term(1.0 - 2.0j, 1, Frequency.rational(Fraction(1, 2)))
+    p = (ExpPoly.term(1.0 - 2.0j, 1, Frequency(Fraction(1, 2)))
          + ExpPoly.term(0.25, 0, Frequency.from_complex(0.3 + 0.7j)))
     d = p.to_json_dict()
     back = ExpPoly.from_json_dict(d)
@@ -138,12 +139,70 @@ def test_frequencies_are_interned():
     import copy
     import pickle
 
-    half = Frequency.rational(Fraction(1, 2))
-    assert Frequency.rational(Fraction(2, 4)) is half
+    half = Frequency(Fraction(1, 2))
+    assert Frequency(Fraction(2, 4)) is half
     assert Frequency.from_complex(0.5 * TWO_PI_I) is half
-    assert Frequency.rational(1) + Frequency.rational(-1) is Frequency.zero()
+    assert Frequency(1) + Frequency(-1) is Frequency(0)
     mu = Frequency.from_complex(0.3 + 0.7j)
     assert Frequency(None, 0.3 + 0.7j) is mu and mu != half
     p = ExpPoly.term(2.0, 1, half) + ExpPoly.term(1.0, 0, mu)
     for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         assert back.terms == p.terms
+
+
+def test_t_power_must_be_a_non_negative_integer():
+    with pytest.raises(ValueError, match=r"t-power must be an integer, got 1\.5"):
+        ExpPoly({(1.5, 0): 1})
+    d = ExpPoly.term(1.0, 1).to_json_dict()
+    d["terms"][0]["k"] = 1.5
+    with pytest.raises(ValueError, match=r"t-power must be an integer, got 1\.5"):
+        ExpPoly.from_json_dict(d)
+    with pytest.raises(ValueError, match="t-power must be non-negative"):
+        ExpPoly({(-1, 0): 1})
+    assert ExpPoly({(2.0, 0): 1}).terms == ExpPoly.term(1.0, 2).terms
+
+
+def reference_solve_linear_ode(alpha, g: ExpPoly, a0) -> ExpPoly:
+    """The ring-product route solve_linear_ode replaced: multiply by the
+    exponential polynomials e^(-alpha t) and e^(alpha t)."""
+    alpha = Frequency.coerce(alpha)
+    shifted = g * ExpPoly.exponential(-alpha)
+    integral = shifted.antiderivative()
+    return (ExpPoly.constant(a0) + integral) * ExpPoly.exponential(alpha)
+
+
+_coeffs = st.one_of(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -1e-3)]))
+_freqs = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Frequency),
+    st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False)
+    .map(Frequency.coerce))
+
+
+@given(_freqs,
+       st.lists(st.tuples(st.integers(0, 3), st.one_of(_freqs, st.just("alpha")), _coeffs),
+                max_size=5),
+       st.one_of(st.just(0.0), st.just(1.0), _coeffs), st.booleans())
+def test_solve_matches_the_ring_product_route_bit_for_bit(alpha, g_terms, a0, negate):
+    g = ExpPoly.zero()
+    for k, freq, c in g_terms:  # "alpha" draws a resonant term
+        g = g + ExpPoly.term(c, k, alpha if freq == "alpha" else freq)
+    if negate:  # negation is how -0.0 parts reach a coefficient
+        g = -g
+    new, old = solve_linear_ode(alpha, g, a0), reference_solve_linear_ode(alpha, g, a0)
+    # json.dumps tells -0.0 from 0.0, which == on floats does not
+    assert json.dumps(new.to_json_dict()) == json.dumps(old.to_json_dict())
+
+
+def test_solve_makes_no_ring_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_linear_ode used a ring product")
+
+    monkeypatch.setattr(ExpPoly, "__mul__", refuse)
+    monkeypatch.setattr(ExpPoly, "exponential", classmethod(refuse))
+    alpha = Frequency(-1)
+    g = (ExpPoly.term(1.0, 2, alpha) + ExpPoly.term(0.5j, 0, Frequency(Fraction(1, 2)))
+         + ExpPoly.term(2.0, 1, 0.3 + 0.7j))
+    for a in (alpha, Frequency.coerce(1.0 - 0.2j)):
+        solve_linear_ode(a, g, 0.3 - 0.1j)

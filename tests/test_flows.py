@@ -237,7 +237,7 @@ def test_first_integral_drift_equals_the_former_observer():
     for (n, m, a, b) in ((1, 1, 1, 1), (2, 3, 1, 2)):
         cases.append((presets.field_example1(n, m, a, b), Jet(2, 8, {(n, m): 1.0 + 0j}), None))
     rotation = linear_field([TWO_PI_I, -TWO_PI_I], order=8)
-    cases.append((rotation, Jet.variable(0, 2, 8), ExpPoly.exponential(Frequency.rational(1))))
+    cases.append((rotation, Jet.variable(0, 2, 8), ExpPoly.exponential(Frequency(1))))
     for X, g, expected in cases:
         for path in (1.0, [0, 0.5 + 0.5j, 1.0]):
             assert first_integral_drift(X, g, (0.1, 0.12), path, expected) \

@@ -435,7 +435,7 @@ def test_series_matches_direct_oracle_to_truncation_order(F, a, b):
 def test_covariant_product_law():
     F = presets.load_foliation("example3")
     xy = Jet(2, 12, {(1, 1): 1.0})
-    expected = ExpPoly.exponential(Frequency.rational(-2))
+    expected = ExpPoly.exponential(Frequency(-2))
     assert monodromy_invariant_drift(F, xy, (0.04, 0.05), expected=expected) < 1e-8
 
 
@@ -457,7 +457,7 @@ def reference_monodromy_invariant_drift(F, g, p, expected=None, z0=1.0 + 0j):
 def test_monodromy_invariant_drift_equals_the_former_observer():
     """The product-preservation check's input, plus plain x*y on thmB at z0 = 0.7."""
     xy = Jet(2, 12, {(1, 1): 1.0 + 0j})
-    cases = [(presets.load_foliation("example3"), ExpPoly.exponential(Frequency.rational(-2)),
+    cases = [(presets.load_foliation("example3"), ExpPoly.exponential(Frequency(-2)),
               1.0 + 0j),
              (presets.load_foliation("thmB"), None, 0.7 + 0j)]
     for F, expected, z0 in cases:

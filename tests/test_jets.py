@@ -265,7 +265,7 @@ def complex_ring(value, rng):
 def expoly_ring(value, rng):
     """An ExpPoly coefficient as the coefficient-test reference builds: a few
     t^k e^(2 pi i m t) terms."""
-    return ExpPoly({(rng.randint(0, 2), Frequency.rational(rng.randint(-1, 1))): value * w
+    return ExpPoly({(rng.randint(0, 2), Frequency(rng.randint(-1, 1))): value * w
                     for w in (1.0, 0.5j)[:rng.randint(1, 2)]})
 
 
@@ -305,7 +305,7 @@ def jet_operations(rng, ring):
         "mul scalar": lambda: a * scalar,
         "rmul scalar": lambda: scalar * a,
         "mul tiny scalar": lambda: a * 1e-14,
-        "mul by ExpPoly": lambda: plain * ExpPoly.exponential(Frequency.rational(1)),
+        "mul by ExpPoly": lambda: plain * ExpPoly.exponential(Frequency(1)),
         "truncate": lambda: a.truncate(order // 2),
         "truncate up": lambda: a.truncate(order + 2),
         "diff": lambda: a.diff(n - 1),
