@@ -3,9 +3,12 @@
 
 The outputs are the exact holonomy series (coefficient table and forcings)
 of the six foliation presets at orders 4, 8 and 12 and base points
-z0 = 1, 0.7 and 0.3+0.5i, the flow coefficient tables of the field presets
-at order 8, the numeric route (``holonomy_numeric`` of each foliation
-preset and ``numeric_flow`` of each field preset at fixed points), full
+z0 = 1, 0.7 and 0.3+0.5i, and the normal form of each such holonomy jet
+(a, b and f, or the reason it has none), the flow coefficient tables of
+the field presets at order 8, the numeric route (``holonomy_numeric`` of
+each foliation preset and ``numeric_flow`` of each field preset at fixed
+points), the drift values of the product-preservation and conservation
+checks (``monodromy_invariant_drift`` and ``first_integral_drift``), full
 orbit and pseudogroup records (every field and every kept point) of fixed
 map, seed and budget choices, the jet-layer results (the inverse of
 example3's order-8 holonomy jet, x*y composed with thmB's, the Lie
@@ -23,7 +26,8 @@ listings are equal, so a refactor is checked with one diff:
 Usage: python scripts/output_digest.py [pattern ...]
 
 Each pattern is an fnmatch pattern over the entry names (for example
-'flow_table:*', 'numeric:*', 'orbit:*', 'jets:*' or 'cli:petal'); with none, every entry is
+'normal_form:*', 'flow_table:*', 'numeric:*', 'drift:*', 'orbit:*', 'jets:*' or
+'cli:petal'); with none, every entry is
 digested.  The full run takes about a minute, most of it in the orbit and
 reproduce-paper CLI runs.
 """
@@ -38,8 +42,10 @@ from click.testing import CliRunner
 
 from holodyn import presets
 from holodyn.cli import main as cli_main
-from holodyn.flows import VectorField, lie_derivative, numeric_flow
-from holodyn.holonomy import holonomy_numeric, holonomy_series
+from holodyn.exppoly import ExpPoly, Frequency
+from holodyn.flows import VectorField, first_integral_drift, lie_derivative, numeric_flow
+from holodyn.holonomy import (NormalFormError, holonomy_numeric, holonomy_series,
+                              monodromy_invariant_drift, normal_form_or_reason)
 from holodyn.jets import Jet
 from holodyn.orbits import (DomainBall, TruncatedJetMap, iterate_orbit, lattice_seeds,
                             pseudogroup_orbit)
@@ -144,6 +150,14 @@ def _series(spec, order, z0):
     return _table_parts(holonomy_series(F, order, z0=z0)[1])
 
 
+def _normal_form(spec, order, z0):
+    F = presets.load_foliation(spec, order)
+    nf = normal_form_or_reason(holonomy_series(F, order, z0=z0)[0])
+    if isinstance(nf, NormalFormError):
+        return {"reason": str(nf).encode()}
+    return {"normal_form": _canonical({"a": nf.a, "b": nf.b, "f": nf.f.to_json_dict()})}
+
+
 def _flow_table(spec):
     from holodyn.flows import flow_coefficient_table
 
@@ -163,6 +177,24 @@ def _numeric_holonomy(spec):
 def _numeric_flow(spec):
     X = presets.load_field(spec)
     return _numeric(lambda p: numeric_flow(X, p[:X.n_vars]))
+
+
+def _drifts():
+    """name -> thunk returning one drift value: the inputs of the
+    product-preservation and conservation checks, and x*y on thmB at z0 = 0.7."""
+    xy = Jet(2, 12, {(1, 1): 1.0 + 0j})
+    covariant = ExpPoly.exponential(Frequency(-2))
+    drifts = {
+        "monodromy:example3": lambda: monodromy_invariant_drift(
+            presets.load_foliation("example3"), xy, (0.04, 0.05), expected=covariant),
+        "monodromy:thmB:z0=0.7": lambda: monodromy_invariant_drift(
+            presets.load_foliation("thmB"), xy, (0.04, 0.05), z0=0.7 + 0j),
+    }
+    for n, m, a, b in ((1, 1, 1, 1), (2, 3, 1, 2)):
+        drifts[f"first_integral:example1({n},{m},{a},{b})"] = \
+            lambda n=n, m=m, a=a, b=b: first_integral_drift(
+                presets.field_example1(n, m, a, b), Jet(2, 8, {(n, m): 1.0 + 0j}), (0.1, 0.12))
+    return drifts
 
 
 def _holonomy_jet(spec):
@@ -230,12 +262,19 @@ def entries():
             for label, z0 in BASE_POINTS.items():
                 yield (f"holonomy_series:{spec}:order={order}:z0={label}",
                        lambda s=spec, o=order, z=z0: _series(s, o, z))
+    for spec in FOLIATIONS:
+        for order in ORDERS:
+            for label, z0 in BASE_POINTS.items():
+                yield (f"normal_form:{spec}:order={order}:z0={label}",
+                       lambda s=spec, o=order, z=z0: _normal_form(s, o, z))
     for spec in FIELDS:
         yield f"flow_table:{spec}", lambda s=spec: _flow_table(s)
     for spec in FOLIATIONS:
         yield f"numeric:holonomy:{spec}", lambda s=spec: _numeric_holonomy(s)
     for spec in FIELDS:
         yield f"numeric:flow:{spec}", lambda s=spec: _numeric_flow(s)
+    for name, drift in _drifts().items():
+        yield f"drift:{name}", lambda d=drift: {"repr": repr(d()).encode()}
     for name, spec in ORBITS.items():
         yield f"orbit:{name}", lambda s=spec: _orbit(*s)
     yield "pseudogroup:schur24", _pseudogroup

@@ -26,7 +26,6 @@ from .holonomy import (
     holonomy_series,
     holonomy_numeric,
     holonomy_cross_check,
-    holonomy_coefficient_table,
     monodromy_invariant_drift,
     extract_normal_form,
     realize_as_holonomy,

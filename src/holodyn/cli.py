@@ -60,6 +60,7 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
 SVG_WIDTH = 480
 MAX_SEEDS = 1_000_000
+MAX_ORDER = 1_000
 
 
 class ConfigError(click.ClickException):
@@ -127,6 +128,14 @@ def _parse_point(s: str, n_vars: int) -> Tuple[complex, ...]:
 def _check_finite(option: str, value: Optional[float]) -> None:
     if value is not None and not math.isfinite(value):
         raise ConfigError(f"{option} must be a finite number, got {value}")
+
+
+def _check_order(order: int) -> None:
+    """Refuse an --order outside 1..MAX_ORDER before any jet is built."""
+    if order < 1:
+        raise ConfigError("--order must be >= 1")
+    if order > MAX_ORDER:
+        raise ConfigError(f"--order {order} is more than MAX_ORDER = {MAX_ORDER}")
 
 
 def _check_seed_count(option: str, count: int) -> None:
@@ -204,8 +213,7 @@ def main():
               help="Write the series-vs-numeric cross-check CSV.")
 def holonomy(field_spec, order, z0, emit_path, oracle_path):
     """Exact holonomy of the separatrix axis, plus the normal-form summary."""
-    if order < 1:
-        raise ConfigError("--order must be >= 1")
+    _check_order(order)
     z0c = _parse_complex(z0)
     F = presets.load_foliation(field_spec, order)
     config = {"command": "holonomy", "field": field_spec, "order": order,
@@ -251,8 +259,7 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
 @click.option("--emit", "emit_path", type=click.Path(), default=None)
 def flow(field_spec, time_str, order, point, emit_path):
     """Formal time-t map of a polynomial field (and a numeric spot check)."""
-    if order < 1:
-        raise ConfigError("--order must be >= 1")
+    _check_order(order)
     t = _parse_complex(time_str)
     X = presets.load_field(field_spec, order)
     p = _parse_point(point, X.n_vars) if point else None

@@ -53,7 +53,7 @@ class CoefficientTable:
         coeffs = [{} for _ in range(self.n_vars)]
         for (j, exp), poly in self.entries.items():
             coeffs[j][exp] = poly.eval(t)
-        return JetMap([Jet(self.n_vars, self.order, c) for c in coeffs])
+        return JetMap([Jet._from_clean(self.n_vars, self.order, c) for c in coeffs])
 
     def ode_residual_max(self) -> float:
         """Max coefficient of a' - alpha*a - g over all entries; 0 means the

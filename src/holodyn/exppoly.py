@@ -10,9 +10,10 @@ exponential polynomial built and no ``ExpPoly.__mul__`` call.
 ``Frequency(q)`` is the exact frequency 2*pi*i*q (q a Fraction), so
 resonance (mu - alpha == 0) is detected exactly; ``Frequency.coerce(x)``
 takes any outside number and keeps one that is no such multiple as a
-complex double, with a 1e-12 resonance tolerance.  One construction rule:
-only ``ExpPoly(...)`` checks outside input, and it prunes once; arithmetic
-results are built by ``ExpPoly._from_clean``.
+complex double, with a 1e-12 resonance tolerance, and refuses one that is
+not finite.  One construction rule: only ``ExpPoly(...)`` checks outside
+input (integral t-powers, finite coefficients), and it prunes once;
+arithmetic results are built by ``ExpPoly._from_clean``.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .jets import PRUNE_TOL, _integer
+from .jets import PRUNE_TOL, JetError, _integer
 
 TWO_PI_I = 2j * math.pi
 RESONANCE_TOL = 1e-12
@@ -55,6 +56,8 @@ class Frequency:
         value = complex(value)
         freq = cls._complexes.get(value)
         if freq is None:
+            if not cmath.isfinite(value):
+                raise JetError(f"frequency {value!r} is not finite")
             freq = cls._complexes[value] = cls._make(None, value, abs(value) < RESONANCE_TOL)
         return freq
 
@@ -128,7 +131,10 @@ class ExpPoly:
             if k < 0:
                 raise ValueError("t-power must be non-negative")
             key = (k, Frequency.coerce(freq))
-            clean[key] = clean.get(key, 0.0 + 0j) + complex(c)
+            c = complex(c)
+            if not cmath.isfinite(c):
+                raise JetError(f"coefficient of {key} is not finite, got {c!r}")
+            clean[key] = clean.get(key, 0.0 + 0j) + c
         self.terms = {key: c for key, c in clean.items() if abs(c) >= PRUNE_TOL}
 
     @classmethod
@@ -143,10 +149,6 @@ class ExpPoly:
     @classmethod
     def zero(cls) -> "ExpPoly":
         return cls()
-
-    @classmethod
-    def constant(cls, c) -> "ExpPoly":
-        return cls({(0, 0): c})
 
     @classmethod
     def term(cls, c, k: int = 0, freq=0) -> "ExpPoly":
@@ -302,7 +304,7 @@ def _coerce(x):
     if isinstance(x, ExpPoly):
         return x
     if isinstance(x, (int, float, complex)):
-        return ExpPoly.constant(x)
+        return ExpPoly.term(x)
     return NotImplemented
 
 
@@ -317,7 +319,7 @@ def solve_linear_ode(alpha, g: ExpPoly, a0) -> ExpPoly:
     alpha = Frequency.coerce(alpha)
     shifted: Dict[Key, complex] = {}
     mul_terms_into(shifted, g.terms, {(0, -alpha): 1.0 + 0j})
-    lifted = ExpPoly.constant(a0) + ExpPoly._from_clean(shifted).antiderivative()
+    lifted = ExpPoly.term(a0) + ExpPoly._from_clean(shifted).antiderivative()
     out: Dict[Key, complex] = {}
     mul_terms_into(out, lifted.terms, {(0, alpha): 1.0 + 0j})
     return ExpPoly._from_clean(out)

@@ -209,13 +209,13 @@ def numeric_flow(
     path: Sequence[complex] | complex = 1.0,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
     observer: Callable[[complex, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Integrate dx/dt = X(x) along a complex-time polyline starting at 0.
 
     ``path`` is either the final time (straight segment from 0) or a list
-    of waypoints starting at 0.
+    of waypoints starting at 0.  Raises DomainEscape when the trajectory
+    leaves the ball of radius ``DEFAULT_ESCAPE_RADIUS``.
     """
     if isinstance(path, (int, float, complex)):
         waypoints = [0.0 + 0j, complex(path)]
@@ -238,10 +238,7 @@ def numeric_flow(
             def seg_obs(s, y, za=za, dz=dz):
                 observer(za + s * dz, y)
 
-        x = integrate_ode(
-            seg_rhs, 0.0, 1.0, x, rtol=rtol, atol=atol,
-            escape_radius=escape_radius, observer=seg_obs,
-        )
+        x = integrate_ode(seg_rhs, 0.0, 1.0, x, rtol=rtol, atol=atol, observer=seg_obs)
     return x
 
 
@@ -266,17 +263,14 @@ def first_integral_drift(
     p,
     path: Sequence[complex] | complex = 1.0,
     expected=None,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
 ) -> float:
     """Max over the trajectory of |g(x(t)) - g(p) * expected(t)|.
 
     ``expected`` is None for a true first integral, or an ExpPoly
     modulation for covariant integrals.
     """
-    return observed_drift(g, p, expected, lambda watch: numeric_flow(
-        X, p, path, rtol=rtol, atol=atol, escape_radius=escape_radius, observer=watch))
+    return observed_drift(g, p, expected,
+                          lambda watch: numeric_flow(X, p, path, observer=watch))
 
 
 def observed_drift(g: Jet, p, expected, integrate: Callable) -> float:

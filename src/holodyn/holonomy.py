@@ -16,13 +16,17 @@ holonomy.  It is computed by two independent routes:
   one period (:func:`holonomy_numeric`), with no truncation.  The exact
   route never integrates; the two share only the Foliation, its axis unit
   u(0, z) (:meth:`Foliation.axis_unit_on_axis`) and the check z0 != 0.
+
+:func:`holonomy_numeric` is the one leafwise integration: the cross-check
+calls it point by point, and :func:`monodromy_invariant_drift` watches it
+through its observer.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -79,12 +83,8 @@ class Foliation:
                 raise HolonomyError(
                     "axis component must be divisible by the axis coordinate"
                 )
-        if abs(self.axis_eigenvalue()) < LINEAR_TOL:
+        if abs(self.field.linear_part()[axis][axis]) < LINEAR_TOL:
             raise HolonomyError("axis eigenvalue must be nonzero")
-
-    def axis_eigenvalue(self) -> complex:
-        axis = self.separatrix_axis
-        return self.field.linear_part()[axis][axis]
 
     def axis_unit_on_axis(self) -> dict:
         """u(0, z) = X_axis(0, z) / z as {power of z: coefficient}."""
@@ -109,7 +109,6 @@ class MonodromySystem:
     """dx_j/dt = sum_m e^(2 pi i m t) * J_{m,j}(x) on the transverse variables."""
 
     n_transverse: int
-    order: int
     terms: List[List[Tuple[int, Jet]]]  # per transverse component: (m, jet)
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -161,7 +160,7 @@ def build_monodromy_system(
 
     u_coeffs = {exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]: c
                 for exp, c in axis_comp.truncate(work_order).coeffs.items()}
-    u_inv = Jet(F.field.n_vars, work_order, u_coeffs).reciprocal()
+    u_inv = Jet._from_clean(F.field.n_vars, work_order, u_coeffs).reciprocal()
 
     terms: List[List[Tuple[int, Jet]]] = []
     for j in trans:
@@ -179,24 +178,17 @@ def build_monodromy_system(
             if abs(z0) ** m < PRUNE_TOL:
                 raise BasePointUnderflow(f"|z0|^{m} = {abs(z0) ** m:.3g} at loop frequency "
                                          f"m = {m} is below PRUNE_TOL = {PRUNE_TOL:g}")
-        rows = [
-            (m, Jet(len(trans), order, coeffs)) for m, coeffs in sorted(by_freq.items())
-        ]
+        rows = [(m, Jet._from_clean(len(trans), order, coeffs))
+                for m, coeffs in sorted(by_freq.items())]
         terms.append([(m, jet) for m, jet in rows if not jet.is_zero()])
-    return MonodromySystem(len(trans), order, terms)
-
-
-def holonomy_coefficient_table(
-    F: Foliation, order: int, z0: complex = 1.0 + 0j
-) -> CoefficientTable:
-    return solve_coefficient_system(build_monodromy_system(F, order, z0=z0).terms, order)
+    return MonodromySystem(len(trans), terms)
 
 
 def holonomy_series(
     F: Foliation, order: int, z0: complex = 1.0 + 0j
 ) -> Tuple[JetMap, CoefficientTable]:
     """Exact holonomy jet (values at t = 1) and the full coefficient table."""
-    table = holonomy_coefficient_table(F, order, z0=z0)
+    table = solve_coefficient_system(build_monodromy_system(F, order, z0=z0).terms, order)
     return table.at_time(1.0), table
 
 
@@ -206,7 +198,7 @@ def holonomy_numeric(
     z0: complex = 1.0 + 0j,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    escape_radius: float = 10.0,
+    observer: Callable[[float, list], None] | None = None,
 ) -> np.ndarray:
     """Numeric holonomy: integrate the leaf through p over t in [0, 1].
 
@@ -214,14 +206,14 @@ def holonomy_numeric(
     dx_j/dt = 2 pi i * z * X_j(x, z) / X_axis(x, z) along z = z0*e^(2 pi i t)
     are integrated as they stand by :func:`integrate_ode`, with no
     monodromy system and no truncation; the exact route never calls the
-    integrator.  Raises HolonomyError when the loop encloses or meets
-    another singular point of the axis, and DomainEscape when the leaf
-    leaves the integration domain.
+    integrator.  This is the module's one leafwise integration: the drift
+    check watches it through ``observer(t, x)``, which gets every accepted
+    state.  Raises HolonomyError when the loop encloses or meets another
+    singular point of the axis, and DomainEscape when the leaf leaves the
+    ball of radius ``DEFAULT_ESCAPE_RADIUS``.
     """
-    return integrate_ode(
-        _leafwise_rhs(F, z0), 0.0, 1.0, p,
-        rtol=rtol, atol=atol, escape_radius=escape_radius,
-    )
+    return integrate_ode(_leafwise_rhs(F, z0), 0.0, 1.0, p,
+                         rtol=rtol, atol=atol, observer=observer)
 
 
 def holonomy_cross_check(F: Foliation, h: JetMap, points, z0: complex = 1.0 + 0j):
@@ -235,14 +227,10 @@ def monodromy_invariant_drift(
     p,
     expected: ExpPoly | None = None,
     z0: complex = 1.0 + 0j,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> float:
     """Max over the loop of |g(x(t)) - g(p)*expected(t)| along the leaf through p."""
-    return observed_drift(g, p, expected, lambda watch: integrate_ode(
-        _leafwise_rhs(F, z0), 0.0, 1.0, p,
-        rtol=rtol, atol=atol, escape_radius=10.0, observer=watch,
-    ))
+    return observed_drift(g, p, expected,
+                          lambda watch: holonomy_numeric(F, p, z0=z0, observer=watch))
 
 
 def _leafwise_rhs(F: Foliation, z0: complex):
@@ -308,7 +296,6 @@ class NormalForm:
     a: int
     b: int
     f: Jet  # one-variable jet in w
-    residual: float
 
     @property
     def f0(self) -> complex:
@@ -327,29 +314,30 @@ def normal_form_or_reason(h: JetMap) -> NormalForm | NormalFormError:
         return e
 
 
-def extract_normal_form(h: JetMap, tol: float = NORMAL_FORM_TOL) -> NormalForm:
+def extract_normal_form(h: JetMap) -> NormalForm:
     """Fit the product-preserving normal form to a planar jet map.
 
     Requires h tangent to the identity and preserving x*y through the
-    truncation order; raises NormalFormError otherwise or when no
-    monomial pattern x^a y^b fits.
+    truncation order, both up to ``NORMAL_FORM_TOL``; raises NormalFormError
+    otherwise or when no monomial pattern x^a y^b fits.  Coefficients of
+    modulus at most ``NORMAL_FORM_TOL`` count as zero.
     """
     if h.n_vars != 2:
         raise NormalFormError("normal form extraction needs a planar map")
     order = h.order
     ident = [[1, 0], [0, 1]]
     L = h.linear_part()
-    if max(abs(L[i][j] - ident[i][j]) for i in range(2) for j in range(2)) > tol:
+    if max(abs(L[i][j] - ident[i][j]) for i in range(2) for j in range(2)) > NORMAL_FORM_TOL:
         raise NormalFormError("map is not tangent to the identity")
     xy = Jet(2, order, {(1, 1): 1.0 + 0j})
     pres = xy.compose(h).max_abs_diff(xy)
-    if pres > tol:
+    if pres > NORMAL_FORM_TOL:
         raise NormalFormError(f"map does not preserve x*y (defect {pres:.2e})")
 
     # u = h1/x - 1, supported on powers of a single monomial x^a y^b
     v_terms = []
     for exp, c in h.components[0].terms():
-        if abs(c) <= tol and exp != (1, 0):
+        if abs(c) <= NORMAL_FORM_TOL and exp != (1, 0):
             continue
         if exp[0] == 0:
             raise NormalFormError("first component is not divisible by x")
@@ -358,7 +346,7 @@ def extract_normal_form(h: JetMap, tol: float = NORMAL_FORM_TOL) -> NormalForm:
             continue  # the leading x itself
         v_terms.append((shifted, c))
     if not v_terms:
-        return NormalForm(0, 0, Jet.zero(1, order), 0.0)
+        return NormalForm(0, 0, Jet.zero(1, order))
 
     v_terms.sort(key=lambda item: (sum(item[0]), item[0]))
     (p0, q0), _ = v_terms[0]
@@ -366,15 +354,8 @@ def extract_normal_form(h: JetMap, tol: float = NORMAL_FORM_TOL) -> NormalForm:
     a, b = p0 // g, q0 // g
     f_coeffs = {}
     for (p, q), c in v_terms:
-        if p * b != q * a:
-            raise NormalFormError(
-                f"monomial x^{p} y^{q} is not a power of x^{a} y^{b}"
-            )
         k = p // a if a else q // b
-        if (a and p != k * a) or (b and q != k * b) or k < 1:
-            raise NormalFormError(
-                f"monomial x^{p} y^{q} is not a power of x^{a} y^{b}"
-            )
+        if (p, q) != (k * a, k * b) or k < 1:
+            raise NormalFormError(f"monomial x^{p} y^{q} is not a power of x^{a} y^{b}")
         f_coeffs[(k - 1,)] = c
-    f = Jet(1, order, f_coeffs)
-    return NormalForm(a, b, f, residual=pres)
+    return NormalForm(a, b, Jet._from_clean(1, order, f_coeffs))

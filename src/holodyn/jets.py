@@ -4,7 +4,8 @@ Coefficients are complex doubles by default, but the arithmetic is written
 against a generic coefficient ring: anything supporting ``+``, ``*`` and
 unary ``-`` works (the library builds complex jets only; the coefficient
 tests' reference recursion runs on :class:`holodyn.exppoly.ExpPoly` ones).
-One construction rule: ``Jet(...)`` alone checks outside input, and every
+One construction rule: ``Jet(...)`` alone checks outside input (integral
+exponents within the order, finite scalar coefficients), and every
 arithmetic result is built by the trusted :meth:`Jet._from_clean`, which only
 prunes below ``PRUNE_TOL``; so a jet fixes the origin iff it stores no
 constant term.
@@ -15,7 +16,7 @@ deterministic.
 """
 from __future__ import annotations
 
-import json
+import cmath
 from typing import Iterable, Iterator, Sequence
 
 PRUNE_TOL = 1e-14
@@ -82,6 +83,8 @@ class Jet:
                 raise JetError(f"negative exponent in {exp}")
             if sum(exp) > order:
                 raise JetError(f"monomial {exp} exceeds truncation order {order}")
+            if _is_scalar(c) and not cmath.isfinite(c):
+                raise JetError(f"coefficient of {exp} is not finite, got {c!r}")
             clean[exp] = clean[exp] + c if exp in clean else c
         self.coeffs = {e: c for e, c in clean.items() if not coeff_is_negligible(c)}
         self._plan = None
@@ -113,11 +116,6 @@ class Jet:
         if not 0 <= i < n_vars:
             raise JetError(f"variable index {i} out of range")
         return cls(n_vars, order, {_unit(i, n_vars): 1.0 + 0j})
-
-    @classmethod
-    def monomial(cls, exp: Sequence[int], coeff, order: int) -> "Jet":
-        exp = tuple(exp)
-        return cls(len(exp), order, {exp: coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -299,17 +297,10 @@ class Jet:
         ]
         return {"n_vars": self.n_vars, "order": self.order, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Jet":
         coeffs = {tuple(t["exp"]): complex(t["re"], t["im"]) for t in d["terms"]}
         return cls(d["n_vars"], d["order"], coeffs)
-
-    @classmethod
-    def from_json(cls, s: str) -> "Jet":
-        return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
         parts = []

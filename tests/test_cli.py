@@ -293,6 +293,13 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "--grid '1000000x1000000' asks for 1000000000000 seeds, more than MAX_SEEDS = 1000000"),
     (["orbit", "--map", "H", "--random-seeds", "1000000000000"],
      "--random-seeds asks for 1000000000000 seeds, more than MAX_SEEDS = 1000000"),
+    (["holonomy", "--field", "{nan_coeff}"],
+     "invalid foliation JSON in {nan_coeff}: coefficient of (1, 0, 0) is not finite, "
+     "got (nan+0j)"),
+    (["holonomy", "--field", "thmB", "--order", "100000000000000000000"],
+     "--order 100000000000000000000 is more than MAX_ORDER = 1000"),
+    (["flow", "--field", "thmB", "--order", "100000000000000000000"],
+     "--order 100000000000000000000 is more than MAX_ORDER = 1000"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -324,6 +331,11 @@ def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"field": thmB, **axis}))
         files[f"{{{name}}}"] = str(path)
+    # thmB's foliation with a NaN coefficient of x d/dx
+    thmB["components"][0]["terms"][0]["re"] = float("nan")
+    path = tmp_path / "nan_coeff.json"
+    path.write_text(json.dumps({"field": thmB, "separatrix_axis": 2}))
+    files["{nan_coeff}"] = str(path)
     files["{tmp}"] = str(tmp_path)
 
     def fill(text):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I, solve_linear_ode
+from holodyn.jets import JetError
 
 
 def test_frequency_rational_exactness():
@@ -28,7 +29,7 @@ def test_frequency_from_complex_rationalizes():
 def test_exponential_product_cancels():
     a = ExpPoly.exponential(Frequency(1))
     b = ExpPoly.exponential(Frequency(-1))
-    assert (a * b - ExpPoly.constant(1.0)).is_negligible()
+    assert (a * b - ExpPoly.term(1.0)).is_negligible()
 
 
 def test_t_power_product():
@@ -162,13 +163,32 @@ def test_t_power_must_be_a_non_negative_integer():
     assert ExpPoly({(2.0, 0): 1}).terms == ExpPoly.term(1.0, 2).terms
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+def test_non_finite_coefficient_rejected(c):
+    with pytest.raises(JetError, match=r"coefficient of \(1, 2\*pi\*i\*\(0\)\) is not finite"):
+        ExpPoly({(1, 0): c})
+    d = ExpPoly.term(1.0, 1).to_json_dict()
+    d["terms"][0]["c_re"], d["terms"][0]["c_im"] = complex(c).real, complex(c).imag
+    with pytest.raises(JetError, match="is not finite"):
+        ExpPoly.from_json_dict(d)
+
+
+def test_non_finite_frequency_rejected_and_not_interned():
+    known = len(Frequency._complexes)
+    for value in (complex(float("nan"), 1.0), complex(0.0, float("inf"))):
+        for make in (lambda: Frequency(None, value), lambda: Frequency.coerce(value)):
+            with pytest.raises(JetError, match=r"frequency .* is not finite"):
+                make()
+    assert len(Frequency._complexes) == known
+
+
 def reference_solve_linear_ode(alpha, g: ExpPoly, a0) -> ExpPoly:
     """The ring-product route solve_linear_ode replaced: multiply by the
     exponential polynomials e^(-alpha t) and e^(alpha t)."""
     alpha = Frequency.coerce(alpha)
     shifted = g * ExpPoly.exponential(-alpha)
     integral = shifted.antiderivative()
-    return (ExpPoly.constant(a0) + integral) * ExpPoly.exponential(alpha)
+    return (ExpPoly.term(a0) + integral) * ExpPoly.exponential(alpha)
 
 
 _coeffs = st.one_of(

@@ -181,7 +181,7 @@ def test_complex_time_polyline():
 def test_domain_escape_raised():
     X = linear_field([5.0])
     with pytest.raises(DomainEscape):
-        numeric_flow(X, (1.0,), 2.0, escape_radius=10.0)
+        numeric_flow(X, (1.0,), 2.0)
 
 
 def test_step_limit_is_its_own_flow_error():

@@ -18,7 +18,6 @@ from holodyn.holonomy import (
     NormalFormError,
     build_monodromy_system,
     extract_normal_form,
-    holonomy_coefficient_table,
     holonomy_numeric,
     holonomy_series,
     monodromy_invariant_drift,
@@ -71,7 +70,7 @@ def test_monodromy_frequencies_degree4_example():
     freqs = {m for terms in sys.terms for m, _ in terms}
     assert freqs == {0, 3}
     # linear part: dx/dt = -2 pi i x, dy/dt = -2 pi i y
-    alphas = holonomy_coefficient_table(F, 4).alphas
+    alphas = holonomy_series(F, 4)[1].alphas
     assert np.allclose([a.value for a in alphas], [-TWO_PI_I, -TWO_PI_I])
     # the frequency-3 coupling is +/- 2 pi i x^3 y (resp. x^2 y^2)
     x_terms = dict(sys.terms[0])
@@ -508,6 +507,17 @@ def test_normal_form_rejects_non_preserving():
     ])
     with pytest.raises(NormalFormError):
         extract_normal_form(m)
+
+
+def test_normal_form_rejects_two_monomial_patterns():
+    # (x(1 + u), y/(1 + u)) with u = y^2/2 + x y/4 preserves x*y, but u is
+    # not a series in one monomial x^a y^b
+    u = Jet(2, 6, {(0, 2): 0.5, (1, 1): 0.25})
+    one = Jet.constant(2, 6, 1.0 + 0j)
+    x, y = Jet.variable(0, 2, 6), Jet.variable(1, 2, 6)
+    h = JetMap([x * (one + u), y * (one + u).reciprocal()])
+    with pytest.raises(NormalFormError, match=r"^monomial x\^1 y\^1 is not a power of x\^0 y\^1$"):
+        extract_normal_form(h)
 
 
 def test_realize_rejects_non_planar():

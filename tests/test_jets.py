@@ -215,11 +215,11 @@ def test_jetmap_inverse_singular_rejected():
 def test_json_round_trip_bit_exact():
     j = Jet(2, 5, {(1, 0): 1.0 + 1e-7j, (3, 2): -0.123456789012345,
                    (0, 0): math.pi})
-    s = j.to_json()
-    back = Jet.from_json(s)
+    s = json.dumps(j.to_json_dict())
+    back = Jet.from_json_dict(json.loads(s))
     assert back.n_vars == j.n_vars and back.order == j.order
     assert back.coeffs == j.coeffs
-    assert back.to_json() == s  # byte-identical re-serialization
+    assert json.dumps(back.to_json_dict()) == s  # byte-identical re-serialization
 
 
 def test_json_terms_sorted_graded_lex():
@@ -361,6 +361,21 @@ def test_outside_input_must_be_integral(n_vars, order, coeffs, reason):
     d = {"n_vars": n_vars, "order": order,
          "terms": [{"exp": list(e), "re": 1.0, "im": 0.0} for e in coeffs]}
     with pytest.raises(JetError, match=re.escape(reason)):
+        Jet.from_json_dict(d)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("c", [NAN, INF, -INF, complex(0.5, NAN), complex(INF, 1.0)])
+def test_non_finite_coefficient_rejected(c):
+    reason = f"coefficient of (0, 2) is not finite, got {c!r}"
+    with pytest.raises(JetError) as info:
+        Jet(2, 3, {(1, 0): 1.0, (0, 2): c})
+    assert str(info.value) == reason
+    c = complex(c)
+    d = {"n_vars": 2, "order": 3, "terms": [{"exp": [0, 2], "re": c.real, "im": c.imag}]}
+    with pytest.raises(JetError, match=r"coefficient of \(0, 2\) is not finite"):
         Jet.from_json_dict(d)
 
 
