@@ -4,13 +4,16 @@
 The outputs are the exact holonomy series (coefficient table and forcings)
 of the six foliation presets at orders 4, 8 and 12 and base points
 z0 = 1, 0.7 and 0.3+0.5i, and the normal form of each such holonomy jet
-(a, b and f, or the reason it has none), the flow coefficient tables of
-the field presets at order 8, the numeric route (``holonomy_numeric`` of
-each foliation preset and ``numeric_flow`` of each field preset at fixed
-points), the drift values of the product-preservation and conservation
+(a, b and f, or the reason it has none) and of thmB and example3 at
+orders 4 and 8 and the small base points z0 = 1e-3 and 1e-4, the flow
+coefficient tables of the field presets at order 8, the numeric route
+(``holonomy_numeric`` of each foliation preset and ``numeric_flow`` of
+each field preset at fixed points), the drift values of the product-preservation and conservation
 checks (``monodromy_invariant_drift`` and ``first_integral_drift``), full
 orbit and pseudogroup records (every field and every kept point) of fixed
-map, seed and budget choices, the jet-layer results (the inverse of
+map, seed and budget choices, the periodicity of fixed maps and the
+closure of the h1h2 generators (order, non-commuting pair and the
+brute-force oracle's order), the jet-layer results (the inverse of
 example3's order-8 holonomy jet, x*y composed with thmB's, the Lie
 derivative of x*y*z^2 along thmB and the JSON form of every field preset),
 and the files, standard output and exit code of a fixed set of CLI runs:
@@ -26,8 +29,8 @@ listings are equal, so a refactor is checked with one diff:
 Usage: python scripts/output_digest.py [pattern ...]
 
 Each pattern is an fnmatch pattern over the entry names (for example
-'normal_form:*', 'flow_table:*', 'numeric:*', 'drift:*', 'orbit:*', 'jets:*' or
-'cli:petal'); with none, every entry is
+'normal_form:*', 'flow_table:*', 'numeric:*', 'drift:*', 'orbit:*', 'periodicity:*',
+'jets:*' or 'cli:petal'); with none, every entry is
 digested.  The full run takes about a minute, most of it in the orbit and
 reproduce-paper CLI runs.
 """
@@ -38,6 +41,7 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 from click.testing import CliRunner
 
 from holodyn import presets
@@ -46,15 +50,19 @@ from holodyn.exppoly import ExpPoly, Frequency
 from holodyn.flows import VectorField, first_integral_drift, lie_derivative, numeric_flow
 from holodyn.holonomy import (NormalFormError, holonomy_numeric, holonomy_series,
                               monodromy_invariant_drift, normal_form_or_reason)
-from holodyn.jets import Jet
-from holodyn.orbits import (DomainBall, TruncatedJetMap, iterate_orbit, lattice_seeds,
-                            pseudogroup_orbit)
+from holodyn.jets import Jet, JetMap
+from holodyn.orbits import (DomainBall, PermutationMap, TruncatedJetMap, group_closure,
+                            iterate_orbit, lattice_seeds, periodicity_test, pseudogroup_orbit)
+from holodyn.reproduce import brute_force_closure
 
 FOLIATIONS = ("thmB", "example3", "linear(1,-1,-2)", "genF", "genH", "genLinear")
 FIELDS = ("thmB", "example3", "example1(1,1,1,1)", "example1(2,3,1,2)",
           "linear(1,-1,-2)", "genF", "genH", "genLinear")
 ORDERS = (4, 8, 12)
 BASE_POINTS = {"1": 1.0 + 0j, "0.7": 0.7 + 0j, "0.3+0.5i": 0.3 + 0.5j}
+# the normal form's small base points, where f(0) scales as z0^3 (thmB)
+# and z0^2 (example3)
+SMALL_BASE_POINTS = {"1e-3": 1e-3 + 0j, "1e-4": 1e-4 + 0j}
 # transversal points of the numeric holonomy, and flow start points (their
 # first n coordinates) for the numeric time-one map
 NUMERIC_POINTS = ((0.03, 0.04j, 0.02), (0.05, -0.02 + 0.01j, 0.01j),
@@ -80,6 +88,14 @@ ORBITS = {
     "example3-jet": (_example3_jet,
                      lambda: [(0.008, 0.008j), (-0.006 + 0.005j, 0.007), (0.01j, -0.009)],
                      0.3, 2_000, True),
+}
+# name -> (map, n_max) of the periodicity entries
+PERIODICITY = {
+    "h1": (presets.map_h1, 10),
+    "h2": (presets.map_h2, 10),
+    "perm(1,2,0)": (lambda: PermutationMap([1, 2, 0]), 10),
+    "-I:order=4": (lambda: JetMap.linear([[-1.0, 0.0], [0.0, -1.0]], 4), 10),
+    "H": (presets.map_H, 200),
 }
 # name -> CLI arguments; "{out}" names an output file in a fresh directory and
 # "{in}" the JSON input file that CLI_INPUTS writes there
@@ -239,6 +255,14 @@ def _pseudogroup():
          "truncated": o.truncated, "cardinality": o.cardinality} for o in orbits])}
 
 
+def _closure():
+    gens = presets.pseudogroup_preset("h1h2")
+    closure = group_closure(gens)
+    oracle = brute_force_closure([np.array(g.matrix, dtype=complex) for g in gens])
+    return {"closure": _canonical({"order": closure.order, "oracle": oracle,
+                                   "non_commuting_pair": closure.non_commuting_pair})}
+
+
 def _cli(args, make_input=None):
     with tempfile.TemporaryDirectory() as tmp:
         out, path = os.path.join(tmp, "out"), os.path.join(tmp, "in.json")
@@ -267,6 +291,11 @@ def entries():
             for label, z0 in BASE_POINTS.items():
                 yield (f"normal_form:{spec}:order={order}:z0={label}",
                        lambda s=spec, o=order, z=z0: _normal_form(s, o, z))
+    for spec in ("thmB", "example3"):
+        for order in (4, 8):
+            for label, z0 in SMALL_BASE_POINTS.items():
+                yield (f"normal_form:{spec}:order={order}:z0={label}",
+                       lambda s=spec, o=order, z=z0: _normal_form(s, o, z))
     for spec in FIELDS:
         yield f"flow_table:{spec}", lambda s=spec: _flow_table(s)
     for spec in FOLIATIONS:
@@ -278,6 +307,10 @@ def entries():
     for name, spec in ORBITS.items():
         yield f"orbit:{name}", lambda s=spec: _orbit(*s)
     yield "pseudogroup:schur24", _pseudogroup
+    for name, (make_map, n_max) in PERIODICITY.items():
+        yield (f"periodicity:{name}",
+               lambda m=make_map, n=n_max: {"period": repr(periodicity_test(m(), n)).encode()})
+    yield "closure:h1h2", _closure
     for name, result in _jet_results().items():
         yield f"jets:{name}", lambda r=result: {"json": _canonical(r())}
     for name, args in CLI_RUNS.items():

@@ -53,14 +53,13 @@ from .orbits import (
     petal_analysis,
     pseudogroup_orbit,
 )
-from .presets import PresetError
+from .presets import MAX_ORDER, PresetError
 
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
 SVG_WIDTH = 480
 MAX_SEEDS = 1_000_000
-MAX_ORDER = 1_000
 
 
 class ConfigError(click.ClickException):
@@ -405,10 +404,8 @@ def pseudogroup(preset, n_seeds, radius, word_budget, point_budget, json_path):
         + ")"
     )
     V = DomainBall(radius)
-    per_axis = max(2, int(round(math.sqrt(n_seeds))))
-    seeds = lattice_seeds(0.8 * radius, per_axis, n_vars=gens[0].n_vars)[:n_seeds]
-    orbits = [pseudogroup_orbit(gens, s, V, word_budget=word_budget,
-                                point_budget=point_budget) for s in seeds]
+    orbits = [pseudogroup_orbit(gens, s, V, word_budget=word_budget, point_budget=point_budget)
+              for s in presets.pseudogroup_seeds(n_seeds, radius, gens[0].n_vars)]
     cards = sorted({o.cardinality for o in orbits})
     click.echo(f"{len(orbits)} seed orbits, cardinalities {cards}, "
                f"truncated: {sum(o.truncated for o in orbits)}")

@@ -240,8 +240,8 @@ class ExpPoly:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def is_negligible(self, tol: float = PRUNE_TOL) -> bool:
-        return self.max_abs_coeff() < tol
+    def is_negligible(self) -> bool:
+        return self.max_abs_coeff() < PRUNE_TOL
 
     def _sorted_items(self):
         def key(item):

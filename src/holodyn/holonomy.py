@@ -319,8 +319,10 @@ def extract_normal_form(h: JetMap) -> NormalForm:
 
     Requires h tangent to the identity and preserving x*y through the
     truncation order, both up to ``NORMAL_FORM_TOL``; raises NormalFormError
-    otherwise or when no monomial pattern x^a y^b fits.  Coefficients of
-    modulus at most ``NORMAL_FORM_TOL`` count as zero.
+    otherwise or when no monomial pattern x^a y^b fits.  A non-linear
+    coefficient of the first component counts as zero when its modulus is at
+    most ``NORMAL_FORM_TOL`` times the largest one, so the fit does not
+    depend on the scale the base point gives the jet.
     """
     if h.n_vars != 2:
         raise NormalFormError("normal form extraction needs a planar map")
@@ -334,17 +336,17 @@ def extract_normal_form(h: JetMap) -> NormalForm:
     if pres > NORMAL_FORM_TOL:
         raise NormalFormError(f"map does not preserve x*y (defect {pres:.2e})")
 
-    # u = h1/x - 1, supported on powers of a single monomial x^a y^b
+    # u = h1/x - 1, supported on powers of a single monomial x^a y^b; the
+    # tangency check above has settled the linear terms
+    nonlinear = [(exp, c) for exp, c in h.components[0].terms() if sum(exp) >= 2]
+    cut = NORMAL_FORM_TOL * max((abs(c) for _, c in nonlinear), default=0.0)
     v_terms = []
-    for exp, c in h.components[0].terms():
-        if abs(c) <= NORMAL_FORM_TOL and exp != (1, 0):
+    for exp, c in nonlinear:
+        if abs(c) <= cut:
             continue
         if exp[0] == 0:
             raise NormalFormError("first component is not divisible by x")
-        shifted = (exp[0] - 1, exp[1])
-        if shifted == (0, 0):
-            continue  # the leading x itself
-        v_terms.append((shifted, c))
+        v_terms.append(((exp[0] - 1, exp[1]), c))
     if not v_terms:
         return NormalForm(0, 0, Jet.zero(1, order))
 

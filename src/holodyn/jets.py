@@ -36,10 +36,10 @@ def _is_scalar(c) -> bool:
     return isinstance(c, (int, float, complex))
 
 
-def coeff_is_negligible(c, tol: float = PRUNE_TOL) -> bool:
+def coeff_is_negligible(c) -> bool:
     if _is_scalar(c):
-        return abs(c) < tol
-    return c.is_negligible(tol)
+        return abs(c) < PRUNE_TOL
+    return c.is_negligible()
 
 
 def _unit(j: int, n: int) -> tuple:

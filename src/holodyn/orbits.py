@@ -6,6 +6,10 @@ budget-exhausted trichotomy, breadth-first pseudogroup orbits, finite
 group closure for exactly-representable generators, and the parabolic
 petal analysis for x -> x + c x^(d+1).
 
+Periodicity has two rules: coefficientwise for every map with an exact jet
+(a linear map as its order-1 jet, a truncated jet map as its jet), and
+pointwise on five fixed probes for every other map.
+
 Verdicts are experimental: a budget-exhausted orbit is reported as
 "infinite-suspected", never as a proof of infinitude.
 """
@@ -38,6 +42,11 @@ INVERSE_TOL = 1e-8
 PETAL_SEED_RADIUS = 0.08
 PETAL_SEED_OFFSET = 1e-3
 PETAL_ITERATIONS = 50_000
+# periodicity_test: the pointwise probes' radius and the identity tolerance
+PERIODICITY_PROBE_RADIUS = 0.05
+PERIODICITY_TOL = 1e-10
+# group_closure gives up (order None) once it has seen this many elements
+CLOSURE_BUDGET = 10_000
 
 Point = Tuple[complex, ...]
 
@@ -119,15 +128,13 @@ class LinearMap(EvaluableMap):
 
 
 class PermutationMap(LinearMap):
-    """Coordinate permutation composed with a diagonal linear map."""
+    """Coordinate permutation: component i of the image is coordinate perm[i]."""
 
-    def __init__(self, perm: Sequence[int], scalars: Sequence[complex] | None = None,
-                 name: str = "perm"):
+    def __init__(self, perm: Sequence[int], name: str = "perm"):
         n = len(perm)
-        scalars = [1.0 + 0j] * n if scalars is None else list(scalars)
         matrix = [[0.0 + 0j] * n for _ in range(n)]
         for i, j in enumerate(perm):
-            matrix[i][j] = complex(scalars[i])
+            matrix[i][j] = 1.0 + 0j
         super().__init__(matrix, name=name)
 
 
@@ -262,16 +269,16 @@ class _TangentRootInverse(_InverseMap):
 class OneVarParabolicMap(EvaluableMap):
     """x -> x + c x^(d+1) on (C, 0)."""
 
+    name = "parabolic"
     n_vars = 1
 
-    def __init__(self, d: int, c: complex, name: str = "parabolic"):
+    def __init__(self, d: int, c: complex):
         if d < 1:
             raise ValueError(f"d must be a positive integer, got {d}")
         if c == 0:
             raise ValueError("c must be nonzero")
         self.d = int(d)
         self.c = complex(c)
-        self.name = name
 
     def eval(self, p: Point) -> Point:
         (x,) = p
@@ -326,16 +333,13 @@ class TimeOneMap(EvaluableMap):
         self.X = X
         self.name = name
         self.n_vars = X.n_vars
-        self._direction = 1.0
 
     def eval(self, p: Point) -> Point:
-        out = numeric_flow(self.X, p, self._direction, rtol=TIME_ONE_RTOL, atol=TIME_ONE_ATOL)
-        return tuple(out)
+        return tuple(numeric_flow(self.X, p, 1.0, rtol=TIME_ONE_RTOL, atol=TIME_ONE_ATOL))
 
     def inverse(self) -> "TimeOneMap":
-        inv = TimeOneMap(self.X, name=self.name + "^-1")
-        inv._direction = -self._direction
-        return inv
+        """The time-one map of -X, which is the time -1 map of X."""
+        return TimeOneMap(VectorField([-c for c in self.X.components]), name=self.name + "^-1")
 
 
 class TruncatedJetMap(EvaluableMap):
@@ -574,45 +578,33 @@ def pseudogroup_orbit(
 # -- periodicity and group closure ----------------------------------------
 
 
-def periodicity_test(h, n_max: int, probe_radius: float = 0.05,
-                     tol: float = 1e-10) -> Optional[int]:
+def periodicity_test(h, n_max: int) -> Optional[int]:
     """Least N <= n_max with h^N = identity, or None.
 
-    Exact (matrix) comparison for linear maps, coefficientwise for jet
-    maps, pointwise on a probe set for everything else.
+    Coefficientwise to ``PERIODICITY_TOL`` for every map with an exact jet: a
+    jet map, a linear map as its order-1 jet and a truncated jet map as its
+    jet.  Pointwise on five probes of radius ``PERIODICITY_PROBE_RADIUS`` for
+    every other map.
     """
     if isinstance(h, LinearMap):
-        ident = np.eye(len(h.matrix), dtype=complex)
-        M = np.array(h.matrix, dtype=complex)
-        P = M.copy()
-        for n in range(1, n_max + 1):
-            if np.max(np.abs(P - ident)) < tol:
-                return n
-            P = P @ M
-        return None
+        h = JetMap.linear(h.matrix, 1)
+    elif isinstance(h, TruncatedJetMap):
+        h = h.jmap
     if isinstance(h, JetMap):
         ident = JetMap.identity(h.n_vars, h.order)
         cur = h
         for n in range(1, n_max + 1):
-            if cur.allclose(ident, tol):
+            if cur.allclose(ident, PERIODICITY_TOL):
                 return n
             cur = h.compose(cur)
         return None
-    if isinstance(h, TruncatedJetMap):
-        return periodicity_test(h.jmap, n_max, probe_radius, tol)
-    # pointwise probe for general evaluable maps
-    n_vars = h.n_vars
-    probes = []
-    for i in range(5):
-        probes.append(tuple(
-            probe_radius * (0.4 + 0.12 * i) * cmath.exp(2j * math.pi * (3 * i + j + 1) / 11)
-            for j in range(n_vars)
-        ))
+    r = PERIODICITY_PROBE_RADIUS
+    probes = [tuple(r * (0.4 + 0.12 * i) * cmath.exp(2j * math.pi * (3 * i + j + 1) / 11)
+                    for j in range(h.n_vars)) for i in range(5)]
     current = list(probes)
-    ptol = max(tol, 1e-9 * probe_radius)
     for n in range(1, n_max + 1):
         current = [h.eval(p) for p in current]
-        if all(max(abs(a - b) for a, b in zip(c, p)) < ptol
+        if all(max(abs(a - b) for a, b in zip(c, p)) < PERIODICITY_TOL
                for c, p in zip(current, probes)):
             return n
     return None
@@ -637,7 +629,7 @@ class GroupClosure:
         return self.non_commuting_pair is None
 
 
-def group_closure(generators: Sequence[LinearMap], budget: int = 10_000) -> GroupClosure:
+def group_closure(generators: Sequence[LinearMap]) -> GroupClosure:
     """BFS closure of linear generators under composition, with snapped
     matrix comparison; also certifies (non-)commutativity."""
     gens = [np.array(g.matrix, dtype=complex) for g in generators]
@@ -653,7 +645,7 @@ def group_closure(generators: Sequence[LinearMap], budget: int = 10_000) -> Grou
             key = _matrix_key(nxt)
             if key in seen:
                 continue
-            if len(seen) >= budget:
+            if len(seen) >= CLOSURE_BUDGET:
                 exceeded = True
                 queue.clear()
                 break
@@ -696,14 +688,12 @@ def petal_analysis(d: int, c: complex) -> PetalReport:
     slightly offset seed and iterated, reporting modulus decay and the
     angular distance to the direction.
     """
-    if c == 0:
-        raise ValueError("c must be nonzero")
+    h = OneVarParabolicMap(d, c)
     theta = cmath.phase(c)
     attract = sorted(((math.pi - theta + 2 * math.pi * k) / d) % (2 * math.pi)
                      for k in range(d))
     repel = sorted(((-theta + 2 * math.pi * k) / d) % (2 * math.pi)
                    for k in range(d))
-    h = OneVarParabolicMap(d, c)
     runs = []
     for ang in attract:
         x = PETAL_SEED_RADIUS * cmath.exp(1j * (ang + PETAL_SEED_OFFSET))

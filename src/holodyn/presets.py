@@ -25,7 +25,12 @@ from .orbits import (
     ProductPreservingMap,
     TimeOneMap,
     TruncatedJetMap,
+    lattice_seeds,
 )
+
+# the largest order of a jet built from outside input: the CLI's --order
+# and the declared order of a JSON field, foliation or map
+MAX_ORDER = 1_000
 
 
 class PresetError(ValueError):
@@ -163,7 +168,8 @@ def _integers(args) -> List[int]:
 
 
 def _read_json(path: str, kind: str, decode):
-    """``decode`` of the JSON file at ``path``; every rejection is a PresetError."""
+    """``decode`` of the JSON file at ``path``, refused above ``MAX_ORDER``;
+    every rejection is a PresetError."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -173,9 +179,14 @@ def _read_json(path: str, kind: str, decode):
         raise PresetError(
             f"malformed JSON in {path}: line {e.lineno}, col {e.colno}: {e.msg}") from e
     try:
-        return decode(d)
+        out = decode(d)
     except (KeyError, TypeError, ValueError) as e:
         raise PresetError(f"invalid {kind} JSON in {path}: {e}") from e
+    order = (out.field if isinstance(out, Foliation) else out).order
+    if order > MAX_ORDER:
+        raise PresetError(f"{kind} JSON in {path} has order {order}, "
+                          f"more than MAX_ORDER = {MAX_ORDER}")
+    return out
 
 
 def _at_least(X: VectorField, order: int) -> VectorField:
@@ -197,8 +208,7 @@ def _build(kind: str, builders: dict, spec: str, *extra):
 
 def load_field(spec: str, order: int = DEFAULT_ORDER) -> VectorField:
     if spec.endswith(".json"):
-        return _read_json(spec, "vector-field",
-                          lambda d: _at_least(VectorField.from_json_dict(d), order))
+        return _at_least(_read_json(spec, "vector-field", VectorField.from_json_dict), order)
     return _build("field", _FIELD_BUILDERS, spec, order)
 
 
@@ -222,8 +232,8 @@ def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
 # -- maps -------------------------------------------------------------------
 
 
-def const_f_jet(value: complex = TWO_PI_I, order: int = DEFAULT_ORDER) -> Jet:
-    return Jet(1, order, {(0,): complex(value)})
+def const_f_jet(value: complex = TWO_PI_I) -> Jet:
+    return Jet(1, DEFAULT_ORDER, {(0,): complex(value)})
 
 
 def map_F(f_value: complex = TWO_PI_I) -> ProductPreservingMap:
@@ -251,17 +261,14 @@ _MAP_BUILDERS = {
     "h1": lambda args: map_h1(),
     "h2": lambda args: map_h2(),
     "swap": lambda args: map_h2(),
-    "parabolic": lambda args: OneVarParabolicMap(
-        *_integers(_expect(args, 2)[:1]), args[1], name="parabolic"
-    ),
+    "parabolic": lambda args: OneVarParabolicMap(*_integers(_expect(args, 2)[:1]), args[1]),
     "phiX": lambda args: TimeOneMap(field_example1(*_integers(_expect(args, 4))), name="phiX"),
 }
 
 
 def load_map(spec: str) -> EvaluableMap:
     if spec.endswith(".json"):
-        return _read_json(spec, "jet-map",
-                          lambda d: TruncatedJetMap(JetMap.from_json_dict(d), name=spec))
+        return TruncatedJetMap(_read_json(spec, "jet-map", JetMap.from_json_dict), name=spec)
     return _build("map", _MAP_BUILDERS, spec)
 
 
@@ -269,6 +276,13 @@ def pseudogroup_preset(name: str) -> List[EvaluableMap]:
     if name in ("h1h2", "schur24"):
         return [map_h1(), map_h2()]
     raise PresetError(f"unknown pseudogroup preset {name!r}; available: h1h2, schur24")
+
+
+def pseudogroup_seeds(n_seeds: int, radius: float, n_vars: int) -> List[Tuple[complex, ...]]:
+    """The first ``n_seeds`` points of the real lattice of radius 0.8 * radius
+    with max(2, round(sqrt(n_seeds))) points per axis."""
+    per_axis = max(2, int(round(math.sqrt(n_seeds))))
+    return lattice_seeds(0.8 * radius, per_axis, n_vars=n_vars)[:n_seeds]
 
 
 # The golden-mean level constant for the F-map experiment: C is chosen on

@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -42,15 +42,10 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    values: Dict[str, float] = field(default_factory=dict)
 
     @property
     def line(self) -> str:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
-
-
-def _ok(name, passed, detail, **values) -> CheckResult:
-    return CheckResult(name, bool(passed), detail, {k: float(v) for k, v in values.items()})
 
 
 # -- 1: exact holonomy of the degree-4 Siegel example ------------------------
@@ -69,12 +64,11 @@ def check_holonomy_exact() -> CheckResult:
     err = max(abs(a31 + TWO_PI_I), abs(b22 - TWO_PI_I))
     resid = table.ode_residual_max()
     passed = low < 1e-12 and err < 1e-10 and resid < 1e-12
-    return _ok(
+    return CheckResult(
         "holonomy-exact",
         passed,
         f"deg-2/3 max |c| = {low:.2e}, a31(1) = {a31:.6f}, b22(1) = {b22:.6f}, "
         f"ODE residual {resid:.1e}",
-        low_degree_max=low, coefficient_error=err, ode_residual=resid,
     )
 
 
@@ -88,11 +82,10 @@ def check_holonomy_oracle() -> CheckResult:
     rows = holonomy_cross_check(F, h, [(x, y) for x in vals for y in vals])
     worst = max(err for *_, err in rows)
     passed = worst < 1e-6
-    return _ok(
+    return CheckResult(
         "holonomy-oracle",
         passed,
         f"max |series - numeric| over the 5x5 grid = {worst:.2e} (< 1e-6)",
-        max_error=worst,
     )
 
 
@@ -114,12 +107,11 @@ def check_normal_form() -> CheckResult:
         and f0_numeric.imag * nf.f0.imag > 0
     )
     passed = nf.a == 1 and nf.b == 1 and mod_err < 1e-9 and sign_ok
-    return _ok(
+    return CheckResult(
         "normal-form",
-        passed,
+        bool(passed),
         f"(a, b) = ({nf.a}, {nf.b}), f(0) = {nf.f0:.6f}, ||f(0)| - 2pi| = {mod_err:.1e}, "
         f"numeric-route f(0) ~ {complex(f0_numeric):.4f} (sign agrees: {sign_ok})",
-        modulus_error=mod_err,
     )
 
 
@@ -139,12 +131,11 @@ def check_product_preservation() -> CheckResult:
     expected = ExpPoly.exponential(Frequency(-2))
     drift = monodromy_invariant_drift(F3, xy, (0.04, 0.05), expected=expected)
     passed = worst_exact < 1e-13 and drift < 1e-8
-    return _ok(
+    return CheckResult(
         "product-preservation",
         passed,
         f"coefficientwise defect of xy o h = {worst_exact:.1e}; "
         f"covariant drift |xy(t) - x0 y0 e^(-4 pi i t)| = {drift:.2e} (< 1e-8)",
-        exact_defect=worst_exact, covariant_drift=drift,
     )
 
 
@@ -160,11 +151,10 @@ def check_realization() -> CheckResult:
         flow = formal_flow(Y, 1.0, 6)
         worst = max(worst, h.max_abs_diff(flow))
     passed = worst < 1e-10
-    return _ok(
+    return CheckResult(
         "realization",
         passed,
         f"max coefficientwise |holonomy - time-one flow| over generator presets = {worst:.2e}",
-        max_error=worst,
     )
 
 
@@ -186,11 +176,10 @@ def check_linear_model() -> CheckResult:
                 if sum(exp) > 1:
                     worst = max(worst, abs(complex(c)))
     passed = worst < 1e-12
-    return _ok(
+    return CheckResult(
         "linear-model",
         passed,
         f"max |holonomy - diag(e^(2 pi i lambda_j / lambda_axis))| = {worst:.2e}",
-        max_error=worst,
     )
 
 
@@ -203,12 +192,11 @@ def check_finite_orbits() -> CheckResult:
     seeds = lattice_seeds(0.3, 20, n_vars=2, low=0.05)
     counts = classify_seed_grid(h, V, seeds).counts
     passed = counts["BudgetExhausted"] == 0 and len(seeds) == 400
-    return _ok(
+    return CheckResult(
         "finite-orbits",
         passed,
         f"400-seed grid in ball 0.3: {counts['Escaped']} escaped, "
         f"{counts['Periodic']} periodic, {counts['BudgetExhausted']} budget-exhausted",
-        budget_exhausted=counts["BudgetExhausted"],
     )
 
 
@@ -224,21 +212,24 @@ def check_infinite_contrast() -> CheckResult:
         V.contains(p) for p in rec.forward_points + rec.backward_points
     )
     passed = rec.status == "BudgetExhausted" and bounded
-    return _ok(
+    return CheckResult(
         "infinite-contrast",
         passed,
         f"level-set seed on |1 + 2 pi i C| = 1 (rotation number (sqrt5-1)/2): "
         f"status {rec.status}, {rec.cardinality} distinct points, bounded = {bounded}",
-        cardinality=rec.cardinality,
     )
 
 
 # -- 9: pseudogroup -------------------------------------------------------------
 
 
-def brute_force_closure(matrices: List[np.ndarray], budget: int = 5000) -> int:
+BRUTE_FORCE_BUDGET = 5000
+
+
+def brute_force_closure(matrices: List[np.ndarray]) -> int:
     """Independent dense closure oracle (no snapping machinery shared with
-    group_closure): repeated pairwise products until saturation."""
+    group_closure): repeated pairwise products until saturation, or -1 past
+    ``BRUTE_FORCE_BUDGET`` elements."""
     def key(M):
         flat = M.ravel()
         both = np.concatenate([flat.real, flat.imag])
@@ -254,7 +245,7 @@ def brute_force_closure(matrices: List[np.ndarray], budget: int = 5000) -> int:
                 P = G @ M
                 k = key(P)
                 if k not in elems:
-                    if len(elems) >= budget:
+                    if len(elems) >= BRUTE_FORCE_BUDGET:
                         return -1
                     elems[k] = P
                     new.append(P)
@@ -271,7 +262,7 @@ def check_pseudogroup() -> CheckResult:
     V = DomainBall(1.0)
     card_ok = True
     worst_card = 0
-    for seed in lattice_seeds(0.8, 10, n_vars=2):
+    for seed in presets.pseudogroup_seeds(100, 1.0, 2):
         orb = pseudogroup_orbit([h1, h2], seed, V)
         worst_card = max(worst_card, orb.cardinality)
         if orb.cardinality > 24 or 24 % orb.cardinality != 0:
@@ -285,13 +276,12 @@ def check_pseudogroup() -> CheckResult:
         and period_H is None
     )
     pair = closure.non_commuting_pair
-    return _ok(
+    return CheckResult(
         "pseudogroup",
         passed,
         f"closure order {closure.order} (oracle {oracle}), non-commuting generator pair "
         f"{pair}, 100 lattice orbits all of cardinality dividing 24 (max {worst_card}), "
         f"H-map periodicity up to 200: {period_H}",
-        closure_order=closure.order or -1, max_cardinality=worst_card,
     )
 
 
@@ -310,21 +300,21 @@ def check_conservation() -> CheckResult:
     lie = lie_derivative(X3, g3)
     lie_zero = lie.is_zero()
     passed = worst < 1e-8 and lie_zero
-    return _ok(
+    return CheckResult(
         "conservation",
         passed,
         f"max |x^n y^m| drift along numeric flows = {worst:.2e} (< 1e-8); "
         f"symbolic derivative of x y z^2 along the degree-4 field vanishes: {lie_zero}",
-        max_drift=worst,
     )
 
 
 # -- 11: property sweep -----------------------------------------------------------
 
 
-def _random_jet(rng: random.Random, n: int, order: int, terms: int = 8) -> Jet:
+def _random_jet(rng: random.Random, n: int, order: int) -> Jet:
+    """Up to eight random monomials of degree <= order."""
     coeffs = {}
-    for _ in range(terms):
+    for _ in range(8):
         exp = [0] * n
         deg = rng.randrange(0, order + 1)
         for _ in range(deg):
@@ -352,12 +342,11 @@ def check_property_sweep() -> CheckResult:
     _, tab = holonomy_series(presets.load_foliation("example3"), 6)
     resid = tab.ode_residual_max()
     passed = worst < 1e-12 and group_err < 1e-10 and resid < 1e-12
-    return _ok(
+    return CheckResult(
         "property-sweep",
         passed,
         f"ring-law defect {worst:.1e}, flow group-law defect {group_err:.1e}, "
         f"holonomy ODE residual {resid:.1e}",
-        ring_defect=worst, group_defect=group_err, ode_residual=resid,
     )
 
 

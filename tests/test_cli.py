@@ -74,6 +74,28 @@ def test_malformed_json_exits_2_with_diagnostic(tmp_path):
     assert "malformed JSON" in res.output and "line 1" in res.output
 
 
+def test_loaders_refuse_json_inputs_above_max_order(tmp_path):
+    """A JSON map, field or foliation declared above MAX_ORDER is refused when
+    it is read, before an inverse or a holonomy makes one pass per order."""
+    order = presets.MAX_ORDER + 1
+    jmap = JetMap([Jet(2, order, {(1, 0): 1.0, (2, 0): 0.5}), Jet(2, order, {(0, 1): 1.0})])
+    field = presets.load_field("thmB").truncate(order)
+    inputs = {"map": (presets.load_map, jmap.to_json_dict()),
+              "field": (presets.load_field, field.to_json_dict()),
+              "foliation": (presets.load_foliation,
+                            {"field": field.to_json_dict(), "separatrix_axis": 2})}
+    for kind, (load, d) in inputs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(presets.PresetError,
+                           match=f"has order {order}, more than MAX_ORDER = 1000"):
+            load(str(path))
+        # one order lower is accepted
+        d = json.loads(json.dumps(d).replace(f'"order": {order}', f'"order": {order - 1}'))
+        path.write_text(json.dumps(d))
+        load(str(path))
+
+
 def test_invalid_order_exits_2():
     res = run("holonomy", "--field", "thmB", "--order", "0")
     assert res.exit_code == 2
@@ -300,6 +322,8 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "--order 100000000000000000000 is more than MAX_ORDER = 1000"),
     (["flow", "--field", "thmB", "--order", "100000000000000000000"],
      "--order 100000000000000000000 is more than MAX_ORDER = 1000"),
+    (["holonomy", "--field", "{huge_order}"],
+     "foliation JSON in {huge_order} has order 1000000000000, more than MAX_ORDER = 1000"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -336,6 +360,13 @@ def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     path = tmp_path / "nan_coeff.json"
     path.write_text(json.dumps({"field": thmB, "separatrix_axis": 2}))
     files["{nan_coeff}"] = str(path)
+    # thmB's foliation declared at order 10^12
+    huge = presets.load_foliation("thmB").field.to_json_dict()
+    for comp in huge["components"]:
+        comp["order"] = 10 ** 12
+    path = tmp_path / "huge_order.json"
+    path.write_text(json.dumps({"field": huge, "separatrix_axis": 2}))
+    files["{huge_order}"] = str(path)
     files["{tmp}"] = str(tmp_path)
 
     def fill(text):

@@ -488,6 +488,38 @@ def test_normal_form_degree4_example():
     assert abs(nf.f0 + TWO_PI_I) < 1e-9
 
 
+# thmB has f(0) = -2 pi i z0^3 and example3 f(0) = -2 pi i z0^2; z0 = 1e-4
+# puts thmB's x^3 y coefficient at 6.3e-12, below the former absolute cut
+NORMAL_FORM_BASE_POINTS = (1.0, 0.7, 0.3 + 0.5j, 1e-3, 1e-4)
+
+
+@pytest.mark.parametrize("order", [4, 8])
+@pytest.mark.parametrize("name, ab, m", [("thmB", (2, 1), 3), ("example3", (1, 1), 2)])
+def test_normal_form_does_not_depend_on_the_base_point(name, ab, m, order):
+    """(a, b) is the same at every base point, and f(0) / z0^m agrees."""
+    ratios = []
+    for z0 in NORMAL_FORM_BASE_POINTS:
+        h, _ = holonomy_series(presets.load_foliation(name, order), order, z0=complex(z0))
+        nf = extract_normal_form(h)
+        assert (nf.a, nf.b) == ab, z0
+        ratios.append(nf.f0 / z0 ** m)
+    for r in ratios:
+        assert abs(r - ratios[0]) <= 1e-9 * abs(ratios[0])
+
+
+FOLIATION_PRESETS = ("thmB", "example3", "linear(1,-1,-2)", "genF", "genH", "genLinear")
+
+
+@pytest.mark.parametrize("z0", [1.0 + 0j, 0.3 + 0.5j])
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("name", FOLIATION_PRESETS)
+def test_holonomy_is_a_prefix_of_the_higher_order_holonomy(name, order, z0):
+    """h_N equals h_(N+2) truncated to N, coefficient for coefficient."""
+    h, _ = holonomy_series(presets.load_foliation(name, order), order, z0=z0)
+    higher, _ = holonomy_series(presets.load_foliation(name, order + 2), order + 2, z0=z0)
+    assert h.max_abs_diff(higher.truncate(order)) == 0.0
+
+
 def test_normal_form_identity_map():
     nf = extract_normal_form(JetMap.identity(2, 6))
     assert (nf.a, nf.b) == (0, 0)

@@ -1,14 +1,18 @@
 """Orbit lab: trichotomy, pseudogroups, closures, periodicity, petals."""
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from holodyn import presets
+from holodyn.flows import numeric_flow
 from holodyn.jets import Jet, JetMap
 from holodyn.orbits import (
     DEFAULT_BUDGET,
+    TIME_ONE_ATOL,
+    TIME_ONE_RTOL,
     DomainBall,
     EvaluableMap,
     LinearMap,
@@ -16,6 +20,7 @@ from holodyn.orbits import (
     OrbitError,
     PermutationMap,
     ProductPreservingMap,
+    TimeOneMap,
     TruncatedJetMap,
     classify_seed_grid,
     group_closure,
@@ -550,6 +555,90 @@ def test_H_not_periodic_up_to_200():
     assert periodicity_test(presets.map_H(), 200) is None
 
 
+def reference_periodicity_test(h, n_max, probe_radius=0.05, tol=1e-10):
+    """The former four-branch periodicity test: a NumPy matrix power for
+    linear maps, coefficientwise for jet maps, a recursion for truncated jet
+    maps and pointwise probes for everything else."""
+    if isinstance(h, LinearMap):
+        ident = np.eye(len(h.matrix), dtype=complex)
+        M = np.array(h.matrix, dtype=complex)
+        P = M.copy()
+        for n in range(1, n_max + 1):
+            if np.max(np.abs(P - ident)) < tol:
+                return n
+            P = P @ M
+        return None
+    if isinstance(h, JetMap):
+        ident = JetMap.identity(h.n_vars, h.order)
+        cur = h
+        for n in range(1, n_max + 1):
+            if cur.allclose(ident, tol):
+                return n
+            cur = h.compose(cur)
+        return None
+    if isinstance(h, TruncatedJetMap):
+        return reference_periodicity_test(h.jmap, n_max, probe_radius, tol)
+    probes = [tuple(probe_radius * (0.4 + 0.12 * i) * cmath.exp(2j * math.pi * (3 * i + j + 1) / 11)
+                    for j in range(h.n_vars)) for i in range(5)]
+    current = list(probes)
+    ptol = max(tol, 1e-9 * probe_radius)
+    for n in range(1, n_max + 1):
+        current = [h.eval(p) for p in current]
+        if all(max(abs(a - b) for a, b in zip(c, p)) < ptol for c, p in zip(current, probes)):
+            return n
+    return None
+
+
+def _monomial_linear_maps(count, seed=15):
+    """Seeded permutation-times-diagonal matrices of size 1-4 whose entries
+    are roots of unity of order <= 12."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        perm = rng.sample(range(n), n)
+        matrix = [[0j] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            q = rng.randint(1, 12)
+            matrix[i][j] = cmath.exp(2j * math.pi * rng.randrange(q) / q)
+        maps.append(LinearMap(matrix))
+    return maps
+
+
+def test_periodicity_test_matches_the_former_test_on_linear_maps():
+    maps = _monomial_linear_maps(300) + [presets.map_h1(), presets.map_h2(),
+                                         PermutationMap([1, 2, 0])]
+    got = [periodicity_test(h, 24) for h in maps]
+    assert got == [reference_periodicity_test(h, 24) for h in maps]
+    assert got[-3:] == [6, 2, 3]
+    # the seeded sample reaches both answers: some maps have no period <= 24
+    assert None in got and len(set(got)) > 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: JetMap.linear([[1.0, 0.0], [0.0, 1.0]], 4),
+    lambda: JetMap.linear([[-1.0, 0.0], [0.0, -1.0]], 4),
+    lambda: TruncatedJetMap(JetMap.linear([[-1.0, 0.0], [0.0, -1.0]], 4)),
+    lambda: TruncatedJetMap(JetMap.linear([[0, 1j, 0], [1j, 0, 0], [0, 0, -1]], 3)),
+    presets.map_H,
+], ids=["I", "-I", "-I-truncated", "3x3-truncated", "H"])
+def test_periodicity_test_matches_the_former_test_on_jet_and_point_maps(make):
+    h = make()
+    assert periodicity_test(h, 200) == reference_periodicity_test(h, 200)
+
+
+@pytest.mark.parametrize("spec", ["phiX(1,1,1,1)", "phiX(2,3,1,2)"])
+def test_time_one_inverse_is_the_time_minus_one_flow_bit_for_bit(spec):
+    phi = presets.load_map(spec)
+    inv = phi.inverse()
+    assert isinstance(inv, TimeOneMap) and inv.name == "phiX^-1"
+    rng = random.Random(spec)
+    for _ in range(40):
+        p = tuple(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(2))
+        want = numeric_flow(phi.X, p, -1.0, rtol=TIME_ONE_RTOL, atol=TIME_ONE_ATOL)
+        assert inv.eval(p) == tuple(want)
+
+
 # -- petals -----------------------------------------------------------------------
 
 
@@ -601,6 +690,13 @@ def test_lattice_seeds_deterministic():
     a = lattice_seeds(0.3, 4, n_vars=2, low=0.05)
     b = lattice_seeds(0.3, 4, n_vars=2, low=0.05)
     assert a == b and len(a) == 16
+
+
+def test_pseudogroup_seeds_are_the_cut_lattice_of_radius_0_8():
+    # the reproduction check's 100 seeds: a 10 x 10 lattice of radius 0.8
+    assert presets.pseudogroup_seeds(100, 1.0, 2) == lattice_seeds(0.8, 10, n_vars=2)
+    assert presets.pseudogroup_seeds(5, 0.5, 2) == lattice_seeds(0.4, 2, n_vars=2)[:4]
+    assert presets.pseudogroup_seeds(10, 1.0, 3) == lattice_seeds(0.8, 3, n_vars=3)[:10]
 
 
 def test_level_circle_seeds_lie_on_the_level_set():
