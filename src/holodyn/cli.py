@@ -53,13 +53,12 @@ from .orbits import (
     petal_analysis,
     pseudogroup_orbit,
 )
-from .presets import MAX_ORDER, PresetError
+from .presets import PresetError
 
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERIC = 3
 SVG_WIDTH = 480
-MAX_SEEDS = 1_000_000
 
 
 class ConfigError(click.ClickException):
@@ -124,23 +123,24 @@ def _parse_point(s: str, n_vars: int) -> Tuple[complex, ...]:
     return point
 
 
-def _check_finite(option: str, value: Optional[float]) -> None:
+def _check_finite(option: str, value: Optional[float], positive: bool = False) -> None:
     if value is not None and not math.isfinite(value):
         raise ConfigError(f"{option} must be a finite number, got {value}")
+    if positive and value <= 0:
+        raise ConfigError(f"{option} must be positive, got {value}")
 
 
-def _check_order(order: int) -> None:
-    """Refuse an --order outside 1..MAX_ORDER before any jet is built."""
-    if order < 1:
-        raise ConfigError("--order must be >= 1")
-    if order > MAX_ORDER:
-        raise ConfigError(f"--order {order} is more than MAX_ORDER = {MAX_ORDER}")
-
-
-def _check_seed_count(option: str, count: int) -> None:
-    """Refuse a request for more than MAX_SEEDS seeds before any seed is built."""
-    if count > MAX_SEEDS:
-        raise ConfigError(f"{option} asks for {count} seeds, more than MAX_SEEDS = {MAX_SEEDS}")
+def _check_count(option: str, value: Optional[int], bound: str = "", unit: str = "") -> None:
+    """Refuse a count below 1, or above the entry ``bound`` names in the bound
+    table of :mod:`holodyn.presets`; a count of ``unit`` reads "asks for"."""
+    if value is None:
+        return
+    if value < 1:
+        raise ConfigError(f"{option} must be a positive integer, got {value}")
+    limit = getattr(presets, bound) if bound else math.inf
+    if value > limit:
+        asks = f"asks for {value} {unit}," if unit else f"{value} is"
+        raise ConfigError(f"{option} {asks} more than {bound} = {limit}")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -212,7 +212,7 @@ def main():
               help="Write the series-vs-numeric cross-check CSV.")
 def holonomy(field_spec, order, z0, emit_path, oracle_path):
     """Exact holonomy of the separatrix axis, plus the normal-form summary."""
-    _check_order(order)
+    _check_count("--order", order, "MAX_ORDER")
     z0c = _parse_complex(z0)
     F = presets.load_foliation(field_spec, order)
     config = {"command": "holonomy", "field": field_spec, "order": order,
@@ -258,7 +258,7 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
 @click.option("--emit", "emit_path", type=click.Path(), default=None)
 def flow(field_spec, time_str, order, point, emit_path):
     """Formal time-t map of a polynomial field (and a numeric spot check)."""
-    _check_order(order)
+    _check_count("--order", order, "MAX_ORDER")
     t = _parse_complex(time_str)
     X = presets.load_field(field_spec, order)
     p = _parse_point(point, X.n_vars) if point else None
@@ -292,7 +292,7 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
         raise ConfigError(f"cannot parse --grid {grid!r}; expected e.g. 20x20")
     if min(counts) < 1:
         raise ConfigError(f"--grid {grid!r}: every count must be a positive integer")
-    _check_seed_count(f"--grid {grid!r}", math.prod(counts))
+    _check_count(f"--grid {grid!r}", math.prod(counts), "MAX_SEEDS", "seeds")
     if n == 1:
         counts = [math.prod(counts)]
     elif len(counts) != n:
@@ -327,14 +327,12 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
 def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
           random_seeds, seed, csv_path, svg_path, svg_projection):
     """Classify orbits of a germ on the polydisc of the given radius."""
-    _check_finite("--radius", radius)
+    _check_finite("--radius", radius, positive=True)
     _check_finite("--grid-low", grid_low)
-    if radius <= 0 or budget <= 0:
-        raise ConfigError("--radius and --budget must be positive")
-    if random_seeds is not None and random_seeds < 1:
-        raise ConfigError(f"--random-seeds must be a positive integer, got {random_seeds}")
-    if random_seeds is not None:
-        _check_seed_count("--random-seeds", random_seeds)
+    _check_count("--budget", budget, "MAX_BUDGET")
+    _check_count("--random-seeds", random_seeds, "MAX_SEEDS", "seeds")
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     h = presets.load_map(map_spec)
     config = {"command": "orbit", "map": map_spec, "radius": radius, "grid": grid,
               "grid_low": grid_low, "budget": budget, "level_circle": level_circle,
@@ -386,13 +384,10 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
 def pseudogroup(preset, n_seeds, radius, word_budget, point_budget, json_path):
     """Pseudogroup orbits and the linear group closure of a generator preset."""
     gens = presets.pseudogroup_preset(preset)
-    _check_finite("--radius", radius)
-    if n_seeds <= 0 or radius <= 0:
-        raise ConfigError("--seeds and --radius must be positive")
-    _check_seed_count("--seeds", n_seeds)
-    for option, value in (("--word-budget", word_budget), ("--point-budget", point_budget)):
-        if value < 1:
-            raise ConfigError(f"{option} must be a positive integer, got {value}")
+    _check_finite("--radius", radius, positive=True)
+    _check_count("--seeds", n_seeds, "MAX_SEEDS", "seeds")
+    _check_count("--word-budget", word_budget)
+    _check_count("--point-budget", point_budget)
     config = {"command": "pseudogroup", "preset": preset, "seeds": n_seeds,
               "radius": radius, "word_budget": word_budget,
               "point_budget": point_budget}
@@ -435,6 +430,7 @@ def petal(d, c, json_path):
     """Characteristic directions of x -> x + c x^(d+1), with empirical runs."""
     if d < 1:
         raise ConfigError("--d must be a positive integer")
+    _check_count("--d", d, "MAX_PETAL_DEGREE")
     cc = _parse_complex(c)
     if cc == 0:
         raise ConfigError("--c must be nonzero")
@@ -467,9 +463,7 @@ def petal(d, c, json_path):
 @click.option("--tol", type=float, default=1e-8, show_default=True)
 def verify_integral(field_spec, exponents, point, tol):
     """Check that a monomial is a first integral (symbolically and numerically)."""
-    _check_finite("--tol", tol)
-    if tol <= 0:
-        raise ConfigError(f"--tol must be positive, got {tol}")
+    _check_finite("--tol", tol, positive=True)
     X = presets.load_field(field_spec, DEFAULT_ORDER)
     try:
         exp = tuple(int(v) for v in exponents.split(","))

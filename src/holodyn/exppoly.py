@@ -53,7 +53,9 @@ class Frequency:
                 if freq is None:
                     freq = cls._rationals[q] = cls._make(q, TWO_PI_I * float(q), q == 0)
             return freq
-        value = complex(value)
+        # + 0.0 turns -0.0 parts into 0.0: 1-0j and 1+0j are one key, and the
+        # interned value must not depend on which of them came first
+        value = complex(value) + 0.0
         freq = cls._complexes.get(value)
         if freq is None:
             if not cmath.isfinite(value):

@@ -317,8 +317,10 @@ def normal_form_or_reason(h: JetMap) -> NormalForm | NormalFormError:
 def extract_normal_form(h: JetMap) -> NormalForm:
     """Fit the product-preserving normal form to a planar jet map.
 
-    Requires h tangent to the identity and preserving x*y through the
-    truncation order, both up to ``NORMAL_FORM_TOL``; raises NormalFormError
+    Requires h tangent to the identity up to ``NORMAL_FORM_TOL``, and
+    preserving x*y through the truncation order: each coefficient of
+    (x*y)(h) - x*y at most ``NORMAL_FORM_TOL`` times that of |x|*|y| composed
+    with |h|, the composition run on magnitudes.  Raises NormalFormError
     otherwise or when no monomial pattern x^a y^b fits.  A non-linear
     coefficient of the first component counts as zero when its modulus is at
     most ``NORMAL_FORM_TOL`` times the largest one, so the fit does not
@@ -332,8 +334,11 @@ def extract_normal_form(h: JetMap) -> NormalForm:
     if max(abs(L[i][j] - ident[i][j]) for i in range(2) for j in range(2)) > NORMAL_FORM_TOL:
         raise NormalFormError("map is not tangent to the identity")
     xy = Jet(2, order, {(1, 1): 1.0 + 0j})
-    pres = xy.compose(h).max_abs_diff(xy)
-    if pres > NORMAL_FORM_TOL:
+    defect = (xy.compose(h) - xy).coeffs
+    scale = xy.compose([Jet._from_clean(2, order, {e: abs(c) for e, c in comp.coeffs.items()})
+                        for comp in h.components])
+    if any(abs(c) > NORMAL_FORM_TOL * abs(scale.coeff(e)) for e, c in defect.items()):
+        pres = max(map(abs, defect.values()))
         raise NormalFormError(f"map does not preserve x*y (defect {pres:.2e})")
 
     # u = h1/x - 1, supported on powers of a single monomial x^a y^b; the

@@ -1,8 +1,10 @@
-"""Named built-in vector fields, foliations and maps, and the one input path.
+"""Named built-in vector fields, foliations and maps, and the one input contract.
 
 String syntax: a bare name ("thmB") or name(args) with numeric arguments,
 e.g. "example1(1,1,1,1)" or "linear(1,-1,-2)".  The loaders also take a
 ``.json`` path, and build every field to at least the requested order.
+A preset table per kind and one bound table decide every outside input, and
+every rejection is a PresetError with a one-line reason.
 """
 from __future__ import annotations
 
@@ -28,9 +30,11 @@ from .orbits import (
     lattice_seeds,
 )
 
-# the largest order of a jet built from outside input: the CLI's --order
-# and the declared order of a JSON field, foliation or map
-MAX_ORDER = 1_000
+# The bound table: the largest value an outside input may ask for.
+MAX_ORDER = 1_000  # --order, and the jets of whatever a loader returns, JSON or preset
+MAX_SEEDS = 1_000_000  # the seeds of one run: --grid's product, --random-seeds, --seeds
+MAX_BUDGET = 10_000_000  # orbit --budget, the steps per seed and direction
+MAX_PETAL_DEGREE = 100  # petal --d: 50,000 steps in each of d directions
 
 
 class PresetError(ValueError):
@@ -143,33 +147,28 @@ def generator_linear(order: int = DEFAULT_ORDER) -> VectorField:
     return VectorField([cx, cy])
 
 
-_FIELD_BUILDERS = {
-    "thmB": lambda args, order: field_thmB(order),
-    "example3": lambda args, order: field_example3(order),
-    "example1": lambda args, order: field_example1(*_integers(_expect(args, 4)), order=order),
-    "linear": lambda args, order: field_linear(args, order),
-    "genF": lambda args, order: generator_F(order),
-    "genH": lambda args, order: generator_H(order),
-    "genLinear": lambda args, order: generator_linear(order),
-}
-
-
-def _expect(args, n):
-    if len(args) != n:
-        raise PresetError(f"expected {n} arguments, got {len(args)}")
-    return args
-
-
 def _integers(args) -> List[int]:
     ints = [int(a.real) for a in args]
-    if ints != args:
+    if ints != list(args):
         raise PresetError("expected integer arguments")
     return ints
 
 
+# name -> (what builds it from (*args, order=), its argument counts (None: any, and
+# field_linear refuses zero eigenvalues), the rule that makes its foliation)
+_FIELDS = {
+    "thmB": (field_thmB, (0,), lambda X: Foliation(X, 2)),
+    "example3": (field_example3, (0,), lambda X: Foliation(X, 2)),
+    "example1": (lambda *a, order: field_example1(*_integers(a), order=order), (4,), None),
+    "linear": (lambda *a, order: field_linear(a, order), None, lambda X: Foliation(X, 0)),
+    "genF": (generator_F, (0,), realize_as_holonomy),
+    "genH": (generator_H, (0,), realize_as_holonomy),
+    "genLinear": (generator_linear, (0,), realize_as_holonomy),
+}
+
+
 def _read_json(path: str, kind: str, decode):
-    """``decode`` of the JSON file at ``path``, refused above ``MAX_ORDER``;
-    every rejection is a PresetError."""
+    """``decode`` of the JSON file at ``path``; every rejection is a PresetError."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -179,14 +178,9 @@ def _read_json(path: str, kind: str, decode):
         raise PresetError(
             f"malformed JSON in {path}: line {e.lineno}, col {e.colno}: {e.msg}") from e
     try:
-        out = decode(d)
+        return decode(d)
     except (KeyError, TypeError, ValueError) as e:
         raise PresetError(f"invalid {kind} JSON in {path}: {e}") from e
-    order = (out.field if isinstance(out, Foliation) else out).order
-    if order > MAX_ORDER:
-        raise PresetError(f"{kind} JSON in {path} has order {order}, "
-                          f"more than MAX_ORDER = {MAX_ORDER}")
-    return out
 
 
 def _at_least(X: VectorField, order: int) -> VectorField:
@@ -194,39 +188,47 @@ def _at_least(X: VectorField, order: int) -> VectorField:
     return X.truncate(max(X.order, order))
 
 
-def _build(kind: str, builders: dict, spec: str, *extra):
-    """The preset ``spec`` names in ``builders``; every rejection is a PresetError."""
+def _build(kind: str, table: dict, spec: str, **extra):
+    """``spec``'s name and what its ``table`` entry builds; every rejection is a PresetError."""
     name, args = _parse(spec)
-    if name not in builders:
-        raise PresetError(
-            f"unknown {kind} preset {name!r}; available: {', '.join(sorted(builders))}")
+    if name not in table:
+        raise PresetError(f"unknown {kind} preset {name!r}; available: {', '.join(sorted(table))}")
+    build, counts = table[name][:2]
     try:
-        return builders[name](args, *extra)
+        if counts is not None and len(args) not in counts:
+            raise PresetError(f"expected {' or '.join(map(str, counts))} arguments, got {len(args)}")
+        return name, build(*args, **extra)
     except ValueError as e:
         raise PresetError(f"invalid {kind} preset {spec!r}: {e}") from e
 
 
+def _bounded(out, order: int, spec: str, json_kind: str):
+    """``out``, loaded from ``spec``, refused when its jets exceed ``MAX_ORDER``."""
+    if order > MAX_ORDER:
+        source = f"{json_kind} JSON in {spec}" if spec.endswith(".json") else f"preset {spec!r}"
+        raise PresetError(f"{source} has order {order}, more than MAX_ORDER = {MAX_ORDER}")
+    return out
+
+
 def load_field(spec: str, order: int = DEFAULT_ORDER) -> VectorField:
     if spec.endswith(".json"):
-        return _at_least(_read_json(spec, "vector-field", VectorField.from_json_dict), order)
-    return _build("field", _FIELD_BUILDERS, spec, order)
+        X = _at_least(_read_json(spec, "vector-field", VectorField.from_json_dict), order)
+    else:
+        _, X = _build("field", _FIELDS, spec, order=order)
+    return _bounded(X, X.order, spec, "vector-field")
 
 
 def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
-    """Foliation for a field preset: 3-var presets use the z-axis (index 2),
-    linear presets the first axis, planar generators are realized."""
+    """The foliation a JSON file gives, or the one a field preset's foliation rule makes."""
     if spec.endswith(".json"):
         F = _read_json(spec, "foliation", Foliation.from_json_dict)
-        return Foliation(_at_least(F.field, order), F.separatrix_axis)
-    name, _ = _parse(spec)
-    X = load_field(spec, order)
-    if name in ("thmB", "example3"):
-        return Foliation(X, separatrix_axis=2)
-    if name == "linear":
-        return Foliation(X, separatrix_axis=0)
-    if name in ("genF", "genH", "genLinear"):
-        return realize_as_holonomy(X)
-    raise PresetError(f"preset {name!r} has no canonical foliation")
+        F = Foliation(_at_least(F.field, order), F.separatrix_axis)
+    else:
+        name, X = _build("field", _FIELDS, spec, order=order)
+        if _FIELDS[name][2] is None:
+            raise PresetError(f"preset {name!r} has no canonical foliation")
+        F = _FIELDS[name][2](X)
+    return _bounded(F, F.field.order, spec, "foliation")
 
 
 # -- maps -------------------------------------------------------------------
@@ -255,21 +257,24 @@ def map_h2() -> PermutationMap:
     return PermutationMap([1, 0], name="h2")
 
 
-_MAP_BUILDERS = {
-    "F": lambda args: map_F(*args) if args else map_F(),
-    "H": lambda args: map_H(*args) if args else map_H(),
-    "h1": lambda args: map_h1(),
-    "h2": lambda args: map_h2(),
-    "swap": lambda args: map_h2(),
-    "parabolic": lambda args: OneVarParabolicMap(*_integers(_expect(args, 2)[:1]), args[1]),
-    "phiX": lambda args: TimeOneMap(field_example1(*_integers(_expect(args, 4))), name="phiX"),
+# name -> (what builds it from (*args), the argument counts it takes)
+_MAPS = {
+    "F": (map_F, (0, 1)),
+    "H": (map_H, (0, 1)),
+    "h1": (map_h1, (0,)),
+    "h2": (map_h2, (0,)),
+    "swap": (map_h2, (0,)),
+    "parabolic": (lambda d, c: OneVarParabolicMap(*_integers([d]), c), (2,)),
+    "phiX": (lambda *a: TimeOneMap(field_example1(*_integers(a)), name="phiX"), (4,)),
 }
 
 
 def load_map(spec: str) -> EvaluableMap:
     if spec.endswith(".json"):
-        return TruncatedJetMap(_read_json(spec, "jet-map", JetMap.from_json_dict), name=spec)
-    return _build("map", _MAP_BUILDERS, spec)
+        jmap = _read_json(spec, "jet-map", JetMap.from_json_dict)
+        return _bounded(TruncatedJetMap(jmap, name=spec), jmap.order, spec, "jet-map")
+    _, h = _build("map", _MAPS, spec)
+    return _bounded(h, h.X.order if isinstance(h, TimeOneMap) else 0, spec, "jet-map")
 
 
 def pseudogroup_preset(name: str) -> List[EvaluableMap]:

@@ -1,6 +1,7 @@
 """CLI contracts: formats, exit codes, determinism, provenance headers."""
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ def test_loaders_refuse_json_inputs_above_max_order(tmp_path):
         d = json.loads(json.dumps(d).replace(f'"order": {order}', f'"order": {order - 1}'))
         path.write_text(json.dumps(d))
         load(str(path))
+
+
+def test_loaders_refuse_preset_arguments_that_size_a_jet_above_max_order():
+    """example1 and phiX have order a + b + 1, and the loaders refuse it above
+    MAX_ORDER as they refuse a JSON file's declared order."""
+    for load, spec in ((presets.load_field, "example1(1,1,{a},0)"),
+                       (presets.load_map, "phiX(1,1,{a},0)")):
+        with pytest.raises(presets.PresetError, match=re.escape(
+                f"preset {spec.format(a=10 ** 12)!r} has order 1000000000001, "
+                "more than MAX_ORDER = 1000")):
+            load(spec.format(a=10 ** 12))
+        # order a + b + 1 = MAX_ORDER is accepted
+        load(spec.format(a=presets.MAX_ORDER - 1))
 
 
 def test_invalid_order_exits_2():
@@ -324,6 +338,16 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "--order 100000000000000000000 is more than MAX_ORDER = 1000"),
     (["holonomy", "--field", "{huge_order}"],
      "foliation JSON in {huge_order} has order 1000000000000, more than MAX_ORDER = 1000"),
+    (["orbit", "--map", "F(1,2)"], "invalid map preset 'F(1,2)': expected 0 or 1 arguments, got 2"),
+    (["flow", "--field", "thmB(1)"], "invalid field preset 'thmB(1)': expected 0 arguments, got 1"),
+    (["orbit", "--map", "h1(3)"], "invalid map preset 'h1(3)': expected 0 arguments, got 1"),
+    (["flow", "--field", "example1(1,1,1000000000000,0)"],
+     "preset 'example1(1,1,1000000000000,0)' has order 1000000000001, more than MAX_ORDER = 1000"),
+    (["orbit", "--map", "F", "--level-circle", "--budget", "1000000000000"],
+     "--budget 1000000000000 is more than MAX_BUDGET = 10000000"),
+    (["petal", "--d", "1000000000000"], "--d 1000000000000 is more than MAX_PETAL_DEGREE = 100"),
+    (["orbit", "--map", "H", "--random-seeds", "2", "--seed", "-1"],
+     "--seed must be a non-negative integer, got -1"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"

@@ -26,6 +26,15 @@ def test_frequency_from_complex_rationalizes():
     assert g.q is None
 
 
+def test_an_interned_frequency_keeps_one_sign_of_zero():
+    """-3.25-0j and -3.25+0j are one interned frequency, and its value is the
+    same whichever came first, so a table's bytes do not depend on what an
+    earlier computation in the process interned."""
+    f = Frequency(None, complex(-3.25, -0.0))
+    assert f is Frequency(None, complex(-3.25, 0.0))
+    assert math.copysign(1.0, f.value.imag) == 1.0
+
+
 def test_exponential_product_cancels():
     a = ExpPoly.exponential(Frequency(1))
     b = ExpPoly.exponential(Frequency(-1))

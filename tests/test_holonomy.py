@@ -533,12 +533,25 @@ def test_normal_form_rejects_non_tangent():
 
 
 def test_normal_form_rejects_non_preserving():
-    m = JetMap([
-        Jet(2, 4, {(1, 0): 1.0, (2, 0): 1.0}),
-        Jet(2, 4, {(0, 1): 1.0}),
-    ])
-    with pytest.raises(NormalFormError):
-        extract_normal_form(m)
+    # (x + c x^2, y): at c = 1e-11 every non-linear coefficient is below
+    # NORMAL_FORM_TOL, yet x*y gains c x^2 y, all of its own scale
+    for c in (1.0, 1e-11):
+        m = JetMap([
+            Jet(2, 4, {(1, 0): 1.0, (2, 0): c}),
+            Jet(2, 4, {(0, 1): 1.0}),
+        ])
+        with pytest.raises(NormalFormError, match=r"does not preserve x\*y"):
+            extract_normal_form(m)
+
+
+@pytest.mark.parametrize("name, ab", [("thmB", (2, 1)), ("genH", (2, 1)), ("example3", (1, 1))])
+def test_normal_form_fits_at_order_32(name, ab):
+    """Coefficients of thmB's holonomy reach 1e8 at order 32, so x*y composed
+    with it has defects near 1e-8 in absolute terms; relative to the same
+    composition on magnitudes they are rounding, and the map is fitted."""
+    h, _ = holonomy_series(presets.load_foliation(name, 32), 32, z0=1.0)
+    nf = extract_normal_form(h)
+    assert (nf.a, nf.b) == ab
 
 
 def test_normal_form_rejects_two_monomial_patterns():

@@ -58,3 +58,30 @@ def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, t
     monkeypatch.setattr(sys, "argv", [str(script), "nosuch*"])
     with pytest.raises(SystemExit, match="no entry matches nosuch"):
         runpy.run_path(str(script), run_name="__main__")
+
+
+# the three CLI orbit runs take about 57 s of the digest's 60 s; they are
+# diffed by hand until they are fast
+SLOW_DIGEST_ENTRIES = ("cli:orbit-H", "cli:orbit-parabolic", "cli:orbit-F-level-circle")
+GOLDEN_DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "output_digest.txt"
+
+
+def test_output_digest_matches_the_golden_file(capsys):
+    """Every fast entry of scripts/output_digest.py hashes as it does in
+    tests/golden/output_digest.txt, the full 284-line digest.
+
+    The hashes pin this platform: Python 3.11.7, numpy 2.4.6 and the x86-64
+    libm. An intended output change regenerates the file with one command,
+    and the change lists every moved line:
+
+        PYTHONPATH=src python scripts/output_digest.py > tests/golden/output_digest.txt
+    """
+    script = runpy.run_path(str(SCRIPTS / "output_digest.py"))
+    fast = [name for name, _ in script["entries"]() if name not in SLOW_DIGEST_ENTRIES]
+    script["main"](fast)
+    golden = GOLDEN_DIGEST.read_text().splitlines()
+    assert len(golden) == 284
+    slow = tuple(f"{name}:" for name in SLOW_DIGEST_ENTRIES)
+    expected = [line for line in golden if not line.startswith(slow)]
+    assert len(expected) == 275
+    assert capsys.readouterr().out.splitlines() == expected
