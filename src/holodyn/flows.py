@@ -20,7 +20,7 @@ from .jets import Jet, JetMap, JetError
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
-DEFAULT_MAX_STEPS = 1_000_000
+DEFAULT_MAX_STEPS = 100_000  # listed with the bound table in holodyn.presets
 DEFAULT_ESCAPE_RADIUS = 10.0
 
 

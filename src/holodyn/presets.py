@@ -35,6 +35,8 @@ MAX_ORDER = 1_000  # --order, and the jets of whatever a loader returns, JSON or
 MAX_SEEDS = 1_000_000  # the seeds of one run: --grid's product, --random-seeds, --seeds
 MAX_BUDGET = 10_000_000  # orbit --budget, the steps per seed and direction
 MAX_PETAL_DEGREE = 100  # petal --d: 50,000 steps in each of d directions
+# Beside it, the integrator's own bound: flows.DEFAULT_MAX_STEPS = 100,000
+# steps per integration, 80 times the longest one the tests run (1,245).
 
 
 class PresetError(ValueError):

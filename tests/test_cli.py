@@ -474,6 +474,15 @@ def test_step_limit_exits_3_with_reason(monkeypatch, tmp_path, args):
     assert res.output.splitlines()[-1] == "Error: integration did not finish within 2 steps"
 
 
+def test_a_stiff_field_exits_3_at_the_integrator_step_bound():
+    """The integrator's own bound, not a cap set by the test, ends a stiff
+    integration (eigenvalue 10^12, backward in time) in a few seconds."""
+    res = run("flow", "--field", "linear(1000000000000,2)", "--time", "-1", "--point", "1,2")
+    assert res.exit_code == 3
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1] == "Error: integration did not finish within 100000 steps"
+
+
 # the foliation and field presets of scripts/output_digest.py
 FOLIATION_PRESETS = ("thmB", "example3", "linear(1,-1,-2)", "genF", "genH", "genLinear")
 FIELD_PRESETS = ("thmB", "example3", "example1(1,1,1,1)", "example1(2,3,1,2)",

@@ -2,14 +2,16 @@
 import cmath
 import math
 import random
+from operator import sub
 
 import numpy as np
 import pytest
 
-from holodyn import presets
+from holodyn import holonomy_series, presets
 from holodyn.flows import numeric_flow
 from holodyn.jets import Jet, JetMap
 from holodyn.orbits import (
+    CHUNK_START,
     DEFAULT_BUDGET,
     TIME_ONE_ATOL,
     TIME_ONE_RTOL,
@@ -17,7 +19,9 @@ from holodyn.orbits import (
     EvaluableMap,
     LinearMap,
     OneVarParabolicMap,
+    STEP_FAILURES,
     OrbitError,
+    OrbitRecord,
     PermutationMap,
     ProductPreservingMap,
     TimeOneMap,
@@ -436,6 +440,284 @@ def test_escaped_stable_under_budget_increase():
     r2 = iterate_orbit(h, seed, V, budget=100_000)
     assert r1.status == r2.status == "Escaped"
     assert r1.mu == r2.mu
+
+
+# -- chunked iteration against the scalar loop ------------------------------------
+
+
+def reference_iterate_orbit(h, p, V, budget=DEFAULT_BUDGET, keep_points=False):
+    """The former iterate_orbit: every test after every step, in Python, with
+    the dedup key as a tuple of (re, im) pairs; its run loop is verbatim."""
+    def quantize(q, eps):
+        return tuple((round(c.real / eps), round(c.imag / eps)) for c in q)
+
+    p = tuple(complex(c) for c in p)
+    if not V.contains(p):
+        raise OrbitError("seed lies outside the domain ball")
+    eps_cycle, eps_dedup = V.cycle_eps, V.dedup_eps
+    seen = {quantize(p, eps_dedup)}
+    fwd_pts, bwd_pts = [], []
+
+    inside = float(V.radius).__ge__
+
+    def run(direction_map, store):
+        step_map = direction_map.eval
+        add = seen.add
+        cur = p
+        for step in range(1, budget + 1):
+            prev = cur
+            try:
+                cur = step_map(cur)
+            except STEP_FAILURES:
+                return "escaped", step
+            if not all(map(inside, map(abs, cur))):
+                return "escaped", step
+            if max(map(abs, map(sub, cur, p))) < eps_cycle:
+                return "periodic", step
+            if max(map(abs, map(sub, cur, prev))) < eps_cycle:
+                return "budget", step
+            add(tuple([(round(c.real / eps_dedup), round(c.imag / eps_dedup)) for c in cur]))
+            if keep_points:
+                store.append(cur)
+        return "budget", budget
+
+    f_out, f_steps = run(h, fwd_pts)
+    inv = None if f_out == "periodic" else h.inverse()
+    b_out, b_steps = run(inv, bwd_pts) if inv is not None else (None, 0)
+    if "periodic" in (f_out, b_out):
+        status, period, mu = "Periodic", f_steps if f_out == "periodic" else b_steps, None
+    elif f_out == "escaped" and b_out in ("escaped", None):
+        status, period, mu = "Escaped", None, f_steps + b_steps + 1 if b_out else f_steps
+    else:
+        status, period, mu = "BudgetExhausted", None, None
+    return OrbitRecord(seed=p, status=status, period=period, mu=mu, cardinality=len(seen),
+                       one_sided=f_out != "periodic" and inv is None,
+                       forward_points=fwd_pts, backward_points=bwd_pts)
+
+
+def record_fields(rec):
+    return (rec.seed, rec.status, rec.period, rec.mu, rec.cardinality, rec.one_sided,
+            rec.forward_points, rec.backward_points)
+
+
+def complex_H_seeds(n, seed):
+    """n seeds with moduli uniform in [0.05, 0.3] and uniform phases."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.05, 0.3, size=(n, 2)) * np.exp(2j * math.pi * rng.uniform(size=(n, 2)))
+    return [tuple(complex(c) for c in row) for row in z]
+
+
+def example3_jet_map():
+    h, _ = holonomy_series(presets.load_foliation("example3"), 6)
+    return TruncatedJetMap(h, name="example3")
+
+
+# name -> (map, seeds, ball radius, budget): the orbit experiments and the two
+# benchmark orbit workloads (level circle 20,000 and jet map 6,000 steps)
+DIFFERENTIAL_GRIDS = {
+    "H-lattice": (presets.map_H, lambda: LATTICE, 0.3, DEFAULT_BUDGET),
+    "H-complex": (presets.map_H, lambda: complex_H_seeds(400, seed=17), 0.3, DEFAULT_BUDGET),
+    "F-level-circle": (presets.map_F, lambda: presets.level_circle_seeds(2), 1.0, 20_000),
+    "example3-jet": (example3_jet_map,
+                     lambda: [(0.008, 0.008j), (-0.006 + 0.005j, 0.007)], 0.3, 6_000),
+    "parabolic": (lambda: presets.load_map("parabolic(2,0.5+1i)"),
+                  lambda: lattice_seeds(0.3, 20, n_vars=1), 0.3, 2_000),
+    "h1": (presets.map_h1, lambda: lattice_seeds(0.3, 4) + [(0.0, 0.2)], 0.3, DEFAULT_BUDGET),
+}
+
+
+@pytest.fixture(scope="module")
+def differential_records():
+    """name -> (V, chunked records, reference records) on DIFFERENTIAL_GRIDS."""
+    out = {}
+    for name, (make, seeds, radius, budget) in DIFFERENTIAL_GRIDS.items():
+        h, V = make(), DomainBall(radius)
+        out[name] = (V, *([run(h, s, V, budget=budget, keep_points=True) for s in seeds()]
+                          for run in (iterate_orbit, reference_iterate_orbit)))
+    return out
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GRIDS)
+def test_chunked_orbit_records_equal_the_scalar_loop(differential_records, name):
+    """Every record field and every kept point, bit for bit."""
+    _, records, reference = differential_records[name]
+    assert [record_fields(r) for r in records] == [record_fields(r) for r in reference]
+    statuses = {r.status for r in records}
+    if name == "h1":
+        assert statuses == {"Periodic"}
+        assert {r.period for r in records} == {6, 3}
+        assert records[-1].period == 3
+    elif name in ("F-level-circle", "example3-jet"):
+        assert statuses == {"BudgetExhausted"}
+    elif name.startswith("H-"):
+        assert statuses == {"Escaped"}
+
+
+def test_numpy_keys_and_filter_parts_against_the_scalar_values(differential_records):
+    """On every visited point, the NumPy dedup keys equal Python's round, and
+    the parts |re|, |im| of its differences to the seed and to the point
+    before it, which the NumPy cycle filter compares, are at most their
+    modulus abs(), which the scalar rule compares: so the filter passes every
+    index the rule can stop at.  (NumPy's own complex modulus is not libm's
+    hypot: it differs from abs() by up to 2 ulp on about a third of random
+    points, so the filter does not use it.)"""
+    for V, records, _ in differential_records.values():
+        eps = V.dedup_eps
+        for rec in records:
+            p = rec.seed
+            for run in (rec.forward_points, rec.backward_points):
+                if not run:
+                    continue
+                floats = np.array(run).view(np.float64)
+                assert np.rint(floats / eps).astype(np.int64).tolist() \
+                    == [[round(v / eps) for c in q for v in (c.real, c.imag)] for q in run]
+                seed = np.array(p).view(np.float64)
+                for base, prevs in ((seed, [p] * len(run)),
+                                    (np.vstack([seed, floats[:-1]]), [p] + run[:-1])):
+                    parts = np.abs(floats - base).reshape(len(run), -1, 2).max(axis=2)
+                    moduli = [list(map(abs, map(sub, q, r))) for q, r in zip(run, prevs)]
+                    assert (parts <= np.array(moduli)).all()
+
+
+SCRIPT_SEED = (0.5 + 0j,)
+
+
+class Scripted(EvaluableMap):
+    """A germ of C^1 that walks from SCRIPT_SEED along distinct points of the
+    circle of ``radius`` (golden-angle steps from ``phase``) and then stays
+    put; ``event`` is what step ``at`` does.  Every point it is evaluated at
+    goes to ``inputs``, so a test can check that none lies outside V."""
+
+    name = "scripted"
+    n_vars = 1
+
+    def __init__(self, at, event, radius=0.5, phase=0.0, backward=None):
+        golden = (math.sqrt(5) - 1) / 2
+        path = [SCRIPT_SEED] + [(radius * cmath.exp(2j * math.pi * (golden * k + phase)),)
+                                for k in range(1, at + 2)]
+        self.raises = None
+        if event == "closes":
+            path[at] = (SCRIPT_SEED[0] + 1e-12,)
+        elif event == "converges":
+            path[at] = (path[at - 1][0] - 1e-12j,)
+        elif event == "escapes":
+            path[at] = (1.5,)
+        elif event == "nan":
+            path[at] = (complex(math.nan, 0.0),)
+        else:
+            self.raises = (path[at - 1], {"OrbitError": OrbitError,
+                                          "ZeroDivisionError": ZeroDivisionError}[event])
+        self.path = path
+        self.next = dict(zip(path, path[1:]))
+        self.backward = backward
+        self.inputs = []
+
+    def eval(self, p):
+        self.inputs.append(p)
+        if self.raises and p == self.raises[0]:
+            raise self.raises[1]("scripted")
+        return self.next.get(p, p)
+
+    def inverse(self):
+        return self.backward
+
+
+def _chunked_and_reference(make, budget):
+    """The records (or the ZeroDivisionError) of iterate_orbit and of the
+    reference on the orbit of SCRIPT_SEED, and the points each of them
+    evaluated its maps at, forward then backward."""
+    out, inputs = [], []
+    for run in (iterate_orbit, reference_iterate_orbit):
+        h = make()
+        try:
+            out.append(record_fields(run(h, SCRIPT_SEED, V1, budget=budget, keep_points=True)))
+        except ZeroDivisionError as exc:
+            out.append(repr(exc))
+        inputs.append(h.inputs + (h.backward.inputs if h.backward else []))
+    return out[0], out[1], inputs[0], inputs[1]
+
+
+# steps 1 and 15-17 around the end of the scalar steps, and the first and
+# last step of the chunks (17-32, 33-64, 65-128, ..., 513-1024, 1025-2048,
+# 2049-3072)
+EVENT_STEPS = (1, 15, 16, 17, 32, 33, 64, 65, 128, 129, 1024, 1025, 2048, 2049, 3072, 3073)
+EVENTS = ("closes", "converges", "escapes", "OrbitError", "nan", "ZeroDivisionError")
+
+
+@pytest.mark.parametrize("event", EVENTS)
+@pytest.mark.parametrize("at", EVENT_STEPS)
+def test_chunk_boundaries_give_the_scalar_record(at, event):
+    """An event at every chunk boundary, forward with a backward run that
+    escapes at step 20, and backward after a forward run of 30 steps: the
+    record (or the exception) is the reference's, with the budget at the
+    event's step or beyond it, and no map is evaluated outside V.  The maps
+    are evaluated at the reference's points, plus, after a closure or a
+    convergence at step n > CHUNK_START, at most n - 2 more in-ball ones."""
+    def forward():
+        return Scripted(at, event, backward=Scripted(20, "escapes", radius=0.3, phase=0.3))
+
+    def backward():
+        return Scripted(30, "escapes", backward=Scripted(at, event, radius=0.3, phase=0.3))
+
+    for make in (forward, backward):
+        for budget in (at, at + 1, 4096):
+            got, want, inputs, reference_inputs = _chunked_and_reference(make, budget)
+            assert got == want
+            assert all(V1.contains(q) for q in inputs)
+            if at <= CHUNK_START or event not in ("closes", "converges"):
+                assert inputs == reference_inputs
+            else:
+                assert set(reference_inputs) <= set(inputs)
+                assert len(inputs) - len(reference_inputs) <= at - 2
+
+
+def test_a_cycle_event_comes_before_a_later_exception_in_its_chunk():
+    """The map raises ZeroDivisionError at step 21 of an orbit that closes at
+    step 20, in the first chunk: the scalar loop never took step 21, so
+    neither does the record."""
+    class ClosesThenRaises(Scripted):
+        def eval(self, p):
+            if len(self.inputs) == 20:
+                self.inputs.append(p)
+                raise ZeroDivisionError("past the closure")
+            return super().eval(p)
+
+    got, want, inputs, _ = _chunked_and_reference(lambda: ClosesThenRaises(20, "closes"), 100)
+    assert got == want
+    assert got[1:5] == ("Periodic", 20, None, 20)
+    assert len(inputs) == 21
+
+
+@pytest.mark.parametrize("at", [12, 20, 40, 1030])
+def test_dedup_merges_two_points_that_round_to_one_key(at):
+    """Steps at - 10 and at land 0.8 dedup eps apart, at (k + 0.6) eps and
+    (k + 1.4) eps: no cycle event, one key by rounding (two by flooring), so
+    the cardinality is one less than the points, as in the reference."""
+    class Revisits(Scripted):
+        def __init__(self):
+            super().__init__(at + 10, "escapes")
+            eps = V1.dedup_eps
+            x = round(-0.4 / eps) * eps
+            path = self.path
+            path[at - 10], path[at] = (x + 0.6 * eps,), (x + 1.4 * eps,)
+            self.next = dict(zip(path, path[1:]))
+
+    got, want, _, _ = _chunked_and_reference(Revisits, 4096)
+    assert got == want
+    assert got[1:5] == ("Escaped", None, at + 10, at + 9)
+
+
+@pytest.mark.parametrize("budget", [15, 16, 17, 32, 33, 1024, 1025])
+def test_budget_at_a_chunk_size_gives_the_scalar_record(budget):
+    """No event before the budget: a budget-exhausted record of exactly
+    ``budget`` points each way, as the reference gives."""
+    def make():
+        return Scripted(5000, "escapes", backward=Scripted(5000, "escapes", 0.3, 0.3))
+
+    got, want, inputs, reference_inputs = _chunked_and_reference(make, budget)
+    assert got == want and got[1] == "BudgetExhausted"
+    assert len(got[6]) == len(got[7]) == budget
+    assert inputs == reference_inputs and len(inputs) == 2 * budget
 
 
 # -- pseudogroup ----------------------------------------------------------------

@@ -60,8 +60,9 @@ def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, t
         runpy.run_path(str(script), run_name="__main__")
 
 
-# the three CLI orbit runs take about 57 s of the digest's 60 s; they are
-# diffed by hand until they are fast
+# the three CLI orbit runs take about 33 s (13, 14 and 6 s on 2 vCPUs,
+# Python 3.11) of the full digest's 34 s; they are diffed by hand until
+# they are fast
 SLOW_DIGEST_ENTRIES = ("cli:orbit-H", "cli:orbit-parabolic", "cli:orbit-F-level-circle")
 GOLDEN_DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "output_digest.txt"
 
