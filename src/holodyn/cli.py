@@ -306,7 +306,8 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
 @main.command()
 @click.option("--map", "map_spec", required=True,
               help="Map preset (F, H, h1, h2, parabolic(d,c), phiX(n,m,a,b)) or jet-map JSON.")
-@click.option("--radius", type=float, default=0.3, show_default=True)
+@click.option("--radius", type=float, default=None,
+              help="Ball radius (default 0.3; --level-circle runs in the ball of radius 1).")
 @click.option("--grid", default="20x20", show_default=True,
               help="Lattice counts, one per variable; a one-variable map takes their product.")
 @click.option("--grid-low", type=float, default=None,
@@ -327,6 +328,11 @@ def _orbit_seeds(map_obj, radius, grid, grid_low, level_circle, random_seeds, se
 def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
           random_seeds, seed, csv_path, svg_path, svg_projection):
     """Classify orbits of a germ on the polydisc of the given radius."""
+    if level_circle and radius is not None:
+        raise ConfigError("--radius does not apply to --level-circle, which runs in the "
+                          "ball of radius 1")
+    if radius is None:
+        radius = 1.0 if level_circle else 0.3
     _check_finite("--radius", radius, positive=True)
     _check_finite("--grid-low", grid_low)
     _check_count("--budget", budget, "MAX_BUDGET")
@@ -337,7 +343,7 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
     config = {"command": "orbit", "map": map_spec, "radius": radius, "grid": grid,
               "grid_low": grid_low, "budget": budget, "level_circle": level_circle,
               "random_seeds": random_seeds, "seed": seed}
-    V = DomainBall(radius if not level_circle else 1.0)
+    V = DomainBall(radius)
     seeds = _orbit_seeds(h, radius, grid, grid_low, level_circle, random_seeds, seed)
     summary = classify_seed_grid(h, V, [s for s in seeds if V.contains(s)], budget=budget,
                                  keep_points=svg_path is not None)
@@ -428,8 +434,6 @@ def pseudogroup(preset, n_seeds, radius, word_budget, point_budget, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def petal(d, c, json_path):
     """Characteristic directions of x -> x + c x^(d+1), with empirical runs."""
-    if d < 1:
-        raise ConfigError("--d must be a positive integer")
     _check_count("--d", d, "MAX_PETAL_DEGREE")
     cc = _parse_complex(c)
     if cc == 0:

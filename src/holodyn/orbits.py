@@ -33,12 +33,10 @@ DEFAULT_POINT_BUDGET = 10_000
 DEFAULT_WORD_BUDGET = 40
 CYCLE_EPS_FACTOR = 1e-9
 DEDUP_EPS_FACTOR = 1e-9
-# iterate_orbit tests its first CHUNK_START images one by one and the later
-# in-ball images in chunks of doubling size; a chunk of fewer than
-# CHUNK_START points is tested without NumPy, whose fixed cost per chunk is
-# that of about 16 scalar steps' tests
-CHUNK_START = 16
-CHUNK_MAX = 1024
+# iterate_orbit gives the in-ball images of a run their dedup keys in NumPy,
+# in batches of at most KEY_BATCH points, so NumPy's fixed cost per call is
+# spread over many points
+KEY_BATCH = 1024
 TIME_ONE_RTOL = 1e-10
 TIME_ONE_ATOL = 1e-12
 # TruncatedJetMap.inverse accepts an inverse jet when h^-1(h(p)) returns
@@ -409,6 +407,15 @@ def _quantize(p: Point, eps: float):
     return tuple([round(v / eps) for c in p for v in (c.real, c.imag)])
 
 
+def _dedup_keys(points: List[Point], eps: float) -> List[bytes]:
+    """The dedup keys of points, in NumPy: the int64 row of ``_quantize``'s
+    values, as bytes, so that two points share a key exactly when their
+    ``_quantize`` tuples are equal."""
+    floats = np.fromiter(chain.from_iterable(points), complex).view(np.float64)
+    keys = np.rint(floats.reshape(len(points), -1) / eps).astype(np.int64)
+    return keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel().tolist()
+
+
 def _cycle_event(cur: Point, prev: Point, p: Point, eps: float) -> Optional[str]:
     """The scalar cycle rule for the image cur of prev: "periodic" when cur
     is within ``eps`` of the seed p, else "budget" when it is within ``eps``
@@ -422,32 +429,6 @@ def _cycle_event(cur: Point, prev: Point, p: Point, eps: float) -> Optional[str]
     return None
 
 
-def _first_cycle_event(p: Point, start: Point, chunk: List[Point], eps: float,
-                       floats: Optional[np.ndarray]) -> Tuple[int, Optional[str]]:
-    """(i, outcome) for the first chunk[i] with a cycle event by
-    ``_cycle_event``; (len(chunk), None) when there is none.  ``start`` is
-    the point before chunk[0].
-
-    The decision is always the scalar rule.  Given ``floats``, the chunk as
-    a real (points, 2 n_vars) array, only the indices where NumPy finds every
-    real and imaginary part of one of the two differences below eps are
-    tried: |re|, |im| <= |c| holds in floating point, so no event is missed.
-    """
-    if floats is None:
-        candidates = range(len(chunk))
-    else:
-        seed = np.array(p).view(np.float64)
-        near = (np.abs(floats - seed) < eps).all(axis=1)
-        steps = np.diff(floats, axis=0, prepend=[np.array(start).view(np.float64)])
-        near |= (np.abs(steps) < eps).all(axis=1)
-        candidates = np.flatnonzero(near).tolist()
-    for i in candidates:
-        event = _cycle_event(chunk[i], chunk[i - 1] if i else start, p, eps)
-        if event is not None:
-            return i, event
-    return len(chunk), None
-
-
 def iterate_orbit(
     h: EvaluableMap,
     p: Point,
@@ -457,28 +438,23 @@ def iterate_orbit(
 ) -> OrbitRecord:
     """Iterate forward and backward inside V until escape, cycle or budget.
 
-    Each run applies the map step by step and tests every image for escape
-    (a step failure, a non-finite part or a modulus above the radius) before
-    the next step, so no map is evaluated outside V.  The first CHUNK_START
-    images also get the two cycle tests (within the cycle eps of the seed:
-    periodic; of the previous point: converged) and their dedup keys after
-    every step, as in a plain scalar loop.  Later in-ball images are gathered
-    in chunks of CHUNK_START, 2 CHUNK_START, ... up to CHUNK_MAX points, and
-    each chunk gets the cycle tests and its dedup keys at once, in NumPy when
-    it holds CHUNK_START points or more.  The run stops at the first event
-    in the same step, with the same precedence, as a test after every step
-    would: escape, then seed, then previous point.  So the record does not
-    depend on the chunking.  Only the map calls do: a run that closes or
-    converges at step n > CHUNK_START may have evaluated the map up to n - 2
-    more times, on in-ball points, and an exception other than a step
-    failure raised by one of those calls is dropped.
+    Each run applies the map step by step and tests every image before the
+    next step, as a plain scalar loop would: first for escape (a step
+    failure, a non-finite part or a modulus above the radius), so no map is
+    evaluated outside V, then for a cycle by ``_cycle_event`` (within the
+    cycle eps of the seed: periodic; of the previous point: converged).  The
+    cycle rule only runs when the real part of coordinate 0 is within the
+    cycle eps of the seed's or the previous point's: |re| <= |c| holds in
+    floating point, so no event is skipped.  The in-ball images get their
+    dedup keys from ``_dedup_keys``, KEY_BATCH points at a time.  The map is
+    called at exactly the points a scalar loop calls it at.
     """
     p = tuple(complex(c) for c in p)
     if not V.contains(p):
         raise OrbitError("seed lies outside the domain ball")
     eps_cycle = V.cycle_eps
     eps_dedup = V.dedup_eps
-    seen = {_quantize(p, eps_dedup)}
+    seen = set(_dedup_keys([p], eps_dedup))
     fwd_pts: List[Point] = []
     bwd_pts: List[Point] = []
 
@@ -490,60 +466,35 @@ def iterate_orbit(
         """Returns (outcome, steps): steps_inside + 1 escape credit when the
         run escapes, and the period when it closes."""
         step_map = direction_map.eval
+        seed_re = cur_re = p[0].real
         cur = p
-        # every test after every step: an orbit that ends within CHUNK_START
-        # steps makes no map call past its last step
-        for steps in range(1, min(CHUNK_START, budget) + 1):
-            prev = cur
-            try:
-                cur = step_map(cur)
-            except STEP_FAILURES:
-                return "escaped", steps
-            if not all(map(inside, map(abs, cur))):
-                return "escaped", steps
-            event = _cycle_event(cur, prev, p, eps_cycle)
-            if event is not None:
-                return event, steps
-            seen.add(_quantize(cur, eps_dedup))
-            if keep_points:
-                store.append(cur)
-        steps = min(CHUNK_START, budget)
-        size = CHUNK_START  # no chunk is longer than the steps before it
-        while steps < budget:
-            start, chunk, escaped, error = cur, [], False, None
-            for _ in range(min(size, budget - steps)):
+        done = 0
+        while done < budget:
+            batch: List[Point] = []
+            outcome = None
+            for steps in range(done + 1, min(done + KEY_BATCH, budget) + 1):
+                prev, prev_re = cur, cur_re
                 try:
                     cur = step_map(cur)
                 except STEP_FAILURES:
-                    escaped = True
-                    break
-                except Exception as exc:  # raised below unless an event comes first
-                    error = exc
+                    outcome = "escaped"
                     break
                 if not all(map(inside, map(abs, cur))):
-                    escaped = True
+                    outcome = "escaped"
                     break
-                chunk.append(cur)
-            floats = None
-            if len(chunk) >= CHUNK_START:
-                floats = np.fromiter(chain.from_iterable(chunk), complex).view(np.float64)
-                floats = floats.reshape(len(chunk), -1)
-            cut, event = _first_cycle_event(p, start, chunk, eps_cycle, floats)
-            if floats is None:
-                seen.update(_quantize(c, eps_dedup) for c in chunk[:cut])
-            else:
-                keys = np.rint(floats[:cut] / eps_dedup).astype(np.int64)
-                seen.update(map(tuple, keys.tolist()))
-            if keep_points:
-                store.extend(chunk[:cut])
-            steps += cut
-            if event is not None:
-                return event, steps + 1
-            if escaped:
-                return "escaped", steps + 1
-            if error is not None:
-                raise error
-            size = min(2 * size, CHUNK_MAX)
+                cur_re = cur[0].real
+                if abs(cur_re - seed_re) < eps_cycle or abs(cur_re - prev_re) < eps_cycle:
+                    outcome = _cycle_event(cur, prev, p, eps_cycle)
+                    if outcome is not None:
+                        break
+                batch.append(cur)
+            if batch:
+                seen.update(_dedup_keys(batch, eps_dedup))
+                if keep_points:
+                    store.extend(batch)
+            if outcome is not None:
+                return outcome, steps
+            done = steps
         return "budget", budget
 
     f_out, f_steps = run(h, fwd_pts)

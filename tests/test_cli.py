@@ -162,6 +162,22 @@ def test_orbit_level_circle_reports_infinite_suspected(tmp_path):
     assert "infinite-suspected" in out.read_text()
 
 
+def test_orbit_config_records_the_radius_it_ran_in(tmp_path):
+    """--level-circle runs in the ball of radius 1 and refuses --radius; the
+    CSV config holds the radius used, 1.0 there and 0.3 by default."""
+    res = run("orbit", "--map", "F", "--level-circle", "--radius", "0.05",
+              "--csv", str(tmp_path / "refused.csv"))
+    assert res.exit_code == 2
+    assert "Error: --radius does not apply to --level-circle" in res.output
+    assert not (tmp_path / "refused.csv").exists()
+    for args, radius in ((["--map", "F", "--level-circle", "--budget", "100"], 1.0),
+                         (["--map", "H", "--grid", "2x2", "--budget", "100"], 0.3)):
+        out = tmp_path / "o.csv"
+        assert run("orbit", *args, "--csv", str(out)).exit_code == 0
+        config = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+        assert config["radius"] == radius
+
+
 def test_orbit_svg_scatter(tmp_path):
     svg = tmp_path / "o.svg"
     res = run("orbit", "--map", "h1", "--radius", "1.0", "--grid", "2x2",
@@ -348,6 +364,7 @@ def test_reproduce_paper_unknown_check(tmp_path):
     (["petal", "--d", "1000000000000"], "--d 1000000000000 is more than MAX_PETAL_DEGREE = 100"),
     (["orbit", "--map", "H", "--random-seeds", "2", "--seed", "-1"],
      "--seed must be a non-negative integer, got -1"),
+    (["petal", "--d", "0"], "--d must be a positive integer, got 0"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"

@@ -7,11 +7,10 @@ from operator import sub
 import numpy as np
 import pytest
 
-from holodyn import holonomy_series, presets
+from holodyn import holonomy_series, orbits, presets
 from holodyn.flows import numeric_flow
 from holodyn.jets import Jet, JetMap
 from holodyn.orbits import (
-    CHUNK_START,
     DEFAULT_BUDGET,
     TIME_ONE_ATOL,
     TIME_ONE_RTOL,
@@ -26,6 +25,9 @@ from holodyn.orbits import (
     ProductPreservingMap,
     TimeOneMap,
     TruncatedJetMap,
+    _cycle_event,
+    _dedup_keys,
+    _quantize,
     classify_seed_grid,
     group_closure,
     iterate_orbit,
@@ -442,7 +444,7 @@ def test_escaped_stable_under_budget_increase():
     assert r1.mu == r2.mu
 
 
-# -- chunked iteration against the scalar loop ------------------------------------
+# -- the orbit loop against the scalar loop ---------------------------------------
 
 
 def reference_iterate_orbit(h, p, V, budget=DEFAULT_BUDGET, keep_points=False):
@@ -528,7 +530,7 @@ DIFFERENTIAL_GRIDS = {
 
 @pytest.fixture(scope="module")
 def differential_records():
-    """name -> (V, chunked records, reference records) on DIFFERENTIAL_GRIDS."""
+    """name -> (V, iterate_orbit records, reference records) on DIFFERENTIAL_GRIDS."""
     out = {}
     for name, (make, seeds, radius, budget) in DIFFERENTIAL_GRIDS.items():
         h, V = make(), DomainBall(radius)
@@ -554,13 +556,12 @@ def test_chunked_orbit_records_equal_the_scalar_loop(differential_records, name)
 
 
 def test_numpy_keys_and_filter_parts_against_the_scalar_values(differential_records):
-    """On every visited point, the NumPy dedup keys equal Python's round, and
-    the parts |re|, |im| of its differences to the seed and to the point
-    before it, which the NumPy cycle filter compares, are at most their
-    modulus abs(), which the scalar rule compares: so the filter passes every
-    index the rule can stop at.  (NumPy's own complex modulus is not libm's
-    hypot: it differs from abs() by up to 2 ulp on about a third of random
-    points, so the filter does not use it.)"""
+    """On every visited point q, the NumPy dedup key holds the values of
+    ``_quantize``, Python's round, and the cycle filter's premise holds:
+    |Re(q0 - r0)|, which the filter compares, is at most the max over
+    coordinates of abs(q - r), which the scalar rule compares, for r the
+    seed and r the point before q.  So the filter passes every step the
+    rule can stop at."""
     for V, records, _ in differential_records.values():
         eps = V.dedup_eps
         for rec in records:
@@ -568,15 +569,27 @@ def test_numpy_keys_and_filter_parts_against_the_scalar_values(differential_reco
             for run in (rec.forward_points, rec.backward_points):
                 if not run:
                     continue
-                floats = np.array(run).view(np.float64)
-                assert np.rint(floats / eps).astype(np.int64).tolist() \
-                    == [[round(v / eps) for c in q for v in (c.real, c.imag)] for q in run]
-                seed = np.array(p).view(np.float64)
-                for base, prevs in ((seed, [p] * len(run)),
-                                    (np.vstack([seed, floats[:-1]]), [p] + run[:-1])):
-                    parts = np.abs(floats - base).reshape(len(run), -1, 2).max(axis=2)
-                    moduli = [list(map(abs, map(sub, q, r))) for q, r in zip(run, prevs)]
-                    assert (parts <= np.array(moduli)).all()
+                assert [tuple(np.frombuffer(k, np.int64).tolist())
+                        for k in _dedup_keys(run, eps)] == [_quantize(q, eps) for q in run]
+                for q, prev in zip(run, [p] + run[:-1]):
+                    for r in (p, prev):
+                        assert abs(q[0].real - r[0].real) <= max(map(abs, map(sub, q, r)))
+
+
+def test_the_scalar_cycle_rule_runs_only_where_the_filter_passes(monkeypatch):
+    """x -> 0.99 x from 0.5 is real, so every imaginary part is 0, and its
+    real parts stay more than the cycle eps from the seed's and the previous
+    point's for 1,000 steps: the rule is never called."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _cycle_event(*args)
+
+    monkeypatch.setattr(orbits, "_cycle_event", counted)
+    rec = iterate_orbit(LinearMap([[0.99]]), (0.5,), V1, budget=1000)
+    assert rec.status == "BudgetExhausted"
+    assert calls == []
 
 
 SCRIPT_SEED = (0.5 + 0j,)
@@ -622,7 +635,7 @@ class Scripted(EvaluableMap):
         return self.backward
 
 
-def _chunked_and_reference(make, budget):
+def _orbit_and_reference(make, budget):
     """The records (or the ZeroDivisionError) of iterate_orbit and of the
     reference on the orbit of SCRIPT_SEED, and the points each of them
     evaluated its maps at, forward then backward."""
@@ -637,9 +650,9 @@ def _chunked_and_reference(make, budget):
     return out[0], out[1], inputs[0], inputs[1]
 
 
-# steps 1 and 15-17 around the end of the scalar steps, and the first and
-# last step of the chunks (17-32, 33-64, 65-128, ..., 513-1024, 1025-2048,
-# 2049-3072)
+# step 1, steps around small powers of two (15-17, 32-33, 64-65, 128-129),
+# and the first and last step of the key batches (1-1024, 1025-2048,
+# 2049-3072, 3073-4096)
 EVENT_STEPS = (1, 15, 16, 17, 32, 33, 64, 65, 128, 129, 1024, 1025, 2048, 2049, 3072, 3073)
 EVENTS = ("closes", "converges", "escapes", "OrbitError", "nan", "ZeroDivisionError")
 
@@ -647,12 +660,11 @@ EVENTS = ("closes", "converges", "escapes", "OrbitError", "nan", "ZeroDivisionEr
 @pytest.mark.parametrize("event", EVENTS)
 @pytest.mark.parametrize("at", EVENT_STEPS)
 def test_chunk_boundaries_give_the_scalar_record(at, event):
-    """An event at every chunk boundary, forward with a backward run that
-    escapes at step 20, and backward after a forward run of 30 steps: the
-    record (or the exception) is the reference's, with the budget at the
-    event's step or beyond it, and no map is evaluated outside V.  The maps
-    are evaluated at the reference's points, plus, after a closure or a
-    convergence at step n > CHUNK_START, at most n - 2 more in-ball ones."""
+    """An event at every key-batch boundary, forward with a backward run
+    that escapes at step 20, and backward after a forward run of 30 steps:
+    the record (or the exception) is the reference's, with the budget at the
+    event's step or beyond it, and the maps are evaluated at exactly the
+    reference's points, none outside V."""
     def forward():
         return Scripted(at, event, backward=Scripted(20, "escapes", radius=0.3, phase=0.3))
 
@@ -661,20 +673,16 @@ def test_chunk_boundaries_give_the_scalar_record(at, event):
 
     for make in (forward, backward):
         for budget in (at, at + 1, 4096):
-            got, want, inputs, reference_inputs = _chunked_and_reference(make, budget)
+            got, want, inputs, reference_inputs = _orbit_and_reference(make, budget)
             assert got == want
+            assert inputs == reference_inputs
             assert all(V1.contains(q) for q in inputs)
-            if at <= CHUNK_START or event not in ("closes", "converges"):
-                assert inputs == reference_inputs
-            else:
-                assert set(reference_inputs) <= set(inputs)
-                assert len(inputs) - len(reference_inputs) <= at - 2
 
 
 def test_a_cycle_event_comes_before_a_later_exception_in_its_chunk():
-    """The map raises ZeroDivisionError at step 21 of an orbit that closes at
-    step 20, in the first chunk: the scalar loop never took step 21, so
-    neither does the record."""
+    """The map would raise ZeroDivisionError at step 21 of an orbit that
+    closes at step 20: the scalar loop never takes step 21, and neither does
+    iterate_orbit, so the map is called 20 times and never raises."""
     class ClosesThenRaises(Scripted):
         def eval(self, p):
             if len(self.inputs) == 20:
@@ -682,10 +690,59 @@ def test_a_cycle_event_comes_before_a_later_exception_in_its_chunk():
                 raise ZeroDivisionError("past the closure")
             return super().eval(p)
 
-    got, want, inputs, _ = _chunked_and_reference(lambda: ClosesThenRaises(20, "closes"), 100)
+    got, want, inputs, reference_inputs = _orbit_and_reference(
+        lambda: ClosesThenRaises(20, "closes"), 100)
     assert got == want
     assert got[1:5] == ("Periodic", 20, None, 20)
-    assert len(inputs) == 21
+    assert len(inputs) == len(reference_inputs) == 20
+
+
+class CountedMap(EvaluableMap):
+    """``h`` with every point it and its inverse are evaluated at appended
+    to ``inputs``."""
+
+    def __init__(self, h, inputs):
+        self.h, self.inputs = h, inputs
+        self.name, self.n_vars = h.name, h.n_vars
+
+    def eval(self, p):
+        self.inputs.append(p)
+        return self.h.eval(p)
+
+    def inverse(self):
+        inv = self.h.inverse()
+        return None if inv is None else CountedMap(inv, self.inputs)
+
+
+# name -> (map, seeds, budget) of the real-map call counts, in the ball of radius 0.3
+COUNTED_GRIDS = {
+    "h1": (presets.map_h1, lambda: lattice_seeds(0.3, 20), 1_000),
+    "swap": (lambda: presets.load_map("swap"), lambda: lattice_seeds(0.3, 20), 1_000),
+    "phiX(1,1,999,0)": (lambda: presets.load_map("phiX(1,1,999,0)"),
+                        lambda: lattice_seeds(0.3, 6), 1_000),
+    "parabolic": (lambda: presets.load_map("parabolic(2,0.5+1i)"),
+                  lambda: lattice_seeds(0.3, 20, n_vars=1), 2_000),
+    # closes at step 37, past the first 16 steps
+    "rotation(37)": (lambda: LinearMap([[cmath.exp(2j * math.pi / 37)]]),
+                     lambda: lattice_seeds(0.3, 20, n_vars=1), 1_000),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_GRIDS)
+def test_real_maps_are_evaluated_at_the_reference_points(name):
+    """The real maps and their inverses are called at exactly the points,
+    and so as many times, as in the reference, with equal records."""
+    make, seeds, budget = COUNTED_GRIDS[name]
+    V = DomainBall(0.3)
+    records, inputs = [], []
+    for run in (iterate_orbit, reference_iterate_orbit):
+        calls = []
+        h = CountedMap(make(), calls)
+        records.append([record_fields(run(h, s, V, budget=budget, keep_points=True))
+                        for s in seeds()])
+        inputs.append(calls)
+    assert records[0] == records[1]
+    assert inputs[0] == inputs[1]
 
 
 @pytest.mark.parametrize("at", [12, 20, 40, 1030])
@@ -702,7 +759,7 @@ def test_dedup_merges_two_points_that_round_to_one_key(at):
             path[at - 10], path[at] = (x + 0.6 * eps,), (x + 1.4 * eps,)
             self.next = dict(zip(path, path[1:]))
 
-    got, want, _, _ = _chunked_and_reference(Revisits, 4096)
+    got, want, _, _ = _orbit_and_reference(Revisits, 4096)
     assert got == want
     assert got[1:5] == ("Escaped", None, at + 10, at + 9)
 
@@ -714,7 +771,7 @@ def test_budget_at_a_chunk_size_gives_the_scalar_record(budget):
     def make():
         return Scripted(5000, "escapes", backward=Scripted(5000, "escapes", 0.3, 0.3))
 
-    got, want, inputs, reference_inputs = _chunked_and_reference(make, budget)
+    got, want, inputs, reference_inputs = _orbit_and_reference(make, budget)
     assert got == want and got[1] == "BudgetExhausted"
     assert len(got[6]) == len(got[7]) == budget
     assert inputs == reference_inputs and len(inputs) == 2 * budget
