@@ -237,14 +237,14 @@ def _leafwise_rhs(F: Foliation, z0: complex):
     """dx_j/dt = 2 pi i * z * X_j / X_axis at z = z0*e^(2 pi i t)."""
     _check_loop(F, z0)
     axis = F.separatrix_axis
-    axis_comp = F.field.components[axis]
-    trans_comps = [F.field.components[j] for j in F.transverse_indices]
+    trans = F.transverse_indices
+    field = F.field.eval
 
     def rhs(t, x):
         z = z0 * cmath.exp(TWO_PI_I * t)
-        point = (*x[:axis], z, *x[axis:])
-        scale = TWO_PI_I * z / axis_comp.eval(point)
-        return [scale * comp.eval(point) for comp in trans_comps]
+        values = field((*x[:axis], z, *x[axis:]))
+        scale = TWO_PI_I * z / values[axis]
+        return [scale * values[j] for j in trans]
 
     return rhs
 

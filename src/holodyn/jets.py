@@ -17,10 +17,12 @@ deterministic.
 from __future__ import annotations
 
 import cmath
+import functools
 from typing import Iterable, Iterator, Sequence
 
 PRUNE_TOL = 1e-14
 DEFAULT_ORDER = 8
+FACTORS_PER_LINE = 100  # of a monomial, in the code _compile_evaluator generates
 
 
 class JetError(ValueError):
@@ -61,11 +63,11 @@ class Jet:
     """A polynomial truncated at total degree ``order`` in ``n_vars`` variables.
 
     Jets are never mutated after construction: every operation returns a
-    new jet, and :meth:`eval` caches a term plan built from ``coeffs`` on
-    first use.
+    new jet, and :meth:`eval` caches an evaluator compiled from ``coeffs``
+    on first use.
     """
 
-    __slots__ = ("n_vars", "order", "coeffs", "_plan")
+    __slots__ = ("n_vars", "order", "coeffs", "_evaluator")
 
     def __init__(self, n_vars: int, order: int, coeffs=None):
         self.n_vars = n_vars = _integer(n_vars, "n_vars")
@@ -87,13 +89,13 @@ class Jet:
                 raise JetError(f"coefficient of {exp} is not finite, got {c!r}")
             clean[exp] = clean[exp] + c if exp in clean else c
         self.coeffs = {e: c for e, c in clean.items() if not coeff_is_negligible(c)}
-        self._plan = None
+        self._evaluator = None
 
     @classmethod
     def _from_clean(cls, n_vars: int, order: int, coeffs: dict) -> "Jet":
         """Wrap distinct, valid int-tuple exponents, pruning negligible coefficients."""
         out = cls.__new__(cls)
-        out.n_vars, out.order, out._plan = n_vars, order, None
+        out.n_vars, out.order, out._evaluator = n_vars, order, None
         out.coeffs = {e: c for e, c in coeffs.items() if not coeff_is_negligible(c)}
         return out
 
@@ -256,29 +258,12 @@ class Jet:
         return out
 
     def eval(self, point) -> complex:
-        """Value at a point: the sum of c * prod p_i^e_i over the terms in
-        graded-lex order.
-
-        The term plan, a list of (c, ((i, e), ...)) with only the nonzero
-        exponents, is built once per jet; it keeps the order of the
-        operations, so the result does not depend on whether it is cached.
-        """
-        point = tuple(point)
-        if len(point) != self.n_vars:
-            raise JetError("evaluation point has wrong dimension")
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = [
-                (c, tuple((i, e) for i, e in enumerate(exp) if e))
-                for exp, c in self.terms()
-            ]
-        total = 0.0 + 0j
-        for c, factors in plan:
-            m = 1.0 + 0j
-            for i, e in factors:
-                m *= point[i] ** e
-            total += c * m
-        return total
+        """Value at a point (a sequence or iterable of n_vars numbers); see
+        :func:`_compile_evaluator`, which runs once per jet."""
+        evaluate = self._evaluator
+        if evaluate is None:
+            evaluate = self._evaluator = _compile_evaluator([self], scalar=True)
+        return evaluate(point)
 
     # -- comparison / io ---------------------------------------------------
 
@@ -314,7 +299,7 @@ class Jet:
 class JetMap:
     """An n-tuple of jets fixing the origin: a truncated germ of (C^n, 0)."""
 
-    __slots__ = ("components", "n_vars", "order")
+    __slots__ = ("components", "n_vars", "order", "_evaluator")
 
     def __init__(self, components: Iterable[Jet]):
         comps = list(components)
@@ -333,6 +318,7 @@ class JetMap:
         self.components = comps
         self.n_vars = n
         self.order = order
+        self._evaluator = None
 
     @classmethod
     def identity(cls, n_vars: int, order: int) -> "JetMap":
@@ -379,8 +365,13 @@ class JetMap:
             g = JetMap([sum_linear(Linv[i], target) for i in range(n)])
         return g
 
-    def eval(self, point):
-        return tuple(c.eval(point) for c in self.components)
+    def eval(self, point) -> tuple:
+        """The components' values at a point, each equal to its ``Jet.eval``;
+        one evaluator compiled on first use serves all of them."""
+        evaluate = self._evaluator
+        if evaluate is None:
+            evaluate = self._evaluator = _compile_evaluator(self.components)
+        return evaluate(point)
 
     def max_abs_diff(self, other: "JetMap") -> float:
         if self.n_vars != other.n_vars:
@@ -408,3 +399,71 @@ def sum_linear(row, jets: Sequence[Jet]) -> Jet:
         if a != 0:
             out = out + j * complex(a)
     return out
+
+
+def _compile_evaluator(jets: Sequence[Jet], scalar: bool = False):
+    """One straight-line Python function of a point that returns the value
+    of each jet (a tuple, or the one value when ``scalar``).
+
+    It runs the operations of the loop
+
+        total = 0j
+        for exp, c in jet.terms():
+            m = 1 + 0j
+            for i, e in nonzero entries of exp: m *= x_i ** e
+            total += c * m
+
+    in the same order on the same operands, so every value, signed zero,
+    inf and NaN is bit for bit the loop's; it computes each power x_i ** e
+    and each monomial once per point and shares it between the jets.  The
+    generated source holds only generated names and the int exponents: the
+    coefficients, 1 + 0j, 0j and the error message are bound by name, and
+    each term is its own statement, as is each run of ``FACTORS_PER_LINE``
+    factors of a monomial, so no expression nests deeper than that (the
+    compiler overflows its recursion limit near 3,000).  A point of the
+    wrong length raises JetError.
+    """
+    n_vars = jets[0].n_vars
+    lines, coeffs, powers, monomials = [], [], set(), {(0,) * n_vars: "ONE"}
+    for k, jet in enumerate(jets):
+        lines.append(f"t{k} = ZERO")
+        for exp, c in jet.terms():
+            if exp not in monomials:
+                factors = []
+                for i, e in enumerate(exp):
+                    if e:
+                        if (i, e) not in powers:
+                            powers.add((i, e))
+                            lines.append(f"p{i}_{e:d} = x{i} ** {e:d}")
+                        factors.append(f"p{i}_{e:d}")
+                m = monomials[exp] = f"m{len(monomials)}"
+                for at in range(0, len(factors), FACTORS_PER_LINE):
+                    lines.append(f"{m} = " + " * ".join([m if at else "ONE"]
+                                                        + factors[at:at + FACTORS_PER_LINE]))
+            lines.append(f"t{k} += c{len(coeffs)} * {monomials[exp]}")
+            coeffs.append(c)
+    totals = ", ".join(f"t{k}" for k in range(len(jets)))
+    body = "\n        ".join(lines + [f"return {totals}" if scalar else f"return ({totals},)"])
+    source = f"""\
+def bind(C, ONE, ZERO, JetError, WRONG_DIMENSION):
+    ({"".join(f"c{k}, " for k in range(len(coeffs)))}) = C
+    def evaluate(point):
+        try:
+            {"".join(f"x{i}, " for i in range(n_vars))}= point
+        except ValueError:
+            raise JetError(WRONG_DIMENSION) from None
+        {body}
+    return evaluate
+"""
+    return _binder(source)(coeffs, 1.0 + 0j, 0j, JetError,
+                           "evaluation point has wrong dimension")
+
+
+@functools.lru_cache(maxsize=128)
+def _binder(source: str):
+    """The ``bind`` function of an evaluator source.  The source depends only
+    on the exponents, so jets of one shape, such as every fresh copy of a
+    preset, share one compilation."""
+    namespace = {}
+    exec(compile(source, "<holodyn.jets evaluator>", "exec"), namespace)
+    return namespace["bind"]

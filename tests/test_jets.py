@@ -4,11 +4,14 @@ import json
 import math
 import random
 import re
+import struct
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import holodyn.jets as jets_module
 from holodyn.exppoly import ExpPoly, Frequency
 from holodyn.flows import VectorField
 from holodyn.jets import Jet, JetMap, JetError, grlex_key
@@ -120,6 +123,8 @@ def test_reciprocal_requires_unit():
 def reference_eval(j: Jet, point) -> complex:
     """The former evaluation loop: re-sort the terms on every call."""
     point = tuple(point)
+    if len(point) != j.n_vars:
+        raise JetError("evaluation point has wrong dimension")
     total = 0.0 + 0j
     for exp, c in j.terms():
         m = 1.0 + 0j
@@ -128,6 +133,29 @@ def reference_eval(j: Jet, point) -> complex:
                 m *= p ** e
         total += c * m
     return total
+
+
+def value_bytes(v) -> tuple:
+    """A value as its type and the bytes of its parts: unlike ==, this tells
+    -0.0 from 0.0 and matches a NaN with the same NaN."""
+    return type(v), struct.pack("<dd", v.real, v.imag)
+
+
+def outcome(evaluate, *args):
+    """The bytes of ``evaluate(*args)`` per component, or the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = evaluate(*args)
+    except (ArithmeticError, JetError) as e:
+        return type(e), str(e)
+    if isinstance(value, tuple):
+        return tuple(value_bytes(v) for v in value)
+    return value_bytes(value)
+
+
+def reference_map_eval(jets, point):
+    point = tuple(point)
+    return tuple(reference_eval(j, point) for j in jets)
 
 
 real_st = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
@@ -140,12 +168,164 @@ def test_eval_matches_reference_loop_bit_for_bit(n_vars, data):
     j = data.draw(jet_strategy(n_vars=n_vars, order=6, max_terms=10))
     coord = data.draw(st.sampled_from([real_st, complex_st]))
     point = data.draw(st.tuples(*([coord] * n_vars)))
-    want = reference_eval(j, point)
-    # first call builds the term plan, the second reuses it
-    assert j.eval(point) == want
-    assert j.eval(point) == want
+    want = outcome(reference_eval, j, point)
+    # the first call compiles the evaluator, the second reuses it
+    assert outcome(j.eval, point) == want
+    assert outcome(j.eval, point) == want
     arr = np.array(point, dtype=complex)
-    assert j.eval(arr) == reference_eval(j, arr)
+    assert outcome(j.eval, arr) == outcome(reference_eval, j, arr)
+
+
+def without_constant(j: Jet) -> Jet:
+    return Jet(j.n_vars, j.order, {e: c for e, c in j.coeffs.items() if any(e)})
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
+@given(data=st.data())
+def test_jetmap_and_vector_field_eval_match_reference_per_component(n_vars, data):
+    # components share monomials, so one power or monomial serves several
+    comps = [without_constant(data.draw(jet_strategy(n_vars=n_vars, order=5, max_terms=8)))
+             for _ in range(n_vars)]
+    coord = data.draw(st.sampled_from([real_st, complex_st]))
+    point = data.draw(st.tuples(*([coord] * n_vars)))
+    want = outcome(reference_map_eval, comps, point)
+    for jmap in (JetMap(comps), VectorField(comps)):
+        assert outcome(jmap.eval, point) == want
+        assert outcome(jmap.eval, list(point)) == want
+
+
+SPECIAL = (0.0, -0.0, 1.5, -2.0, 1e200, -1e200, 1e-200, -1e-200,
+           math.inf, -math.inf, math.nan)
+SPECIAL_POINTS = (
+    [(a, b) for a in SPECIAL for b in (0.0, -0.0, 1e200, 1e-200, math.nan)]
+    + [(complex(a, b), complex(b, a)) for a in SPECIAL for b in SPECIAL]
+)
+
+
+def special_jets():
+    """Degree-8 terms, so |x| = 1e200 overflows and 1e-200 underflows, with
+    coefficients that carry signed zeros."""
+    x = Jet(2, 8, {(1, 0): complex(-0.0, 1.0), (8, 0): 1.0, (3, 5): complex(2.5, -0.0),
+                   (0, 8): -1.0, (4, 4): 1j, (0, 1): 0.75})
+    y = Jet(2, 8, {(0, 1): 1.0, (1, 1): -1.0, (7, 1): complex(0.0, -3.0), (0, 8): 0.5})
+    return x, y
+
+
+def test_eval_special_values_bit_for_bit():
+    x, y = special_jets()
+    singles = (x, y, Jet(2, 8, {(0, 0): complex(-0.0, 2.0), (1, 0): 1.0}), Jet.zero(2, 8))
+    for point in SPECIAL_POINTS:
+        for j in singles:
+            assert outcome(j.eval, point) == outcome(reference_eval, j, point), point
+        want = outcome(reference_map_eval, (x, y), point)
+        assert outcome(JetMap([x, y]).eval, point) == want, point
+        assert outcome(VectorField([x, y]).eval, point) == want, point
+
+
+@pytest.mark.parametrize("container", ["tuple", "list", "ndarray", "generator"])
+def test_eval_takes_any_point_container(container):
+    x, y = special_jets()
+    jmap = JetMap([x, y])
+
+    def make(point):
+        return {"tuple": tuple, "list": list, "generator": iter,
+                "ndarray": lambda q: np.array(q, dtype=complex)}[container](point)
+
+    for point in ((0.1 + 0.2j, -0.3), (1e200, 1e-200), (complex(-0.0, math.nan), 0.5j)):
+        assert outcome(x.eval, make(point)) == outcome(reference_eval, x, make(point))
+        assert (outcome(jmap.eval, make(point))
+                == outcome(reference_map_eval, (x, y), make(point)))
+        with pytest.raises(JetError, match="^evaluation point has wrong dimension$"):
+            x.eval(make(point + (1.0,)))
+        with pytest.raises(JetError, match="^evaluation point has wrong dimension$"):
+            jmap.eval(make(point[:1]))
+
+
+def code_constants(code) -> list:
+    out = []
+    for c in code.co_consts:
+        out.extend(code_constants(c) if isinstance(c, types.CodeType) else [c])
+    return out
+
+
+def test_json_coefficients_are_bound_not_formatted():
+    doc = json.loads("""{"n_vars": 2, "order": 3, "terms": [
+        {"exp": [1, 0], "re": 1.7e308, "im": -0.0},
+        {"exp": [0, 1], "re": 0.0, "im": 5e-324},
+        {"exp": [1, 1], "re": -0.0, "im": 0.0},
+        {"exp": [2, 1], "re": -0.0, "im": 2.5},
+        {"exp": [0, 3], "re": 1e-300, "im": -1.7e308}]}""")
+    j = Jet.from_json_dict(doc)
+    jmap = JetMap([j, j])
+    for point in ((1.0, 1.0), (2.0, 1.0), (0.5 - 0.0j, -0.0), (complex(-0.0, 2.0), 1e-3)):
+        assert outcome(j.eval, point) == outcome(reference_eval, j, point)
+        assert outcome(jmap.eval, point) == outcome(reference_map_eval, (j, j), point)
+    for evaluate in (j._evaluator, jmap._evaluator):
+        assert not [c for c in code_constants(evaluate.__code__)
+                    if isinstance(c, (float, complex))]
+
+
+def test_large_jets_compile_and_match_the_reference():
+    rng = random.Random("large")
+
+    def coeff():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    dense3 = Jet(3, 30, {e: coeff() for e in itertools.product(range(31), repeat=3)
+                         if sum(e) <= 30})
+    assert len(dense3.coeffs) >= 5000
+    univariate = Jet(1, 1000, {(k,): coeff() for k in range(1001)})
+    for j, point in ((dense3, (0.3 + 0.1j, -0.2, 0.1j)), (univariate, (0.99 + 0.05j,))):
+        assert outcome(j.eval, point) == outcome(reference_eval, j, point)
+
+
+@pytest.mark.parametrize("n_vars", [99, 100, 101, 250, 3000])
+def test_monomials_of_many_factors_compile_and_match_the_reference(n_vars):
+    # one expression of 3,000 factors overflows the compiler's recursion limit;
+    # _from_clean skips the validation, quadratic in n_vars, of Jet()
+    ones = (1,) * n_vars
+    j = Jet._from_clean(n_vars, 2 * n_vars,
+                        {ones: 1.5 - 0.5j, (2,) + ones[1:]: 2.0, (0,) * n_vars: 1.0})
+    point = [complex(1.0001, 1e-4 * (k % 7)) for k in range(n_vars)]
+    assert outcome(j.eval, point) == outcome(reference_eval, j, point)
+    if n_vars <= 250:
+        comps = [Jet._from_clean(n_vars, n_vars,
+                                 {ones: 0.5 + k, ones[:k] + (0,) + ones[k + 1:]: 1.0})
+                 for k in range(n_vars)]
+        assert outcome(JetMap(comps).eval, point) \
+            == outcome(reference_map_eval, comps, point)
+
+
+def count_builds(monkeypatch) -> dict:
+    """Wrap the evaluator builder: count builds, and calls of what it builds."""
+    counts = {"builds": 0, "calls": 0}
+    build = jets_module._compile_evaluator
+
+    def counting(*args, **kwargs):
+        counts["builds"] += 1
+        evaluate = build(*args, **kwargs)
+
+        def counted(point):
+            counts["calls"] += 1
+            return evaluate(point)
+
+        return counted
+
+    monkeypatch.setattr(jets_module, "_compile_evaluator", counting)
+    return counts
+
+
+def test_evaluator_is_built_once_per_jet_and_jet_map(monkeypatch):
+    counts = count_builds(monkeypatch)
+    x, y = special_jets()
+    for k in range(1000):
+        x.eval((0.01 * k, 0.5))
+    assert counts == {"builds": 1, "calls": 1000}
+    jmap = JetMap([x, y])
+    for k in range(1000):
+        jmap.eval((0.5, 0.01 * k))
+    # the map compiles its own evaluator and never calls its components'
+    assert counts == {"builds": 2, "calls": 2000}
 
 
 def test_compose_eval_oracle():
