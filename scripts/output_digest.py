@@ -133,6 +133,11 @@ CLI_RUNS = {
                               "--point", "20,20"],
     "verify-integral-exit3-point": ["verify-integral", "--field", "example1(1,1,1,1)",
                                     "--exponents", "1,1", "--point", "1e200,1e200"],
+    # one straight complex-time segment [0, t], off the real axis and backward
+    "flow-thmB-complex-time": ["flow", "--field", "thmB", "--time", "0.5+0.5i",
+                               "--point", "0.04,0.03i,0.2"],
+    "flow-example1-backward": ["flow", "--field", "example1(1,1,1,1)", "--time", "-1",
+                               "--point", "0.1,0.12"],
 }
 
 

@@ -6,7 +6,7 @@ Two routes are provided and cross-check each other:
   exactly, through the triangular coefficient recursion in the
   exponential-polynomial ring (requires a diagonal linear part).
 * :func:`numeric_flow` integrates the field with an adaptive embedded
-  Dormand-Prince 5(4) scheme along a complex-time polyline.
+  Dormand-Prince 5(4) scheme over one complex-time segment [0, t].
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from .jets import Jet, JetMap, JetError
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
-DEFAULT_MAX_STEPS = 100_000  # listed with the bound table in holodyn.presets
-DEFAULT_ESCAPE_RADIUS = 10.0
+MAX_STEPS = 100_000  # listed with the bound table in holodyn.presets
+ESCAPE_RADIUS = 10.0
 
 
 class FlowError(RuntimeError):
@@ -43,7 +43,7 @@ class StepUnderflow(FlowError):
 
 
 class MaxStepsExceeded(FlowError):
-    """The integrator took ``max_steps`` steps without reaching the end of its interval."""
+    """The integrator took ``MAX_STEPS`` steps without reaching s = 1."""
 
 
 class VectorField(JetMap):
@@ -116,24 +116,20 @@ _DP_A = (
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 # first same as last: _DP_A[6] == _DP_B5[:6] and _DP_C[6] == 1, so the
-# seventh stage is f at the 5th-order solution x5 at time t + h
+# seventh stage is f at the 5th-order solution x5 at time s + h
 
 
 def integrate_ode(
     f: Callable[[float, list], Sequence[complex]],
-    t0: float,
-    t1: float,
     x0,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    escape_radius: float = DEFAULT_ESCAPE_RADIUS,
     observer: Callable[[float, list], None] | None = None,
 ) -> np.ndarray:
-    """Adaptive DP 5(4) over the real parameter interval [t0, t1].
+    """Adaptive DP 5(4) over the real parameter interval s in [0, 1].
 
-    ``f(t, x)`` gets the state as a list of complex and returns a sequence
-    of complex (a list, or an ndarray).  ``observer(t, x)``, if given, gets
+    ``f(s, x)`` gets the state as a list of complex and returns a sequence
+    of complex (a list, or an ndarray).  ``observer(s, x)``, if given, gets
     the start and every accepted state, each a fresh list of complex.  The
     pair is first same as last: the seventh stage of a step is f at the
     5th-order solution, so an accepted step hands it on as the next step's
@@ -142,20 +138,15 @@ def integrate_ode(
 
     The error norm is an RMS of the componentwise error scaled by
     atol + rtol*|x|.  Returns the end state as a complex ndarray.  Raises
-    :class:`DomainEscape` when the max-norm exceeds ``escape_radius`` and
-    :class:`StepUnderflow` when the controller stalls; their ``point`` is
-    an ndarray.  Raises :class:`MaxStepsExceeded` after ``max_steps`` steps.
+    :class:`DomainEscape` when the max-norm exceeds ``ESCAPE_RADIUS`` and
+    :class:`StepUnderflow` when the step falls below 1e-14; their ``point``
+    is an ndarray.  Raises :class:`MaxStepsExceeded` after ``MAX_STEPS``
+    steps.  Both bounds are read at call time.
     """
-    t = float(t0)
-    t1 = float(t1)
-    span = t1 - t0
-    if span == 0:
-        return np.array(x0, dtype=complex)
+    t = 0.0
     x = np.asarray(x0, dtype=complex).tolist()
     n = len(x)
-    direction = 1.0 if span > 0 else -1.0
-    h = direction * min(abs(span), 1e-2)
-    h_min = abs(span) * 1e-14
+    h = 1e-2
     if observer is not None:
         observer(t, x)
     _, c2, c3, c4, c5, _, _ = _DP_C
@@ -164,9 +155,9 @@ def integrate_ode(
     b1, _, b3, b4, b5, b6, _ = _DP_B5
     e1, _, e3, e4, e5, e6, e7 = (p - q for p, q in zip(_DP_B5, _DP_B4))
     k1 = f(t, x)
-    for _ in range(max_steps):
-        if direction * (t + h - t1) > 0:
-            h = t1 - t
+    for _ in range(MAX_STEPS):
+        if t + h > 1.0:
+            h = 1.0 - t
         k2 = f(t + c2 * h, [xc + h * (a21 * p) for xc, p in zip(x, k1)])
         k3 = f(t + c3 * h, [xc + h * (a31 * p + a32 * q) for xc, p, q in zip(x, k1, k2)])
         k4 = f(t + c4 * h, [xc + h * (a41 * p + a42 * q + a43 * r)
@@ -188,58 +179,45 @@ def integrate_ode(
             t = t + h
             x = x5
             k1 = k7
-            if max(abs(v) for v in x) > escape_radius:
-                raise DomainEscape(t, np.array(x, dtype=complex), escape_radius)
+            if max(abs(v) for v in x) > ESCAPE_RADIUS:
+                raise DomainEscape(t, np.array(x, dtype=complex), ESCAPE_RADIUS)
             if observer is not None:
                 observer(t, x)
-            if direction * (t - t1) >= 0 or abs(t - t1) < h_min:
+            if t >= 1.0 or 1.0 - t < 1e-14:
                 return np.array(x, dtype=complex)
             factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
         else:
             factor = max(0.2, 0.9 * err_norm ** -0.2)
         h = h * factor
-        if abs(h) < h_min:
+        if h < 1e-14:
             raise StepUnderflow(t, np.array(x, dtype=complex))
-    raise MaxStepsExceeded(f"integration did not finish within {max_steps} steps")
+    raise MaxStepsExceeded(f"integration did not finish within {MAX_STEPS} steps")
 
 
 def numeric_flow(
     X: VectorField,
     p,
-    path: Sequence[complex] | complex = 1.0,
+    t: complex = 1.0,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    observer: Callable[[complex, np.ndarray], None] | None = None,
+    observer: Callable[[complex, list], None] | None = None,
 ) -> np.ndarray:
-    """Integrate dx/dt = X(x) along a complex-time polyline starting at 0.
+    """Integrate dx/dt = X(x) over the complex-time segment [0, t].
 
-    ``path`` is either the final time (straight segment from 0) or a list
-    of waypoints starting at 0.  Raises DomainEscape when the trajectory
-    leaves the ball of radius ``DEFAULT_ESCAPE_RADIUS``.
+    The segment is integrated as dx/ds = t * X(x), s in [0, 1], and
+    ``observer(s * t, x)`` gets the start and every accepted state.  t = 0
+    returns p.  Raises DomainEscape when the trajectory leaves the ball of
+    radius ``ESCAPE_RADIUS``.
     """
-    if isinstance(path, (int, float, complex)):
-        waypoints = [0.0 + 0j, complex(path)]
-    else:
-        waypoints = [complex(z) for z in path]
-    if abs(waypoints[0]) > 1e-15:
-        raise FlowError("complex-time path must start at 0")
-    x = np.array(p, dtype=complex)
-    for za, zb in zip(waypoints, waypoints[1:]):
-        dz = zb - za
-        if dz == 0:
-            continue
+    t = complex(t)
+    if t == 0:
+        return np.array(p, dtype=complex)
 
-        def seg_rhs(s, y, dz=dz):
-            return [dz * v for v in X.eval(y)]
+    def rhs(s, y):
+        return [t * v for v in X.eval(y)]
 
-        seg_obs = None
-        if observer is not None:
-
-            def seg_obs(s, y, za=za, dz=dz):
-                observer(za + s * dz, y)
-
-        x = integrate_ode(seg_rhs, 0.0, 1.0, x, rtol=rtol, atol=atol, observer=seg_obs)
-    return x
+    watch = None if observer is None else lambda s, y: observer(s * t, y)
+    return integrate_ode(rhs, p, rtol=rtol, atol=atol, observer=watch)
 
 
 def series_vs_numeric(jmap: JetMap, numeric: Callable, points):
@@ -257,20 +235,9 @@ def flow_cross_check(X: VectorField, fmap: JetMap, points, t: complex = 1.0):
     return series_vs_numeric(fmap, lambda p: numeric_flow(X, p, t), points)
 
 
-def first_integral_drift(
-    X: VectorField,
-    g: Jet,
-    p,
-    path: Sequence[complex] | complex = 1.0,
-    expected=None,
-) -> float:
-    """Max over the trajectory of |g(x(t)) - g(p) * expected(t)|.
-
-    ``expected`` is None for a true first integral, or an ExpPoly
-    modulation for covariant integrals.
-    """
-    return observed_drift(g, p, expected,
-                          lambda watch: numeric_flow(X, p, path, observer=watch))
+def first_integral_drift(X: VectorField, g: Jet, p) -> float:
+    """Max of |g(x(t)) - g(p)| over the time-one trajectory of X from p."""
+    return observed_drift(g, p, None, lambda watch: numeric_flow(X, p, observer=watch))
 
 
 def observed_drift(g: Jet, p, expected, integrate: Callable) -> float:

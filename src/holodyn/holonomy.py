@@ -32,8 +32,7 @@ import numpy as np
 
 from .coefficients import CoefficientTable, solve_coefficient_system
 from .exppoly import ExpPoly, TWO_PI_I
-from .flows import (VectorField, integrate_ode, observed_drift, series_vs_numeric,
-                    DEFAULT_RTOL, DEFAULT_ATOL)
+from .flows import VectorField, integrate_ode, observed_drift, series_vs_numeric
 from .jets import Jet, JetMap, PRUNE_TOL, _integer
 
 LINEAR_TOL = 1e-12
@@ -196,8 +195,6 @@ def holonomy_numeric(
     F: Foliation,
     p,
     z0: complex = 1.0 + 0j,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     observer: Callable[[float, list], None] | None = None,
 ) -> np.ndarray:
     """Numeric holonomy: integrate the leaf through p over t in [0, 1].
@@ -210,10 +207,9 @@ def holonomy_numeric(
     check watches it through ``observer(t, x)``, which gets every accepted
     state.  Raises HolonomyError when the loop encloses or meets another
     singular point of the axis, and DomainEscape when the leaf leaves the
-    ball of radius ``DEFAULT_ESCAPE_RADIUS``.
+    ball of radius ``flows.ESCAPE_RADIUS``.
     """
-    return integrate_ode(_leafwise_rhs(F, z0), 0.0, 1.0, p,
-                         rtol=rtol, atol=atol, observer=observer)
+    return integrate_ode(_leafwise_rhs(F, z0), p, observer=observer)
 
 
 def holonomy_cross_check(F: Foliation, h: JetMap, points, z0: complex = 1.0 + 0j):

@@ -59,6 +59,20 @@ def _integer(value, what: str) -> int:
     raise JetError(f"{what} must be an integer, got {value!r}")
 
 
+def _exponent(key) -> tuple:
+    """``key`` as a tuple of ints by the rule of :func:`_integer`, whose
+    message is formatted only for an entry that fails it."""
+    key = tuple(key)
+    try:
+        exp = tuple(map(int, key))
+    except (TypeError, ValueError, OverflowError):
+        exp = None
+    if exp != key:
+        for e in key:
+            _integer(e, f"exponent entry of {key}")
+    return exp
+
+
 class Jet:
     """A polynomial truncated at total degree ``order`` in ``n_vars`` variables.
 
@@ -78,7 +92,7 @@ class Jet:
             raise JetError("order must be >= 0")
         clean = {}
         for exp, c in (coeffs or {}).items():
-            exp = tuple(_integer(e, f"exponent entry of {tuple(exp)}") for e in exp)
+            exp = _exponent(exp)
             if len(exp) != n_vars:
                 raise JetError(f"exponent {exp} has wrong arity (n_vars={n_vars})")
             if any(e < 0 for e in exp):

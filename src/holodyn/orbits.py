@@ -347,6 +347,9 @@ class TimeOneMap(EvaluableMap):
         return TimeOneMap(VectorField([-c for c in self.X.components]), name=self.name + "^-1")
 
 
+_NOT_INVERTED = object()
+
+
 class TruncatedJetMap(EvaluableMap):
     """Iteration of a truncated jet map; the inverse is only approximate."""
 
@@ -354,11 +357,19 @@ class TruncatedJetMap(EvaluableMap):
         self.jmap = jmap
         self.name = name
         self.n_vars = jmap.n_vars
+        self._inverse = _NOT_INVERTED
 
     def eval(self, p: Point) -> Point:
         return self.jmap.eval(p)
 
     def inverse(self) -> Optional["TruncatedJetMap"]:
+        """The inverse jet map, or None when it fails the probe check; made
+        on the first call and kept, None included, for every later seed."""
+        if self._inverse is _NOT_INVERTED:
+            self._inverse = self._invert()
+        return self._inverse
+
+    def _invert(self) -> Optional["TruncatedJetMap"]:
         try:
             inv = self.jmap.inverse()
         except JetError:

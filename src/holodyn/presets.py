@@ -32,11 +32,13 @@ from .orbits import (
 
 # The bound table: the largest value an outside input may ask for.
 MAX_ORDER = 1_000  # --order, and the jets of whatever a loader returns, JSON or preset
+MAX_TERMS = 10_000  # the terms of one jet a loader returns; a first eval compiles them all
 MAX_SEEDS = 1_000_000  # the seeds of one run: --grid's product, --random-seeds, --seeds
 MAX_BUDGET = 10_000_000  # orbit --budget, the steps per seed and direction
 MAX_PETAL_DEGREE = 100  # petal --d: 50,000 steps in each of d directions
-# Beside it, the integrator's own bound: flows.DEFAULT_MAX_STEPS = 100,000
-# steps per integration, 80 times the longest one the tests run (1,245).
+# Beside it, the integrator's own bounds, read at call time: flows.MAX_STEPS =
+# 100,000 steps per integration, 80 times the longest one the tests run
+# (1,245), and flows.ESCAPE_RADIUS = 10, the max-norm a trajectory may reach.
 
 
 class PresetError(ValueError):
@@ -204,11 +206,16 @@ def _build(kind: str, table: dict, spec: str, **extra):
         raise PresetError(f"invalid {kind} preset {spec!r}: {e}") from e
 
 
-def _bounded(out, order: int, spec: str, json_kind: str):
-    """``out``, loaded from ``spec``, refused when its jets exceed ``MAX_ORDER``."""
-    if order > MAX_ORDER:
-        source = f"{json_kind} JSON in {spec}" if spec.endswith(".json") else f"preset {spec!r}"
-        raise PresetError(f"{source} has order {order}, more than MAX_ORDER = {MAX_ORDER}")
+def _bounded(out, jets: Sequence[Jet], spec: str, json_kind: str):
+    """``out``, loaded from ``spec``, refused when one of its ``jets`` exceeds
+    ``MAX_ORDER`` or ``MAX_TERMS``."""
+    source = f"{json_kind} JSON in {spec}" if spec.endswith(".json") else f"preset {spec!r}"
+    for j in jets:
+        if j.order > MAX_ORDER:
+            raise PresetError(f"{source} has order {j.order}, more than MAX_ORDER = {MAX_ORDER}")
+        if len(j.coeffs) > MAX_TERMS:
+            raise PresetError(f"{source} has a jet of {len(j.coeffs)} terms, "
+                              f"more than MAX_TERMS = {MAX_TERMS}")
     return out
 
 
@@ -217,7 +224,7 @@ def load_field(spec: str, order: int = DEFAULT_ORDER) -> VectorField:
         X = _at_least(_read_json(spec, "vector-field", VectorField.from_json_dict), order)
     else:
         _, X = _build("field", _FIELDS, spec, order=order)
-    return _bounded(X, X.order, spec, "vector-field")
+    return _bounded(X, X.components, spec, "vector-field")
 
 
 def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
@@ -230,7 +237,7 @@ def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
         if _FIELDS[name][2] is None:
             raise PresetError(f"preset {name!r} has no canonical foliation")
         F = _FIELDS[name][2](X)
-    return _bounded(F, F.field.order, spec, "foliation")
+    return _bounded(F, F.field.components, spec, "foliation")
 
 
 # -- maps -------------------------------------------------------------------
@@ -274,9 +281,9 @@ _MAPS = {
 def load_map(spec: str) -> EvaluableMap:
     if spec.endswith(".json"):
         jmap = _read_json(spec, "jet-map", JetMap.from_json_dict)
-        return _bounded(TruncatedJetMap(jmap, name=spec), jmap.order, spec, "jet-map")
+        return _bounded(TruncatedJetMap(jmap, name=spec), jmap.components, spec, "jet-map")
     _, h = _build("map", _MAPS, spec)
-    return _bounded(h, h.X.order if isinstance(h, TimeOneMap) else 0, spec, "jet-map")
+    return _bounded(h, h.X.components if isinstance(h, TimeOneMap) else (), spec, "jet-map")
 
 
 def pseudogroup_preset(name: str) -> List[EvaluableMap]:

@@ -1,5 +1,4 @@
 """CLI contracts: formats, exit codes, determinism, provenance headers."""
-import functools
 import json
 import re
 
@@ -8,7 +7,6 @@ import pytest
 from click.testing import CliRunner
 
 import holodyn.flows as flows
-import holodyn.holonomy as holonomy
 from holodyn import presets
 from holodyn.cli import main
 from holodyn.flows import VectorField, flow_cross_check, formal_flow
@@ -95,6 +93,36 @@ def test_loaders_refuse_json_inputs_above_max_order(tmp_path):
         d = json.loads(json.dumps(d).replace(f'"order": {order}', f'"order": {order - 1}'))
         path.write_text(json.dumps(d))
         load(str(path))
+
+
+def many_terms(n_terms: int) -> dict:
+    """A planar jet map whose first component has ``n_terms`` terms, the
+    monomials x^i y^j with i >= 1 and degree at most 141 (so y = 0 stays
+    invariant), and whose second is y."""
+    exps = [(d - k, k) for d in range(1, 142) for k in range(d)][:n_terms]
+    first = Jet(2, 141, {e: 1e-3 for e in exps} | {(1, 0): 1.0})
+    return JetMap([first, Jet(2, 141, {(0, 1): 1.0})]).to_json_dict()
+
+
+def test_loaders_refuse_json_jets_above_max_terms(tmp_path):
+    """One jet of more than MAX_TERMS terms in a JSON map, field or foliation
+    is refused when it is read, before a first eval compiles all of them."""
+    for n_terms, refused in ((presets.MAX_TERMS + 1, True), (presets.MAX_TERMS, False)):
+        jmap = many_terms(n_terms)
+        inputs = {"map": (presets.load_map, jmap),
+                  "field": (presets.load_field, {"n_vars": 2, **jmap}),
+                  "foliation": (presets.load_foliation,
+                                {"field": {"n_vars": 2, **jmap}, "separatrix_axis": 1})}
+        for kind, (load, d) in inputs.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(d))
+            if refused:
+                with pytest.raises(presets.PresetError, match=re.escape(
+                        f"JSON in {path} has a jet of 10001 terms, more than MAX_TERMS = 10000")):
+                    load(str(path))
+            else:
+                load(str(path))
+    assert len(presets.load_map(str(tmp_path / "map.json")).jmap.components[0].coeffs) == 10_000
 
 
 def test_loaders_refuse_preset_arguments_that_size_a_jet_above_max_order():
@@ -365,6 +393,8 @@ def test_reproduce_paper_unknown_check(tmp_path):
     (["orbit", "--map", "H", "--random-seeds", "2", "--seed", "-1"],
      "--seed must be a non-negative integer, got -1"),
     (["petal", "--d", "0"], "--d must be a positive integer, got 0"),
+    (["orbit", "--map", "{many_terms}", "--grid", "2x2"],
+     "jet-map JSON in {many_terms} has a jet of 10001 terms, more than MAX_TERMS = 10000"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -408,6 +438,9 @@ def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     path = tmp_path / "huge_order.json"
     path.write_text(json.dumps({"field": huge, "separatrix_axis": 2}))
     files["{huge_order}"] = str(path)
+    path = tmp_path / "many_terms.json"
+    path.write_text(json.dumps(many_terms(presets.MAX_TERMS + 1)))
+    files["{many_terms}"] = str(path)
     files["{tmp}"] = str(tmp_path)
 
     def fill(text):
@@ -481,10 +514,8 @@ def test_numeric_failure_exits_3_with_reason(args, reason):
     ["verify-integral", "--field", "thmB", "--exponents", "1,1,2"],
 ])
 def test_step_limit_exits_3_with_reason(monkeypatch, tmp_path, args):
-    # an integrator capped at 2 steps stands for one that runs out of max_steps
-    capped = functools.partial(flows.integrate_ode, max_steps=2)
-    for module in (flows, holonomy):
-        monkeypatch.setattr(module, "integrate_ode", capped)
+    # an integrator capped at 2 steps stands for one that runs out of MAX_STEPS
+    monkeypatch.setattr(flows, "MAX_STEPS", 2)
     res = run(*(a.replace("{tmp}", str(tmp_path)) for a in args))
     assert res.exit_code == 3
     assert res.exception is None or isinstance(res.exception, SystemExit)

@@ -12,9 +12,9 @@ import pytest
 import holodyn.flows as flows
 from holodyn.flows import (
     DEFAULT_ATOL,
-    DEFAULT_ESCAPE_RADIUS,
-    DEFAULT_MAX_STEPS,
     DEFAULT_RTOL,
+    ESCAPE_RADIUS,
+    MAX_STEPS,
     DomainEscape,
     FlowError,
     MaxStepsExceeded,
@@ -27,6 +27,7 @@ from holodyn.flows import (
     integrate_ode,
     lie_derivative,
     numeric_flow,
+    observed_drift,
 )
 from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I
 from holodyn.holonomy import _leafwise_rhs, holonomy_numeric
@@ -161,21 +162,19 @@ def test_formal_vs_numeric_cross_check():
 
 
 def test_path_concatenation_consistency():
+    # phi_0.5 o phi_0.5 = phi_1: two straight segments make the whole one
     X = presets.field_example1(2, 3, 1, 2, order=6)
     p = (0.1, 0.12)
     whole = numeric_flow(X, p, 1.0)
     half = numeric_flow(X, p, 0.5)
-    rest = numeric_flow(X, tuple(half), [0.0, 0.5])
+    rest = numeric_flow(X, tuple(half), 0.5)
     assert np.max(np.abs(whole - rest)) < 2e-10
 
 
-def test_complex_time_polyline():
-    # going around a closed polyline on a linear field returns to the start
+def test_complex_time_segment():
     X = linear_field([1.0])
-    p = (0.3,)
-    out = numeric_flow(X, p, [0.0, 1.0j, 1.0 + 1.0j, 1.0])
-    want = 0.3 * cmath.exp(1.0)
-    assert abs(out[0] - want) < 1e-9
+    out = numeric_flow(X, (0.3,), 1 + 1j)
+    assert abs(out[0] - 0.3 * cmath.exp(1 + 1j)) < 1e-9
 
 
 def test_domain_escape_raised():
@@ -184,17 +183,19 @@ def test_domain_escape_raised():
         numeric_flow(X, (1.0,), 2.0)
 
 
-def test_step_limit_is_its_own_flow_error():
+def test_step_limit_is_its_own_flow_error(monkeypatch):
     X = linear_field([1.0])
+    monkeypatch.setattr(flows, "MAX_STEPS", 3)
     with pytest.raises(MaxStepsExceeded, match="did not finish within 3 steps"):
-        integrate_ode(lambda t, x: X.eval(x), 0.0, 1.0, [0.1 + 0j], max_steps=3)
+        integrate_ode(lambda t, x: X.eval(x), [0.1 + 0j])
     assert issubclass(MaxStepsExceeded, FlowError)
     assert not issubclass(MaxStepsExceeded, (DomainEscape, StepUnderflow))
 
 
-def test_integrate_ode_zero_span():
-    out = integrate_ode(lambda t, x: x, 0.0, 0.0, np.array([1.0 + 0j]))
-    assert out[0] == 1.0 + 0j
+def test_numeric_flow_at_time_zero_returns_the_point():
+    X = linear_field([1.0, -2.0])
+    out = numeric_flow(X, (0.3, 0.1j), 0)
+    assert isinstance(out, np.ndarray) and out.tolist() == [0.3 + 0j, 0.1j]
 
 
 def test_lie_derivative_first_integral():
@@ -232,16 +233,18 @@ def reference_first_integral_drift(X, g, p, path=1.0, expected=None):
 
 
 def test_first_integral_drift_equals_the_former_observer():
-    """The conservation check's inputs, plus a covariant x under x' = 2 pi i x."""
-    cases = []
+    """The conservation check's inputs; and observed_drift on numeric_flow,
+    at a real and a complex time, for a covariant x under x' = 2 pi i x."""
     for (n, m, a, b) in ((1, 1, 1, 1), (2, 3, 1, 2)):
-        cases.append((presets.field_example1(n, m, a, b), Jet(2, 8, {(n, m): 1.0 + 0j}), None))
+        X, g = presets.field_example1(n, m, a, b), Jet(2, 8, {(n, m): 1.0 + 0j})
+        assert first_integral_drift(X, g, (0.1, 0.12)) \
+            == reference_first_integral_drift(X, g, (0.1, 0.12))
     rotation = linear_field([TWO_PI_I, -TWO_PI_I], order=8)
-    cases.append((rotation, Jet.variable(0, 2, 8), ExpPoly.exponential(Frequency(1))))
-    for X, g, expected in cases:
-        for path in (1.0, [0, 0.5 + 0.5j, 1.0]):
-            assert first_integral_drift(X, g, (0.1, 0.12), path, expected) \
-                == reference_first_integral_drift(X, g, (0.1, 0.12), path, expected)
+    g, expected, p = Jet.variable(0, 2, 8), ExpPoly.exponential(Frequency(1)), (0.1, 0.12)
+    for t in (1.0, 0.5 + 0.5j):
+        drift = observed_drift(
+            g, p, expected, lambda watch: numeric_flow(rotation, p, t, observer=watch))
+        assert drift == reference_first_integral_drift(rotation, g, p, t, expected)
 
 
 def test_first_integral_drift_zero_field():
@@ -301,7 +304,7 @@ def test_flow_cross_check_rows_are_series_against_numeric_flow():
 
 
 def reference_integrate_ode(f, t0, t1, x0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                            max_steps=DEFAULT_MAX_STEPS, escape_radius=DEFAULT_ESCAPE_RADIUS,
+                            max_steps=MAX_STEPS, escape_radius=ESCAPE_RADIUS,
                             observer=None):
     """The former integrate_ode: seven stages on every step, each a Python
     sum over ndarrays, and a NumPy error norm.  ``f`` gets the state as a
@@ -348,6 +351,11 @@ def reference_integrate_ode(f, t0, t1, x0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     raise FlowError(f"integration did not finish within {max_steps} steps")
 
 
+def unit_reference(f, x0, **kwargs):
+    """The former integrate_ode over [0, 1], with integrate_ode's signature."""
+    return reference_integrate_ode(f, 0.0, 1.0, x0, **kwargs)
+
+
 def counted(f):
     """f and a one-element list that counts its calls."""
     calls = [0]
@@ -363,7 +371,7 @@ def observed_run(integrate, f, x0, **kwargs):
     """(end state, accepted steps, calls of f) of one integration over [0, 1]."""
     g, calls = counted(f)
     states = []
-    out = integrate(g, 0.0, 1.0, x0, observer=lambda t, x: states.append(t), **kwargs)
+    out = integrate(g, x0, observer=lambda t, x: states.append(t), **kwargs)
     return out, len(states) - 1, calls[0]
 
 
@@ -393,25 +401,25 @@ def test_lean_core_retraces_the_numpy_integrator_on_oracle_points():
     """Same accepted steps, end points within 1e-13 relative."""
     for F, z0, p in oracle_cases():
         rhs = _leafwise_rhs(F, z0)
-        new, steps, _ = observed_run(integrate_ode, rhs, p, escape_radius=10.0)
-        old, old_steps, _ = observed_run(reference_integrate_ode, rhs, p, escape_radius=10.0)
+        new, steps, _ = observed_run(integrate_ode, rhs, p)
+        old, old_steps, _ = observed_run(unit_reference, rhs, p)
         assert steps == old_steps
         assert_close(new, old)
         assert np.array_equal(holonomy_numeric(F, p, z0=z0), new)
 
 
-@pytest.mark.parametrize("spec, p, path", [
+@pytest.mark.parametrize("spec, p, t", [
     ("example1(1,1,1,1)", (0.1, 0.12), 1.0),
     ("example1(2,3,1,2)", (0.05 + 0.02j, -0.04j), 1.0),
-    ("thmB", (0.04, 0.03j, 0.2), [0.0, 0.5 + 0.5j, 1.0 + 0.25j, 1.0]),
+    ("thmB", (0.04, 0.03j, 0.2), 1.0 + 0.25j),
 ])
-def test_lean_core_retraces_the_numpy_integrator_on_flows(monkeypatch, spec, p, path):
+def test_lean_core_retraces_the_numpy_integrator_on_flows(monkeypatch, spec, p, t):
     X = presets.load_field(spec)
     runs = []
-    for integrate in (integrate_ode, reference_integrate_ode):
+    for integrate in (integrate_ode, unit_reference):
         monkeypatch.setattr(flows, "integrate_ode", integrate)
         times = []
-        runs.append((numeric_flow(X, p, path, observer=lambda tz, x: times.append(tz)), times))
+        runs.append((numeric_flow(X, p, t, observer=lambda tz, x: times.append(tz)), times))
     (new, new_times), (old, old_times) = runs
     assert len(new_times) == len(old_times)
     assert_close(new, old)
@@ -426,7 +434,7 @@ def test_fsal_makes_six_calls_per_step():
             (thmB, (0.03, 0.04j), {}, 0),
             (stiff, (1.0 + 0.5j,), {"rtol": 1e-13, "atol": 1e-13}, None)):
         _, steps, calls = observed_run(integrate_ode, f, x0, **kwargs)
-        _, old_steps, old_calls = observed_run(reference_integrate_ode, f, x0, **kwargs)
+        _, old_steps, old_calls = observed_run(unit_reference, f, x0, **kwargs)
         assert steps == old_steps and old_calls % 7 == 0
         tried = old_calls // 7
         if rejected is not None:
@@ -448,15 +456,16 @@ def test_tracer_counts_six_calls_per_step():
     assert tracer.layer_metrics()["flows.rhs_per_integrate"] == 517.0
 
 
-def test_integrate_ode_takes_ndarray_right_hand_sides():
+def test_integrate_ode_takes_ndarray_right_hand_sides(monkeypatch):
     """f may return an ndarray; the end state and a failure's point are ndarrays."""
     f = lambda t, x: np.array(x, dtype=complex) * (1.0 + 0.5j)  # noqa: E731
-    out = integrate_ode(f, 0.0, 1.0, [0.2, 0.1j])
+    out = integrate_ode(f, [0.2, 0.1j])
     assert_close(out, np.array([0.2, 0.1j]) * cmath.exp(1.0 + 0.5j), tol=1e-9)
     with pytest.raises(DomainEscape) as escape:
-        integrate_ode(f, 0.0, 10.0, [0.2, 0.1j])
+        integrate_ode(lambda t, x: 10 * f(t, x), [0.2, 0.1j])
     assert isinstance(escape.value.point, np.ndarray)
+    # x' = 2x^2 from x = 1 blows up at s = 1/2, inside any escape radius
+    monkeypatch.setattr(flows, "ESCAPE_RADIUS", 1e300)
     with pytest.raises(StepUnderflow) as underflow:
-        integrate_ode(lambda t, x: [v * v for v in x], 0.0, 2.0, [1.0 + 0j],
-                      escape_radius=1e300)
+        integrate_ode(lambda t, x: [2 * v * v for v in x], [1.0 + 0j])
     assert isinstance(underflow.value.point, np.ndarray)

@@ -1025,6 +1025,33 @@ def test_truncated_jet_map_inverse_quality():
     assert not rec.one_sided
 
 
+def test_truncated_jet_map_inverts_once_per_map(monkeypatch):
+    """A 20 x 20 grid on example3's order-6 jet makes one JetMap.inverse call,
+    and every record equals the one a fresh map, inverted for its own seed,
+    gives."""
+    calls = []
+    invert = JetMap.inverse
+    monkeypatch.setattr(JetMap, "inverse", lambda self: calls.append(self) or invert(self))
+    h, V = example3_jet_map(), DomainBall(0.3)
+    seeds = lattice_seeds(0.3, 20)
+    records = [iterate_orbit(h, s, V, budget=40, keep_points=True) for s in seeds]
+    assert len(calls) == 1 and h.inverse() is h.inverse()
+    fresh = [iterate_orbit(TruncatedJetMap(h.jmap, name=h.name), s, V, budget=40,
+                           keep_points=True) for s in seeds]
+    assert len(calls) == 1 + len(seeds)
+    assert [record_fields(r) for r in records] == [record_fields(r) for r in fresh]
+
+
+def test_truncated_jet_map_keeps_a_failed_inverse(monkeypatch):
+    """A singular linear part has no inverse jet: None, found once."""
+    calls = []
+    invert = JetMap.inverse
+    monkeypatch.setattr(JetMap, "inverse", lambda self: calls.append(self) or invert(self))
+    h = TruncatedJetMap(JetMap.linear([[0.5, 0], [0, 0]], 4))
+    assert h.inverse() is None and h.inverse() is None
+    assert len(calls) == 1
+
+
 def test_lattice_seeds_deterministic():
     a = lattice_seeds(0.3, 4, n_vars=2, low=0.05)
     b = lattice_seeds(0.3, 4, n_vars=2, low=0.05)

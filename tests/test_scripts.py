@@ -69,7 +69,7 @@ GOLDEN_DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "output_dig
 
 def test_output_digest_matches_the_golden_file(capsys):
     """Every fast entry of scripts/output_digest.py hashes as it does in
-    tests/golden/output_digest.txt, the full 284-line digest.
+    tests/golden/output_digest.txt, the full 288-line digest.
 
     The hashes pin this platform: Python 3.11.7, numpy 2.4.6 and the x86-64
     libm. An intended output change regenerates the file with one command,
@@ -81,8 +81,8 @@ def test_output_digest_matches_the_golden_file(capsys):
     fast = [name for name, _ in script["entries"]() if name not in SLOW_DIGEST_ENTRIES]
     script["main"](fast)
     golden = GOLDEN_DIGEST.read_text().splitlines()
-    assert len(golden) == 284
+    assert len(golden) == 288
     slow = tuple(f"{name}:" for name in SLOW_DIGEST_ENTRIES)
     expected = [line for line in golden if not line.startswith(slow)]
-    assert len(expected) == 275
+    assert len(expected) == 279
     assert capsys.readouterr().out.splitlines() == expected
