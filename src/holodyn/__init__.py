@@ -42,11 +42,9 @@ from .orbits import (
     OrbitRecord,
     OrbitError,
     PseudogroupOrbit,
-    GridSummary,
     GroupClosure,
     PetalReport,
     iterate_orbit,
-    classify_seed_grid,
     lattice_seeds,
     pseudogroup_orbit,
     periodicity_test,

@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import sys
+from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 import click
@@ -47,8 +48,8 @@ from .orbits import (
     DEFAULT_WORD_BUDGET,
     DomainBall,
     OrbitError,
-    classify_seed_grid,
     group_closure,
+    iterate_orbit,
     lattice_seeds,
     petal_analysis,
     pseudogroup_orbit,
@@ -345,9 +346,9 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
               "random_seeds": random_seeds, "seed": seed}
     V = DomainBall(radius)
     seeds = _orbit_seeds(h, radius, grid, grid_low, level_circle, random_seeds, seed)
-    summary = classify_seed_grid(h, V, [s for s in seeds if V.contains(s)], budget=budget,
-                                 keep_points=svg_path is not None)
-    records, counts = summary.records, summary.counts
+    records = [iterate_orbit(h, s, V, budget=budget, keep_points=svg_path is not None)
+               for s in seeds if V.contains(s)]
+    counts = Counter(r.status for r in records)
     click.echo(
         f"{len(records)} seeds: {counts['Escaped']} escaped, {counts['Periodic']} "
         f"periodic, {counts['BudgetExhausted']} budget-exhausted (infinite-suspected)"

@@ -207,7 +207,8 @@ def numeric_flow(
     The segment is integrated as dx/ds = t * X(x), s in [0, 1], and
     ``observer(s * t, x)`` gets the start and every accepted state.  t = 0
     returns p.  Raises DomainEscape when the trajectory leaves the ball of
-    radius ``ESCAPE_RADIUS``.
+    radius ``ESCAPE_RADIUS`` and StepUnderflow when the step underflows,
+    each at the time s * t of the failure (a float when t is real).
     """
     t = complex(t)
     if t == 0:
@@ -217,7 +218,13 @@ def numeric_flow(
         return [t * v for v in X.eval(y)]
 
     watch = None if observer is None else lambda s, y: observer(s * t, y)
-    return integrate_ode(rhs, p, rtol=rtol, atol=atol, observer=watch)
+    span = t.real if t.imag == 0 else t
+    try:
+        return integrate_ode(rhs, p, rtol=rtol, atol=atol, observer=watch)
+    except DomainEscape as e:
+        raise DomainEscape(e.t * span, e.point, ESCAPE_RADIUS) from None
+    except StepUnderflow as e:
+        raise StepUnderflow(e.t * span, e.point) from None
 
 
 def series_vs_numeric(jmap: JetMap, numeric: Callable, points):

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +37,8 @@ DEDUP_EPS_FACTOR = 1e-9
 # in batches of at most KEY_BATCH points, so NumPy's fixed cost per call is
 # spread over many points
 KEY_BATCH = 1024
-TIME_ONE_RTOL = 1e-10
 TIME_ONE_ATOL = 1e-12
-# TruncatedJetMap.inverse accepts an inverse jet when h^-1(h(p)) returns
+# TruncatedJetMap._invert accepts an inverse jet when h^-1(h(p)) returns
 # probes of this radius to within INVERSE_TOL
 INVERSE_PROBE_RADIUS = 0.05
 INVERSE_TOL = 1e-8
@@ -91,7 +90,7 @@ class DomainBall:
 
 class EvaluableMap:
     """A germ on C^n_vars that can be evaluated at points; subclasses add
-    exact inverses and set ``n_vars``."""
+    exact inverses through ``_invert`` and set ``n_vars``."""
 
     name = "map"
     n_vars: int
@@ -100,7 +99,14 @@ class EvaluableMap:
         raise NotImplementedError
 
     def inverse(self) -> Optional["EvaluableMap"]:
-        """Exact inverse, or None when only forward iteration is trusted."""
+        """Exact inverse, or None when only forward iteration is trusted;
+        ``_invert`` makes it on the first call, and every later call, for
+        any seed, gets that same object (None included)."""
+        if "_inverse" not in self.__dict__:
+            self._inverse = self._invert()
+        return self._inverse
+
+    def _invert(self) -> Optional["EvaluableMap"]:
         return None
 
 
@@ -112,7 +118,7 @@ class _InverseMap(EvaluableMap):
         self.name = fwd.name + "^-1"
         self.n_vars = fwd.n_vars
 
-    def inverse(self) -> EvaluableMap:
+    def _invert(self) -> EvaluableMap:
         return self.fwd
 
 
@@ -127,7 +133,7 @@ class LinearMap(EvaluableMap):
             sum(a * x for a, x in zip(row, p)) for row in self.matrix
         )
 
-    def inverse(self) -> "LinearMap":
+    def _invert(self) -> "LinearMap":
         inv = np.linalg.inv(np.array(self.matrix, dtype=complex))
         return LinearMap(inv.tolist(), name=self.name + "^-1")
 
@@ -158,7 +164,7 @@ class ProductPreservingMap(EvaluableMap):
 
     Every other (a, b, f) solves for the preimage by a 1-d Newton iteration
     with the analytic derivative, which raises OrbitError when it does not
-    converge.  The case is chosen once, here.
+    converge.  ``_invert`` chooses the case.
     """
 
     n_vars = 2
@@ -172,12 +178,6 @@ class ProductPreservingMap(EvaluableMap):
         self.b = int(b)
         self.f = f
         self.name = name
-        if self.a == self.b:
-            self._inverse_type = _InvariantUnitInverse
-        elif self.a == self.b + 1 and all(e == (0,) for e in f.coeffs):
-            self._inverse_type = _TangentRootInverse
-        else:
-            self._inverse_type = _ProductPreservingInverse
 
     def _u(self, x: complex, y: complex) -> complex:
         w = (x ** self.a) * (y ** self.b)
@@ -190,8 +190,12 @@ class ProductPreservingMap(EvaluableMap):
             raise OrbitError("map is singular at this point (u = 0)")
         return (x * u, y / u)
 
-    def inverse(self) -> "EvaluableMap":
-        return self._inverse_type(self)
+    def _invert(self) -> EvaluableMap:
+        if self.a == self.b:
+            return _InvariantUnitInverse(self)
+        if self.a == self.b + 1 and all(e == (0,) for e in self.f.coeffs):
+            return _TangentRootInverse(self)
+        return _ProductPreservingInverse(self)
 
 
 class _ProductPreservingInverse(_InverseMap):
@@ -289,7 +293,7 @@ class OneVarParabolicMap(EvaluableMap):
         (x,) = p
         return (x + self.c * x ** (self.d + 1),)
 
-    def inverse(self) -> "EvaluableMap":
+    def _invert(self) -> EvaluableMap:
         return _NewtonInverse(self)
 
 
@@ -340,14 +344,11 @@ class TimeOneMap(EvaluableMap):
         self.n_vars = X.n_vars
 
     def eval(self, p: Point) -> Point:
-        return tuple(numeric_flow(self.X, p, 1.0, rtol=TIME_ONE_RTOL, atol=TIME_ONE_ATOL))
+        return tuple(numeric_flow(self.X, p, 1.0, atol=TIME_ONE_ATOL))
 
-    def inverse(self) -> "TimeOneMap":
+    def _invert(self) -> "TimeOneMap":
         """The time-one map of -X, which is the time -1 map of X."""
         return TimeOneMap(VectorField([-c for c in self.X.components]), name=self.name + "^-1")
-
-
-_NOT_INVERTED = object()
 
 
 class TruncatedJetMap(EvaluableMap):
@@ -357,19 +358,12 @@ class TruncatedJetMap(EvaluableMap):
         self.jmap = jmap
         self.name = name
         self.n_vars = jmap.n_vars
-        self._inverse = _NOT_INVERTED
 
     def eval(self, p: Point) -> Point:
         return self.jmap.eval(p)
 
-    def inverse(self) -> Optional["TruncatedJetMap"]:
-        """The inverse jet map, or None when it fails the probe check; made
-        on the first call and kept, None included, for every later seed."""
-        if self._inverse is _NOT_INVERTED:
-            self._inverse = self._invert()
-        return self._inverse
-
     def _invert(self) -> Optional["TruncatedJetMap"]:
+        """The inverse jet map, or None when it fails the probe check."""
         try:
             inv = self.jmap.inverse()
         except JetError:
@@ -524,30 +518,6 @@ def iterate_orbit(
         one_sided=f_out != "periodic" and inv is None,
         forward_points=fwd_pts, backward_points=bwd_pts,
     )
-
-
-@dataclass
-class GridSummary:
-    records: List[OrbitRecord]
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        out = {"Escaped": 0, "Periodic": 0, "BudgetExhausted": 0}
-        for r in self.records:
-            out[r.status] += 1
-        return out
-
-
-def classify_seed_grid(
-    h: EvaluableMap,
-    V: DomainBall,
-    seeds: Iterable[Point],
-    budget: int = DEFAULT_BUDGET,
-    keep_points: bool = False,
-) -> GridSummary:
-    """Classify every seed; BudgetExhausted means "infinite-suspected"."""
-    records = [iterate_orbit(h, s, V, budget=budget, keep_points=keep_points) for s in seeds]
-    return GridSummary(records)
 
 
 def lattice_seeds(radius: float, per_axis: int | Sequence[int], n_vars: int = 2,

@@ -94,14 +94,6 @@ def _siegel_family(extra_exp, order: int) -> VectorField:
     return VectorField([cx, cy, cz])
 
 
-def field_thmB(order: int = DEFAULT_ORDER) -> VectorField:
-    return _siegel_family((2, 1, 3), order)
-
-
-def field_example3(order: int = DEFAULT_ORDER) -> VectorField:
-    return _siegel_family((1, 1, 2), order)
-
-
 def field_example1(n: int, m: int, a: int, b: int,
                    order: int = DEFAULT_ORDER) -> VectorField:
     """x^a y^b * (x d/dx - (n/m) y d/dy) on (C^2, 0)."""
@@ -127,27 +119,13 @@ def field_linear(lambdas: Sequence[complex], order: int = DEFAULT_ORDER) -> Vect
     return VectorField(comps)
 
 
-def generator_F(order: int = DEFAULT_ORDER) -> VectorField:
-    """2 pi i * x*y * (x d/dx - y d/dy): its time-one map is an F-type
-    product-preserving germ tangent to the identity."""
-    order = max(order, 3)
-    cx = Jet(2, order, {(2, 1): TWO_PI_I})
-    cy = Jet(2, order, {(1, 2): -TWO_PI_I})
-    return VectorField([cx, cy])
-
-
-def generator_H(order: int = DEFAULT_ORDER) -> VectorField:
-    """2 pi i * x^2*y * (x d/dx - y d/dy): time-one map is H-type."""
-    order = max(order, 4)
-    cx = Jet(2, order, {(3, 1): TWO_PI_I})
-    cy = Jet(2, order, {(2, 2): -TWO_PI_I})
-    return VectorField([cx, cy])
-
-
-def generator_linear(order: int = DEFAULT_ORDER) -> VectorField:
-    """2 pi i * (x d/dx - y d/dy)."""
-    cx = Jet(2, order, {(1, 0): TWO_PI_I})
-    cy = Jet(2, order, {(0, 1): -TWO_PI_I})
+def _generator(a: int, b: int, order: int) -> VectorField:
+    """2 pi i * x^a y^b * (x d/dx - y d/dy), at order a + b + 1 or more: its
+    time-one map is an F-type product-preserving germ for (a, b) = (1, 1)
+    and an H-type one for (2, 1)."""
+    order = max(order, a + b + 1)
+    cx = Jet(2, order, {(a + 1, b): TWO_PI_I})
+    cy = Jet(2, order, {(a, b + 1): -TWO_PI_I})
     return VectorField([cx, cy])
 
 
@@ -161,13 +139,15 @@ def _integers(args) -> List[int]:
 # name -> (what builds it from (*args, order=), its argument counts (None: any, and
 # field_linear refuses zero eigenvalues), the rule that makes its foliation)
 _FIELDS = {
-    "thmB": (field_thmB, (0,), lambda X: Foliation(X, 2)),
-    "example3": (field_example3, (0,), lambda X: Foliation(X, 2)),
+    "thmB": (lambda order: _siegel_family((2, 1, 3), order), (0,),
+             lambda X: Foliation(X, 2)),
+    "example3": (lambda order: _siegel_family((1, 1, 2), order), (0,),
+                 lambda X: Foliation(X, 2)),
     "example1": (lambda *a, order: field_example1(*_integers(a), order=order), (4,), None),
     "linear": (lambda *a, order: field_linear(a, order), None, lambda X: Foliation(X, 0)),
-    "genF": (generator_F, (0,), realize_as_holonomy),
-    "genH": (generator_H, (0,), realize_as_holonomy),
-    "genLinear": (generator_linear, (0,), realize_as_holonomy),
+    "genF": (lambda order: _generator(1, 1, order), (0,), realize_as_holonomy),
+    "genH": (lambda order: _generator(2, 1, order), (0,), realize_as_holonomy),
+    "genLinear": (lambda order: _generator(0, 0, order), (0,), realize_as_holonomy),
 }
 
 

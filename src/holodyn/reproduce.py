@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -28,7 +29,6 @@ from .holonomy import (
 from .jets import Jet
 from .orbits import (
     DomainBall,
-    classify_seed_grid,
     group_closure,
     iterate_orbit,
     lattice_seeds,
@@ -190,7 +190,7 @@ def check_finite_orbits() -> CheckResult:
     h = presets.map_H()
     V = DomainBall(0.3)
     seeds = lattice_seeds(0.3, 20, n_vars=2, low=0.05)
-    counts = classify_seed_grid(h, V, seeds).counts
+    counts = Counter(iterate_orbit(h, s, V).status for s in seeds)
     passed = counts["BudgetExhausted"] == 0 and len(seeds) == 400
     return CheckResult(
         "finite-orbits",

@@ -498,6 +498,9 @@ def test_complex_spellings_keep_their_values_and_infinities_are_not_finite():
     (["verify-integral", "--field", "example1(1,1,1,1)", "--exponents", "1,1",
       "--point", "1e200,1e200"],
      "the numeric drift from ((1e+200+0j), (1e+200+0j)) overflows (complex exponentiation)"),
+    # the escape time, 0.5 times the segment parameter s = 0.92748... at which it escapes
+    (["flow", "--field", "linear(5)", "--time", "0.5", "--point", "1"],
+     "trajectory left the domain (|x| > 10.0) at t=0.46374056963548704"),
 ])
 def test_numeric_failure_exits_3_with_reason(args, reason):
     res = run(*args)

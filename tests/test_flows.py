@@ -183,6 +183,28 @@ def test_domain_escape_raised():
         numeric_flow(X, (1.0,), 2.0)
 
 
+@pytest.mark.parametrize("t", [0.5, -0.25, 0.5j, 0.3 - 0.4j])
+@pytest.mark.parametrize("failure", [DomainEscape, StepUnderflow])
+def test_a_flow_failure_reports_the_time_it_happened_at(monkeypatch, t, failure):
+    """numeric_flow integrates dx/ds = t X(x) over s in [0, 1]; a failure at
+    s is reported at the time s * t, a float when t is real.  x' = 5x from
+    x = 1 escapes at s = log(10) / 5; x' = 2x^2 blows up at s = 1/2, inside
+    any escape radius."""
+    if failure is DomainEscape:
+        X = linear_field([5 / t])
+    else:
+        X = VectorField([Jet(1, 2, {(2,): 2 / t})])
+        monkeypatch.setattr(flows, "ESCAPE_RADIUS", 1e300)
+    with pytest.raises(failure) as raw:
+        integrate_ode(lambda s, y: [complex(t) * v for v in X.eval(y)], [1.0 + 0j])
+    with pytest.raises(failure) as got:
+        numeric_flow(X, (1.0,), t)
+    s = raw.value.t
+    assert 0 < s < 1 and got.value.t == s * t and type(got.value.t) is type(t)
+    assert f"at t={s * t}" in str(got.value)
+    assert got.value.point.tolist() == raw.value.point.tolist()
+
+
 def test_step_limit_is_its_own_flow_error(monkeypatch):
     X = linear_field([1.0])
     monkeypatch.setattr(flows, "MAX_STEPS", 3)

@@ -1,11 +1,13 @@
-"""Every module of the library uses each name it imports at module level."""
+"""Every module of the library, and every script and test file, uses each
+name it imports at module level (``__init__.py`` imports to re-export)."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "holodyn"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "holodyn").glob("*.py") if p.name != "__init__.py")
+SCRIPTS_AND_TESTS = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str):
@@ -26,6 +28,7 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS_AND_TESTS,
+                         ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}")
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []

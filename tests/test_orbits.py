@@ -1,5 +1,6 @@
 """Orbit lab: trichotomy, pseudogroups, closures, periodicity, petals."""
 import cmath
+import functools
 import math
 import random
 from operator import sub
@@ -13,7 +14,6 @@ from holodyn.jets import Jet, JetMap
 from holodyn.orbits import (
     DEFAULT_BUDGET,
     TIME_ONE_ATOL,
-    TIME_ONE_RTOL,
     DomainBall,
     EvaluableMap,
     LinearMap,
@@ -28,7 +28,6 @@ from holodyn.orbits import (
     _cycle_event,
     _dedup_keys,
     _quantize,
-    classify_seed_grid,
     group_closure,
     iterate_orbit,
     lattice_seeds,
@@ -192,6 +191,20 @@ def test_product_preserving_inverse_round_trip():
             assert max(abs(u - v) for u, v in zip(p, there)) < 1e-12
 
 
+@pytest.mark.parametrize("make, kind", [
+    (presets.map_F, "_InvariantUnitInverse"),
+    (presets.map_H, "_TangentRootInverse"),
+    (lambda: ProductPreservingMap(3, 1, presets.const_f_jet(0.5)), "_ProductPreservingInverse"),
+], ids=["F", "H", "newton-3-1"])
+def test_product_preserving_inverses_fix_the_axes(make, kind):
+    """On X = 0 or Y = 0, w = 0 and the map is the identity: each inverse
+    returns such a target unchanged."""
+    inv = make().inverse()
+    assert type(inv).__name__ == kind
+    for q in ((0j, 0.2 + 0.1j), (0.25 - 0.05j, 0j), (0j, 0j)):
+        assert inv.eval(q) == q
+
+
 def reference_product_inverse(fwd, q):
     """The former inverse of a ProductPreservingMap: Newton on the level set
     x*y = C with a finite-difference derivative, for every (a, b, f)."""
@@ -271,12 +284,13 @@ LATTICE = lattice_seeds(0.3, 20, n_vars=2, low=0.05)
 @pytest.fixture(scope="module")
 def H_lattice_records():
     """H on the 400-seed lattice of the finite-orbits check."""
-    return classify_seed_grid(presets.map_H(), DomainBall(0.3), LATTICE).records
+    h, V = presets.map_H(), DomainBall(0.3)
+    return [iterate_orbit(h, s, V) for s in LATTICE]
 
 
 def test_orbit_verdicts_unchanged_with_the_reference_inverse(H_lattice_records):
     ref_H = ReferenceInverseMap(2, 1, presets.const_f_jet(), "H")
-    old = classify_seed_grid(ref_H, DomainBall(0.3), LATTICE).records
+    old = [iterate_orbit(ref_H, s, DomainBall(0.3)) for s in LATTICE]
     assert [(r.status, r.mu, r.cardinality) for r in H_lattice_records] \
         == [(r.status, r.mu, r.cardinality) for r in old]
     C = presets.F_LEVEL_CONSTANT
@@ -410,8 +424,8 @@ def test_finite_orbit_grid_small():
     h = presets.map_H()
     V = DomainBall(0.3)
     seeds = lattice_seeds(0.3, 5, n_vars=2, low=0.05)
-    summary = classify_seed_grid(h, V, seeds, budget=100_000)
-    assert summary.counts["BudgetExhausted"] == 0
+    assert all(iterate_orbit(h, s, V, budget=100_000).status != "BudgetExhausted"
+               for s in seeds)
 
 
 def test_infinite_contrast_level_seed():
@@ -430,8 +444,7 @@ def test_time_one_map_claim_grid():
     phi = presets.load_map("phiX(1,1,1,1)")
     V = DomainBall(0.4)
     seeds = [(0.2, 0.25), (0.3, 0.2), (-0.25, 0.3)]
-    summary = classify_seed_grid(phi, V, seeds, budget=3000)
-    assert summary.counts["Escaped"] == len(seeds)
+    assert all(iterate_orbit(phi, s, V, budget=3000).status == "Escaped" for s in seeds)
 
 
 def test_escaped_stable_under_budget_increase():
@@ -509,9 +522,13 @@ def complex_H_seeds(n, seed):
     return [tuple(complex(c) for c in row) for row in z]
 
 
+@functools.lru_cache(maxsize=None)
+def example3_jet():
+    return holonomy_series(presets.load_foliation("example3"), 6)[0]
+
+
 def example3_jet_map():
-    h, _ = holonomy_series(presets.load_foliation("example3"), 6)
-    return TruncatedJetMap(h, name="example3")
+    return TruncatedJetMap(example3_jet(), name="example3")
 
 
 # name -> (map, seeds, ball radius, budget): the orbit experiments and the two
@@ -823,6 +840,26 @@ def test_pseudogroup_domain_rule_prunes_outward_step():
     assert max(abs(p[0]) for p in orb.points) <= 0.9 + 1e-12
 
 
+def test_pseudogroup_seed_outside_ball_rejected():
+    with pytest.raises(OrbitError, match="outside the domain ball"):
+        pseudogroup_orbit(presets.pseudogroup_preset("h1h2"), (2.0, 0.0), V1)
+
+
+def test_pseudogroup_skips_a_generator_that_overflows():
+    """g0 raises OverflowError at every point and has no inverse: the orbit
+    is the 7 points of the g1 rotation, reached by g1 and g1^-1 alone."""
+    class Overflows(EvaluableMap):
+        name, n_vars = "overflows", 1
+
+        def eval(self, p):
+            raise OverflowError("overflows")
+
+    rot = LinearMap([[cmath.exp(2j * math.pi / 7)]])
+    orb = pseudogroup_orbit([Overflows(), rot], (0.5,), V1)
+    assert orb.cardinality == 7 and not orb.truncated
+    assert set(" ".join(orb.words).split()) == {"g1", "g1^-1"}
+
+
 def test_pseudogroup_witness_words_valid():
     gens = presets.pseudogroup_preset("h1h2")
     orb = pseudogroup_orbit(gens, (0.3, 0.7), V1)
@@ -879,6 +916,13 @@ def test_group_closure_cyclic_and_trivial():
     assert triv.order == 1
 
 
+def test_group_closure_gives_up_past_the_budget():
+    """An irrational rotation generates an infinite group: order None."""
+    rot = cmath.exp(2j * math.pi * presets.GOLDEN_ROTATION)
+    closure = group_closure([LinearMap([[rot, 0], [0, 1]])])
+    assert closure.order is None and closure.is_abelian
+
+
 def test_periodicity_linear_maps():
     assert periodicity_test(presets.map_h1(), 10) == 6
     assert periodicity_test(presets.map_h2(), 10) == 2
@@ -888,6 +932,14 @@ def test_periodicity_linear_maps():
 def test_periodicity_jet_map():
     m = JetMap.linear([[-1.0, 0.0], [0.0, -1.0]], 4)
     assert periodicity_test(m, 5) == 2
+
+
+@pytest.mark.parametrize("turns, period", [((1 / 3, -1 / 3), 3), ((1 / 5, 2 / 5), 5)])
+def test_periodicity_test_finds_a_time_one_rotation_pointwise(turns, period):
+    """The time-one map of the linear field with eigenvalues 2 pi i * turns
+    rotates each coordinate by its turn: the pointwise rule finds its period."""
+    h = TimeOneMap(presets.field_linear([2j * math.pi * q for q in turns]))
+    assert periodicity_test(h, 10) == period
 
 
 def test_H_not_periodic_up_to_200():
@@ -974,7 +1026,7 @@ def test_time_one_inverse_is_the_time_minus_one_flow_bit_for_bit(spec):
     rng = random.Random(spec)
     for _ in range(40):
         p = tuple(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(2))
-        want = numeric_flow(phi.X, p, -1.0, rtol=TIME_ONE_RTOL, atol=TIME_ONE_ATOL)
+        want = numeric_flow(phi.X, p, -1.0, atol=TIME_ONE_ATOL)
         assert inv.eval(p) == tuple(want)
 
 
@@ -1025,23 +1077,6 @@ def test_truncated_jet_map_inverse_quality():
     assert not rec.one_sided
 
 
-def test_truncated_jet_map_inverts_once_per_map(monkeypatch):
-    """A 20 x 20 grid on example3's order-6 jet makes one JetMap.inverse call,
-    and every record equals the one a fresh map, inverted for its own seed,
-    gives."""
-    calls = []
-    invert = JetMap.inverse
-    monkeypatch.setattr(JetMap, "inverse", lambda self: calls.append(self) or invert(self))
-    h, V = example3_jet_map(), DomainBall(0.3)
-    seeds = lattice_seeds(0.3, 20)
-    records = [iterate_orbit(h, s, V, budget=40, keep_points=True) for s in seeds]
-    assert len(calls) == 1 and h.inverse() is h.inverse()
-    fresh = [iterate_orbit(TruncatedJetMap(h.jmap, name=h.name), s, V, budget=40,
-                           keep_points=True) for s in seeds]
-    assert len(calls) == 1 + len(seeds)
-    assert [record_fields(r) for r in records] == [record_fields(r) for r in fresh]
-
-
 def test_truncated_jet_map_keeps_a_failed_inverse(monkeypatch):
     """A singular linear part has no inverse jet: None, found once."""
     calls = []
@@ -1050,6 +1085,74 @@ def test_truncated_jet_map_keeps_a_failed_inverse(monkeypatch):
     h = TruncatedJetMap(JetMap.linear([[0.5, 0], [0, 0]], 4))
     assert h.inverse() is None and h.inverse() is None
     assert len(calls) == 1
+
+
+def test_truncated_jet_map_refuses_an_inverse_that_misses_the_probe_round_trip():
+    """(x + 100 x^2, y) at order 2 has an inverse jet, but its truncation
+    misses the round trip on the probes: no inverse, so the orbit of
+    (0.01, 0.01) is one-sided and escapes at step 3 (x = 0.02, 0.06, 0.42)."""
+    jmap = JetMap([Jet(2, 2, {(1, 0): 1.0, (2, 0): 100.0}), Jet(2, 2, {(0, 1): 1.0})])
+    h = TruncatedJetMap(jmap)
+    assert jmap.inverse() is not None and h.inverse() is None
+    rec = iterate_orbit(h, (0.01, 0.01), DomainBall(0.3))
+    assert (rec.status, rec.mu, rec.one_sided) == ("Escaped", 3, True)
+
+
+# -- one inverse per map ---------------------------------------------------------------
+
+
+# one map of each class: the product-preserving, parabolic, linear, permutation,
+# time-one and truncated jet maps
+ONE_INVERSE_MAPS = {
+    "H": presets.map_H,
+    "F": presets.map_F,
+    "parabolic": lambda: presets.load_map("parabolic(2,0.5+1i)"),
+    "h1": presets.map_h1,
+    "h2": presets.map_h2,
+    "phiX": lambda: presets.load_map("phiX(1,1,1,1)"),
+    "example3-jet": example3_jet_map,
+}
+
+
+@pytest.mark.parametrize("name", ONE_INVERSE_MAPS)
+def test_a_map_inverts_once_for_a_whole_grid(monkeypatch, name):
+    """A 20 x 20 grid (20 seeds for the germ of C^1) makes one ``_invert``
+    call, every later inverse() is that same object, and every record equals
+    the one a fresh map, inverted for its own seed, gives.  h1 and h2 close
+    on every seed before any backward run, so their one call is the test's."""
+    make = ONE_INVERSE_MAPS[name]
+    h, V = make(), DomainBall(0.3)
+    calls = []
+    invert = type(h)._invert
+    monkeypatch.setattr(type(h), "_invert", lambda self: calls.append(self) or invert(self))
+    seeds = lattice_seeds(0.3, 20, n_vars=h.n_vars)
+    records = [iterate_orbit(h, s, V, budget=10, keep_points=True) for s in seeds]
+    assert h.inverse() is h.inverse() is not None
+    assert calls == [h]
+    fresh = [iterate_orbit(make(), s, V, budget=10, keep_points=True) for s in seeds]
+    assert [record_fields(r) for r in records] == [record_fields(r) for r in fresh]
+
+
+def test_pseudogroup_orbits_invert_each_generator_once(monkeypatch):
+    calls = []
+    invert = LinearMap._invert
+    monkeypatch.setattr(LinearMap, "_invert", lambda self: calls.append(self) or invert(self))
+    gens = presets.pseudogroup_preset("h1h2")
+    seeds = presets.pseudogroup_seeds(100, 1.0, 2)
+    for s in seeds:
+        pseudogroup_orbit(gens, s, V1)
+    assert len(seeds) == 100 and calls == gens
+
+
+@pytest.mark.parametrize("make", [
+    presets.map_F,
+    presets.map_H,
+    lambda: ProductPreservingMap(3, 1, presets.const_f_jet(0.5)),
+    lambda: OneVarParabolicMap(2, 0.5 + 1j),
+], ids=["F", "H", "newton-3-1", "parabolic"])
+def test_the_inverse_of_an_inverse_map_is_the_map(make):
+    h = make()
+    assert h.inverse().inverse() is h
 
 
 def test_lattice_seeds_deterministic():

@@ -60,8 +60,8 @@ def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, t
         runpy.run_path(str(script), run_name="__main__")
 
 
-# the three CLI orbit runs take about 33 s (13, 14 and 6 s on 2 vCPUs,
-# Python 3.11) of the full digest's 34 s; they are diffed by hand until
+# the three CLI orbit runs take about 19 s (6, 9-10 and 4 s on 2 vCPUs,
+# Python 3.11) of the full digest's 27 s; they are diffed by hand until
 # they are fast
 SLOW_DIGEST_ENTRIES = ("cli:orbit-H", "cli:orbit-parabolic", "cli:orbit-F-level-circle")
 GOLDEN_DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "output_digest.txt"
