@@ -10,13 +10,16 @@ Two routes are provided and cross-check each other:
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .coefficients import CoefficientTable, solve_coefficient_system
-from .jets import Jet, JetMap, JetError
+from .exppoly import TWO_PI_I
+from .jets import Jet, JetMap, JetError, _binder
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-10
@@ -119,6 +122,121 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 # seventh stage is f at the 5th-order solution x5 at time s + h
 
 
+_DP54_TEMPLATE = """\
+def bind({names}):
+    def integrate(f, P, x, rtol, atol, observer, max_steps, radius):
+        [{x}] = x
+        t = 0.0
+        h = 1e-2
+        if observer is not None:
+            observer(t, x)
+        {first}
+        for _ in range(max_steps):
+            if t + h > 1.0:
+                h = 1.0 - t
+            {stages}
+            err_norm = sqrt(total / {n})
+            if err_norm <= 1.0:
+                t = t + h
+                {accept}
+                if {size} > radius:
+                    raise DomainEscape(t, array([{x}], dtype=complex), radius)
+                if observer is not None:
+                    observer(t, [{x}])
+                if t >= 1.0 or 1.0 - t < 1e-14:
+                    return array([{x}], dtype=complex)
+                factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
+            else:
+                factor = max(0.2, 0.9 * err_norm ** -0.2)
+            h = h * factor
+            if h < 1e-14:
+                raise StepUnderflow(t, array([{x}], dtype=complex))
+        raise MaxStepsExceeded(f"integration did not finish within {{max_steps}} steps")
+    return integrate
+"""
+# the names the generated integrator is bound to: the nonzero tableau
+# entries a<i><j>, b<j> (5th order), e<j> (5th minus 4th order) and c<i>
+_DP_NAMES = {
+    **{f"a{i + 1}{j + 1}": a for i, row in enumerate(_DP_A[:6]) for j, a in enumerate(row)},
+    **{f"b{j + 1}": b for j, b in enumerate(_DP_B5) if b},
+    **{f"e{j + 1}": b - c for j, (b, c) in enumerate(zip(_DP_B5, _DP_B4)) if b - c},
+    **{f"c{i}": _DP_C[i - 1] for i in range(2, 6)},
+    "TWO_PI_I": TWO_PI_I, "exp": cmath.exp, "sqrt": math.sqrt, "array": np.array,
+    "DomainEscape": DomainEscape, "StepUnderflow": StepUnderflow,
+    "MaxStepsExceeded": MaxStepsExceeded,
+}
+TERMS_PER_LINE = 100  # of the error norm's sum, in the code _dp54_source generates
+
+
+def _dp54_source(kind: str, n: int, axis: int | None) -> str:
+    """The source of one DP5(4) integrator for a state of n components.
+
+    ``kind`` says how a stage k at time ``s`` and state ``y`` sets its
+    slopes k<k>_<i>; ``f`` and ``P`` are the integrator's first two
+    arguments:
+
+    * ``"opaque"``: ``[k<k>_0, ...] = f(s, [y0, ...])``, f any right-hand side;
+    * ``"flow"``: ``v = f((y0, ...))`` and k<k>_i = P * v_i, the segment
+      dx/ds = t X(x) with f X's compiled evaluator and P = t;
+    * ``"leafwise"``: z = P * exp(2 pi i s), ``v = f(point)`` with z at
+      index ``axis`` of the point, and k<k>_j = (2 pi i z / v_axis) * v_i
+      over the other indices i: the leafwise equations along the loop
+      z = z0 e^(2 pi i s), with f the field's compiled evaluator and P = z0.
+      The seventh stage shares the sixth's time, so it reuses its z.
+
+    Every state component and stage slope is its own local name, and each
+    float operation is the one the loop over components did, in the same
+    order on the same operands.
+    """
+    xs = [f"x{i}" for i in range(n)]
+    ys = [f"y{i}" for i in range(n)]
+    rows = {k: [(f"a{k}{j}", j) for j in range(1, k)] for k in range(2, 7)}
+    rows[7] = [(f"b{j}", j) for j in range(1, 8) if f"b{j}" in _DP_NAMES]
+    error = [(f"e{j}", j) for j in range(1, 8) if f"e{j}" in _DP_NAMES]
+
+    def slopes(k, time, args):
+        ks = [f"k{k}_{i}" for i in range(n)]
+        if kind == "opaque":
+            return [f"[{', '.join(ks)}] = f({time}, [{', '.join(args)}])"]
+        if kind == "flow":
+            vs = [f"v{i}" for i in range(n)]
+            return ([f"[{', '.join(vs)}] = f(({', '.join(args)},))"]
+                    + [f"{kc} = P * {v}" for kc, v in zip(ks, vs)])
+        point = args[:axis] + ["z"] + args[axis:]
+        vs = [f"v{i}" for i in range(n + 1)]
+        lines = [] if k == 7 else [f"z = P * exp(TWO_PI_I * ({time}))"]
+        return lines + [f"[{', '.join(vs)}] = f(({', '.join(point)},))",
+                        f"w = TWO_PI_I * z / v{axis}"] \
+            + [f"{kc} = w * {v}" for kc, v in zip(ks, vs[:axis] + vs[axis + 1:])]
+
+    def combination(row, i):
+        return " + ".join(f"{name} * k{j}_{i}" for name, j in row)
+
+    body = []
+    for k in range(2, 8):  # stage 7 is at the 5th-order solution y
+        body += [f"y{i} = x{i} + h * ({combination(rows[k], i)})" for i in range(n)]
+        body += slopes(k, f"t + c{k} * h" if k < 6 else "t + h", ys)
+    body += [f"q{i} = abs(h * ({combination(error, i)})) / "
+             f"(atol + rtol * max(abs(x{i}), abs(y{i})))" for i in range(n)]
+    squares = [f"q{i} * q{i}" for i in range(n)]
+    body.append(" + ".join(["total = 0.0"] + squares[:TERMS_PER_LINE]))
+    body += [" + ".join(["total = total"] + squares[at:at + TERMS_PER_LINE])
+             for at in range(TERMS_PER_LINE, n, TERMS_PER_LINE)]
+    accept = [f"x{i} = y{i}" for i in range(n)] + [f"k1_{i} = k7_{i}" for i in range(n)]
+    return _DP54_TEMPLATE.format(
+        names=", ".join(_DP_NAMES), x=", ".join(xs), n=n,
+        first="\n        ".join(slopes(1, "t", xs)),
+        stages="\n            ".join(body),
+        accept="\n                ".join(accept),
+        size=f"max({', '.join(f'abs({x})' for x in xs)})" if n != 1 else "abs(x0)")
+
+
+@functools.lru_cache(maxsize=128)
+def _dp54(kind: str, n: int, axis: int | None):
+    """The integrator of :func:`_dp54_source`, compiled once per shape."""
+    return _binder(_dp54_source(kind, n, axis))(**_DP_NAMES)
+
+
 def integrate_ode(
     f: Callable[[float, list], Sequence[complex]],
     x0,
@@ -129,12 +247,23 @@ def integrate_ode(
     """Adaptive DP 5(4) over the real parameter interval s in [0, 1].
 
     ``f(s, x)`` gets the state as a list of complex and returns a sequence
-    of complex (a list, or an ndarray).  ``observer(s, x)``, if given, gets
-    the start and every accepted state, each a fresh list of complex.  The
-    pair is first same as last: the seventh stage of a step is f at the
-    5th-order solution, so an accepted step hands it on as the next step's
-    first stage and a rejected step keeps its own; each step costs six
-    calls of f, one integration 1 + 6 * (accepted + rejected).
+    of as many complex (a list, or an ndarray); another count raises
+    ValueError.  ``observer(s, x)``, if
+    given, gets the start and every accepted state, each a fresh list of
+    complex.  The pair is first same as last: the seventh stage of a step
+    is f at the 5th-order solution, so an accepted step hands it on as the
+    next step's first stage and a rejected step keeps its own; each step
+    costs six calls of f, one integration 1 + 6 * (accepted + rejected).
+
+    The step is generated code, one integrator per state size and kind of
+    right-hand side (:func:`_dp54_source`), compiled on first use.  An f
+    that carries ``f.inline = (kind, size, axis, evaluator, P)`` for a
+    state of this size is written out inline: a ``"flow"`` segment t X(x)
+    (:func:`numeric_flow`) or the ``"leafwise"`` equations of a foliation
+    (:func:`holodyn.holonomy.holonomy_numeric`), each calling the field's
+    compiled evaluator.  Any other f is called as it stands.  Each kind does
+    the float operations of the one loop over components, in its order, so
+    inlining changes no bit of a result or a failure.
 
     The error norm is an RMS of the componentwise error scaled by
     atol + rtol*|x|.  Returns the end state as a complex ndarray.  Raises
@@ -143,55 +272,13 @@ def integrate_ode(
     is an ndarray.  Raises :class:`MaxStepsExceeded` after ``MAX_STEPS``
     steps.  Both bounds are read at call time.
     """
-    t = 0.0
     x = np.asarray(x0, dtype=complex).tolist()
     n = len(x)
-    h = 1e-2
-    if observer is not None:
-        observer(t, x)
-    _, c2, c3, c4, c5, _, _ = _DP_C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _DP_A[1:6]
-    b1, _, b3, b4, b5, b6, _ = _DP_B5
-    e1, _, e3, e4, e5, e6, e7 = (p - q for p, q in zip(_DP_B5, _DP_B4))
-    k1 = f(t, x)
-    for _ in range(MAX_STEPS):
-        if t + h > 1.0:
-            h = 1.0 - t
-        k2 = f(t + c2 * h, [xc + h * (a21 * p) for xc, p in zip(x, k1)])
-        k3 = f(t + c3 * h, [xc + h * (a31 * p + a32 * q) for xc, p, q in zip(x, k1, k2)])
-        k4 = f(t + c4 * h, [xc + h * (a41 * p + a42 * q + a43 * r)
-                            for xc, p, q, r in zip(x, k1, k2, k3)])
-        k5 = f(t + c5 * h, [xc + h * (a51 * p + a52 * q + a53 * r + a54 * s)
-                            for xc, p, q, r, s in zip(x, k1, k2, k3, k4)])
-        k6 = f(t + h, [xc + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
-                       for xc, p, q, r, s, u in zip(x, k1, k2, k3, k4, k5)])
-        x5 = [xc + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
-              for xc, p, r, s, u, v in zip(x, k1, k3, k4, k5, k6)]
-        k7 = f(t + h, x5)
-        total = 0.0
-        for xc, yc, p, r, s, u, v, w in zip(x, x5, k1, k3, k4, k5, k6, k7):
-            err = h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w)
-            q = abs(err) / (atol + rtol * max(abs(xc), abs(yc)))
-            total += q * q
-        err_norm = math.sqrt(total / n)
-        if err_norm <= 1.0:
-            t = t + h
-            x = x5
-            k1 = k7
-            if max(abs(v) for v in x) > ESCAPE_RADIUS:
-                raise DomainEscape(t, np.array(x, dtype=complex), ESCAPE_RADIUS)
-            if observer is not None:
-                observer(t, x)
-            if t >= 1.0 or 1.0 - t < 1e-14:
-                return np.array(x, dtype=complex)
-            factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
-        else:
-            factor = max(0.2, 0.9 * err_norm ** -0.2)
-        h = h * factor
-        if h < 1e-14:
-            raise StepUnderflow(t, np.array(x, dtype=complex))
-    raise MaxStepsExceeded(f"integration did not finish within {MAX_STEPS} steps")
+    inline = getattr(f, "inline", None)
+    if inline is None or inline[1] != n:
+        inline = ("opaque", n, None, f, None)
+    kind, _, axis, g, P = inline
+    return _dp54(kind, n, axis)(g, P, x, rtol, atol, observer, MAX_STEPS, ESCAPE_RADIUS)
 
 
 def numeric_flow(
@@ -204,8 +291,10 @@ def numeric_flow(
 ) -> np.ndarray:
     """Integrate dx/dt = X(x) over the complex-time segment [0, t].
 
-    The segment is integrated as dx/ds = t * X(x), s in [0, 1], and
-    ``observer(s * t, x)`` gets the start and every accepted state.  t = 0
+    The segment is integrated as dx/ds = t * X(x), s in [0, 1], by
+    :func:`integrate_ode`'s generated flow step, which calls X's compiled
+    evaluator and scales by t inline, and ``observer(s * t, x)`` gets the
+    start and every accepted state.  t = 0
     returns p.  Raises DomainEscape when the trajectory leaves the ball of
     radius ``ESCAPE_RADIUS`` and StepUnderflow when the step underflows,
     each at the time s * t of the failure (a float when t is real).
@@ -214,9 +303,12 @@ def numeric_flow(
     if t == 0:
         return np.array(p, dtype=complex)
 
-    def rhs(s, y):
-        return [t * v for v in X.eval(y)]
+    field = X.evaluator()
 
+    def rhs(s, y):
+        return [t * v for v in field(y)]
+
+    rhs.inline = ("flow", X.n_vars, None, field, t)
     watch = None if observer is None else lambda s, y: observer(s * t, y)
     span = t.real if t.imag == 0 else t
     try:

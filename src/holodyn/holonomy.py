@@ -201,9 +201,12 @@ def holonomy_numeric(
 
     Independent oracle for :func:`holonomy_series`.  The leafwise equations
     dx_j/dt = 2 pi i * z * X_j(x, z) / X_axis(x, z) along z = z0*e^(2 pi i t)
-    are integrated as they stand by :func:`integrate_ode`, with no
-    monodromy system and no truncation; the exact route never calls the
-    integrator.  This is the module's one leafwise integration: the drift
+    are integrated by :func:`integrate_ode`'s generated leafwise step, which
+    computes z, calls the field's compiled evaluator and scales by
+    2 pi i * z / X_axis inline, with no monodromy system and no truncation;
+    the exact route never calls the integrator.  A wrapped right-hand side
+    runs the same float operations through the opaque step, so its bits are
+    the same.  This is the module's one leafwise integration: the drift
     check watches it through ``observer(t, x)``, which gets every accepted
     state.  Raises HolonomyError when the loop encloses or meets another
     singular point of the axis, and DomainEscape when the leaf leaves the
@@ -230,11 +233,12 @@ def monodromy_invariant_drift(
 
 
 def _leafwise_rhs(F: Foliation, z0: complex):
-    """dx_j/dt = 2 pi i * z * X_j / X_axis at z = z0*e^(2 pi i t)."""
+    """dx_j/dt = 2 pi i * z * X_j / X_axis at z = z0*e^(2 pi i t); it carries
+    the data with which :func:`integrate_ode` writes it out inline."""
     _check_loop(F, z0)
     axis = F.separatrix_axis
     trans = F.transverse_indices
-    field = F.field.eval
+    field = F.field.evaluator()
 
     def rhs(t, x):
         z = z0 * cmath.exp(TWO_PI_I * t)
@@ -242,6 +246,7 @@ def _leafwise_rhs(F: Foliation, z0: complex):
         scale = TWO_PI_I * z / values[axis]
         return [scale * values[j] for j in trans]
 
+    rhs.inline = ("leafwise", len(trans), axis, field, z0)
     return rhs
 
 

@@ -384,8 +384,14 @@ class JetMap:
         one evaluator compiled on first use serves all of them."""
         evaluate = self._evaluator
         if evaluate is None:
-            evaluate = self._evaluator = _compile_evaluator(self.components)
+            evaluate = self.evaluator()
         return evaluate(point)
+
+    def evaluator(self):
+        """The compiled function of a point behind :meth:`eval`, built once."""
+        if self._evaluator is None:
+            self._evaluator = _compile_evaluator(self.components)
+        return self._evaluator
 
     def max_abs_diff(self, other: "JetMap") -> float:
         if self.n_vars != other.n_vars:
@@ -475,9 +481,10 @@ def bind(C, ONE, ZERO, JetError, WRONG_DIMENSION):
 
 @functools.lru_cache(maxsize=128)
 def _binder(source: str):
-    """The ``bind`` function of an evaluator source.  The source depends only
-    on the exponents, so jets of one shape, such as every fresh copy of a
-    preset, share one compilation."""
+    """The ``bind`` function of a generated source: an evaluator here, or a
+    DP5(4) integrator in :mod:`holodyn.flows`.  An evaluator's source depends
+    only on the exponents, so jets of one shape, such as every fresh copy of
+    a preset, share one compilation."""
     namespace = {}
-    exec(compile(source, "<holodyn.jets evaluator>", "exec"), namespace)
+    exec(compile(source, "<holodyn generated>", "exec"), namespace)
     return namespace["bind"]

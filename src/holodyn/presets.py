@@ -112,6 +112,7 @@ def field_linear(lambdas: Sequence[complex], order: int = DEFAULT_ORDER) -> Vect
     n = len(lambdas)
     if n == 0:
         raise ValueError("a linear field needs at least one eigenvalue")
+    order = max(order, 1)
     comps = []
     for i, lam in enumerate(lambdas):
         exp = tuple(1 if k == i else 0 for k in range(n))

@@ -138,6 +138,17 @@ def test_loaders_refuse_preset_arguments_that_size_a_jet_above_max_order():
         load(spec.format(a=presets.MAX_ORDER - 1))
 
 
+def test_every_field_preset_raises_the_order_to_its_minimum():
+    """A library call at order 0 builds each preset at the least order that
+    holds its terms (the CLI refuses --order 0 before it loads anything)."""
+    for spec, order in (("linear(1,2)", 1), ("genLinear", 1), ("genF", 3), ("genH", 4),
+                        ("example1(1,1,1,1)", 3), ("thmB", 7), ("example3", 5)):
+        X = presets.load_field(spec, 0)
+        assert X.order == order, spec
+        assert X.to_json_dict() == presets.load_field(spec, order).to_json_dict()
+    assert presets.load_foliation("linear(1,2)", 0).field.order == 1
+
+
 def test_invalid_order_exits_2():
     res = run("holonomy", "--field", "thmB", "--order", "0")
     assert res.exit_code == 2

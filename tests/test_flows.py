@@ -33,6 +33,7 @@ from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I
 from holodyn.holonomy import _leafwise_rhs, holonomy_numeric
 from holodyn.jets import Jet, JetError, JetMap
 from holodyn import presets
+from test_jets import value_bytes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -491,3 +492,214 @@ def test_integrate_ode_takes_ndarray_right_hand_sides(monkeypatch):
     with pytest.raises(StepUnderflow) as underflow:
         integrate_ode(lambda t, x: [2 * v * v for v in x], [1.0 + 0j])
     assert isinstance(underflow.value.point, np.ndarray)
+
+
+# -- the generated step against the per-component loop it replaced ----------
+
+
+def loop_integrate_ode(f, x0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, observer=None):
+    """The former integrate_ode: one list comprehension per stage over the
+    components, calling f as it stands.  The generated integrators must
+    give its bits."""
+    t = 0.0
+    x = np.asarray(x0, dtype=complex).tolist()
+    n = len(x)
+    h = 1e-2
+    if observer is not None:
+        observer(t, x)
+    _, c2, c3, c4, c5, _, _ = flows._DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = flows._DP_A[1:6]
+    b1, _, b3, b4, b5, b6, _ = flows._DP_B5
+    e1, _, e3, e4, e5, e6, e7 = (p - q for p, q in zip(flows._DP_B5, flows._DP_B4))
+    k1 = f(t, x)
+    for _ in range(flows.MAX_STEPS):
+        if t + h > 1.0:
+            h = 1.0 - t
+        k2 = f(t + c2 * h, [xc + h * (a21 * p) for xc, p in zip(x, k1)])
+        k3 = f(t + c3 * h, [xc + h * (a31 * p + a32 * q) for xc, p, q in zip(x, k1, k2)])
+        k4 = f(t + c4 * h, [xc + h * (a41 * p + a42 * q + a43 * r)
+                            for xc, p, q, r in zip(x, k1, k2, k3)])
+        k5 = f(t + c5 * h, [xc + h * (a51 * p + a52 * q + a53 * r + a54 * s)
+                            for xc, p, q, r, s in zip(x, k1, k2, k3, k4)])
+        k6 = f(t + h, [xc + h * (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u)
+                       for xc, p, q, r, s, u in zip(x, k1, k2, k3, k4, k5)])
+        x5 = [xc + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
+              for xc, p, r, s, u, v in zip(x, k1, k3, k4, k5, k6)]
+        k7 = f(t + h, x5)
+        total = 0.0
+        for xc, yc, p, r, s, u, v, w in zip(x, x5, k1, k3, k4, k5, k6, k7):
+            err = h * (e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w)
+            q = abs(err) / (atol + rtol * max(abs(xc), abs(yc)))
+            total += q * q
+        err_norm = math.sqrt(total / n)
+        if err_norm <= 1.0:
+            t = t + h
+            x = x5
+            k1 = k7
+            if max(abs(v) for v in x) > flows.ESCAPE_RADIUS:
+                raise DomainEscape(t, np.array(x, dtype=complex), flows.ESCAPE_RADIUS)
+            if observer is not None:
+                observer(t, x)
+            if t >= 1.0 or 1.0 - t < 1e-14:
+                return np.array(x, dtype=complex)
+            factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
+        else:
+            factor = max(0.2, 0.9 * err_norm ** -0.2)
+        h = h * factor
+        if h < 1e-14:
+            raise StepUnderflow(t, np.array(x, dtype=complex))
+    raise MaxStepsExceeded(f"integration did not finish within {flows.MAX_STEPS} steps")
+
+
+def opaque(f):
+    """f without the data that lets integrate_ode write it out inline."""
+    return lambda s, x: f(s, x)
+
+
+def run_record(run) -> tuple:
+    """All that ``run(observer)`` shows, as bytes: each observed (time, state)
+    and then the end state, or the failure's type, time, point and message."""
+    seen = []
+
+    def watch(s, x):
+        seen.append((repr(s), [value_bytes(v) for v in x]))
+
+    try:
+        out = run(watch)
+    except (FlowError, ArithmeticError, JetError) as e:
+        point = getattr(e, "point", None)
+        return seen, (type(e), repr(getattr(e, "t", None)), str(e),
+                      None if point is None else (point.dtype, point.tobytes()))
+    return seen, (out.dtype, out.tobytes())
+
+
+def assert_kinds_agree(f, x0, kind, **kwargs):
+    """integrate_ode on f, inlined as ``kind``, on f called as it stands and
+    the former loop: the same record, bit for bit."""
+    assert getattr(f, "inline", ("opaque",))[0] == kind
+    records = [run_record(lambda watch: integrate(g, x0, observer=watch, **kwargs))
+               for integrate, g in ((integrate_ode, f), (integrate_ode, opaque(f)),
+                                    (loop_integrate_ode, f))]
+    assert records[0] == records[1] == records[2]
+    return records[0]
+
+
+def flow_rhs(X, t):
+    """The right-hand side numeric_flow(X, p, t) hands to integrate_ode."""
+    seen = []
+    integrate = flows.integrate_ode
+    try:
+        flows.integrate_ode = lambda f, *args, **kwargs: seen.append(f)
+        numeric_flow(X, (0j,) * X.n_vars, t)
+    finally:
+        flows.integrate_ode = integrate
+    return seen[0]
+
+
+FLOW_CASES = [
+    ("example1(1,1,1,1)", (0.1, 0.12)),
+    ("example1(2,3,1,2)", (0.05 + 0.02j, -0.04j)),
+    ("thmB", (0.04, 0.03j, 0.2)),
+    ("genH", (0.3, 0.2 - 0.1j)),
+    ("linear(1,-2,0.5j)", (0.3, 0.1j, -0.2)),
+]
+
+
+@pytest.mark.parametrize("t", [1.0, 0.7, -1.0, -0.35, 1.0 + 0.25j, 0.5j])
+@pytest.mark.parametrize("spec, p", FLOW_CASES)
+def test_generated_flow_step_matches_the_former_loop_bit_for_bit(monkeypatch, spec, p, t):
+    X = presets.load_field(spec)
+    assert_kinds_agree(flow_rhs(X, complex(t)), p, "flow")
+    # numeric_flow itself, with its observer and failure times, on both paths
+    records = []
+    for integrate in (integrate_ode, loop_integrate_ode):
+        monkeypatch.setattr(flows, "integrate_ode", integrate)
+        records.append(run_record(lambda watch: numeric_flow(X, p, t, observer=watch)))
+    assert records[0] == records[1]
+
+
+def test_generated_opaque_step_matches_the_former_loop_bit_for_bit():
+    X = presets.load_field("example1(1,1,1,1)")
+    rotate = lambda s, x: [(1.0 + 0.5j) * v * (1 + s) for v in x]  # noqa: E731
+    array = lambda s, x: np.array(x, dtype=complex) * (0.5 - 1j)  # noqa: E731
+    stiff = lambda s, x: [-300.0 * v for v in x]  # noqa: E731
+    for f, x0, kwargs in ((rotate, [0.2, 0.1j, -0.3], {}), (array, [0.2, 0.1j], {}),
+                          (stiff, (1.0 + 0.5j,), {"rtol": 1e-13, "atol": 1e-13}),
+                          (lambda s, x: X.eval(x), (0.1, 0.12), {})):
+        assert assert_kinds_agree(f, x0, "opaque", **kwargs)[1][0] == np.dtype(complex)
+    # an ndarray right-hand side hands its NumPy scalars on to the observer
+    seen, _ = assert_kinds_agree(array, [0.2, 0.1j], "opaque")
+    assert seen[1][1][0][0] is np.complex128
+
+
+def test_generated_failures_read_the_bounds_at_call_time(monkeypatch):
+    """DomainEscape, StepUnderflow and MaxStepsExceeded, with the bounds
+    patched after each kernel was first compiled, on both kinds of step."""
+    X = linear_field([5.0])
+    blowup = VectorField([Jet(1, 2, {(2,): 2.0})])
+    cases = [(flow_rhs(X, 2.0 + 0j), (1.0,), "flow"),
+             (flow_rhs(blowup, 1.0 + 0j), (1.0,), "flow"),
+             (lambda s, x: [2 * v * v for v in x], [1.0 + 0j], "opaque"),
+             (lambda s, x: np.array(x, dtype=complex) * 4.0, [0.2, 0.1j], "opaque")]
+    for f, x0, kind in cases:
+        assert_kinds_agree(f, x0, kind)  # compiles the kernel at the default bounds
+    failures = []
+    for patch in ({"ESCAPE_RADIUS": 1e300}, {"ESCAPE_RADIUS": 1.5}, {"MAX_STEPS": 3}):
+        for name, value in patch.items():
+            monkeypatch.setattr(flows, name, value)
+        for f, x0, kind in cases:
+            failures.append(assert_kinds_agree(f, x0, kind)[1][0])
+        monkeypatch.undo()
+    done = np.dtype(complex)
+    assert failures == [done, StepUnderflow, StepUnderflow, done,
+                        DomainEscape, DomainEscape, DomainEscape, DomainEscape,
+                        MaxStepsExceeded, MaxStepsExceeded, MaxStepsExceeded,
+                        MaxStepsExceeded]
+
+
+def test_a_kernel_is_compiled_once_per_shape():
+    """Every flow segment of a 2-variable field shares one integrator."""
+    kernel = flows._dp54("flow", 2, None)
+    for spec in ("example1(1,1,1,1)", "genF", "genH"):
+        f = flow_rhs(presets.load_field(spec), 1.0 + 0j)
+        assert flows._dp54(*f.inline[:3]) is kernel
+
+
+def test_each_caller_takes_its_kind_of_kernel(monkeypatch):
+    shapes = []
+    dp54 = flows._dp54
+    monkeypatch.setattr(flows, "_dp54", lambda *shape: shapes.append(shape) or dp54(*shape))
+    numeric_flow(presets.load_field("thmB"), (0.04, 0.03j, 0.2))
+    holonomy_numeric(presets.load_foliation("thmB"), (0.03, 0.04j))
+    holonomy_numeric(presets.load_foliation("linear(1,2)"), (0.03,))
+    integrate_ode(lambda s, x: x, [0.1])
+    assert shapes == [("flow", 3, None), ("leafwise", 2, 2), ("leafwise", 1, 0),
+                      ("opaque", 1, None)]
+
+
+def test_a_state_of_another_size_runs_f_as_it_stands():
+    """A point whose size is not the field's fails as the former loop did."""
+    f = flow_rhs(presets.load_field("example1(1,1,1,1)"), 1.0 + 0j)
+    record = assert_kinds_agree(f, (0.1, 0.2, 0.3), "flow")
+    assert record[1][:1] == (JetError,) and len(record[0]) == 1
+
+
+def test_generated_steps_of_any_state_size_match_the_former_loop():
+    """A state of 150 components splits the error norm's sum over lines; an
+    empty state fails as the loop did, dividing by n = 0."""
+    f = lambda s, x: [(-1 + 0.5j) * (1 + s) * v for v in x]  # noqa: E731
+    assert flows.TERMS_PER_LINE < 150
+    assert_kinds_agree(f, [0.01 * (k + 1) - 0.3j for k in range(150)], "opaque")
+    for integrate in (integrate_ode, loop_integrate_ode):
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            integrate(lambda s, x: [], [])
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_right_hand_side_of_another_length_is_refused(size):
+    """f must return one value per state component.  The former loop's zip
+    dropped extra values, or shrank the state while the error norm still
+    divided by the old size; the unrolled step refuses both at once."""
+    with pytest.raises(ValueError, match="values to unpack"):
+        integrate_ode(lambda s, x: [-x[0]] * size, [0.1, 0.2j])

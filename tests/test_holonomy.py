@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holodyn.flows as flows_module
 import holodyn.holonomy as holonomy_module
 from holodyn import presets
 from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I
-from holodyn.flows import VectorField, formal_flow, integrate_ode
+from holodyn.flows import (DomainEscape, MaxStepsExceeded, VectorField, formal_flow,
+                           integrate_ode)
 from holodyn.holonomy import (
     Foliation,
     HolonomyError,
@@ -26,6 +28,7 @@ from holodyn.holonomy import (
     _leafwise_rhs,
 )
 from holodyn.jets import Jet, JetMap
+from test_flows import assert_kinds_agree, run_record
 from test_jets import count_builds, reference_eval, value_bytes
 
 
@@ -259,6 +262,100 @@ def test_holonomy_numeric_builds_the_field_evaluator_once(monkeypatch):
         assert counts["builds"] == 1
         assert counts["calls"] == len(rhs_calls)
         assert len(rhs_calls) > 100 * k
+
+
+def seeded_foliation(seed: int, n_vars: int, axis: int) -> Foliation:
+    """Eigenvalues 1, -2, ... on the transverse variables and 3 on the axis,
+    every transverse component with each degree-2-3 monomial that has a
+    transverse factor, and an axis unit 3 + (transverse terms of degree 1-2)."""
+    rng = random.Random(seed)
+    trans = [j for j in range(n_vars) if j != axis]
+
+    def coeff():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    def unit(j):
+        return tuple(int(k == j) for k in range(n_vars))
+
+    monomials = [e for e in itertools.product(range(4), repeat=n_vars) if 2 <= sum(e) <= 3]
+    comps = []
+    for j in range(n_vars):
+        if j == axis:
+            coeffs = {unit(axis): 3.0}
+            for e in monomials:
+                if e[axis] == 0 and sum(e) <= 2:
+                    coeffs[tuple(c + (k == axis) for k, c in enumerate(e))] = coeff()
+            coeffs.update({tuple(c + (k == axis) for k, c in enumerate(unit(i))): coeff()
+                           for i in trans})
+        else:
+            coeffs = {unit(j): (1.0, -2.0, 0.5j)[trans.index(j)]}
+            coeffs.update({e: coeff() for e in monomials if sum(e) > e[axis]})
+        comps.append(Jet(n_vars, 4, coeffs))
+    return Foliation(VectorField(comps), separatrix_axis=axis)
+
+
+LEAFWISE_CASES = (
+    [(name, lambda name=name: presets.load_foliation(name))
+     for name in ("thmB", "example3", "linear(1,2)", "linear(2,1,-1)", "genF", "genH",
+                  "genLinear")]
+    + [(f"dense{k}", lambda k=k: seeded_dense_foliation(k)) for k in range(3)]
+    + [("4-var-axis-3", lambda: seeded_foliation(1, 4, 3)),
+       ("4-var-axis-1", lambda: seeded_foliation(2, 4, 1)),
+       ("3-var-axis-0", lambda: seeded_foliation(3, 3, 0))]
+)
+
+
+@pytest.mark.parametrize("z0", [1.0, 0.7, 0.3 + 0.5j])
+@pytest.mark.parametrize("name, build", LEAFWISE_CASES, ids=[c[0] for c in LEAFWISE_CASES])
+def test_generated_leafwise_step_matches_the_former_loop_bit_for_bit(name, build, z0):
+    """holonomy_numeric, its right-hand side run as it stands and the former
+    loop: the same observed states and end state, bit for bit."""
+    F = build()
+    rng = random.Random(name)
+    rhs = _leafwise_rhs(F, z0)
+    assert rhs.inline[:3] == ("leafwise", F.field.n_vars - 1, F.separatrix_axis)
+    for _ in range(3):
+        p = tuple(0.05 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+                  for _ in range(F.field.n_vars - 1))
+        record = assert_kinds_agree(rhs, p, "leafwise")
+        assert record == run_record(
+            lambda watch: holonomy_numeric(F, p, z0=z0, observer=watch))
+        assert record[1][0] == np.dtype(complex)
+
+
+def test_generated_leafwise_failures_match_the_former_loop(monkeypatch):
+    """DomainEscape and MaxStepsExceeded on the leafwise step, with the bounds
+    patched after its kernel was compiled."""
+    F = presets.load_foliation("thmB")
+    rhs = _leafwise_rhs(F, 1.0)
+    p = (0.03 + 0.01j, -0.02 + 0.04j)
+    assert_kinds_agree(rhs, p, "leafwise")
+    monkeypatch.setattr(flows_module, "ESCAPE_RADIUS", 0.0316)
+    assert assert_kinds_agree(rhs, p, "leafwise")[1][0] is DomainEscape
+    monkeypatch.setattr(flows_module, "MAX_STEPS", 5)
+    monkeypatch.setattr(flows_module, "ESCAPE_RADIUS", 10.0)
+    assert assert_kinds_agree(rhs, p, "leafwise")[1][0] is MaxStepsExceeded
+
+
+def test_fresh_copies_of_a_preset_share_one_kernel(monkeypatch):
+    """Two fresh copies of a foliation preset integrate with one compiled
+    kernel; the first build compiles it once."""
+    flows_module._dp54.cache_clear()
+    sources = []
+    binder = flows_module._binder
+
+    def counting(source):
+        sources.append(source)
+        return binder(source)
+
+    monkeypatch.setattr(flows_module, "_binder", counting)
+    first, second = presets.load_foliation("example3"), presets.load_foliation("example3")
+    assert first is not second and first.field is not second.field
+    kernels = set()
+    for F in (first, second):
+        holonomy_numeric(F, (0.03, 0.02j))
+        kernels.add(flows_module._dp54(*_leafwise_rhs(F, 1.0).inline[:3]))
+    assert len(sources) == 1 and len(kernels) == 1
 
 
 # -- closed forms ----------------------------------------------------------------
