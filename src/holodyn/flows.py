@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,25 +168,35 @@ _DP_NAMES = {
 TERMS_PER_LINE = 100  # of the error norm's sum, in the code _dp54_source generates
 
 
-def _dp54_source(kind: str, n: int, axis: int | None) -> str:
+class InlineStep(NamedTuple):
+    """How :func:`integrate_ode` writes a right-hand side out inline.
+
+    ``stage`` is one DP5(4) stage as a :meth:`str.format` template:
+    statements, one a line, that set the slopes ``{k[0]}``, ``{k[1]}``, ...
+    from the state ``{y[0]}``, ``{y[1]}``, ... at the time ``{time}``.  They
+    may call ``f``, read ``P`` and use the integrator's ``TWO_PI_I`` and
+    ``exp``; any other name they set starts with v, w or z, which the
+    integrator leaves free.  A right-hand side carries one as its
+    ``inline`` attribute, and ``stage`` does what its own body does, float
+    operation by float operation.  A ``stage`` of None calls
+    ``f(s, [y0, ...])`` as it stands.
+    """
+
+    size: int  # the number of state components ``stage`` is written for
+    stage: str | None
+    f: Callable
+    P: object
+
+
+def _dp54_source(n: int, stage: str | None) -> str:
     """The source of one DP5(4) integrator for a state of n components.
 
-    ``kind`` says how a stage k at time ``s`` and state ``y`` sets its
-    slopes k<k>_<i>; ``f`` and ``P`` are the integrator's first two
-    arguments:
-
-    * ``"opaque"``: ``[k<k>_0, ...] = f(s, [y0, ...])``, f any right-hand side;
-    * ``"flow"``: ``v = f((y0, ...))`` and k<k>_i = P * v_i, the segment
-      dx/ds = t X(x) with f X's compiled evaluator and P = t;
-    * ``"leafwise"``: z = P * exp(2 pi i s), ``v = f(point)`` with z at
-      index ``axis`` of the point, and k<k>_j = (2 pi i z / v_axis) * v_i
-      over the other indices i: the leafwise equations along the loop
-      z = z0 e^(2 pi i s), with f the field's compiled evaluator and P = z0.
-      The seventh stage shares the sixth's time, so it reuses its z.
-
-    Every state component and stage slope is its own local name, and each
-    float operation is the one the loop over components did, in the same
-    order on the same operands.
+    Each stage sets its slopes from the :class:`InlineStep` template
+    ``stage``, or, when it is None, by the call
+    ``[k<k>_0, ...] = f(s, [y0, ...])`` of any right-hand side f.  Every
+    state component and stage slope is its own local name, and each float
+    operation is the one the loop over components did, in the same order
+    on the same operands.
     """
     xs = [f"x{i}" for i in range(n)]
     ys = [f"y{i}" for i in range(n)]
@@ -196,18 +206,9 @@ def _dp54_source(kind: str, n: int, axis: int | None) -> str:
 
     def slopes(k, time, args):
         ks = [f"k{k}_{i}" for i in range(n)]
-        if kind == "opaque":
+        if stage is None:
             return [f"[{', '.join(ks)}] = f({time}, [{', '.join(args)}])"]
-        if kind == "flow":
-            vs = [f"v{i}" for i in range(n)]
-            return ([f"[{', '.join(vs)}] = f(({', '.join(args)},))"]
-                    + [f"{kc} = P * {v}" for kc, v in zip(ks, vs)])
-        point = args[:axis] + ["z"] + args[axis:]
-        vs = [f"v{i}" for i in range(n + 1)]
-        lines = [] if k == 7 else [f"z = P * exp(TWO_PI_I * ({time}))"]
-        return lines + [f"[{', '.join(vs)}] = f(({', '.join(point)},))",
-                        f"w = TWO_PI_I * z / v{axis}"] \
-            + [f"{kc} = w * {v}" for kc, v in zip(ks, vs[:axis] + vs[axis + 1:])]
+        return stage.format(time=time, y=args, k=ks).splitlines()
 
     def combination(row, i):
         return " + ".join(f"{name} * k{j}_{i}" for name, j in row)
@@ -232,9 +233,9 @@ def _dp54_source(kind: str, n: int, axis: int | None) -> str:
 
 
 @functools.lru_cache(maxsize=128)
-def _dp54(kind: str, n: int, axis: int | None):
+def _dp54(n: int, stage: str | None):
     """The integrator of :func:`_dp54_source`, compiled once per shape."""
-    return _binder(_dp54_source(kind, n, axis))(**_DP_NAMES)
+    return _binder(_dp54_source(n, stage))(**_DP_NAMES)
 
 
 def integrate_ode(
@@ -255,15 +256,14 @@ def integrate_ode(
     next step's first stage and a rejected step keeps its own; each step
     costs six calls of f, one integration 1 + 6 * (accepted + rejected).
 
-    The step is generated code, one integrator per state size and kind of
-    right-hand side (:func:`_dp54_source`), compiled on first use.  An f
-    that carries ``f.inline = (kind, size, axis, evaluator, P)`` for a
-    state of this size is written out inline: a ``"flow"`` segment t X(x)
-    (:func:`numeric_flow`) or the ``"leafwise"`` equations of a foliation
-    (:func:`holodyn.holonomy.holonomy_numeric`), each calling the field's
-    compiled evaluator.  Any other f is called as it stands.  Each kind does
-    the float operations of the one loop over components, in its order, so
-    inlining changes no bit of a result or a failure.
+    The step is generated code, one integrator per state size and stage
+    (:func:`_dp54_source`), compiled on first use.  An f whose ``inline``
+    attribute is an :class:`InlineStep` for a state of this size has its
+    stage written out inline, as the leafwise equations of
+    :func:`holodyn.holonomy.holonomy_numeric` do; any other f, a wrapped
+    one included, is called as it stands.  Both do the float operations of
+    the one loop over components, in its order, so inlining changes no bit
+    of a result or a failure.
 
     The error norm is an RMS of the componentwise error scaled by
     atol + rtol*|x|.  Returns the end state as a complex ndarray.  Raises
@@ -274,11 +274,11 @@ def integrate_ode(
     """
     x = np.asarray(x0, dtype=complex).tolist()
     n = len(x)
-    inline = getattr(f, "inline", None)
-    if inline is None or inline[1] != n:
-        inline = ("opaque", n, None, f, None)
-    kind, _, axis, g, P = inline
-    return _dp54(kind, n, axis)(g, P, x, rtol, atol, observer, MAX_STEPS, ESCAPE_RADIUS)
+    step = getattr(f, "inline", None)
+    if not isinstance(step, InlineStep) or step.size != n:
+        step = InlineStep(n, None, f, None)
+    return _dp54(n, step.stage)(step.f, step.P, x, rtol, atol, observer,
+                                MAX_STEPS, ESCAPE_RADIUS)
 
 
 def numeric_flow(
@@ -291,10 +291,8 @@ def numeric_flow(
 ) -> np.ndarray:
     """Integrate dx/dt = X(x) over the complex-time segment [0, t].
 
-    The segment is integrated as dx/ds = t * X(x), s in [0, 1], by
-    :func:`integrate_ode`'s generated flow step, which calls X's compiled
-    evaluator and scales by t inline, and ``observer(s * t, x)`` gets the
-    start and every accepted state.  t = 0
+    The segment is integrated as dx/ds = t * X(x), s in [0, 1], and
+    ``observer(s * t, x)`` gets the start and every accepted state.  t = 0
     returns p.  Raises DomainEscape when the trajectory leaves the ball of
     radius ``ESCAPE_RADIUS`` and StepUnderflow when the step underflows,
     each at the time s * t of the failure (a float when t is real).
@@ -303,12 +301,9 @@ def numeric_flow(
     if t == 0:
         return np.array(p, dtype=complex)
 
-    field = X.evaluator()
-
     def rhs(s, y):
-        return [t * v for v in field(y)]
+        return [t * v for v in X.eval(y)]
 
-    rhs.inline = ("flow", X.n_vars, None, field, t)
     watch = None if observer is None else lambda s, y: observer(s * t, y)
     span = t.real if t.imag == 0 else t
     try:

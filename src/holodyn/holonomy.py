@@ -24,6 +24,7 @@ through its observer.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
@@ -32,7 +33,7 @@ import numpy as np
 
 from .coefficients import CoefficientTable, solve_coefficient_system
 from .exppoly import ExpPoly, TWO_PI_I
-from .flows import VectorField, integrate_ode, observed_drift, series_vs_numeric
+from .flows import InlineStep, VectorField, integrate_ode, observed_drift, series_vs_numeric
 from .jets import Jet, JetMap, PRUNE_TOL, _integer
 
 LINEAR_TOL = 1e-12
@@ -201,16 +202,16 @@ def holonomy_numeric(
 
     Independent oracle for :func:`holonomy_series`.  The leafwise equations
     dx_j/dt = 2 pi i * z * X_j(x, z) / X_axis(x, z) along z = z0*e^(2 pi i t)
-    are integrated by :func:`integrate_ode`'s generated leafwise step, which
-    computes z, calls the field's compiled evaluator and scales by
-    2 pi i * z / X_axis inline, with no monodromy system and no truncation;
-    the exact route never calls the integrator.  A wrapped right-hand side
-    runs the same float operations through the opaque step, so its bits are
-    the same.  This is the module's one leafwise integration: the drift
-    check watches it through ``observer(t, x)``, which gets every accepted
-    state.  Raises HolonomyError when the loop encloses or meets another
-    singular point of the axis, and DomainEscape when the leaf leaves the
-    ball of radius ``flows.ESCAPE_RADIUS``.
+    are integrated by :func:`integrate_ode` with their stage written out
+    inline (:func:`_leafwise_stage`: z, one call of the field's compiled
+    evaluator and the scaling 2 pi i * z / X_axis), with no monodromy
+    system and no truncation; the exact route never calls the integrator.
+    A wrapped right-hand side is called as it stands, with the same float
+    operations and so the same bits.  This is the module's one leafwise
+    integration: the drift check watches it through ``observer(t, x)``,
+    which gets every accepted state.  Raises HolonomyError when the loop
+    encloses or meets another singular point of the axis, and DomainEscape
+    when the leaf leaves the ball of radius ``flows.ESCAPE_RADIUS``.
     """
     return integrate_ode(_leafwise_rhs(F, z0), p, observer=observer)
 
@@ -233,8 +234,8 @@ def monodromy_invariant_drift(
 
 
 def _leafwise_rhs(F: Foliation, z0: complex):
-    """dx_j/dt = 2 pi i * z * X_j / X_axis at z = z0*e^(2 pi i t); it carries
-    the data with which :func:`integrate_ode` writes it out inline."""
+    """dx_j/dt = 2 pi i * z * X_j / X_axis at z = z0*e^(2 pi i t), carrying
+    its :func:`_leafwise_stage` as the :class:`InlineStep` to run it by."""
     _check_loop(F, z0)
     axis = F.separatrix_axis
     trans = F.transverse_indices
@@ -246,8 +247,22 @@ def _leafwise_rhs(F: Foliation, z0: complex):
         scale = TWO_PI_I * z / values[axis]
         return [scale * values[j] for j in trans]
 
-    rhs.inline = ("leafwise", len(trans), axis, field, z0)
+    rhs.inline = InlineStep(len(trans), _leafwise_stage(F.field.n_vars, axis), field, z0)
     return rhs
+
+
+@functools.lru_cache(maxsize=128)
+def _leafwise_stage(n_vars: int, axis: int) -> str:
+    """The body of ``_leafwise_rhs``'s ``rhs`` as an :class:`InlineStep`
+    stage, with f the field's evaluator and P = z0: the same float
+    operations on the same operands, each value its own name."""
+    ys = [f"{{y[{i}]}}" for i in range(n_vars - 1)]
+    vs = [f"v{i}" for i in range(n_vars)]
+    return "\n".join([
+        "z = P * exp(TWO_PI_I * ({time}))",
+        f"[{', '.join(vs)}] = f(({', '.join(ys[:axis] + ['z'] + ys[axis:])},))",
+        f"w = TWO_PI_I * z / v{axis}",
+        *(f"{{k[{i}]}} = w * {v}" for i, v in enumerate(vs[:axis] + vs[axis + 1:]))])
 
 
 def _check_loop(F: Foliation, z0: complex):

@@ -17,6 +17,7 @@ from holodyn.flows import (
     MAX_STEPS,
     DomainEscape,
     FlowError,
+    InlineStep,
     MaxStepsExceeded,
     StepUnderflow,
     VectorField,
@@ -574,10 +575,10 @@ def run_record(run) -> tuple:
     return seen, (out.dtype, out.tobytes())
 
 
-def assert_kinds_agree(f, x0, kind, **kwargs):
-    """integrate_ode on f, inlined as ``kind``, on f called as it stands and
-    the former loop: the same record, bit for bit."""
-    assert getattr(f, "inline", ("opaque",))[0] == kind
+def assert_kinds_agree(f, x0, inlined, **kwargs):
+    """integrate_ode on f, its stage inlined or not as ``inlined`` says, on
+    f called as it stands and the former loop: the same record, bit for bit."""
+    assert isinstance(getattr(f, "inline", None), InlineStep) == inlined
     records = [run_record(lambda watch: integrate(g, x0, observer=watch, **kwargs))
                for integrate, g in ((integrate_ode, f), (integrate_ode, opaque(f)),
                                     (loop_integrate_ode, f))]
@@ -608,9 +609,9 @@ FLOW_CASES = [
 
 @pytest.mark.parametrize("t", [1.0, 0.7, -1.0, -0.35, 1.0 + 0.25j, 0.5j])
 @pytest.mark.parametrize("spec, p", FLOW_CASES)
-def test_generated_flow_step_matches_the_former_loop_bit_for_bit(monkeypatch, spec, p, t):
+def test_flow_segments_match_the_former_loop_bit_for_bit(monkeypatch, spec, p, t):
     X = presets.load_field(spec)
-    assert_kinds_agree(flow_rhs(X, complex(t)), p, "flow")
+    assert_kinds_agree(flow_rhs(X, complex(t)), p, inlined=False)
     # numeric_flow itself, with its observer and failure times, on both paths
     records = []
     for integrate in (integrate_ode, loop_integrate_ode):
@@ -627,29 +628,30 @@ def test_generated_opaque_step_matches_the_former_loop_bit_for_bit():
     for f, x0, kwargs in ((rotate, [0.2, 0.1j, -0.3], {}), (array, [0.2, 0.1j], {}),
                           (stiff, (1.0 + 0.5j,), {"rtol": 1e-13, "atol": 1e-13}),
                           (lambda s, x: X.eval(x), (0.1, 0.12), {})):
-        assert assert_kinds_agree(f, x0, "opaque", **kwargs)[1][0] == np.dtype(complex)
+        assert assert_kinds_agree(f, x0, False, **kwargs)[1][0] == np.dtype(complex)
     # an ndarray right-hand side hands its NumPy scalars on to the observer
-    seen, _ = assert_kinds_agree(array, [0.2, 0.1j], "opaque")
+    seen, _ = assert_kinds_agree(array, [0.2, 0.1j], False)
     assert seen[1][1][0][0] is np.complex128
 
 
 def test_generated_failures_read_the_bounds_at_call_time(monkeypatch):
     """DomainEscape, StepUnderflow and MaxStepsExceeded, with the bounds
-    patched after each kernel was first compiled, on both kinds of step."""
+    patched after each kernel was first compiled (the leafwise step's are in
+    tests/test_holonomy.py)."""
     X = linear_field([5.0])
     blowup = VectorField([Jet(1, 2, {(2,): 2.0})])
-    cases = [(flow_rhs(X, 2.0 + 0j), (1.0,), "flow"),
-             (flow_rhs(blowup, 1.0 + 0j), (1.0,), "flow"),
-             (lambda s, x: [2 * v * v for v in x], [1.0 + 0j], "opaque"),
-             (lambda s, x: np.array(x, dtype=complex) * 4.0, [0.2, 0.1j], "opaque")]
-    for f, x0, kind in cases:
-        assert_kinds_agree(f, x0, kind)  # compiles the kernel at the default bounds
+    cases = [(flow_rhs(X, 2.0 + 0j), (1.0,)),
+             (flow_rhs(blowup, 1.0 + 0j), (1.0,)),
+             (lambda s, x: [2 * v * v for v in x], [1.0 + 0j]),
+             (lambda s, x: np.array(x, dtype=complex) * 4.0, [0.2, 0.1j])]
+    for f, x0 in cases:
+        assert_kinds_agree(f, x0, False)  # compiles the kernel at the default bounds
     failures = []
     for patch in ({"ESCAPE_RADIUS": 1e300}, {"ESCAPE_RADIUS": 1.5}, {"MAX_STEPS": 3}):
         for name, value in patch.items():
             monkeypatch.setattr(flows, name, value)
-        for f, x0, kind in cases:
-            failures.append(assert_kinds_agree(f, x0, kind)[1][0])
+        for f, x0 in cases:
+            failures.append(assert_kinds_agree(f, x0, False)[1][0])
         monkeypatch.undo()
     done = np.dtype(complex)
     assert failures == [done, StepUnderflow, StepUnderflow, done,
@@ -658,12 +660,18 @@ def test_generated_failures_read_the_bounds_at_call_time(monkeypatch):
                         MaxStepsExceeded]
 
 
-def test_a_kernel_is_compiled_once_per_shape():
-    """Every flow segment of a 2-variable field shares one integrator."""
-    kernel = flows._dp54("flow", 2, None)
+def test_a_kernel_is_compiled_once_per_shape(monkeypatch):
+    """Every right-hand side on a 2-component state that carries no inline
+    stage, such as each flow segment of a 2-variable field, shares one
+    integrator."""
+    flows._dp54.cache_clear()
+    sources = []
+    binder = flows._binder
+    monkeypatch.setattr(flows, "_binder", lambda source: sources.append(source) or binder(source))
     for spec in ("example1(1,1,1,1)", "genF", "genH"):
-        f = flow_rhs(presets.load_field(spec), 1.0 + 0j)
-        assert flows._dp54(*f.inline[:3]) is kernel
+        numeric_flow(presets.load_field(spec), (0.1, 0.12), 0.5)
+    integrate_ode(lambda s, x: x, [0.1, 0.2])
+    assert len(sources) == 1
 
 
 def test_each_caller_takes_its_kind_of_kernel(monkeypatch):
@@ -674,15 +682,25 @@ def test_each_caller_takes_its_kind_of_kernel(monkeypatch):
     holonomy_numeric(presets.load_foliation("thmB"), (0.03, 0.04j))
     holonomy_numeric(presets.load_foliation("linear(1,2)"), (0.03,))
     integrate_ode(lambda s, x: x, [0.1])
-    assert shapes == [("flow", 3, None), ("leafwise", 2, 2), ("leafwise", 1, 0),
-                      ("opaque", 1, None)]
+    thmB = _leafwise_rhs(presets.load_foliation("thmB"), 1.0).inline.stage
+    linear = _leafwise_rhs(presets.load_foliation("linear(1,2)"), 1.0).inline.stage
+    assert shapes == [(3, None), (2, thmB), (1, linear), (1, None)]
+    assert "f((y0, y1, z,))" in flows._dp54_source(2, thmB)
+    assert "f((z, y0,))" in flows._dp54_source(1, linear)
 
 
 def test_a_state_of_another_size_runs_f_as_it_stands():
-    """A point whose size is not the field's fails as the former loop did."""
-    f = flow_rhs(presets.load_field("example1(1,1,1,1)"), 1.0 + 0j)
-    record = assert_kinds_agree(f, (0.1, 0.2, 0.3), "flow")
+    """A point whose size is not the foliation's fails as the former loop did."""
+    f = _leafwise_rhs(presets.load_foliation("thmB"), 1.0)
+    record = assert_kinds_agree(f, (0.1, 0.2, 0.3), True)
     assert record[1][:1] == (JetError,) and len(record[0]) == 1
+
+
+def test_an_inline_attribute_of_another_type_is_not_inlined():
+    """Only an InlineStep is written out inline; any other ``inline`` is f's own."""
+    f = lambda s, x: [-v for v in x]  # noqa: E731
+    f.inline = (1, "{k[0]} = 0.0", None, None)
+    assert_kinds_agree(f, [0.1 + 0.2j], False)
 
 
 def test_generated_steps_of_any_state_size_match_the_former_loop():
@@ -690,7 +708,7 @@ def test_generated_steps_of_any_state_size_match_the_former_loop():
     empty state fails as the loop did, dividing by n = 0."""
     f = lambda s, x: [(-1 + 0.5j) * (1 + s) * v for v in x]  # noqa: E731
     assert flows.TERMS_PER_LINE < 150
-    assert_kinds_agree(f, [0.01 * (k + 1) - 0.3j for k in range(150)], "opaque")
+    assert_kinds_agree(f, [0.01 * (k + 1) - 0.3j for k in range(150)], False)
     for integrate in (integrate_ode, loop_integrate_ode):
         with pytest.raises(ZeroDivisionError, match="float division by zero"):
             integrate(lambda s, x: [], [])

@@ -13,8 +13,8 @@ import holodyn.flows as flows_module
 import holodyn.holonomy as holonomy_module
 from holodyn import presets
 from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I
-from holodyn.flows import (DomainEscape, MaxStepsExceeded, VectorField, formal_flow,
-                           integrate_ode)
+from holodyn.flows import (DomainEscape, InlineStep, MaxStepsExceeded, VectorField,
+                           formal_flow, integrate_ode)
 from holodyn.holonomy import (
     Foliation,
     HolonomyError,
@@ -26,6 +26,7 @@ from holodyn.holonomy import (
     monodromy_invariant_drift,
     realize_as_holonomy,
     _leafwise_rhs,
+    _leafwise_stage,
 )
 from holodyn.jets import Jet, JetMap
 from test_flows import assert_kinds_agree, run_record
@@ -313,11 +314,13 @@ def test_generated_leafwise_step_matches_the_former_loop_bit_for_bit(name, build
     F = build()
     rng = random.Random(name)
     rhs = _leafwise_rhs(F, z0)
-    assert rhs.inline[:3] == ("leafwise", F.field.n_vars - 1, F.separatrix_axis)
+    assert rhs.inline == InlineStep(F.field.n_vars - 1,
+                                    _leafwise_stage(F.field.n_vars, F.separatrix_axis),
+                                    F.field.evaluator(), z0)
     for _ in range(3):
         p = tuple(0.05 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
                   for _ in range(F.field.n_vars - 1))
-        record = assert_kinds_agree(rhs, p, "leafwise")
+        record = assert_kinds_agree(rhs, p, True)
         assert record == run_record(
             lambda watch: holonomy_numeric(F, p, z0=z0, observer=watch))
         assert record[1][0] == np.dtype(complex)
@@ -329,12 +332,12 @@ def test_generated_leafwise_failures_match_the_former_loop(monkeypatch):
     F = presets.load_foliation("thmB")
     rhs = _leafwise_rhs(F, 1.0)
     p = (0.03 + 0.01j, -0.02 + 0.04j)
-    assert_kinds_agree(rhs, p, "leafwise")
+    assert_kinds_agree(rhs, p, True)
     monkeypatch.setattr(flows_module, "ESCAPE_RADIUS", 0.0316)
-    assert assert_kinds_agree(rhs, p, "leafwise")[1][0] is DomainEscape
+    assert assert_kinds_agree(rhs, p, True)[1][0] is DomainEscape
     monkeypatch.setattr(flows_module, "MAX_STEPS", 5)
     monkeypatch.setattr(flows_module, "ESCAPE_RADIUS", 10.0)
-    assert assert_kinds_agree(rhs, p, "leafwise")[1][0] is MaxStepsExceeded
+    assert assert_kinds_agree(rhs, p, True)[1][0] is MaxStepsExceeded
 
 
 def test_fresh_copies_of_a_preset_share_one_kernel(monkeypatch):
@@ -354,7 +357,8 @@ def test_fresh_copies_of_a_preset_share_one_kernel(monkeypatch):
     kernels = set()
     for F in (first, second):
         holonomy_numeric(F, (0.03, 0.02j))
-        kernels.add(flows_module._dp54(*_leafwise_rhs(F, 1.0).inline[:3]))
+        step = _leafwise_rhs(F, 1.0).inline
+        kernels.add(flows_module._dp54(step.size, step.stage))
     assert len(sources) == 1 and len(kernels) == 1
 
 
