@@ -285,17 +285,17 @@ def numeric_flow(
     X: VectorField,
     p,
     t: complex = 1.0,
-    rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     observer: Callable[[complex, list], None] | None = None,
 ) -> np.ndarray:
     """Integrate dx/dt = X(x) over the complex-time segment [0, t].
 
     The segment is integrated as dx/ds = t * X(x), s in [0, 1], and
-    ``observer(s * t, x)`` gets the start and every accepted state.  t = 0
-    returns p.  Raises DomainEscape when the trajectory leaves the ball of
-    radius ``ESCAPE_RADIUS`` and StepUnderflow when the step underflows,
-    each at the time s * t of the failure (a float when t is real).
+    ``observer(s * t, x)`` gets the start and every accepted state; the
+    error norm's rtol is ``DEFAULT_RTOL``.  t = 0 returns p.  Raises
+    DomainEscape when the trajectory leaves the ball of radius
+    ``ESCAPE_RADIUS`` and StepUnderflow when the step underflows, each at
+    the time s * t of the failure (a float when t is real).
     """
     t = complex(t)
     if t == 0:
@@ -307,7 +307,7 @@ def numeric_flow(
     watch = None if observer is None else lambda s, y: observer(s * t, y)
     span = t.real if t.imag == 0 else t
     try:
-        return integrate_ode(rhs, p, rtol=rtol, atol=atol, observer=watch)
+        return integrate_ode(rhs, p, rtol=DEFAULT_RTOL, atol=atol, observer=watch)
     except DomainEscape as e:
         raise DomainEscape(e.t * span, e.point, ESCAPE_RADIUS) from None
     except StepUnderflow as e:

@@ -340,7 +340,12 @@ class JetMap:
 
     @classmethod
     def linear(cls, matrix, order: int) -> "JetMap":
+        """x -> M x at ``order``; the first row of M whose length is not len(M) is refused."""
         n = len(matrix)
+        for i, row in enumerate(matrix):
+            if len(row) != n:
+                raise JetError(f"matrix row {i} has length {len(row)}, not {n}: "
+                               "a linear map needs a square matrix")
         return cls([Jet(n, order, {_unit(j, n): complex(a) for j, a in enumerate(row)})
                     for row in matrix])
 

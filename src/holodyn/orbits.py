@@ -7,8 +7,8 @@ group closure for exactly-representable generators, and the parabolic
 petal analysis for x -> x + c x^(d+1).
 
 Periodicity has two rules: coefficientwise for every map with an exact jet
-(a linear map as its order-1 jet, a truncated jet map as its jet), and
-pointwise on five fixed probes for every other map.
+(a truncated jet map; a linear map is an order-1 one), and pointwise on five
+fixed probes for every other map.
 
 Verdicts are experimental: a budget-exhausted orbit is reported as
 "infinite-suspected", never as a proof of infinitude.
@@ -120,33 +120,6 @@ class _InverseMap(EvaluableMap):
 
     def _invert(self) -> EvaluableMap:
         return self.fwd
-
-
-class LinearMap(EvaluableMap):
-    def __init__(self, matrix, name: str = "linear"):
-        self.matrix = [[complex(v) for v in row] for row in matrix]
-        self.name = name
-        self.n_vars = len(self.matrix)
-
-    def eval(self, p: Point) -> Point:
-        return tuple(
-            sum(a * x for a, x in zip(row, p)) for row in self.matrix
-        )
-
-    def _invert(self) -> "LinearMap":
-        inv = np.linalg.inv(np.array(self.matrix, dtype=complex))
-        return LinearMap(inv.tolist(), name=self.name + "^-1")
-
-
-class PermutationMap(LinearMap):
-    """Coordinate permutation: component i of the image is coordinate perm[i]."""
-
-    def __init__(self, perm: Sequence[int], name: str = "perm"):
-        n = len(perm)
-        matrix = [[0.0 + 0j] * n for _ in range(n)]
-        for i, j in enumerate(perm):
-            matrix[i][j] = 1.0 + 0j
-        super().__init__(matrix, name=name)
 
 
 class ProductPreservingMap(EvaluableMap):
@@ -352,7 +325,8 @@ class TimeOneMap(EvaluableMap):
 
 
 class TruncatedJetMap(EvaluableMap):
-    """Iteration of a truncated jet map; the inverse is only approximate."""
+    """Iteration of a truncated jet map through its compiled evaluator; the
+    inverse is the inverse jet when it passes the probe check."""
 
     def __init__(self, jmap: JetMap, name: str = "jet"):
         self.jmap = jmap
@@ -363,7 +337,9 @@ class TruncatedJetMap(EvaluableMap):
         return self.jmap.eval(p)
 
     def _invert(self) -> Optional["TruncatedJetMap"]:
-        """The inverse jet map, or None when it fails the probe check."""
+        """The inverse jet map (at order 1, np.linalg.inv's entries above
+        PRUNE_TOL), or None when the linear part is singular (|det| < 1e-12)
+        or the inverse fails the probe check."""
         try:
             inv = self.jmap.inverse()
         except JetError:
@@ -378,6 +354,30 @@ class TruncatedJetMap(EvaluableMap):
             if max(abs(a - b) for a, b in zip(p, q)) > INVERSE_TOL:
                 return None
         return TruncatedJetMap(inv, name=self.name + "^-1")
+
+
+class LinearMap(TruncatedJetMap):
+    """x -> M x as its order-1 jet map, ``JetMap.linear(matrix, 1)``: it is
+    evaluated, inverted and tested for periodicity as a truncated jet map."""
+
+    def __init__(self, matrix, name: str = "linear"):
+        super().__init__(JetMap.linear(matrix, 1), name=name)
+
+    @property
+    def matrix(self):
+        """M as a list of rows of complex numbers."""
+        return self.jmap.linear_part()
+
+
+class PermutationMap(LinearMap):
+    """Coordinate permutation: component i of the image is coordinate perm[i]."""
+
+    def __init__(self, perm: Sequence[int], name: str = "perm"):
+        n = len(perm)
+        matrix = [[0.0 + 0j] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            matrix[i][j] = 1.0 + 0j
+        super().__init__(matrix, name=name)
 
 
 # -- single-map orbits -----------------------------------------------------
@@ -408,7 +408,7 @@ class OrbitRecord:
 
 
 def _quantize(p: Point, eps: float):
-    """The dedup key of p: round(re / eps), round(im / eps) of each coordinate."""
+    """The key of a point or flat matrix p: round(re / eps), round(im / eps) per entry."""
     return tuple([round(v / eps) for c in p for v in (c.real, c.imag)])
 
 
@@ -612,13 +612,10 @@ def periodicity_test(h, n_max: int) -> Optional[int]:
     """Least N <= n_max with h^N = identity, or None.
 
     Coefficientwise to ``PERIODICITY_TOL`` for every map with an exact jet: a
-    jet map, a linear map as its order-1 jet and a truncated jet map as its
-    jet.  Pointwise on five probes of radius ``PERIODICITY_PROBE_RADIUS`` for
-    every other map.
+    jet map, or a truncated jet map (so a linear map) as its jet.  Pointwise
+    on five probes of radius ``PERIODICITY_PROBE_RADIUS`` for every other map.
     """
-    if isinstance(h, LinearMap):
-        h = JetMap.linear(h.matrix, 1)
-    elif isinstance(h, TruncatedJetMap):
+    if isinstance(h, TruncatedJetMap):
         h = h.jmap
     if isinstance(h, JetMap):
         ident = JetMap.identity(h.n_vars, h.order)
@@ -640,13 +637,8 @@ def periodicity_test(h, n_max: int) -> Optional[int]:
     return None
 
 
+# group_closure: two matrices whose _quantize keys on this grid agree are one element
 SNAP = 1e-12
-
-
-def _matrix_key(M: np.ndarray):
-    return tuple(
-        (round(v.real / SNAP), round(v.imag / SNAP)) for v in M.ravel()
-    )
 
 
 @dataclass
@@ -665,14 +657,14 @@ def group_closure(generators: Sequence[LinearMap]) -> GroupClosure:
     gens = [np.array(g.matrix, dtype=complex) for g in generators]
     n = gens[0].shape[0]
     ident = np.eye(n, dtype=complex)
-    seen = {_matrix_key(ident)}
+    seen = {_quantize(ident.ravel(), SNAP)}
     queue = deque([ident])
     exceeded = False
     while queue:
         cur = queue.popleft()
         for g in gens:
             nxt = g @ cur
-            key = _matrix_key(nxt)
+            key = _quantize(nxt.ravel(), SNAP)
             if key in seen:
                 continue
             if len(seen) >= CLOSURE_BUDGET:

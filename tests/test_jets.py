@@ -362,6 +362,22 @@ def test_jetmap_compose_associative():
     assert f.compose(g).compose(h).max_abs_diff(f.compose(g.compose(h))) < 1e-10
 
 
+@pytest.mark.parametrize("matrix, message", [
+    # formerly "components must vanish at the origin": entries past n folded
+    # into the constant term
+    ([[1, 2, 3]], "matrix row 0 has length 3, not 1: a linear map needs a square matrix"),
+    # formerly zero-padded
+    ([[1, 2], [3]], "matrix row 1 has length 1, not 2: a linear map needs a square matrix"),
+    # formerly a 3-variable map from two columns
+    ([[1, 0], [0, 1], [1, 1]], "matrix row 0 has length 2, not 3: a linear map needs a square matrix"),
+])
+def test_jetmap_linear_refuses_a_matrix_that_is_not_square(matrix, message):
+    for order in (1, 4):
+        with pytest.raises(JetError) as err:
+            JetMap.linear(matrix, order)
+        assert str(err.value) == message
+
+
 def test_jetmap_inverse_linear():
     m = JetMap.linear([[2.0, 0.0], [0.0, 3.0]], 4)
     inv = m.inverse()

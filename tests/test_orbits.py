@@ -3,6 +3,7 @@ import cmath
 import functools
 import math
 import random
+import struct
 from operator import sub
 
 import numpy as np
@@ -927,6 +928,10 @@ def test_periodicity_linear_maps():
     assert periodicity_test(presets.map_h1(), 10) == 6
     assert periodicity_test(presets.map_h2(), 10) == 2
     assert periodicity_test(PermutationMap([1, 2, 0]), 10) == 3
+    # coefficientwise, not on probes: h^3 is off the identity by 1.9e-10 in
+    # its coefficient but by less than 1e-11 at every probe
+    near = LinearMap([[cmath.exp(2j * math.pi * (1 / 3 + 1e-11))]])
+    assert periodicity_test(near, 10) is None
 
 
 def test_periodicity_jet_map():
@@ -1177,3 +1182,107 @@ def test_level_circle_seeds_lie_on_the_level_set():
     for k, (x, y) in enumerate(seeds):
         assert abs(x - 0.55 * cmath.exp(2j * math.pi * k / 8)) < 1e-15
         assert abs(x * y - C) < 1e-15
+
+
+# -- linear maps are order-1 jet maps ---------------------------------------
+
+
+def reference_linear_eval(matrix, p):
+    """The former ``LinearMap.eval``, the matrix loop, kept verbatim as the
+    bit-for-bit oracle of the compiled order-1 evaluator."""
+    return tuple(
+        sum(a * x for a, x in zip(row, p)) for row in matrix
+    )
+
+
+def packed(point):
+    """The bytes of a point's re and im parts, so that -0.0 differs from 0.0."""
+    return struct.pack(f"{2 * len(point)}d", *(v for c in point for v in (c.real, c.imag)))
+
+
+def rechunked(points, n):
+    """The coordinates of ``points``, in order, cut into points of n coordinates."""
+    flat = [c for p in points for c in p]
+    return [tuple(flat[i:i + n]) for i in range(0, len(flat) - n + 1, n)]
+
+
+# the rotation maps of the tests above
+ROTATIONS = {
+    "rot5": [[cmath.exp(2j * math.pi / 5)]],
+    "rot7": [[cmath.exp(2j * math.pi / 7)]],
+    "rot37": [[cmath.exp(2j * math.pi / 37)]],
+    "quarter-turn": [[1j]],
+    "c4": [[1j, 0], [0, 1j]],
+    "golden": [[cmath.exp(2j * math.pi * presets.GOLDEN_ROTATION), 0], [0, 1]],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def linear_eval_points():
+    """Three point sets of two coordinates: the 20 x 20 lattice, the points
+    of the h1h2 BFS orbits of the 100 pseudogroup seeds, and seeded random
+    points whose parts are often +0.0 or -0.0."""
+    lattice = lattice_seeds(0.3, 20, n_vars=2, low=0.05)
+    gens = presets.pseudogroup_preset("h1h2")
+    bfs = [q for s in presets.pseudogroup_seeds(100, 1.0, 2)
+           for q in pseudogroup_orbit(gens, s, V1).points]
+    rng = random.Random(23)
+    part = lambda: rng.choice((0.0, -0.0, rng.uniform(-0.9, 0.9)))
+    signed = [(complex(part(), part()), complex(part(), part())) for _ in range(2000)]
+    return {"lattice": lattice, "bfs": bfs, "signed-zeros": signed}
+
+
+@pytest.mark.parametrize("name, make", [
+    ("h1", presets.map_h1),
+    ("h2", presets.map_h2),
+    ("perm(1,2,0)", lambda: PermutationMap([1, 2, 0])),
+    *((name, lambda m=m: LinearMap(m)) for name, m in ROTATIONS.items()),
+])
+def test_linear_map_images_are_the_matrix_loop_bit_for_bit(name, make):
+    """Forward and inverse images equal the former matrix loop's byte for
+    byte, on the former inverse matrix, np.linalg.inv's, entry for entry."""
+    h = make()
+    forward = [[complex(v) for v in row] for row in h.matrix]
+    backward = np.linalg.inv(np.array(forward, dtype=complex)).tolist()
+    inv = h.inverse()
+    assert inv.name == h.name + "^-1"
+    assert inv.jmap.linear_part() == backward
+    counted = 0
+    for label, points in linear_eval_points().items():
+        for p in rechunked(points, h.n_vars):
+            for m, matrix in ((h, forward), (inv, backward)):
+                assert packed(m.eval(p)) == packed(reference_linear_eval(matrix, p)), (label, p)
+                counted += 1
+    assert counted > 2 * 2000
+
+
+SINGULAR = {"zero": [[0.0]], "rank-1-diagonal": [[1, 0], [0, 0]], "rank-1-full": [[1, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("matrix", SINGULAR.values(), ids=SINGULAR)
+def test_a_singular_linear_map_is_one_sided_as_its_jet_map(matrix):
+    """No inverse, so one-sided records: the same as the order-1 truncated
+    jet map's, where np.linalg.inv used to raise LinAlgError."""
+    h, jet = LinearMap(matrix), TruncatedJetMap(JetMap.linear(matrix, 1))
+    assert h.inverse() is None and jet.inverse() is None
+    V = DomainBall(0.3)
+    seeds = [(0.1,) * h.n_vars, (0.2, -0.05j)[:h.n_vars], (0.29,) * h.n_vars]
+    for s in seeds:
+        rec = iterate_orbit(h, s, V, keep_points=True)
+        assert rec.one_sided
+        assert record_fields(rec) == record_fields(
+            iterate_orbit(jet, s, V, keep_points=True))
+        orb = pseudogroup_orbit([h], s, V)
+        want = pseudogroup_orbit([jet], s, V)
+        assert (orb.points, orb.words, orb.truncated) == (want.points, want.words, want.truncated)
+        assert "g0^-1" not in " ".join(orb.words)
+
+
+@pytest.mark.parametrize("matrix, row", [
+    ([[1, 2, 3]], 0),
+    ([[1, 2], [3]], 1),
+    ([[1, 0], [0, 1], [1, 1]], 0),
+])
+def test_a_linear_map_refuses_a_matrix_that_is_not_square(matrix, row):
+    with pytest.raises(ValueError, match=f"matrix row {row} has length"):
+        LinearMap(matrix)

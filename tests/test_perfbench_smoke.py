@@ -13,6 +13,7 @@ import pytest
 
 import holodyn.flows as flows
 import holodyn.holonomy as holonomy
+import holodyn.orbits as orbits
 from holodyn.jets import Jet
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,7 +40,9 @@ def test_workload_items_pass_their_gates(name):
 
 def test_tracer_install_and_uninstall():
     targets = [(Jet, "eval"), (holonomy, "integrate_ode"), (flows, "integrate_ode"),
-               (holonomy, "build_monodromy_system"), (holonomy.MonodromySystem, "rhs")]
+               (holonomy, "build_monodromy_system"), (holonomy.MonodromySystem, "rhs"),
+               # linear and permutation maps are evaluated by this method
+               (orbits.TruncatedJetMap, "eval")]
     before = [owner.__dict__[name] for owner, name in targets]
     tracer = tracing.Tracer()
     tracer.install()
