@@ -347,7 +347,7 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
     V = DomainBall(radius)
     seeds = _orbit_seeds(h, radius, grid, grid_low, level_circle, random_seeds, seed)
     records = [iterate_orbit(h, s, V, budget=budget, keep_points=svg_path is not None)
-               for s in seeds if V.contains(s)]
+               for s in seeds]
     counts = Counter(r.status for r in records)
     click.echo(
         f"{len(records)} seeds: {counts['Escaped']} escaped, {counts['Periodic']} "

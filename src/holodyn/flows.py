@@ -241,7 +241,6 @@ def _dp54(n: int, stage: str | None):
 def integrate_ode(
     f: Callable[[float, list], Sequence[complex]],
     x0,
-    rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     observer: Callable[[float, list], None] | None = None,
 ) -> np.ndarray:
@@ -270,14 +269,14 @@ def integrate_ode(
     :class:`DomainEscape` when the max-norm exceeds ``ESCAPE_RADIUS`` and
     :class:`StepUnderflow` when the step falls below 1e-14; their ``point``
     is an ndarray.  Raises :class:`MaxStepsExceeded` after ``MAX_STEPS``
-    steps.  Both bounds are read at call time.
+    steps.  rtol is ``DEFAULT_RTOL``, read at call time as both bounds are.
     """
     x = np.asarray(x0, dtype=complex).tolist()
     n = len(x)
     step = getattr(f, "inline", None)
     if not isinstance(step, InlineStep) or step.size != n:
         step = InlineStep(n, None, f, None)
-    return _dp54(n, step.stage)(step.f, step.P, x, rtol, atol, observer,
+    return _dp54(n, step.stage)(step.f, step.P, x, DEFAULT_RTOL, atol, observer,
                                 MAX_STEPS, ESCAPE_RADIUS)
 
 
@@ -307,7 +306,7 @@ def numeric_flow(
     watch = None if observer is None else lambda s, y: observer(s * t, y)
     span = t.real if t.imag == 0 else t
     try:
-        return integrate_ode(rhs, p, rtol=DEFAULT_RTOL, atol=atol, observer=watch)
+        return integrate_ode(rhs, p, atol=atol, observer=watch)
     except DomainEscape as e:
         raise DomainEscape(e.t * span, e.point, ESCAPE_RADIUS) from None
     except StepUnderflow as e:

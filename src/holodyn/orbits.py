@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -374,6 +375,8 @@ class PermutationMap(LinearMap):
 
     def __init__(self, perm: Sequence[int], name: str = "perm"):
         n = len(perm)
+        if not all(isinstance(j, numbers.Integral) for j in perm) or sorted(perm) != list(range(n)):
+            raise ValueError(f"perm {list(perm)} is not a permutation of 0..{n - 1}")
         matrix = [[0.0 + 0j] * n for _ in range(n)]
         for i, j in enumerate(perm):
             matrix[i][j] = 1.0 + 0j
@@ -456,7 +459,7 @@ def iterate_orbit(
     """
     p = tuple(complex(c) for c in p)
     if not V.contains(p):
-        raise OrbitError("seed lies outside the domain ball")
+        raise OrbitError(f"seed {p} lies outside the domain ball of radius {V.radius}")
     eps_cycle = V.cycle_eps
     eps_dedup = V.dedup_eps
     seen = set(_dedup_keys([p], eps_dedup))
@@ -563,7 +566,7 @@ def pseudogroup_orbit(
     """
     p = tuple(complex(c) for c in p)
     if not V.contains(p):
-        raise OrbitError("seed lies outside the domain ball")
+        raise OrbitError(f"seed {p} lies outside the domain ball of radius {V.radius}")
     moves: List[Tuple[str, EvaluableMap]] = []
     for i, g in enumerate(generators):
         moves.append((f"g{i}", g))

@@ -1,10 +1,12 @@
-"""Named built-in vector fields, foliations and maps, and the one input contract.
+"""Named built-in vector fields, foliations, maps and pseudogroups, and the one input contract.
 
 String syntax: a bare name ("thmB") or name(args) with numeric arguments,
 e.g. "example1(1,1,1,1)" or "linear(1,-1,-2)".  The loaders also take a
-``.json`` path, and build every field to at least the requested order.
-A preset table per kind and one bound table decide every outside input, and
-every rejection is a PresetError with a one-line reason.
+``.json`` path.  A field builder takes no order; one rule, ``_at_least``,
+raises every loaded field, preset or JSON, to at least the requested order.
+A preset table per kind (``_FIELDS``, ``_MAPS``, ``_PSEUDOGROUPS``) and one
+bound table decide every outside input, and every rejection is a
+PresetError with a one-line reason.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ MAX_ORDER = 1_000  # --order, and the jets of whatever a loader returns, JSON or
 MAX_TERMS = 10_000  # the terms of one jet a loader returns; a first eval compiles them all
 MAX_SEEDS = 1_000_000  # the seeds of one run: --grid's product, --random-seeds, --seeds
 MAX_BUDGET = 10_000_000  # orbit --budget, the steps per seed and direction
-MAX_PETAL_DEGREE = 100  # petal --d: 50,000 steps in each of d directions
+MAX_PETAL_DEGREE = 100  # petal --d (50,000 steps in each of d directions), parabolic(d,c)'s d
 # Beside it, the integrator's own bounds, read at call time: flows.MAX_STEPS =
 # 100,000 steps per integration, 80 times the longest one the tests run
 # (1,245), and flows.ESCAPE_RADIUS = 10, the max-norm a trajectory may reach.
@@ -84,49 +86,43 @@ def _parse(spec: str):
     return name, args
 
 
-def _siegel_family(extra_exp, order: int) -> VectorField:
-    """x(1 + x^i y^j z^k) d/dx + y(1 - x^i y^j z^k) d/dy - z d/dz."""
+def _siegel_family(extra_exp) -> VectorField:
+    """x(1 + x^i y^j z^k) d/dx + y(1 - x^i y^j z^k) d/dy - z d/dz, at order 1 + i + j + k."""
     i, j, k = extra_exp
-    order = max(order, 1 + i + j + k)
+    order = 1 + i + j + k
     cx = Jet(3, order, {(1, 0, 0): 1.0, (1 + i, j, k): 1.0})
     cy = Jet(3, order, {(0, 1, 0): 1.0, (i, 1 + j, k): -1.0})
     cz = Jet(3, order, {(0, 0, 1): -1.0})
     return VectorField([cx, cy, cz])
 
 
-def field_example1(n: int, m: int, a: int, b: int,
-                   order: int = DEFAULT_ORDER) -> VectorField:
-    """x^a y^b * (x d/dx - (n/m) y d/dy) on (C^2, 0)."""
+def field_example1(n: int, m: int, a: int, b: int) -> VectorField:
+    """x^a y^b * (x d/dx - (n/m) y d/dy) on (C^2, 0), at order a + b + 1."""
     if m == 0:
         raise ValueError("m must be nonzero")
     if a < 0 or b < 0:
         raise ValueError(f"exponents a, b must be non-negative, got a={a}, b={b}")
     lam = Fraction(n, m)
-    order = max(order, a + b + 1)
-    cx = Jet(2, order, {(a + 1, b): 1.0})
-    cy = Jet(2, order, {(a, b + 1): -float(lam)})
+    cx = Jet(2, a + b + 1, {(a + 1, b): 1.0})
+    cy = Jet(2, a + b + 1, {(a, b + 1): -float(lam)})
     return VectorField([cx, cy])
 
 
-def field_linear(lambdas: Sequence[complex], order: int = DEFAULT_ORDER) -> VectorField:
+def field_linear(lambdas: Sequence[complex]) -> VectorField:
+    """x -> diag(lambdas) x as a field, at order 1."""
     n = len(lambdas)
     if n == 0:
         raise ValueError("a linear field needs at least one eigenvalue")
-    order = max(order, 1)
-    comps = []
-    for i, lam in enumerate(lambdas):
-        exp = tuple(1 if k == i else 0 for k in range(n))
-        comps.append(Jet(n, order, {exp: complex(lam)}))
-    return VectorField(comps)
+    return VectorField.linear([[lam if i == j else 0 for j in range(n)]
+                               for i, lam in enumerate(lambdas)], 1)
 
 
-def _generator(a: int, b: int, order: int) -> VectorField:
-    """2 pi i * x^a y^b * (x d/dx - y d/dy), at order a + b + 1 or more: its
+def _generator(a: int, b: int) -> VectorField:
+    """2 pi i * x^a y^b * (x d/dx - y d/dy), at order a + b + 1: its
     time-one map is an F-type product-preserving germ for (a, b) = (1, 1)
     and an H-type one for (2, 1)."""
-    order = max(order, a + b + 1)
-    cx = Jet(2, order, {(a + 1, b): TWO_PI_I})
-    cy = Jet(2, order, {(a, b + 1): -TWO_PI_I})
+    cx = Jet(2, a + b + 1, {(a + 1, b): TWO_PI_I})
+    cy = Jet(2, a + b + 1, {(a, b + 1): -TWO_PI_I})
     return VectorField([cx, cy])
 
 
@@ -137,18 +133,16 @@ def _integers(args) -> List[int]:
     return ints
 
 
-# name -> (what builds it from (*args, order=), its argument counts (None: any, and
-# field_linear refuses zero eigenvalues), the rule that makes its foliation)
+# name -> (what builds it from (*args) at its least order, its argument counts (None:
+# any, and field_linear refuses zero eigenvalues), the rule that makes its foliation)
 _FIELDS = {
-    "thmB": (lambda order: _siegel_family((2, 1, 3), order), (0,),
-             lambda X: Foliation(X, 2)),
-    "example3": (lambda order: _siegel_family((1, 1, 2), order), (0,),
-                 lambda X: Foliation(X, 2)),
-    "example1": (lambda *a, order: field_example1(*_integers(a), order=order), (4,), None),
-    "linear": (lambda *a, order: field_linear(a, order), None, lambda X: Foliation(X, 0)),
-    "genF": (lambda order: _generator(1, 1, order), (0,), realize_as_holonomy),
-    "genH": (lambda order: _generator(2, 1, order), (0,), realize_as_holonomy),
-    "genLinear": (lambda order: _generator(0, 0, order), (0,), realize_as_holonomy),
+    "thmB": (lambda: _siegel_family((2, 1, 3)), (0,), lambda X: Foliation(X, 2)),
+    "example3": (lambda: _siegel_family((1, 1, 2)), (0,), lambda X: Foliation(X, 2)),
+    "example1": (lambda *a: field_example1(*_integers(a)), (4,), None),
+    "linear": (lambda *a: field_linear(a), None, lambda X: Foliation(X, 0)),
+    "genF": (lambda: _generator(1, 1), (0,), realize_as_holonomy),
+    "genH": (lambda: _generator(2, 1), (0,), realize_as_holonomy),
+    "genLinear": (lambda: _generator(0, 0), (0,), realize_as_holonomy),
 }
 
 
@@ -169,11 +163,11 @@ def _read_json(path: str, kind: str, decode):
 
 
 def _at_least(X: VectorField, order: int) -> VectorField:
-    """The order rule of a JSON field: raised to ``order``, never lowered."""
+    """The order rule of every loaded field: raised to ``order``, never lowered."""
     return X.truncate(max(X.order, order))
 
 
-def _build(kind: str, table: dict, spec: str, **extra):
+def _build(kind: str, table: dict, spec: str):
     """``spec``'s name and what its ``table`` entry builds; every rejection is a PresetError."""
     name, args = _parse(spec)
     if name not in table:
@@ -182,7 +176,7 @@ def _build(kind: str, table: dict, spec: str, **extra):
     try:
         if counts is not None and len(args) not in counts:
             raise PresetError(f"expected {' or '.join(map(str, counts))} arguments, got {len(args)}")
-        return name, build(*args, **extra)
+        return name, build(*args)
     except ValueError as e:
         raise PresetError(f"invalid {kind} preset {spec!r}: {e}") from e
 
@@ -202,9 +196,10 @@ def _bounded(out, jets: Sequence[Jet], spec: str, json_kind: str):
 
 def load_field(spec: str, order: int = DEFAULT_ORDER) -> VectorField:
     if spec.endswith(".json"):
-        X = _at_least(_read_json(spec, "vector-field", VectorField.from_json_dict), order)
+        X = _read_json(spec, "vector-field", VectorField.from_json_dict)
     else:
-        _, X = _build("field", _FIELDS, spec, order=order)
+        _, X = _build("field", _FIELDS, spec)
+    X = _at_least(X, order)
     return _bounded(X, X.components, spec, "vector-field")
 
 
@@ -214,10 +209,10 @@ def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
         F = _read_json(spec, "foliation", Foliation.from_json_dict)
         F = Foliation(_at_least(F.field, order), F.separatrix_axis)
     else:
-        name, X = _build("field", _FIELDS, spec, order=order)
+        name, X = _build("field", _FIELDS, spec)
         if _FIELDS[name][2] is None:
             raise PresetError(f"preset {name!r} has no canonical foliation")
-        F = _FIELDS[name][2](X)
+        F = _FIELDS[name][2](_at_least(X, order))
     return _bounded(F, F.field.components, spec, "foliation")
 
 
@@ -225,7 +220,7 @@ def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
 
 
 def const_f_jet(value: complex = TWO_PI_I) -> Jet:
-    return Jet(1, DEFAULT_ORDER, {(0,): complex(value)})
+    return Jet(1, 0, {(0,): complex(value)})
 
 
 def map_F(f_value: complex = TWO_PI_I) -> ProductPreservingMap:
@@ -247,6 +242,14 @@ def map_h2() -> PermutationMap:
     return PermutationMap([1, 0], name="h2")
 
 
+def _parabolic(d, c) -> OneVarParabolicMap:
+    """x -> x + c x^(d+1), for an integer d of at most MAX_PETAL_DEGREE."""
+    [d] = _integers([d])
+    if d > MAX_PETAL_DEGREE:
+        raise PresetError(f"degree d = {d} is more than MAX_PETAL_DEGREE = {MAX_PETAL_DEGREE}")
+    return OneVarParabolicMap(d, c)
+
+
 # name -> (what builds it from (*args), the argument counts it takes)
 _MAPS = {
     "F": (map_F, (0, 1)),
@@ -254,7 +257,7 @@ _MAPS = {
     "h1": (map_h1, (0,)),
     "h2": (map_h2, (0,)),
     "swap": (map_h2, (0,)),
-    "parabolic": (lambda d, c: OneVarParabolicMap(*_integers([d]), c), (2,)),
+    "parabolic": (_parabolic, (2,)),
     "phiX": (lambda *a: TimeOneMap(field_example1(*_integers(a)), name="phiX"), (4,)),
 }
 
@@ -267,10 +270,12 @@ def load_map(spec: str) -> EvaluableMap:
     return _bounded(h, h.X.components if isinstance(h, TimeOneMap) else (), spec, "jet-map")
 
 
+# name -> (what builds its generators, the argument counts it takes); both name one group
+_PSEUDOGROUPS = dict.fromkeys(("h1h2", "schur24"), (lambda: [map_h1(), map_h2()], (0,)))
+
+
 def pseudogroup_preset(name: str) -> List[EvaluableMap]:
-    if name in ("h1h2", "schur24"):
-        return [map_h1(), map_h2()]
-    raise PresetError(f"unknown pseudogroup preset {name!r}; available: h1h2, schur24")
+    return _build("pseudogroup", _PSEUDOGROUPS, name)[1]
 
 
 def pseudogroup_seeds(n_seeds: int, radius: float, n_vars: int) -> List[Tuple[complex, ...]]:

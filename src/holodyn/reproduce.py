@@ -291,7 +291,7 @@ def check_pseudogroup() -> CheckResult:
 def check_conservation() -> CheckResult:
     worst = 0.0
     for (n, m, a, b) in ((1, 1, 1, 1), (2, 3, 1, 2)):
-        X = presets.field_example1(n, m, a, b)
+        X = presets.load_field(f"example1({n},{m},{a},{b})")
         g = Jet(2, 8, {(n, m): 1.0 + 0j})
         drift = first_integral_drift(X, g, (0.1, 0.12))
         worst = max(worst, drift)
@@ -334,7 +334,7 @@ def check_property_sweep() -> CheckResult:
         worst = max(worst, ((a * b) * c).max_abs_diff(a * (b * c)))
         worst = max(worst, (a * (b + c)).max_abs_diff(a * b + a * c))
     # flow group law for the (1,1,1,1) conserved field
-    X = presets.field_example1(1, 1, 1, 1, order=6)
+    X = presets.load_field("example1(1,1,1,1)", order=6)
     table = flow_coefficient_table(X, 6)
     fs, ft = table.at_time(0.3), table.at_time(0.7)
     group_err = table.at_time(1.0).max_abs_diff(fs.compose(ft))

@@ -138,15 +138,48 @@ def test_loaders_refuse_preset_arguments_that_size_a_jet_above_max_order():
         load(spec.format(a=presets.MAX_ORDER - 1))
 
 
-def test_every_field_preset_raises_the_order_to_its_minimum():
-    """A library call at order 0 builds each preset at the least order that
-    holds its terms (the CLI refuses --order 0 before it loads anything)."""
-    for spec, order in (("linear(1,2)", 1), ("genLinear", 1), ("genF", 3), ("genH", 4),
-                        ("example1(1,1,1,1)", 3), ("thmB", 7), ("example3", 5)):
+# field presets -> the least order that holds their terms
+NATURAL_ORDERS = {"thmB": 7, "example3": 5, "example1(1,1,1,1)": 3, "example1(2,3,1,2)": 4,
+                  "example1(1,2,0,3)": 4, "example1(1,1,0,0)": 1, "linear(1,2)": 1,
+                  "linear(1,-1,-2)": 1, "linear(0.5i,-1)": 1, "genF": 3, "genH": 4, "genLinear": 1}
+
+
+def test_every_field_preset_raises_the_order_to_its_minimum(tmp_path):
+    """The one order rule: at every order N from 0 to 12, a field preset
+    loads as the JSON file of its least-order field read at N, at order
+    max(least, N), and a foliation preset as the JSON file of its
+    least-order foliation (the CLI refuses --order 0 before it loads anything)."""
+    field_path, foliation_path = tmp_path / "field.json", tmp_path / "foliation.json"
+    for spec, least in NATURAL_ORDERS.items():
         X = presets.load_field(spec, 0)
-        assert X.order == order, spec
-        assert X.to_json_dict() == presets.load_field(spec, order).to_json_dict()
-    assert presets.load_foliation("linear(1,2)", 0).field.order == 1
+        assert X.order == least, spec
+        field_path.write_text(json.dumps(X.to_json_dict()))
+        has_foliation = not spec.startswith("example1")
+        if has_foliation:
+            F = presets.load_foliation(spec, 0)
+            foliation_path.write_text(json.dumps(
+                {"field": F.field.to_json_dict(), "separatrix_axis": F.separatrix_axis}))
+        for order in range(13):
+            X = presets.load_field(spec, order)
+            assert X.order == max(least, order), (spec, order)
+            assert X.to_json_dict() == presets.load_field(str(field_path), order).to_json_dict()
+            if has_foliation:
+                F, G = (presets.load_foliation(s, order) for s in (spec, str(foliation_path)))
+                assert F.field.order == max(least, order), (spec, order)
+                assert (F.field.to_json_dict(), F.separatrix_axis) == \
+                    (G.field.to_json_dict(), G.separatrix_axis)
+    with pytest.raises(presets.PresetError, match="preset 'example1' has no canonical foliation"):
+        presets.load_foliation("example1(1,1,1,1)")
+
+
+def test_parabolic_degree_has_the_bound_of_petal_d():
+    """parabolic(d,c)'s d is the degree petal --d takes, with its bound: the
+    float map of a larger d is the identity near 0 (x^(d+1) underflows)."""
+    assert presets.load_map(f"parabolic({presets.MAX_PETAL_DEGREE},1)").d == 100
+    with pytest.raises(presets.PresetError, match=re.escape(
+            "invalid map preset 'parabolic(101,1)': degree d = 101 is more than "
+            "MAX_PETAL_DEGREE = 100")):
+        presets.load_map("parabolic(101,1)")
 
 
 def test_invalid_order_exits_2():
@@ -406,6 +439,16 @@ def test_reproduce_paper_unknown_check(tmp_path):
     (["petal", "--d", "0"], "--d must be a positive integer, got 0"),
     (["orbit", "--map", "{many_terms}", "--grid", "2x2"],
      "jet-map JSON in {many_terms} has a jet of 10001 terms, more than MAX_TERMS = 10000"),
+    # a lattice that leaves the ball starts outside it: refused at its first seed
+    (["orbit", "--map", "H", "--grid", "3x3", "--grid-low", "-1"],
+     "seed ((-1+0j), (-1+0j)) lies outside the domain ball of radius 0.3"),
+    (["orbit", "--map", "H", "--grid", "3x3", "--grid-low", "0.5"],
+     "seed ((0.5+0j), (0.5+0j)) lies outside the domain ball of radius 0.3"),
+    (["orbit", "--map", "parabolic(1000000000,1)", "--grid", "4"],
+     "invalid map preset 'parabolic(1000000000,1)': degree d = 1000000000 is more than "
+     "MAX_PETAL_DEGREE = 100"),
+    (["pseudogroup", "--preset", "h1h2(1)"],
+     "invalid pseudogroup preset 'h1h2(1)': expected 0 arguments, got 1"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"

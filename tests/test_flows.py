@@ -51,7 +51,7 @@ def perfbench_module(name: str):
 
 
 def linear_field(lams, order=6):
-    return presets.field_linear(lams, order)
+    return presets.field_linear(lams).truncate(order)
 
 
 def test_vector_field_rejects_constant_term():
@@ -91,13 +91,13 @@ def test_formal_flow_linear_analytic():
 
 
 def test_formal_flow_identity_at_zero_time():
-    X = presets.field_example1(1, 1, 1, 1, order=6)
+    X = presets.field_example1(1, 1, 1, 1).truncate(6)
     f = formal_flow(X, 0.0, 6)
     assert f.max_abs_diff(JetMap.identity(2, 6)) < 1e-13
 
 
 def test_formal_flow_group_law():
-    X = presets.field_example1(2, 3, 1, 2, order=6)
+    X = presets.field_example1(2, 3, 1, 2).truncate(6)
     table = flow_coefficient_table(X, 6)
     fs = table.at_time(0.4)
     ft = table.at_time(0.6)
@@ -106,7 +106,7 @@ def test_formal_flow_group_law():
 
 
 def test_formal_flow_time_derivative_matches_field():
-    X = presets.field_example1(1, 1, 1, 1, order=5)
+    X = presets.field_example1(1, 1, 1, 1).truncate(5)
     table = flow_coefficient_table(X, 5)
     eps = 1e-6
     fp = table.at_time(eps)
@@ -141,7 +141,7 @@ def test_diagonal_rule_matches_the_coefficient_solver():
 
 
 def test_flow_table_ode_residual_zero():
-    X = presets.field_example1(1, 1, 1, 1, order=6)
+    X = presets.field_example1(1, 1, 1, 1).truncate(6)
     table = flow_coefficient_table(X, 6)
     assert table.ode_residual_max() < 1e-12
 
@@ -155,7 +155,7 @@ def test_numeric_flow_linear_analytic():
 
 
 def test_formal_vs_numeric_cross_check():
-    X = presets.field_example1(1, 1, 1, 1, order=10)
+    X = presets.field_example1(1, 1, 1, 1).truncate(10)
     f = formal_flow(X, 1.0, 10)
     for p in [(0.03, 0.04), (0.05, -0.02), (0.01j, 0.05)]:
         series = np.array(f.eval(p), dtype=complex)
@@ -165,7 +165,7 @@ def test_formal_vs_numeric_cross_check():
 
 def test_path_concatenation_consistency():
     # phi_0.5 o phi_0.5 = phi_1: two straight segments make the whole one
-    X = presets.field_example1(2, 3, 1, 2, order=6)
+    X = presets.field_example1(2, 3, 1, 2).truncate(6)
     p = (0.1, 0.12)
     whole = numeric_flow(X, p, 1.0)
     half = numeric_flow(X, p, 0.5)
@@ -224,7 +224,7 @@ def test_numeric_flow_at_time_zero_returns_the_point():
 
 def test_lie_derivative_first_integral():
     for (n, m, a, b) in ((1, 1, 1, 1), (2, 3, 1, 2)):
-        X = presets.field_example1(n, m, a, b, order=8)
+        X = presets.field_example1(n, m, a, b).truncate(8)
         g = Jet(2, 8, {(n, m): 1.0})
         assert lie_derivative(X, g).is_zero()
 
@@ -237,7 +237,7 @@ def test_lie_derivative_simple():
 
 def test_first_integral_drift_conservation():
     for (n, m, a, b) in ((1, 1, 1, 1), (2, 3, 1, 2)):
-        X = presets.field_example1(n, m, a, b, order=8)
+        X = presets.field_example1(n, m, a, b).truncate(8)
         g = Jet(2, 8, {(n, m): 1.0})
         assert first_integral_drift(X, g, (0.1, 0.12)) < 1e-8
 
@@ -311,7 +311,7 @@ def test_truncate_keeps_the_vector_field():
 def test_flow_cross_check_rows_are_series_against_numeric_flow():
     """Each row is (p, fmap(p), numeric_flow(X, p, t), max-norm error), the
     comparison `holodyn flow --point` made inline before."""
-    X = presets.field_example1(2, 3, 1, 2, order=6)
+    X = presets.field_example1(2, 3, 1, 2).truncate(6)
     t = 0.5 + 0.5j
     fmap = formal_flow(X, t, 6)
     points = [(0.04, 0.03j), (-0.02 + 0.01j, 0.05)]
@@ -376,8 +376,9 @@ def reference_integrate_ode(f, t0, t1, x0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 
 
 def unit_reference(f, x0, **kwargs):
-    """The former integrate_ode over [0, 1], with integrate_ode's signature."""
-    return reference_integrate_ode(f, 0.0, 1.0, x0, **kwargs)
+    """The former integrate_ode over [0, 1], with integrate_ode's signature:
+    its rtol is flows.DEFAULT_RTOL, read at call time."""
+    return reference_integrate_ode(f, 0.0, 1.0, x0, rtol=flows.DEFAULT_RTOL, **kwargs)
 
 
 def counted(f):
@@ -449,16 +450,18 @@ def test_lean_core_retraces_the_numpy_integrator_on_flows(monkeypatch, spec, p, 
     assert_close(new, old)
 
 
-def test_fsal_makes_six_calls_per_step():
+def test_fsal_makes_six_calls_per_step(monkeypatch):
     """1 + 6 * (accepted + rejected) calls, against 7 per step before; the
     reference's step sequence gives the rejections."""
     thmB = _leafwise_rhs(presets.load_foliation("thmB"), 1.0 + 0j)
     stiff = lambda t, x: [-300.0 * v for v in x]  # noqa: E731
-    for f, x0, kwargs, rejected in (
-            (thmB, (0.03, 0.04j), {}, 0),
-            (stiff, (1.0 + 0.5j,), {"rtol": 1e-13, "atol": 1e-13}, None)):
-        _, steps, calls = observed_run(integrate_ode, f, x0, **kwargs)
-        _, old_steps, old_calls = observed_run(unit_reference, f, x0, **kwargs)
+    for f, x0, rtol, kwargs, rejected in (
+            (thmB, (0.03, 0.04j), DEFAULT_RTOL, {}, 0),
+            (stiff, (1.0 + 0.5j,), 1e-13, {"atol": 1e-13}, None)):
+        with monkeypatch.context() as m:
+            m.setattr(flows, "DEFAULT_RTOL", rtol)
+            _, steps, calls = observed_run(integrate_ode, f, x0, **kwargs)
+            _, old_steps, old_calls = observed_run(unit_reference, f, x0, **kwargs)
         assert steps == old_steps and old_calls % 7 == 0
         tried = old_calls // 7
         if rejected is not None:
@@ -498,10 +501,11 @@ def test_integrate_ode_takes_ndarray_right_hand_sides(monkeypatch):
 # -- the generated step against the per-component loop it replaced ----------
 
 
-def loop_integrate_ode(f, x0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, observer=None):
+def loop_integrate_ode(f, x0, atol=DEFAULT_ATOL, observer=None):
     """The former integrate_ode: one list comprehension per stage over the
     components, calling f as it stands.  The generated integrators must
     give its bits."""
+    rtol = flows.DEFAULT_RTOL
     t = 0.0
     x = np.asarray(x0, dtype=complex).tolist()
     n = len(x)
@@ -620,15 +624,18 @@ def test_flow_segments_match_the_former_loop_bit_for_bit(monkeypatch, spec, p, t
     assert records[0] == records[1]
 
 
-def test_generated_opaque_step_matches_the_former_loop_bit_for_bit():
+def test_generated_opaque_step_matches_the_former_loop_bit_for_bit(monkeypatch):
     X = presets.load_field("example1(1,1,1,1)")
     rotate = lambda s, x: [(1.0 + 0.5j) * v * (1 + s) for v in x]  # noqa: E731
     array = lambda s, x: np.array(x, dtype=complex) * (0.5 - 1j)  # noqa: E731
     stiff = lambda s, x: [-300.0 * v for v in x]  # noqa: E731
-    for f, x0, kwargs in ((rotate, [0.2, 0.1j, -0.3], {}), (array, [0.2, 0.1j], {}),
-                          (stiff, (1.0 + 0.5j,), {"rtol": 1e-13, "atol": 1e-13}),
-                          (lambda s, x: X.eval(x), (0.1, 0.12), {})):
-        assert assert_kinds_agree(f, x0, False, **kwargs)[1][0] == np.dtype(complex)
+    for f, x0, rtol, kwargs in ((rotate, [0.2, 0.1j, -0.3], DEFAULT_RTOL, {}),
+                                (array, [0.2, 0.1j], DEFAULT_RTOL, {}),
+                                (stiff, (1.0 + 0.5j,), 1e-13, {"atol": 1e-13}),
+                                (lambda s, x: X.eval(x), (0.1, 0.12), DEFAULT_RTOL, {})):
+        with monkeypatch.context() as m:
+            m.setattr(flows, "DEFAULT_RTOL", rtol)
+            assert assert_kinds_agree(f, x0, False, **kwargs)[1][0] == np.dtype(complex)
     # an ndarray right-hand side hands its NumPy scalars on to the observer
     seen, _ = assert_kinds_agree(array, [0.2, 0.1j], False)
     assert seen[1][1][0][0] is np.complex128

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -438,7 +439,7 @@ def test_siegel_family_holonomy_matches_the_closed_form(exponents, order, z0):
     8.7e-16 for every other triple, and 2.5e-16 off resonance.
     """
     tol = 2e-13 if exponents == SIEGEL_PRESETS["example3"] else 1e-14
-    F = Foliation(presets._siegel_family(exponents, order), 2)
+    F = Foliation(presets._at_least(presets._siegel_family(exponents), order), 2)
     h, _ = holonomy_series(F, order, z0=z0)
     assert_matches_closed_form(h, closed_form_holonomy(exponents, order, z0), tol)
 
@@ -684,8 +685,10 @@ def test_series_matches_direct_oracle_to_truncation_order(F, a, b):
     for r in (0.04, 0.02):
         p = (r * cmath.exp(1j * a), r * cmath.exp(1j * b))
         series = np.array(h.eval(p), dtype=complex)
-        # holonomy_numeric's own integration, at tighter tolerances
-        numeric = integrate_ode(_leafwise_rhs(F, 1.0), p, rtol=1e-12, atol=1e-12)
+        # holonomy_numeric's own integration, at tighter tolerances (a
+        # function-scoped fixture cannot serve a hypothesis test)
+        with mock.patch.object(flows_module, "DEFAULT_RTOL", 1e-12):
+            numeric = integrate_ode(_leafwise_rhs(F, 1.0), p, atol=1e-12)
         errs.append(float(np.max(np.abs(series - numeric))))
     # an O(r^(order+1)) error falls by ~2^(order+1) when r halves (14.5 or
     # more over 150 draws), an error of degree <= order by 2^order or less;

@@ -3,6 +3,7 @@ import cmath
 import functools
 import math
 import random
+import re
 import struct
 from operator import sub
 
@@ -842,7 +843,8 @@ def test_pseudogroup_domain_rule_prunes_outward_step():
 
 
 def test_pseudogroup_seed_outside_ball_rejected():
-    with pytest.raises(OrbitError, match="outside the domain ball"):
+    with pytest.raises(OrbitError, match=re.escape(
+            "seed ((2+0j), 0j) lies outside the domain ball of radius 1.0")):
         pseudogroup_orbit(presets.pseudogroup_preset("h1h2"), (2.0, 0.0), V1)
 
 
@@ -922,6 +924,14 @@ def test_group_closure_gives_up_past_the_budget():
     rot = cmath.exp(2j * math.pi * presets.GOLDEN_ROTATION)
     closure = group_closure([LinearMap([[rot, 0], [0, 1]])])
     assert closure.order is None and closure.is_abelian
+
+
+@pytest.mark.parametrize("perm", [[1, -1], [0, 0], [0, 5], [0.5, 1]])
+def test_permutation_map_refuses_what_is_not_a_permutation(perm):
+    """A wrapped index, a repeat, an index past n - 1 and a fraction: each
+    would build a wrong or singular matrix, or fail on an index."""
+    with pytest.raises(ValueError, match=re.escape(f"perm {perm} is not a permutation of 0..1")):
+        PermutationMap(perm)
 
 
 def test_periodicity_linear_maps():
