@@ -214,7 +214,8 @@ def _drifts():
     for n, m, a, b in ((1, 1, 1, 1), (2, 3, 1, 2)):
         drifts[f"first_integral:example1({n},{m},{a},{b})"] = \
             lambda n=n, m=m, a=a, b=b: first_integral_drift(
-                presets.field_example1(n, m, a, b), Jet(2, 8, {(n, m): 1.0 + 0j}), (0.1, 0.12))
+                presets.load_field(f"example1({n},{m},{a},{b})"), Jet(2, 8, {(n, m): 1.0 + 0j}),
+                (0.1, 0.12))
     return drifts
 
 

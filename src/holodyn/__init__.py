@@ -37,7 +37,7 @@ from .orbits import (
     PermutationMap,
     ProductPreservingMap,
     OneVarParabolicMap,
-    TimeOneMap,
+    MonomialFlowMap,
     TruncatedJetMap,
     OrbitRecord,
     OrbitError,

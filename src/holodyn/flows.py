@@ -241,7 +241,6 @@ def _dp54(n: int, stage: str | None):
 def integrate_ode(
     f: Callable[[float, list], Sequence[complex]],
     x0,
-    atol: float = DEFAULT_ATOL,
     observer: Callable[[float, list], None] | None = None,
 ) -> np.ndarray:
     """Adaptive DP 5(4) over the real parameter interval s in [0, 1].
@@ -269,14 +268,15 @@ def integrate_ode(
     :class:`DomainEscape` when the max-norm exceeds ``ESCAPE_RADIUS`` and
     :class:`StepUnderflow` when the step falls below 1e-14; their ``point``
     is an ndarray.  Raises :class:`MaxStepsExceeded` after ``MAX_STEPS``
-    steps.  rtol is ``DEFAULT_RTOL``, read at call time as both bounds are.
+    steps.  rtol and atol are ``DEFAULT_RTOL`` and ``DEFAULT_ATOL``, read at
+    call time as both bounds are.
     """
     x = np.asarray(x0, dtype=complex).tolist()
     n = len(x)
     step = getattr(f, "inline", None)
     if not isinstance(step, InlineStep) or step.size != n:
         step = InlineStep(n, None, f, None)
-    return _dp54(n, step.stage)(step.f, step.P, x, DEFAULT_RTOL, atol, observer,
+    return _dp54(n, step.stage)(step.f, step.P, x, DEFAULT_RTOL, DEFAULT_ATOL, observer,
                                 MAX_STEPS, ESCAPE_RADIUS)
 
 
@@ -284,14 +284,13 @@ def numeric_flow(
     X: VectorField,
     p,
     t: complex = 1.0,
-    atol: float = DEFAULT_ATOL,
     observer: Callable[[complex, list], None] | None = None,
 ) -> np.ndarray:
     """Integrate dx/dt = X(x) over the complex-time segment [0, t].
 
     The segment is integrated as dx/ds = t * X(x), s in [0, 1], and
     ``observer(s * t, x)`` gets the start and every accepted state; the
-    error norm's rtol is ``DEFAULT_RTOL``.  t = 0 returns p.  Raises
+    error norm is ``integrate_ode``'s.  t = 0 returns p.  Raises
     DomainEscape when the trajectory leaves the ball of radius
     ``ESCAPE_RADIUS`` and StepUnderflow when the step underflows, each at
     the time s * t of the failure (a float when t is real).
@@ -306,7 +305,7 @@ def numeric_flow(
     watch = None if observer is None else lambda s, y: observer(s * t, y)
     span = t.real if t.imag == 0 else t
     try:
-        return integrate_ode(rhs, p, atol=atol, observer=watch)
+        return integrate_ode(rhs, p, observer=watch)
     except DomainEscape as e:
         raise DomainEscape(e.t * span, e.point, ESCAPE_RADIUS) from None
     except StepUnderflow as e:

@@ -366,12 +366,15 @@ class JetMap:
 
         Solves h(g(x)) = x by the contraction g <- L^{-1}(id - R(g)) with
         h = L + R, R of valuation >= 2; each pass fixes one more degree.
+        L is singular when |det L| <= 1e-12 times the product of its rows'
+        2-norms, which bound |det L| (Hadamard's inequality), so the test
+        does not depend on the scale of L.
         """
         import numpy as np
 
         n, order = self.n_vars, self.order
         L = np.array(self.linear_part(), dtype=complex)
-        if abs(np.linalg.det(L)) < 1e-12:
+        if abs(np.linalg.det(L)) <= 1e-12 * np.prod(np.linalg.norm(L, axis=1)):
             raise JetError("linear part is singular; jet map is not invertible")
         Linv = np.linalg.inv(L)
         lin = JetMap.linear(L, order)

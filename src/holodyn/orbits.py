@@ -6,6 +6,10 @@ budget-exhausted trichotomy, breadth-first pseudogroup orbits, finite
 group closure for exactly-representable generators, and the parabolic
 petal analysis for x -> x + c x^(d+1).
 
+No map integrates an ODE: the product-preserving, parabolic and example1
+time-one maps are closed forms, and the others evaluate a compiled jet or a
+1-d Newton inverse.
+
 Periodicity has two rules: coefficientwise for every map with an exact jet
 (a truncated jet map; a linear map is an order-1 one), and pointwise on five
 fixed probes for every other map.
@@ -20,13 +24,13 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flows import VectorField, numeric_flow, DomainEscape, StepUnderflow
 from .jets import Jet, JetError, JetMap
 
 DEFAULT_BUDGET = 100_000
@@ -38,7 +42,6 @@ DEDUP_EPS_FACTOR = 1e-9
 # in batches of at most KEY_BATCH points, so NumPy's fixed cost per call is
 # spread over many points
 KEY_BATCH = 1024
-TIME_ONE_ATOL = 1e-12
 # TruncatedJetMap._invert accepts an inverse jet when h^-1(h(p)) returns
 # probes of this radius to within INVERSE_TOL
 INVERSE_PROBE_RADIUS = 0.05
@@ -61,7 +64,7 @@ class OrbitError(RuntimeError):
 
 
 # what one map step may raise when the image leaves the germ's domain
-STEP_FAILURES = (OrbitError, DomainEscape, StepUnderflow, OverflowError)
+STEP_FAILURES = (OrbitError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -309,20 +312,56 @@ def _newton(g_dg, target: complex) -> complex:
     raise OrbitError("inverse Newton iteration did not converge")
 
 
-class TimeOneMap(EvaluableMap):
-    """Time-one map of a polynomial vector field, evaluated numerically."""
+class MonomialFlowMap(EvaluableMap):
+    """Time-one map of x^a y^b (x d/dx - (n/m) y d/dy) in closed form.
 
-    def __init__(self, X: VectorField, name: str = "time-one"):
-        self.X = X
+    With lam = n/m, w = x^a y^b solves w' = kappa w^2, kappa = a - b lam,
+    so the time-t map is (x e^L, y e^(-lam L)) with
+    L = -log(1 - kappa w t) / kappa on the principal branch, and L = w t when
+    kappa = 0.  For real t the segment from 1 to 1 - kappa w t meets the
+    branch cut only when it ends on (-inf, 0]: there the flow blows up
+    before time t, and the step raises OrbitError.  The inverse is the same
+    formula at t = -1.
+    """
+
+    n_vars = 2
+
+    def __init__(self, n: int, m: int, a: int, b: int, name: str = "time-one"):
+        if m == 0:
+            raise ValueError("m must be nonzero")
+        if a < 0 or b < 0:
+            raise ValueError(f"exponents a, b must be non-negative, got a={a}, b={b}")
+        self.n, self.m, self.a, self.b = n, m, a, b
+        lam = Fraction(n, m)
+        self.lam = float(lam)
+        self.kappa = float(a - b * lam)  # exact, so kappa = 0 exactly when a m = b n
         self.name = name
-        self.n_vars = X.n_vars
 
     def eval(self, p: Point) -> Point:
-        return tuple(numeric_flow(self.X, p, 1.0, atol=TIME_ONE_ATOL))
+        return self._flow(p, 1.0)
 
-    def _invert(self) -> "TimeOneMap":
-        """The time-one map of -X, which is the time -1 map of X."""
-        return TimeOneMap(VectorField([-c for c in self.X.components]), name=self.name + "^-1")
+    def _flow(self, p: Point, t: float) -> Point:
+        """The time-t map at p, for real t."""
+        x, y = p
+        w = x ** self.a * y ** self.b
+        if self.kappa == 0:
+            L = w * t
+        else:
+            z = 1.0 - self.kappa * w * t
+            if z.imag == 0 and z.real <= 0:
+                raise OrbitError(f"the flow blows up before time {t}")
+            L = -cmath.log(z) / self.kappa
+        return (x * cmath.exp(L), y * cmath.exp(-self.lam * L))
+
+    def _invert(self) -> EvaluableMap:
+        return _TimeMinusOneMap(self)
+
+
+class _TimeMinusOneMap(_InverseMap):
+    """The closed form of a MonomialFlowMap at t = -1."""
+
+    def eval(self, q: Point) -> Point:
+        return self.fwd._flow(q, -1.0)
 
 
 class TruncatedJetMap(EvaluableMap):
@@ -339,8 +378,9 @@ class TruncatedJetMap(EvaluableMap):
 
     def _invert(self) -> Optional["TruncatedJetMap"]:
         """The inverse jet map (at order 1, np.linalg.inv's entries above
-        PRUNE_TOL), or None when the linear part is singular (|det| < 1e-12)
-        or the inverse fails the probe check."""
+        PRUNE_TOL), or None when the linear part is singular (|det| at most
+        1e-12 times the product of its rows' 2-norms) or the inverse fails
+        the probe check."""
         try:
             inv = self.jmap.inverse()
         except JetError:

@@ -24,10 +24,10 @@ from .jets import Jet, JetMap, DEFAULT_ORDER
 from .orbits import (
     EvaluableMap,
     LinearMap,
+    MonomialFlowMap,
     OneVarParabolicMap,
     PermutationMap,
     ProductPreservingMap,
-    TimeOneMap,
     TruncatedJetMap,
     lattice_seeds,
 )
@@ -258,7 +258,7 @@ _MAPS = {
     "h2": (map_h2, (0,)),
     "swap": (map_h2, (0,)),
     "parabolic": (_parabolic, (2,)),
-    "phiX": (lambda *a: TimeOneMap(field_example1(*_integers(a)), name="phiX"), (4,)),
+    "phiX": (lambda *a: MonomialFlowMap(*_integers(a), name="phiX"), (4,)),
 }
 
 
@@ -267,7 +267,10 @@ def load_map(spec: str) -> EvaluableMap:
         jmap = _read_json(spec, "jet-map", JetMap.from_json_dict)
         return _bounded(TruncatedJetMap(jmap, name=spec), jmap.components, spec, "jet-map")
     _, h = _build("map", _MAPS, spec)
-    return _bounded(h, h.X.components if isinstance(h, TimeOneMap) else (), spec, "jet-map")
+    # phiX(n,m,a,b) is bounded by the order a + b + 1 of its field, as example1 is
+    phiX = isinstance(h, MonomialFlowMap)
+    jets = field_example1(h.n, h.m, h.a, h.b).components if phiX else ()
+    return _bounded(h, jets, spec, "jet-map")
 
 
 # name -> (what builds its generators, the argument counts it takes); both name one group

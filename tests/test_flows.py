@@ -377,8 +377,10 @@ def reference_integrate_ode(f, t0, t1, x0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
 
 def unit_reference(f, x0, **kwargs):
     """The former integrate_ode over [0, 1], with integrate_ode's signature:
-    its rtol is flows.DEFAULT_RTOL, read at call time."""
-    return reference_integrate_ode(f, 0.0, 1.0, x0, rtol=flows.DEFAULT_RTOL, **kwargs)
+    its rtol and atol are flows.DEFAULT_RTOL and flows.DEFAULT_ATOL, read at
+    call time."""
+    return reference_integrate_ode(f, 0.0, 1.0, x0, rtol=flows.DEFAULT_RTOL,
+                                   atol=flows.DEFAULT_ATOL, **kwargs)
 
 
 def counted(f):
@@ -392,11 +394,11 @@ def counted(f):
     return g, calls
 
 
-def observed_run(integrate, f, x0, **kwargs):
+def observed_run(integrate, f, x0):
     """(end state, accepted steps, calls of f) of one integration over [0, 1]."""
     g, calls = counted(f)
     states = []
-    out = integrate(g, x0, observer=lambda t, x: states.append(t), **kwargs)
+    out = integrate(g, x0, observer=lambda t, x: states.append(t))
     return out, len(states) - 1, calls[0]
 
 
@@ -455,13 +457,14 @@ def test_fsal_makes_six_calls_per_step(monkeypatch):
     reference's step sequence gives the rejections."""
     thmB = _leafwise_rhs(presets.load_foliation("thmB"), 1.0 + 0j)
     stiff = lambda t, x: [-300.0 * v for v in x]  # noqa: E731
-    for f, x0, rtol, kwargs, rejected in (
-            (thmB, (0.03, 0.04j), DEFAULT_RTOL, {}, 0),
-            (stiff, (1.0 + 0.5j,), 1e-13, {"atol": 1e-13}, None)):
+    for f, x0, rtol, atol, rejected in (
+            (thmB, (0.03, 0.04j), DEFAULT_RTOL, DEFAULT_ATOL, 0),
+            (stiff, (1.0 + 0.5j,), 1e-13, 1e-13, None)):
         with monkeypatch.context() as m:
             m.setattr(flows, "DEFAULT_RTOL", rtol)
-            _, steps, calls = observed_run(integrate_ode, f, x0, **kwargs)
-            _, old_steps, old_calls = observed_run(unit_reference, f, x0, **kwargs)
+            m.setattr(flows, "DEFAULT_ATOL", atol)
+            _, steps, calls = observed_run(integrate_ode, f, x0)
+            _, old_steps, old_calls = observed_run(unit_reference, f, x0)
         assert steps == old_steps and old_calls % 7 == 0
         tried = old_calls // 7
         if rejected is not None:
@@ -501,11 +504,11 @@ def test_integrate_ode_takes_ndarray_right_hand_sides(monkeypatch):
 # -- the generated step against the per-component loop it replaced ----------
 
 
-def loop_integrate_ode(f, x0, atol=DEFAULT_ATOL, observer=None):
+def loop_integrate_ode(f, x0, observer=None):
     """The former integrate_ode: one list comprehension per stage over the
     components, calling f as it stands.  The generated integrators must
     give its bits."""
-    rtol = flows.DEFAULT_RTOL
+    rtol, atol = flows.DEFAULT_RTOL, flows.DEFAULT_ATOL
     t = 0.0
     x = np.asarray(x0, dtype=complex).tolist()
     n = len(x)
@@ -579,11 +582,11 @@ def run_record(run) -> tuple:
     return seen, (out.dtype, out.tobytes())
 
 
-def assert_kinds_agree(f, x0, inlined, **kwargs):
+def assert_kinds_agree(f, x0, inlined):
     """integrate_ode on f, its stage inlined or not as ``inlined`` says, on
     f called as it stands and the former loop: the same record, bit for bit."""
     assert isinstance(getattr(f, "inline", None), InlineStep) == inlined
-    records = [run_record(lambda watch: integrate(g, x0, observer=watch, **kwargs))
+    records = [run_record(lambda watch: integrate(g, x0, observer=watch))
                for integrate, g in ((integrate_ode, f), (integrate_ode, opaque(f)),
                                     (loop_integrate_ode, f))]
     assert records[0] == records[1] == records[2]
@@ -629,13 +632,14 @@ def test_generated_opaque_step_matches_the_former_loop_bit_for_bit(monkeypatch):
     rotate = lambda s, x: [(1.0 + 0.5j) * v * (1 + s) for v in x]  # noqa: E731
     array = lambda s, x: np.array(x, dtype=complex) * (0.5 - 1j)  # noqa: E731
     stiff = lambda s, x: [-300.0 * v for v in x]  # noqa: E731
-    for f, x0, rtol, kwargs in ((rotate, [0.2, 0.1j, -0.3], DEFAULT_RTOL, {}),
-                                (array, [0.2, 0.1j], DEFAULT_RTOL, {}),
-                                (stiff, (1.0 + 0.5j,), 1e-13, {"atol": 1e-13}),
-                                (lambda s, x: X.eval(x), (0.1, 0.12), DEFAULT_RTOL, {})):
+    for f, x0, rtol, atol in ((rotate, [0.2, 0.1j, -0.3], DEFAULT_RTOL, DEFAULT_ATOL),
+                              (array, [0.2, 0.1j], DEFAULT_RTOL, DEFAULT_ATOL),
+                              (stiff, (1.0 + 0.5j,), 1e-13, 1e-13),
+                              (lambda s, x: X.eval(x), (0.1, 0.12), DEFAULT_RTOL, DEFAULT_ATOL)):
         with monkeypatch.context() as m:
             m.setattr(flows, "DEFAULT_RTOL", rtol)
-            assert assert_kinds_agree(f, x0, False, **kwargs)[1][0] == np.dtype(complex)
+            m.setattr(flows, "DEFAULT_ATOL", atol)
+            assert assert_kinds_agree(f, x0, False)[1][0] == np.dtype(complex)
     # an ndarray right-hand side hands its NumPy scalars on to the observer
     seen, _ = assert_kinds_agree(array, [0.2, 0.1j], False)
     assert seen[1][1][0][0] is np.complex128

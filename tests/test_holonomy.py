@@ -687,8 +687,9 @@ def test_series_matches_direct_oracle_to_truncation_order(F, a, b):
         series = np.array(h.eval(p), dtype=complex)
         # holonomy_numeric's own integration, at tighter tolerances (a
         # function-scoped fixture cannot serve a hypothesis test)
-        with mock.patch.object(flows_module, "DEFAULT_RTOL", 1e-12):
-            numeric = integrate_ode(_leafwise_rhs(F, 1.0), p, atol=1e-12)
+        with mock.patch.object(flows_module, "DEFAULT_RTOL", 1e-12), \
+                mock.patch.object(flows_module, "DEFAULT_ATOL", 1e-12):
+            numeric = integrate_ode(_leafwise_rhs(F, 1.0), p)
         errs.append(float(np.max(np.abs(series - numeric))))
     # an O(r^(order+1)) error falls by ~2^(order+1) when r halves (14.5 or
     # more over 150 draws), an error of degree <= order by 2^order or less;

@@ -10,22 +10,21 @@ from operator import sub
 import numpy as np
 import pytest
 
-from holodyn import holonomy_series, orbits, presets
+from holodyn import flows, holonomy_series, orbits, presets
 from holodyn.flows import numeric_flow
 from holodyn.jets import Jet, JetMap
 from holodyn.orbits import (
     DEFAULT_BUDGET,
-    TIME_ONE_ATOL,
     DomainBall,
     EvaluableMap,
     LinearMap,
+    MonomialFlowMap,
     OneVarParabolicMap,
     STEP_FAILURES,
     OrbitError,
     OrbitRecord,
     PermutationMap,
     ProductPreservingMap,
-    TimeOneMap,
     TruncatedJetMap,
     _cycle_event,
     _dedup_keys,
@@ -949,12 +948,22 @@ def test_periodicity_jet_map():
     assert periodicity_test(m, 5) == 2
 
 
+class Rotation(EvaluableMap):
+    """x_j -> e^(2 pi i turns_j) x_j, evaluated as a formula: a map with no jet."""
+
+    def __init__(self, turns):
+        self.factors = [cmath.exp(2j * math.pi * q) for q in turns]
+        self.n_vars = len(turns)
+
+    def eval(self, p):
+        return tuple(f * c for f, c in zip(self.factors, p))
+
+
 @pytest.mark.parametrize("turns, period", [((1 / 3, -1 / 3), 3), ((1 / 5, 2 / 5), 5)])
 def test_periodicity_test_finds_a_time_one_rotation_pointwise(turns, period):
     """The time-one map of the linear field with eigenvalues 2 pi i * turns
     rotates each coordinate by its turn: the pointwise rule finds its period."""
-    h = TimeOneMap(presets.field_linear([2j * math.pi * q for q in turns]))
-    assert periodicity_test(h, 10) == period
+    assert periodicity_test(Rotation(turns), 10) == period
 
 
 def test_H_not_periodic_up_to_200():
@@ -1033,16 +1042,71 @@ def test_periodicity_test_matches_the_former_test_on_jet_and_point_maps(make):
     assert periodicity_test(h, 200) == reference_periodicity_test(h, 200)
 
 
+# the example1(n,m,a,b) fields whose time-one maps phiX(n,m,a,b) are checked
+EXAMPLE1_ARGS = ["(1,1,1,1)", "(1,2,1,0)", "(2,1,0,1)", "(3,2,2,1)", "(1,3,2,2)", "(5,7,1,3)",
+                 "(1,1,3,0)", "(2,3,1,2)"]
+
+
+def example1_points(args, k=20):
+    """k seeded points with real and imaginary parts in [-0.3, 0.3]."""
+    rng = random.Random(args)
+    return [tuple(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(2))
+            for _ in range(k)]
+
+
+def distance(p, q):
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
+@pytest.mark.parametrize("args", EXAMPLE1_ARGS)
+def test_phiX_and_its_inverse_are_the_numeric_flow_at_plus_and_minus_one(monkeypatch, args):
+    """The closed form against numeric_flow(X, p, +-1) of the example1 field,
+    at the former time-one maps' atol 1e-12: within 1e-10 (1.8e-11 at worst)."""
+    monkeypatch.setattr(flows, "DEFAULT_ATOL", 1e-12)
+    phi, X = presets.load_map("phiX" + args), presets.load_field("example1" + args)
+    assert isinstance(phi, MonomialFlowMap)
+    for p in example1_points(args):
+        assert distance(phi.eval(p), numeric_flow(X, p, 1.0)) < 1e-10
+        assert distance(phi.inverse().eval(p), numeric_flow(X, p, -1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("args", EXAMPLE1_ARGS)
+def test_phiX_inverse_round_trips_to_rounding(args):
+    """phi^-1(phi(p)) and phi(phi^-1(p)) return p within 1e-15 (1.8e-16 at worst)."""
+    phi = presets.load_map("phiX" + args)
+    inv = phi.inverse()
+    for p in example1_points(args):
+        assert distance(inv.eval(phi.eval(p)), p) < 1e-15
+        assert distance(phi.eval(inv.eval(p)), p) < 1e-15
+
+
 @pytest.mark.parametrize("spec", ["phiX(1,1,1,1)", "phiX(2,3,1,2)"])
-def test_time_one_inverse_is_the_time_minus_one_flow_bit_for_bit(spec):
+def test_phiX_inverse_is_the_closed_form_at_time_minus_one(spec):
+    """With w = x^a y^b, lam = n/m and kappa = a - b lam, the time-t map is
+    (x E, y E^-lam), E = (1 - kappa w t)^(-1/kappa) (e^(w t) when kappa = 0);
+    the inverse is it at t = -1, and its own inverse is phiX."""
     phi = presets.load_map(spec)
     inv = phi.inverse()
-    assert isinstance(inv, TimeOneMap) and inv.name == "phiX^-1"
-    rng = random.Random(spec)
-    for _ in range(40):
-        p = tuple(complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(2))
-        want = numeric_flow(phi.X, p, -1.0, atol=TIME_ONE_ATOL)
-        assert inv.eval(p) == tuple(want)
+    assert inv.name == "phiX^-1" and inv.inverse() is phi
+    lam = phi.n / phi.m
+    kappa = phi.a - phi.b * lam
+    for x, y in example1_points(spec, 40):
+        w = x ** phi.a * y ** phi.b
+        E = cmath.exp(-w) if kappa == 0 else (1 + kappa * w) ** (-1 / kappa)
+        want = (x * E, y * E ** -lam)
+        assert distance(inv.eval((x, y)), want) < 1e-15
+
+
+def test_phiX_escapes_where_its_flow_blows_up():
+    """phiX(1,1,2,0): w = x^2 solves w' = 2 w^2, so from (0.8, 0.1) the flow
+    blows up at t = 1 / 1.28: the first forward step raises OrbitError and
+    escapes, and the backward run escapes at step 78 (x y = 0.08 is kept, so
+    |y| > 1 once x^2 < 0.0064): mu = 80, as when the map was integrated."""
+    phi = presets.load_map("phiX(1,1,2,0)")
+    with pytest.raises(OrbitError, match="blows up"):
+        phi.eval((0.8, 0.1))
+    rec = iterate_orbit(phi, (0.8, 0.1), V1)
+    assert (rec.status, rec.mu, rec.cardinality, rec.one_sided) == ("Escaped", 80, 78, False)
 
 
 # -- petals -----------------------------------------------------------------------
@@ -1117,7 +1181,7 @@ def test_truncated_jet_map_refuses_an_inverse_that_misses_the_probe_round_trip()
 
 
 # one map of each class: the product-preserving, parabolic, linear, permutation,
-# time-one and truncated jet maps
+# closed-form time-one and truncated jet maps
 ONE_INVERSE_MAPS = {
     "H": presets.map_H,
     "F": presets.map_F,
@@ -1286,6 +1350,19 @@ def test_a_singular_linear_map_is_one_sided_as_its_jet_map(matrix):
         want = pseudogroup_orbit([jet], s, V)
         assert (orb.points, orb.words, orb.truncated) == (want.points, want.words, want.truncated)
         assert "g0^-1" not in " ".join(orb.words)
+
+
+def test_a_small_scaled_identity_has_an_inverse_and_two_sided_records():
+    """1e-7 I has |det| = 1e-14: singular for the former absolute bound
+    |det| < 1e-12, invertible for the relative one (1e-12 times the rows'
+    2-norms, 1e-26 here).  Forward it converges onto 0 (budget-exhausted);
+    backward, 1e7 I escapes at its first step."""
+    h = LinearMap([[1e-7, 0], [0, 1e-7]])
+    inv = h.inverse()
+    assert inv is not None and inv.jmap.linear_part() == [[1e7, 0], [0, 1e7]]
+    for s in [(0.1, 0.2), (0.2, -0.05j), (0.29, 0.29)]:
+        rec = iterate_orbit(h, s, DomainBall(0.3))
+        assert not rec.one_sided and rec.status == "BudgetExhausted"
 
 
 @pytest.mark.parametrize("matrix, row", [
