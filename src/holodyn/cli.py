@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import presets, reproduce
 from .coefficients import CoefficientSystemError
@@ -34,6 +35,7 @@ from .flows import (
     lie_derivative,
 )
 from .holonomy import (
+    AxisComponentVanishes,
     BasePointUnderflow,
     HolonomyError,
     NormalFormError,
@@ -76,7 +78,7 @@ FAILURES = {
     **dict.fromkeys((PresetError, HolonomyError, CoefficientSystemError, JetError, FlowError,
                      OrbitError), ConfigError),
     **dict.fromkeys((DomainEscape, StepUnderflow, MaxStepsExceeded, BasePointUnderflow,
-                     OverflowError), NumericFailure),
+                     AxisComponentVanishes, OverflowError), NumericFailure),
 }
 _VERBS = {OverflowError: "overflows", BasePointUnderflow: "underflows"}
 
@@ -338,6 +340,11 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
     _check_finite("--grid-low", grid_low)
     _check_count("--budget", budget, "MAX_BUDGET")
     _check_count("--random-seeds", random_seeds, "MAX_SEEDS", "seeds")
+    picker = "--level-circle" if level_circle else "--random-seeds" if random_seeds else None
+    given = click.get_current_context().get_parameter_source("grid") is ParameterSource.COMMANDLINE
+    for option, ignored in (("--grid", given), ("--grid-low", grid_low is not None)):
+        if picker and ignored:
+            raise ConfigError(f"{option} does not apply to {picker}, which picks its own seeds")
     if seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     h = presets.load_map(map_spec)

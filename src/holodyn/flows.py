@@ -10,15 +10,13 @@ Two routes are provided and cross-check each other:
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .coefficients import CoefficientTable, solve_coefficient_system
-from .exppoly import TWO_PI_I
 from .jets import Jet, JetMap, JetError, _binder
 
 DEFAULT_RTOL = 1e-10
@@ -124,7 +122,7 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 
 _DP54_TEMPLATE = """\
 def bind({names}):
-    def integrate(f, P, x, rtol, atol, observer, max_steps, radius):
+    def integrate(f, x, rtol, atol, observer, max_steps, radius):
         [{x}] = x
         t = 0.0
         h = 1e-2
@@ -161,42 +159,20 @@ _DP_NAMES = {
     **{f"b{j + 1}": b for j, b in enumerate(_DP_B5) if b},
     **{f"e{j + 1}": b - c for j, (b, c) in enumerate(zip(_DP_B5, _DP_B4)) if b - c},
     **{f"c{i}": _DP_C[i - 1] for i in range(2, 6)},
-    "TWO_PI_I": TWO_PI_I, "exp": cmath.exp, "sqrt": math.sqrt, "array": np.array,
+    "sqrt": math.sqrt, "array": np.array,
     "DomainEscape": DomainEscape, "StepUnderflow": StepUnderflow,
     "MaxStepsExceeded": MaxStepsExceeded,
 }
 TERMS_PER_LINE = 100  # of the error norm's sum, in the code _dp54_source generates
 
 
-class InlineStep(NamedTuple):
-    """How :func:`integrate_ode` writes a right-hand side out inline.
-
-    ``stage`` is one DP5(4) stage as a :meth:`str.format` template:
-    statements, one a line, that set the slopes ``{k[0]}``, ``{k[1]}``, ...
-    from the state ``{y[0]}``, ``{y[1]}``, ... at the time ``{time}``.  They
-    may call ``f``, read ``P`` and use the integrator's ``TWO_PI_I`` and
-    ``exp``; any other name they set starts with v, w or z, which the
-    integrator leaves free.  A right-hand side carries one as its
-    ``inline`` attribute, and ``stage`` does what its own body does, float
-    operation by float operation.  A ``stage`` of None calls
-    ``f(s, [y0, ...])`` as it stands.
-    """
-
-    size: int  # the number of state components ``stage`` is written for
-    stage: str | None
-    f: Callable
-    P: object
-
-
-def _dp54_source(n: int, stage: str | None) -> str:
+def _dp54_source(n: int) -> str:
     """The source of one DP5(4) integrator for a state of n components.
 
-    Each stage sets its slopes from the :class:`InlineStep` template
-    ``stage``, or, when it is None, by the call
-    ``[k<k>_0, ...] = f(s, [y0, ...])`` of any right-hand side f.  Every
-    state component and stage slope is its own local name, and each float
-    operation is the one the loop over components did, in the same order
-    on the same operands.
+    Each stage sets its slopes by the call ``[k<k>_0, ...] = f(s, [y0, ...])``.
+    Every state component and stage slope is its own local name, and each
+    float operation is the one the loop over components did, in the same
+    order on the same operands.
     """
     xs = [f"x{i}" for i in range(n)]
     ys = [f"y{i}" for i in range(n)]
@@ -205,10 +181,8 @@ def _dp54_source(n: int, stage: str | None) -> str:
     error = [(f"e{j}", j) for j in range(1, 8) if f"e{j}" in _DP_NAMES]
 
     def slopes(k, time, args):
-        ks = [f"k{k}_{i}" for i in range(n)]
-        if stage is None:
-            return [f"[{', '.join(ks)}] = f({time}, [{', '.join(args)}])"]
-        return stage.format(time=time, y=args, k=ks).splitlines()
+        ks = ", ".join(f"k{k}_{i}" for i in range(n))
+        return f"[{ks}] = f({time}, [{', '.join(args)}])"
 
     def combination(row, i):
         return " + ".join(f"{name} * k{j}_{i}" for name, j in row)
@@ -216,7 +190,7 @@ def _dp54_source(n: int, stage: str | None) -> str:
     body = []
     for k in range(2, 8):  # stage 7 is at the 5th-order solution y
         body += [f"y{i} = x{i} + h * ({combination(rows[k], i)})" for i in range(n)]
-        body += slopes(k, f"t + c{k} * h" if k < 6 else "t + h", ys)
+        body.append(slopes(k, f"t + c{k} * h" if k < 6 else "t + h", ys))
     body += [f"q{i} = abs(h * ({combination(error, i)})) / "
              f"(atol + rtol * max(abs(x{i}), abs(y{i})))" for i in range(n)]
     squares = [f"q{i} * q{i}" for i in range(n)]
@@ -226,16 +200,16 @@ def _dp54_source(n: int, stage: str | None) -> str:
     accept = [f"x{i} = y{i}" for i in range(n)] + [f"k1_{i} = k7_{i}" for i in range(n)]
     return _DP54_TEMPLATE.format(
         names=", ".join(_DP_NAMES), x=", ".join(xs), n=n,
-        first="\n        ".join(slopes(1, "t", xs)),
+        first=slopes(1, "t", xs),
         stages="\n            ".join(body),
         accept="\n                ".join(accept),
         size=f"max({', '.join(f'abs({x})' for x in xs)})" if n != 1 else "abs(x0)")
 
 
 @functools.lru_cache(maxsize=128)
-def _dp54(n: int, stage: str | None):
-    """The integrator of :func:`_dp54_source`, compiled once per shape."""
-    return _binder(_dp54_source(n, stage))(**_DP_NAMES)
+def _dp54(n: int):
+    """The integrator of :func:`_dp54_source`, compiled once per state size."""
+    return _binder(_dp54_source(n))(**_DP_NAMES)
 
 
 def integrate_ode(
@@ -254,14 +228,10 @@ def integrate_ode(
     next step's first stage and a rejected step keeps its own; each step
     costs six calls of f, one integration 1 + 6 * (accepted + rejected).
 
-    The step is generated code, one integrator per state size and stage
-    (:func:`_dp54_source`), compiled on first use.  An f whose ``inline``
-    attribute is an :class:`InlineStep` for a state of this size has its
-    stage written out inline, as the leafwise equations of
-    :func:`holodyn.holonomy.holonomy_numeric` do; any other f, a wrapped
-    one included, is called as it stands.  Both do the float operations of
-    the one loop over components, in its order, so inlining changes no bit
-    of a result or a failure.
+    The step is generated code, one integrator per state size
+    (:func:`_dp54_source`), compiled on first use; every stage calls f as
+    it stands, a wrapped f included, and does the float operations of the
+    one loop over components, in its order.
 
     The error norm is an RMS of the componentwise error scaled by
     atol + rtol*|x|.  Returns the end state as a complex ndarray.  Raises
@@ -272,12 +242,7 @@ def integrate_ode(
     call time as both bounds are.
     """
     x = np.asarray(x0, dtype=complex).tolist()
-    n = len(x)
-    step = getattr(f, "inline", None)
-    if not isinstance(step, InlineStep) or step.size != n:
-        step = InlineStep(n, None, f, None)
-    return _dp54(n, step.stage)(step.f, step.P, x, DEFAULT_RTOL, DEFAULT_ATOL, observer,
-                                MAX_STEPS, ESCAPE_RADIUS)
+    return _dp54(len(x))(f, x, DEFAULT_RTOL, DEFAULT_ATOL, observer, MAX_STEPS, ESCAPE_RADIUS)
 
 
 def numeric_flow(

@@ -33,8 +33,8 @@ import numpy as np
 
 from .coefficients import CoefficientTable, solve_coefficient_system
 from .exppoly import ExpPoly, TWO_PI_I
-from .flows import InlineStep, VectorField, integrate_ode, observed_drift, series_vs_numeric
-from .jets import Jet, JetMap, PRUNE_TOL, _integer
+from .flows import VectorField, integrate_ode, observed_drift, series_vs_numeric
+from .jets import Jet, JetError, JetMap, PRUNE_TOL, WRONG_DIMENSION, _binder, _integer
 
 LINEAR_TOL = 1e-12
 NORMAL_FORM_TOL = 1e-10
@@ -46,6 +46,10 @@ class HolonomyError(ValueError):
 
 class BasePointUnderflow(ArithmeticError):
     """|z0|^m < PRUNE_TOL for a kept loop frequency m: its terms would be pruned."""
+
+
+class AxisComponentVanishes(ArithmeticError):
+    """X_axis is 0 on the leaf, so the leafwise equations are undefined there."""
 
 
 @dataclass
@@ -202,18 +206,24 @@ def holonomy_numeric(
 
     Independent oracle for :func:`holonomy_series`.  The leafwise equations
     dx_j/dt = 2 pi i * z * X_j(x, z) / X_axis(x, z) along z = z0*e^(2 pi i t)
-    are integrated by :func:`integrate_ode` with their stage written out
-    inline (:func:`_leafwise_stage`: z, one call of the field's compiled
-    evaluator and the scaling 2 pi i * z / X_axis), with no monodromy
-    system and no truncation; the exact route never calls the integrator.
-    A wrapped right-hand side is called as it stands, with the same float
-    operations and so the same bits.  This is the module's one leafwise
+    are integrated by :func:`integrate_ode`, with no monodromy system and no
+    truncation; the exact route never calls the integrator.  Their
+    right-hand side (:func:`_leafwise_rhs`) is compiled once per number of
+    variables and axis: z, one call of the field's compiled evaluator and
+    the scaling 2 pi i * z / X_axis.  This is the module's one leafwise
     integration: the drift check watches it through ``observer(t, x)``,
     which gets every accepted state.  Raises HolonomyError when the loop
-    encloses or meets another singular point of the axis, and DomainEscape
-    when the leaf leaves the ball of radius ``flows.ESCAPE_RADIUS``.
+    encloses or meets another singular point of the axis, DomainEscape when
+    the leaf leaves the ball of radius ``flows.ESCAPE_RADIUS``, and
+    :class:`AxisComponentVanishes` when X_axis is 0 at a point the
+    integrator evaluates.
     """
-    return integrate_ode(_leafwise_rhs(F, z0), p, observer=observer)
+    try:
+        return integrate_ode(_leafwise_rhs(F, z0), p, observer=observer)
+    except ZeroDivisionError:
+        raise AxisComponentVanishes(
+            f"the axis component X_{F.separatrix_axis} vanishes on the leaf through "
+            f"{tuple(complex(v) for v in p)}: the leafwise equations divide by it") from None
 
 
 def holonomy_cross_check(F: Foliation, h: JetMap, points, z0: complex = 1.0 + 0j):
@@ -234,35 +244,33 @@ def monodromy_invariant_drift(
 
 
 def _leafwise_rhs(F: Foliation, z0: complex):
-    """dx_j/dt = 2 pi i * z * X_j / X_axis at z = z0*e^(2 pi i t), carrying
-    its :func:`_leafwise_stage` as the :class:`InlineStep` to run it by."""
+    """dx_j/dt = 2 pi i * z * X_j / X_axis at z = z0*e^(2 pi i t): the
+    :func:`_leafwise_source` function bound to the field's compiled evaluator."""
     _check_loop(F, z0)
-    axis = F.separatrix_axis
-    trans = F.transverse_indices
-    field = F.field.evaluator()
-
-    def rhs(t, x):
-        z = z0 * cmath.exp(TWO_PI_I * t)
-        values = field((*x[:axis], z, *x[axis:]))
-        scale = TWO_PI_I * z / values[axis]
-        return [scale * values[j] for j in trans]
-
-    rhs.inline = InlineStep(len(trans), _leafwise_stage(F.field.n_vars, axis), field, z0)
-    return rhs
+    bind = _binder(_leafwise_source(F.field.n_vars, F.separatrix_axis))
+    return bind(F.field.evaluator(), z0, TWO_PI_I, cmath.exp, JetError, WRONG_DIMENSION)
 
 
 @functools.lru_cache(maxsize=128)
-def _leafwise_stage(n_vars: int, axis: int) -> str:
-    """The body of ``_leafwise_rhs``'s ``rhs`` as an :class:`InlineStep`
-    stage, with f the field's evaluator and P = z0: the same float
-    operations on the same operands, each value its own name."""
-    ys = [f"{{y[{i}]}}" for i in range(n_vars - 1)]
+def _leafwise_source(n_vars: int, axis: int) -> str:
+    """The source of the leafwise right-hand side ``rhs(t, [y0, ...])`` on a
+    foliation of n_vars variables with this axis, f the field's evaluator
+    and P = z0.  A point of the wrong size raises JetError, as f does."""
+    ys = [f"y{i}" for i in range(n_vars - 1)]
     vs = [f"v{i}" for i in range(n_vars)]
-    return "\n".join([
-        "z = P * exp(TWO_PI_I * ({time}))",
-        f"[{', '.join(vs)}] = f(({', '.join(ys[:axis] + ['z'] + ys[axis:])},))",
-        f"w = TWO_PI_I * z / v{axis}",
-        *(f"{{k[{i}]}} = w * {v}" for i, v in enumerate(vs[:axis] + vs[axis + 1:]))])
+    return f"""\
+def bind(f, P, TWO_PI_I, exp, JetError, WRONG_DIMENSION):
+    def rhs(t, x):
+        try:
+            [{", ".join(ys)}] = x
+        except ValueError:
+            raise JetError(WRONG_DIMENSION) from None
+        z = P * exp(TWO_PI_I * t)
+        [{", ".join(vs)}] = f(({", ".join(ys[:axis] + ["z"] + ys[axis:])},))
+        w = TWO_PI_I * z / v{axis}
+        return [{", ".join(f"w * {v}" for v in vs[:axis] + vs[axis + 1:])}]
+    return rhs
+"""
 
 
 def _check_loop(F: Foliation, z0: complex):

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 PRUNE_TOL = 1e-14
 DEFAULT_ORDER = 8
 FACTORS_PER_LINE = 100  # of a monomial, in the code _compile_evaluator generates
+WRONG_DIMENSION = "evaluation point has wrong dimension"
 
 
 class JetError(ValueError):
@@ -483,16 +484,16 @@ def bind(C, ONE, ZERO, JetError, WRONG_DIMENSION):
         {body}
     return evaluate
 """
-    return _binder(source)(coeffs, 1.0 + 0j, 0j, JetError,
-                           "evaluation point has wrong dimension")
+    return _binder(source)(coeffs, 1.0 + 0j, 0j, JetError, WRONG_DIMENSION)
 
 
 @functools.lru_cache(maxsize=128)
 def _binder(source: str):
-    """The ``bind`` function of a generated source: an evaluator here, or a
-    DP5(4) integrator in :mod:`holodyn.flows`.  An evaluator's source depends
-    only on the exponents, so jets of one shape, such as every fresh copy of
-    a preset, share one compilation."""
+    """The ``bind`` function of a generated source: an evaluator here, a
+    DP5(4) integrator in :mod:`holodyn.flows` or a leafwise right-hand side
+    in :mod:`holodyn.holonomy`.  An evaluator's source depends only on the
+    exponents, so jets of one shape, such as every fresh copy of a preset,
+    share one compilation."""
     namespace = {}
     exec(compile(source, "<holodyn generated>", "exec"), namespace)
     return namespace["bind"]

@@ -449,6 +449,18 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "MAX_PETAL_DEGREE = 100"),
     (["pseudogroup", "--preset", "h1h2(1)"],
      "invalid pseudogroup preset 'h1h2(1)': expected 0 arguments, got 1"),
+    # the lattice options do not apply when another option picks the seeds;
+    # a --grid given on the command line is refused even at its default
+    (["orbit", "--map", "H", "--grid", "2x2", "--random-seeds", "3", "--grid-low", "0.1"],
+     "--grid does not apply to --random-seeds, which picks its own seeds"),
+    (["orbit", "--map", "F", "--level-circle", "--grid-low", "0.5"],
+     "--grid-low does not apply to --level-circle, which picks its own seeds"),
+    (["orbit", "--map", "H", "--random-seeds", "3", "--grid-low", "0.1"],
+     "--grid-low does not apply to --random-seeds, which picks its own seeds"),
+    (["orbit", "--map", "F", "--level-circle", "--grid", "20x20"],
+     "--grid does not apply to --level-circle, which picks its own seeds"),
+    (["orbit", "--map", "F", "--level-circle", "--random-seeds", "3", "--grid-low", "0.5"],
+     "--grid-low does not apply to --level-circle, which picks its own seeds"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -506,7 +518,8 @@ def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     reason = fill(reason)
     assert res.exit_code == 2
     assert res.exception is None or isinstance(res.exception, SystemExit)
-    assert reason in res.output
+    [error] = [line for line in res.output.splitlines() if "Error:" in line]
+    assert reason in error
 
 
 def test_orbit_csv_keeps_every_seed_coordinate(tmp_path):
@@ -563,6 +576,21 @@ def test_numeric_failure_exits_3_with_reason(args, reason):
     # a one-line reason, not a traceback
     assert res.output.splitlines()[-1].startswith("Error: ")
     assert reason in res.output.splitlines()[-1]
+
+
+def test_a_vanishing_axis_component_exits_3_with_one_error_line(tmp_path):
+    """X_axis = z(1 - 20x) is 0 at the oracle point x = 0.05 when t = 0."""
+    path = tmp_path / "f.json"
+    field = VectorField([Jet(2, 2, {(1, 0): -1.0}), Jet(2, 2, {(0, 1): 1.0, (1, 1): -20.0})])
+    path.write_text(json.dumps({"field": field.to_json_dict(), "separatrix_axis": 1}))
+    res = run("holonomy", "--field", str(path), "--order", "3",
+              "--oracle", str(tmp_path / "o.csv"))
+    assert res.exit_code == 3
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert [line for line in res.output.splitlines() if "Error:" in line] == [
+        "Error: the axis component X_1 vanishes on the leaf through ((0.05+0j),): "
+        "the leafwise equations divide by it"]
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -17,7 +17,6 @@ from holodyn.flows import (
     MAX_STEPS,
     DomainEscape,
     FlowError,
-    InlineStep,
     MaxStepsExceeded,
     StepUnderflow,
     VectorField,
@@ -560,11 +559,6 @@ def loop_integrate_ode(f, x0, observer=None):
     raise MaxStepsExceeded(f"integration did not finish within {flows.MAX_STEPS} steps")
 
 
-def opaque(f):
-    """f without the data that lets integrate_ode write it out inline."""
-    return lambda s, x: f(s, x)
-
-
 def run_record(run) -> tuple:
     """All that ``run(observer)`` shows, as bytes: each observed (time, state)
     and then the end state, or the failure's type, time, point and message."""
@@ -582,15 +576,12 @@ def run_record(run) -> tuple:
     return seen, (out.dtype, out.tobytes())
 
 
-def assert_kinds_agree(f, x0, inlined):
-    """integrate_ode on f, its stage inlined or not as ``inlined`` says, on
-    f called as it stands and the former loop: the same record, bit for bit."""
-    assert isinstance(getattr(f, "inline", None), InlineStep) == inlined
-    records = [run_record(lambda watch: integrate(g, x0, observer=watch))
-               for integrate, g in ((integrate_ode, f), (integrate_ode, opaque(f)),
-                                    (loop_integrate_ode, f))]
-    assert records[0] == records[1] == records[2]
-    return records[0]
+def assert_kinds_agree(f, x0):
+    """integrate_ode on f, called as it stands, and the former loop: the
+    same record, bit for bit."""
+    record = run_record(lambda watch: integrate_ode(f, x0, observer=watch))
+    assert record == run_record(lambda watch: loop_integrate_ode(f, x0, observer=watch))
+    return record
 
 
 def flow_rhs(X, t):
@@ -618,7 +609,7 @@ FLOW_CASES = [
 @pytest.mark.parametrize("spec, p", FLOW_CASES)
 def test_flow_segments_match_the_former_loop_bit_for_bit(monkeypatch, spec, p, t):
     X = presets.load_field(spec)
-    assert_kinds_agree(flow_rhs(X, complex(t)), p, inlined=False)
+    assert_kinds_agree(flow_rhs(X, complex(t)), p)
     # numeric_flow itself, with its observer and failure times, on both paths
     records = []
     for integrate in (integrate_ode, loop_integrate_ode):
@@ -639,9 +630,9 @@ def test_generated_opaque_step_matches_the_former_loop_bit_for_bit(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(flows, "DEFAULT_RTOL", rtol)
             m.setattr(flows, "DEFAULT_ATOL", atol)
-            assert assert_kinds_agree(f, x0, False)[1][0] == np.dtype(complex)
+            assert assert_kinds_agree(f, x0)[1][0] == np.dtype(complex)
     # an ndarray right-hand side hands its NumPy scalars on to the observer
-    seen, _ = assert_kinds_agree(array, [0.2, 0.1j], False)
+    seen, _ = assert_kinds_agree(array, [0.2, 0.1j])
     assert seen[1][1][0][0] is np.complex128
 
 
@@ -656,13 +647,13 @@ def test_generated_failures_read_the_bounds_at_call_time(monkeypatch):
              (lambda s, x: [2 * v * v for v in x], [1.0 + 0j]),
              (lambda s, x: np.array(x, dtype=complex) * 4.0, [0.2, 0.1j])]
     for f, x0 in cases:
-        assert_kinds_agree(f, x0, False)  # compiles the kernel at the default bounds
+        assert_kinds_agree(f, x0)  # compiles the kernel at the default bounds
     failures = []
     for patch in ({"ESCAPE_RADIUS": 1e300}, {"ESCAPE_RADIUS": 1.5}, {"MAX_STEPS": 3}):
         for name, value in patch.items():
             monkeypatch.setattr(flows, name, value)
         for f, x0 in cases:
-            failures.append(assert_kinds_agree(f, x0, False)[1][0])
+            failures.append(assert_kinds_agree(f, x0)[1][0])
         monkeypatch.undo()
     done = np.dtype(complex)
     assert failures == [done, StepUnderflow, StepUnderflow, done,
@@ -672,46 +663,30 @@ def test_generated_failures_read_the_bounds_at_call_time(monkeypatch):
 
 
 def test_a_kernel_is_compiled_once_per_shape(monkeypatch):
-    """Every right-hand side on a 2-component state that carries no inline
-    stage, such as each flow segment of a 2-variable field, shares one
-    integrator."""
+    """One integrator per state size: every right-hand side on a 2-component
+    state, each flow segment of a 2-variable field and the leafwise
+    equations of a foliation on C^3 alike, shares one _dp54(2) compile, and
+    a 1-component state of either kind takes _dp54(1)."""
     flows._dp54.cache_clear()
     sources = []
     binder = flows._binder
     monkeypatch.setattr(flows, "_binder", lambda source: sources.append(source) or binder(source))
     for spec in ("example1(1,1,1,1)", "genF", "genH"):
         numeric_flow(presets.load_field(spec), (0.1, 0.12), 0.5)
-    integrate_ode(lambda s, x: x, [0.1, 0.2])
-    assert len(sources) == 1
-
-
-def test_each_caller_takes_its_kind_of_kernel(monkeypatch):
-    shapes = []
-    dp54 = flows._dp54
-    monkeypatch.setattr(flows, "_dp54", lambda *shape: shapes.append(shape) or dp54(*shape))
-    numeric_flow(presets.load_field("thmB"), (0.04, 0.03j, 0.2))
     holonomy_numeric(presets.load_foliation("thmB"), (0.03, 0.04j))
+    integrate_ode(lambda s, x: x, [0.1, 0.2])
+    assert sources == [flows._dp54_source(2)]
+    assert "f(t, [x0, x1])" in sources[0] and "f(t + c2 * h, [y0, y1])" in sources[0]
     holonomy_numeric(presets.load_foliation("linear(1,2)"), (0.03,))
-    integrate_ode(lambda s, x: x, [0.1])
-    thmB = _leafwise_rhs(presets.load_foliation("thmB"), 1.0).inline.stage
-    linear = _leafwise_rhs(presets.load_foliation("linear(1,2)"), 1.0).inline.stage
-    assert shapes == [(3, None), (2, thmB), (1, linear), (1, None)]
-    assert "f((y0, y1, z,))" in flows._dp54_source(2, thmB)
-    assert "f((z, y0,))" in flows._dp54_source(1, linear)
+    numeric_flow(presets.load_field("linear(1)"), (0.1,))
+    assert sources == [flows._dp54_source(2), flows._dp54_source(1)]
 
 
 def test_a_state_of_another_size_runs_f_as_it_stands():
     """A point whose size is not the foliation's fails as the former loop did."""
     f = _leafwise_rhs(presets.load_foliation("thmB"), 1.0)
-    record = assert_kinds_agree(f, (0.1, 0.2, 0.3), True)
+    record = assert_kinds_agree(f, (0.1, 0.2, 0.3))
     assert record[1][:1] == (JetError,) and len(record[0]) == 1
-
-
-def test_an_inline_attribute_of_another_type_is_not_inlined():
-    """Only an InlineStep is written out inline; any other ``inline`` is f's own."""
-    f = lambda s, x: [-v for v in x]  # noqa: E731
-    f.inline = (1, "{k[0]} = 0.0", None, None)
-    assert_kinds_agree(f, [0.1 + 0.2j], False)
 
 
 def test_generated_steps_of_any_state_size_match_the_former_loop():
@@ -719,7 +694,7 @@ def test_generated_steps_of_any_state_size_match_the_former_loop():
     empty state fails as the loop did, dividing by n = 0."""
     f = lambda s, x: [(-1 + 0.5j) * (1 + s) * v for v in x]  # noqa: E731
     assert flows.TERMS_PER_LINE < 150
-    assert_kinds_agree(f, [0.01 * (k + 1) - 0.3j for k in range(150)], False)
+    assert_kinds_agree(f, [0.01 * (k + 1) - 0.3j for k in range(150)])
     for integrate in (integrate_ode, loop_integrate_ode):
         with pytest.raises(ZeroDivisionError, match="float division by zero"):
             integrate(lambda s, x: [], [])

@@ -14,9 +14,10 @@ import holodyn.flows as flows_module
 import holodyn.holonomy as holonomy_module
 from holodyn import presets
 from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I
-from holodyn.flows import (DomainEscape, InlineStep, MaxStepsExceeded, VectorField,
+from holodyn.flows import (DomainEscape, MaxStepsExceeded, VectorField,
                            formal_flow, integrate_ode)
 from holodyn.holonomy import (
+    AxisComponentVanishes,
     Foliation,
     HolonomyError,
     NormalFormError,
@@ -27,9 +28,8 @@ from holodyn.holonomy import (
     monodromy_invariant_drift,
     realize_as_holonomy,
     _leafwise_rhs,
-    _leafwise_stage,
 )
-from holodyn.jets import Jet, JetMap
+from holodyn.jets import Jet, JetError, JetMap
 from test_flows import assert_kinds_agree, run_record
 from test_jets import count_builds, reference_eval, value_bytes
 
@@ -307,6 +307,69 @@ LEAFWISE_CASES = (
 )
 
 
+def former_leafwise_rhs(F: Foliation, z0: complex):
+    """The former hand-written right-hand side: z, one call of the field's
+    compiled evaluator and the scaling 2 pi i * z / X_axis."""
+    axis = F.separatrix_axis
+    trans = F.transverse_indices
+    field = F.field.evaluator()
+
+    def rhs(t, x):
+        z = z0 * cmath.exp(TWO_PI_I * t)
+        values = field((*x[:axis], z, *x[axis:]))
+        scale = TWO_PI_I * z / values[axis]
+        return [scale * values[j] for j in trans]
+
+    return rhs
+
+
+def rhs_outcome(rhs, t, x):
+    """The bytes of ``rhs(t, x)`` per component, or its JetError and message."""
+    try:
+        return [value_bytes(v) for v in rhs(t, x)]
+    except JetError as e:
+        return JetError, str(e)
+
+
+@pytest.mark.parametrize("z0", [1.0, 0.7, 0.3 + 0.5j])
+@pytest.mark.parametrize("name, build", LEAFWISE_CASES, ids=[c[0] for c in LEAFWISE_CASES])
+def test_compiled_leafwise_rhs_matches_the_former_body_bit_for_bit(name, build, z0):
+    """The compiled right-hand side against the former hand-written body and
+    the three-call reference, value by value; a point of the wrong size is
+    the same JetError in all three."""
+    F = build()
+    rng = random.Random(name)
+    n = F.field.n_vars - 1
+    rhs = _leafwise_rhs(F, z0)
+    references = (former_leafwise_rhs(F, z0), reference_leafwise_rhs(F, z0))
+    points = [tuple(0.05 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+                    for _ in range(n)) for _ in range(4)]
+    for p in points + [(0j,) * n, (-0.0,) * n]:
+        for t in (0.0, 0.3, 0.75, 1.0):
+            want = rhs_outcome(rhs, t, list(p))
+            assert isinstance(want, list) and len(want) == n
+            assert all(rhs_outcome(ref, t, list(p)) == want for ref in references)
+    for size in (n - 1, n + 1):
+        want = rhs_outcome(rhs, 0.3, [0.01] * size)
+        assert want == (JetError, "evaluation point has wrong dimension")
+        assert all(rhs_outcome(ref, 0.3, [0.01] * size) == want for ref in references)
+
+
+def test_a_vanishing_axis_component_is_a_numeric_failure():
+    """X_axis = z(1 - 20x) is 0 at x = 0.05 on the loop's start: the leafwise
+    equations divide by it, and the oracle says so instead of failing with a
+    bare ZeroDivisionError."""
+    F = Foliation(VectorField([Jet(2, 2, {(1, 0): -1.0}),
+                               Jet(2, 2, {(0, 1): 1.0, (1, 1): -20.0})]), separatrix_axis=1)
+    with pytest.raises(ZeroDivisionError):
+        integrate_ode(former_leafwise_rhs(F, 1.0), (0.05,))
+    with pytest.raises(AxisComponentVanishes,
+                       match=re.escape("the axis component X_1 vanishes on the leaf through "
+                                       "((0.05+0j),)")):
+        holonomy_numeric(F, (0.05,))
+    assert abs(holonomy_numeric(F, (0.01,))[0]) > 0
+
+
 @pytest.mark.parametrize("z0", [1.0, 0.7, 0.3 + 0.5j])
 @pytest.mark.parametrize("name, build", LEAFWISE_CASES, ids=[c[0] for c in LEAFWISE_CASES])
 def test_generated_leafwise_step_matches_the_former_loop_bit_for_bit(name, build, z0):
@@ -315,13 +378,10 @@ def test_generated_leafwise_step_matches_the_former_loop_bit_for_bit(name, build
     F = build()
     rng = random.Random(name)
     rhs = _leafwise_rhs(F, z0)
-    assert rhs.inline == InlineStep(F.field.n_vars - 1,
-                                    _leafwise_stage(F.field.n_vars, F.separatrix_axis),
-                                    F.field.evaluator(), z0)
     for _ in range(3):
         p = tuple(0.05 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
                   for _ in range(F.field.n_vars - 1))
-        record = assert_kinds_agree(rhs, p, True)
+        record = assert_kinds_agree(rhs, p)
         assert record == run_record(
             lambda watch: holonomy_numeric(F, p, z0=z0, observer=watch))
         assert record[1][0] == np.dtype(complex)
@@ -333,17 +393,18 @@ def test_generated_leafwise_failures_match_the_former_loop(monkeypatch):
     F = presets.load_foliation("thmB")
     rhs = _leafwise_rhs(F, 1.0)
     p = (0.03 + 0.01j, -0.02 + 0.04j)
-    assert_kinds_agree(rhs, p, True)
+    assert_kinds_agree(rhs, p)
     monkeypatch.setattr(flows_module, "ESCAPE_RADIUS", 0.0316)
-    assert assert_kinds_agree(rhs, p, True)[1][0] is DomainEscape
+    assert assert_kinds_agree(rhs, p)[1][0] is DomainEscape
     monkeypatch.setattr(flows_module, "MAX_STEPS", 5)
     monkeypatch.setattr(flows_module, "ESCAPE_RADIUS", 10.0)
-    assert assert_kinds_agree(rhs, p, True)[1][0] is MaxStepsExceeded
+    assert assert_kinds_agree(rhs, p)[1][0] is MaxStepsExceeded
 
 
 def test_fresh_copies_of_a_preset_share_one_kernel(monkeypatch):
     """Two fresh copies of a foliation preset integrate with one compiled
-    kernel; the first build compiles it once."""
+    kernel and one compiled right-hand side; the first build compiles the
+    kernel once."""
     flows_module._dp54.cache_clear()
     sources = []
     binder = flows_module._binder
@@ -355,12 +416,10 @@ def test_fresh_copies_of_a_preset_share_one_kernel(monkeypatch):
     monkeypatch.setattr(flows_module, "_binder", counting)
     first, second = presets.load_foliation("example3"), presets.load_foliation("example3")
     assert first is not second and first.field is not second.field
-    kernels = set()
     for F in (first, second):
         holonomy_numeric(F, (0.03, 0.02j))
-        step = _leafwise_rhs(F, 1.0).inline
-        kernels.add(flows_module._dp54(step.size, step.stage))
-    assert len(sources) == 1 and len(kernels) == 1
+    assert sources == [flows_module._dp54_source(2)]
+    assert _leafwise_rhs(first, 1.0).__code__ is _leafwise_rhs(second, 1.0).__code__
 
 
 # -- closed forms ----------------------------------------------------------------

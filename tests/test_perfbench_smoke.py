@@ -14,6 +14,7 @@ import pytest
 import holodyn.flows as flows
 import holodyn.holonomy as holonomy
 import holodyn.orbits as orbits
+from holodyn import presets
 from holodyn.jets import Jet
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,3 +53,24 @@ def test_tracer_install_and_uninstall():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[name] is orig for (owner, name), orig in zip(targets, before))
+
+
+def test_a_traced_oracle_point_compiles_no_integrator_of_its_own(monkeypatch):
+    """The tracer wraps the leafwise right-hand side, and the wrapped one runs
+    on the integrator the untraced call compiled, with the same bits."""
+    flows._dp54.cache_clear()
+    sources = []
+    binder = flows._binder
+    monkeypatch.setattr(flows, "_binder", lambda source: sources.append(source) or binder(source))
+    F, p = presets.load_foliation("thmB"), (0.03, 0.04j)
+    untraced = holonomy.holonomy_numeric(F, p)
+    assert sources == [flows._dp54_source(2)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = holonomy.holonomy_numeric(F, p)
+    finally:
+        tracer.uninstall()
+    assert sources == [flows._dp54_source(2)]
+    assert traced.tobytes() == untraced.tobytes()
+    assert tracer.layer_metrics()["flows.integrate.calls"] == 1
