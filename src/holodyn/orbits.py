@@ -7,8 +7,8 @@ group closure for exactly-representable generators, and the parabolic
 petal analysis for x -> x + c x^(d+1).
 
 No map integrates an ODE: the product-preserving, parabolic and example1
-time-one maps are closed forms, and the others evaluate a compiled jet or a
-1-d Newton inverse.
+time-one maps are closed forms, and the others evaluate a compiled jet; an
+inverse is a closed form, an inverse jet or the parabolic map's 1-d Newton.
 
 Periodicity has two rules: coefficientwise for every map with an exact jet
 (a truncated jet map; a linear map is an order-1 one), and pointwise on five
@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .jets import Jet, JetError, JetMap
+from .jets import Jet, JetError, JetMap, _integer
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_POINT_BUDGET = 10_000
@@ -131,28 +131,28 @@ class ProductPreservingMap(EvaluableMap):
 
     The product x*y is preserved exactly (u and 1/u are evaluated
     pointwise, not truncated), so the inverse works on the level set
-    x*y = C of the target (X, Y).  Two cases have closed forms:
+    x*y = C of the target (X, Y).  ``_invert`` returns the closed form of
+    the two germs of the paper:
 
-    - a = b, any f: w = C^a is invariant, so u is read at the target and
-      the preimage is x = X/u, y = C/x.
-    - a = b + 1, constant f = c: on the level set x moves as
+    - a = b, any f (F): w = C^a is invariant, so u is read at the target
+      and the preimage is x = X/u, y = C/x.
+    - a = b + 1, constant f = c (H): on the level set x moves as
       x -> x + k x^2 with k = c C^b, and the inverse takes the root that is
       tangent to the identity, x = 2X / (1 + sqrt(1 + 4kX)), y = C/x.
 
-    Every other (a, b, f) solves for the preimage by a 1-d Newton iteration
-    with the analytic derivative, which raises OrbitError when it does not
-    converge.  ``_invert`` chooses the case.
+    Every other (a, b, f) has no inverse (None), so its orbits are iterated
+    forward only, as for a jet map with a singular linear part.
     """
 
     n_vars = 2
 
     def __init__(self, a: int, b: int, f: Jet, name: str = "product-preserving"):
+        self.a = a = _integer(a, "exponent a")
+        self.b = b = _integer(b, "exponent b")
         if a < 1 or b < 1:
             raise ValueError("exponents a, b must be positive")
         if f.n_vars != 1:
             raise ValueError("f must be a one-variable jet")
-        self.a = int(a)
-        self.b = int(b)
         self.f = f
         self.name = name
 
@@ -167,51 +167,12 @@ class ProductPreservingMap(EvaluableMap):
             raise OrbitError("map is singular at this point (u = 0)")
         return (x * u, y / u)
 
-    def _invert(self) -> EvaluableMap:
+    def _invert(self) -> Optional[EvaluableMap]:
         if self.a == self.b:
             return _InvariantUnitInverse(self)
         if self.a == self.b + 1 and all(e == (0,) for e in self.f.coeffs):
             return _TangentRootInverse(self)
-        return _ProductPreservingInverse(self)
-
-
-class _ProductPreservingInverse(_InverseMap):
-    """Newton inverse on the level set, for any (a, b, f).
-
-    With a >= b it solves z u(z) = X for z = x, where w(z) = z^(a-b) C^b;
-    with b > a it solves z / u(z) = Y for z = y, where w(z) = z^(b-a) C^a.
-    """
-
-    def __init__(self, fwd: ProductPreservingMap):
-        super().__init__(fwd)
-        self.df = fwd.f.diff(0)
-
-    def eval(self, q: Point) -> Point:
-        a, b, f, df = self.fwd.a, self.fwd.b, self.fwd.f, self.df
-        xq, yq = q
-        if xq == 0 or yq == 0:
-            # on the axes w = 0 so the map is the identity
-            return (xq, yq)
-        C = xq * yq  # invariant: equals x*y at the preimage
-        if a >= b:
-            target, ex, cpow = xq, a - b, C ** b
-        else:
-            target, ex, cpow = yq, b - a, C ** a
-
-        def g_dg(z: complex) -> Tuple[complex, complex]:
-            """Residual and its derivative, with u' = (f(w) + w f'(w)) w'."""
-            w = (z ** ex) * cpow if ex else cpow
-            fw = f.eval((w,))
-            u = 1.0 + w * fw
-            du = (fw + w * df.eval((w,))) * (ex * z ** (ex - 1) * cpow) if ex else 0.0
-            if a >= b:
-                return z * u - target, u + z * du
-            if u == 0:
-                raise OrbitError("map is singular at this point (u = 0)")
-            return z / u - target, (u - z * du) / (u * u)
-
-        z = _newton(g_dg, target)
-        return (z, C / z) if a >= b else (C / z, z)
+        return None
 
 
 class _InvariantUnitInverse(_InverseMap):
@@ -259,12 +220,14 @@ class OneVarParabolicMap(EvaluableMap):
     n_vars = 1
 
     def __init__(self, d: int, c: complex):
+        self.d = d = _integer(d, "d")
         if d < 1:
             raise ValueError(f"d must be a positive integer, got {d}")
+        self.c = c = complex(c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"c must be finite, got {c!r}")
         if c == 0:
             raise ValueError("c must be nonzero")
-        self.d = int(d)
-        self.c = complex(c)
 
     def eval(self, p: Point) -> Point:
         (x,) = p
@@ -290,10 +253,12 @@ class _NewtonInverse(_InverseMap):
 def _newton(g_dg, target: complex) -> complex:
     """Root of g near ``target`` by Newton from z = target; g_dg(z) = (g, g').
 
-    Stops when |g| < 1e-16 * max(1, |target|).  After 60 steps a residual
-    up to 1e-14 times that scale is accepted (it can stall at rounding
-    level); otherwise the iteration "stalled off the level set" if its last
-    step was at rounding level and "did not converge" if not.
+    Stops when |g| < 1e-16 * max(1, |target|), and raises OrbitError at a
+    critical point (g' = 0).  After 60 steps a residual up to 1e-14 times
+    that scale is accepted (it can stall at rounding level); otherwise the
+    iteration "stalled short of a root" if its last step was at rounding
+    level and "did not converge" if not.  ``STEP_FAILURES`` turns each of
+    these errors into an escape.
     """
     scale = max(1.0, abs(target))
     z = target
@@ -308,7 +273,7 @@ def _newton(g_dg, target: complex) -> complex:
     if abs(g_dg(z)[0]) <= 1e-14 * scale:
         return z
     if abs(step) < 1e-16 * max(1.0, abs(z)):
-        raise OrbitError("inverse Newton iteration stalled off the level set")
+        raise OrbitError("inverse Newton iteration stalled short of a root")
     raise OrbitError("inverse Newton iteration did not converge")
 
 
@@ -327,6 +292,7 @@ class MonomialFlowMap(EvaluableMap):
     n_vars = 2
 
     def __init__(self, n: int, m: int, a: int, b: int, name: str = "time-one"):
+        n, m, a, b = (_integer(v, what) for v, what in zip((n, m, a, b), "nmab"))
         if m == 0:
             raise ValueError("m must be nonzero")
         if a < 0 or b < 0:

@@ -180,7 +180,7 @@ def test_product_preservation_along_orbit():
 
 
 def test_product_preserving_inverse_round_trip():
-    for (a, b) in ((1, 1), (2, 1), (1, 3)):
+    for (a, b) in ((1, 1), (2, 1)):
         h = ProductPreservingMap(a, b, presets.const_f_jet())
         inv = h.inverse()
         for p in [(0.2, 0.3), (0.1 + 0.05j, 0.25), (-0.15, 0.2j)]:
@@ -195,8 +195,7 @@ def test_product_preserving_inverse_round_trip():
 @pytest.mark.parametrize("make, kind", [
     (presets.map_F, "_InvariantUnitInverse"),
     (presets.map_H, "_TangentRootInverse"),
-    (lambda: ProductPreservingMap(3, 1, presets.const_f_jet(0.5)), "_ProductPreservingInverse"),
-], ids=["F", "H", "newton-3-1"])
+], ids=["F", "H"])
 def test_product_preserving_inverses_fix_the_axes(make, kind):
     """On X = 0 or Y = 0, w = 0 and the map is the identity: each inverse
     returns such a target unchanged."""
@@ -271,7 +270,7 @@ def test_closed_form_inverses_agree_with_the_reference_newton():
     points = ball_points(2000, 0.3, seed=6)
     for h in (presets.map_F(), presets.map_H()):
         inv = h.inverse()
-        assert type(inv).__name__ != "_ProductPreservingInverse"
+        assert type(inv).__name__ in ("_InvariantUnitInverse", "_TangentRootInverse")
         for q in points:
             p = inv.eval(q)
             ref = reference_product_inverse(h, q)
@@ -323,32 +322,47 @@ def test_H_lattice_mu_by_the_one_variable_level_restriction(H_lattice_records):
         assert rec.mu == steps[0] + steps[1] + 1
 
 
-def test_newton_fallback_round_trip():
-    """(1, 3) and (3, 1) with a non-constant f have no closed form."""
-    f = Jet(1, 4, {(0,): 2j * math.pi, (1,): 0.3})
-    for a, b in ((1, 3), (3, 1)):
-        h = ProductPreservingMap(a, b, f)
-        inv = h.inverse()
-        assert type(inv).__name__ == "_ProductPreservingInverse"
-        for p in ball_points(50, 0.3, seed=a):
-            assert max(abs(u - v) for u, v in zip(inv.eval(h.eval(p)), p)) < 1e-13
-            assert max(abs(u - v) for u, v in zip(h.eval(inv.eval(p)), p)) < 1e-13
+class ForwardOnly(EvaluableMap):
+    """``fwd`` iterated forward only: the same steps, and no inverse."""
+
+    n_vars = 2
+
+    def __init__(self, fwd):
+        self.fwd = fwd
+
+    def eval(self, p):
+        return self.fwd.eval(p)
 
 
-def test_newton_fallback_raises_when_it_cannot_converge():
-    # (3, 1), f = -1/2 at the target (1, 1): the level-set equation is
-    # z - z^3/2 = 1, on which Newton from z = 1 cycles 1, 0, 1, ...
-    inv = ProductPreservingMap(3, 1, presets.const_f_jet(-0.5)).inverse()
-    with pytest.raises(OrbitError, match="did not converge"):
-        inv.eval((1.0 + 0j, 1.0 + 0j))
+@pytest.mark.parametrize("a, b, f", [
+    (3, 1, presets.const_f_jet(0.5)),
+    (1, 3, presets.const_f_jet()),
+    (2, 1, Jet(1, 4, {(0,): 2j * math.pi, (1,): 0.3})),
+], ids=["3-1", "1-3", "2-1-non-constant-f"])
+def test_product_preserving_germs_without_a_closed_form_have_no_inverse(a, b, f):
+    """Only F (a = b) and H (a = b + 1, constant f) invert; every other germ
+    gets one-sided records, each equal to a forward-only run's."""
+    h = ProductPreservingMap(a, b, f)
+    assert h.inverse() is None
+    V = DomainBall(0.3)
+    for s in lattice_seeds(0.3, 4, low=0.05):
+        rec = iterate_orbit(h, s, V, budget=2_000, keep_points=True)
+        want = iterate_orbit(ForwardOnly(h), s, V, budget=2_000, keep_points=True)
+        assert rec.one_sided and rec.backward_points == []
+        assert record_fields(rec) == record_fields(want)
 
 
-def test_newton_fallback_checks_the_residual_when_the_step_stalls():
-    # a derivative 1e40 too large makes the first step vanish off the level set
-    inv = ProductPreservingMap(3, 1, presets.const_f_jet(0.5)).inverse()
-    inv.df = Jet(1, 4, {(0,): 1e40})
-    with pytest.raises(OrbitError, match="stalled off the level set"):
-        inv.eval((0.2 + 0j, 0.1 + 0j))
+@pytest.mark.parametrize("g_dg, target, reason", [
+    # g' = 0 at the start point
+    (lambda z: (z * z - 1.0, 2.0 * z), 0j, "hit a critical point"),
+    # a derivative 1e40 too large makes every step vanish short of the root
+    (lambda z: (1e-3 + 0j, 1e40 + 0j), 0.2 + 0j, "stalled short of a root"),
+    # z^3 - 2z + 2: Newton from z = 0 cycles 0, 1, 0, ...
+    (lambda z: (z ** 3 - 2.0 * z + 2.0, 3.0 * z * z - 2.0), 0j, "did not converge"),
+], ids=["critical-point", "stall", "no-convergence"])
+def test_newton_stop_rules(g_dg, target, reason):
+    with pytest.raises(OrbitError, match=reason):
+        orbits._newton(g_dg, target)
 
 
 def test_parabolic_inverse_round_trip():
@@ -416,6 +430,23 @@ def test_domain_ball_needs_a_finite_positive_radius():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             DomainBall(bad)
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: ProductPreservingMap(1.5, 1, presets.const_f_jet()),
+     "exponent a must be an integer, got 1.5"),
+    (lambda: ProductPreservingMap(2, 1.9, presets.const_f_jet()),
+     "exponent b must be an integer, got 1.9"),
+    (lambda: OneVarParabolicMap(2.7, 1), "d must be an integer, got 2.7"),
+    (lambda: MonomialFlowMap(1, 1, 1.5, 0), "a must be an integer, got 1.5"),
+    (lambda: MonomialFlowMap(1.5, 1, 1, 1), "n must be an integer, got 1.5"),
+    (lambda: OneVarParabolicMap(2, math.nan), "c must be finite, got (nan+0j)"),
+    (lambda: OneVarParabolicMap(1, complex(0, math.inf)), "c must be finite, got infj"),
+], ids=["F-a", "H-b", "parabolic-d", "phiX-a", "phiX-n", "parabolic-nan", "parabolic-inf"])
+def test_map_classes_refuse_non_integer_parameters_and_a_non_finite_c(make, reason):
+    """A truncated exponent would build another germ, and pick another inverse."""
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        make()
 
 
 # -- grid experiments ---------------------------------------------------------
@@ -1226,9 +1257,8 @@ def test_pseudogroup_orbits_invert_each_generator_once(monkeypatch):
 @pytest.mark.parametrize("make", [
     presets.map_F,
     presets.map_H,
-    lambda: ProductPreservingMap(3, 1, presets.const_f_jet(0.5)),
     lambda: OneVarParabolicMap(2, 0.5 + 1j),
-], ids=["F", "H", "newton-3-1", "parabolic"])
+], ids=["F", "H", "parabolic"])
 def test_the_inverse_of_an_inverse_map_is_the_map(make):
     h = make()
     assert h.inverse().inverse() is h

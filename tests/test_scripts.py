@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts under scripts/."""
 import hashlib
+import inspect
 import json
 import pathlib
 import runpy
@@ -86,3 +87,22 @@ def test_output_digest_matches_the_golden_file(capsys):
     expected = [line for line in golden if not line.startswith(slow)]
     assert len(expected) == 279
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_traffic_lines_script_lists_the_statements_a_run_misses():
+    """One small check under the line trace: MonodromySystem.rhs, which no
+    run of the program calls, is missed statement by statement, while the
+    check's own body is not."""
+    from holodyn import holonomy, reproduce
+
+    script = runpy.run_path(str(SCRIPTS / "traffic_lines.py"))
+    assert script["SLOW_DIGEST_ENTRIES"] == SLOW_DIGEST_ENTRIES
+    missed = {(path, line) for path, line, _ in
+              script["missed_statements"]([reproduce.check_realization])}
+    rhs, first = inspect.getsourcelines(holonomy.MonodromySystem.rhs)
+    body = range(first + 1, first + len(rhs))
+    assert {("src/holodyn/holonomy.py", line) for line in body} <= missed
+    check, first = inspect.getsourcelines(reproduce.check_realization)
+    ran = [line for line in range(first + 1, first + len(check))
+           if ("src/holodyn/reproduce.py", line) in missed]
+    assert ran == []
