@@ -270,17 +270,6 @@ class ExpPoly:
             )
         return {"terms": terms}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExpPoly":
-        terms: Dict[Key, complex] = {}
-        for t in d["terms"]:
-            if t.get("q_re") is not None:
-                freq = Frequency(Fraction(t["q_re"]))
-            else:
-                freq = Frequency(None, complex(t["mu_re"], t["mu_im"]))
-            terms[(t["k"], freq)] = complex(t["c_re"], t["c_im"])
-        return cls(terms)
-
     def __repr__(self):
         parts = []
         for (k, f), c in self._sorted_items():

@@ -77,12 +77,14 @@ class VectorField(JetMap):
 
 
 def lie_derivative(X: VectorField, g: Jet) -> Jet:
-    """X(g) = sum_i X_i * dg/dx_i, truncated at g's order."""
+    """X(g) = sum_i X_i * dg/dx_i, exact: at order X.order + g.order - 1,
+    the largest degree a product X_i * dg/dx_i can reach."""
     if g.n_vars != X.n_vars:
         raise JetError("vector field and function have different n_vars")
-    out = Jet.zero(g.n_vars, g.order)
+    order = max(X.order + g.order - 1, 0)
+    out = Jet.zero(g.n_vars, order)
     for i, comp in enumerate(X.components):
-        out = out + comp.truncate(g.order) * g.diff(i)
+        out = out + comp.truncate(order) * g.diff(i).truncate(order)
     return out
 
 

@@ -273,12 +273,13 @@ class Jet:
         return out
 
     def eval(self, point) -> complex:
-        """Value at a point (a sequence or iterable of n_vars numbers); see
-        :func:`_compile_evaluator`, which runs once per jet."""
+        """Value at a point (a sequence or iterable of n_vars numbers): the
+        one entry of what :func:`_compile_evaluator` makes of [self], the
+        function a one-component JetMap uses, compiled once per jet."""
         evaluate = self._evaluator
         if evaluate is None:
-            evaluate = self._evaluator = _compile_evaluator([self], scalar=True)
-        return evaluate(point)
+            evaluate = self._evaluator = _compile_evaluator([self])
+        return evaluate(point)[0]
 
     # -- comparison / io ---------------------------------------------------
 
@@ -430,9 +431,9 @@ def sum_linear(row, jets: Sequence[Jet]) -> Jet:
     return out
 
 
-def _compile_evaluator(jets: Sequence[Jet], scalar: bool = False):
-    """One straight-line Python function of a point that returns the value
-    of each jet (a tuple, or the one value when ``scalar``).
+def _compile_evaluator(jets: Sequence[Jet]):
+    """One straight-line Python function of a point that returns the tuple
+    of the jets' values.
 
     It runs the operations of the loop
 
@@ -472,7 +473,7 @@ def _compile_evaluator(jets: Sequence[Jet], scalar: bool = False):
             lines.append(f"t{k} += c{len(coeffs)} * {monomials[exp]}")
             coeffs.append(c)
     totals = ", ".join(f"t{k}" for k in range(len(jets)))
-    body = "\n        ".join(lines + [f"return {totals}" if scalar else f"return ({totals},)"])
+    body = "\n        ".join(lines + [f"return ({totals},)"])
     source = f"""\
 def bind(C, ONE, ZERO, JetError, WRONG_DIMENSION):
     ({"".join(f"c{k}, " for k in range(len(coeffs)))}) = C

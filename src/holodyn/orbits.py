@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .jets import Jet, JetError, JetMap, _integer
+from .jets import PRUNE_TOL, JetError, JetMap, _integer
 
 DEFAULT_BUDGET = 100_000
 DEFAULT_POINT_BUDGET = 10_000
@@ -127,42 +127,40 @@ class _InverseMap(EvaluableMap):
 
 
 class ProductPreservingMap(EvaluableMap):
-    """(x, y) -> (x*u, y/u) with u = 1 + w f(w), w = x^a y^b.
+    """(x, y) -> (x*u, y/u) with u = 1 + c w, w = x^a y^b, c a complex constant.
 
-    The product x*y is preserved exactly (u and 1/u are evaluated
-    pointwise, not truncated), so the inverse works on the level set
-    x*y = C of the target (X, Y).  ``_invert`` returns the closed form of
-    the two germs of the paper:
+    c is stored as 0j when |c| < PRUNE_TOL and as c + 0j otherwise, which
+    turns a signed-zero part into +0.0.  The product x*y is preserved
+    exactly (u and 1/u are evaluated pointwise, not truncated), so the
+    inverse works on the level set x*y = C of the target (X, Y).
+    ``_invert`` returns the closed form of the two germs of the paper:
 
-    - a = b, any f (F): w = C^a is invariant, so u is read at the target
-      and the preimage is x = X/u, y = C/x.
-    - a = b + 1, constant f = c (H): on the level set x moves as
-      x -> x + k x^2 with k = c C^b, and the inverse takes the root that is
-      tangent to the identity, x = 2X / (1 + sqrt(1 + 4kX)), y = C/x.
+    - a = b (F): w = C^a is invariant, so u is read at the target and the
+      preimage is x = X/u, y = C/x.
+    - a = b + 1 (H): on the level set x moves as x -> x + k x^2 with
+      k = c C^b, and the inverse takes the root that is tangent to the
+      identity, x = 2X / (1 + sqrt(1 + 4kX)), y = C/x.
 
-    Every other (a, b, f) has no inverse (None), so its orbits are iterated
+    Every other (a, b) has no inverse (None), so its orbits are iterated
     forward only, as for a jet map with a singular linear part.
     """
 
     n_vars = 2
 
-    def __init__(self, a: int, b: int, f: Jet, name: str = "product-preserving"):
+    def __init__(self, a: int, b: int, c: complex, name: str = "product-preserving"):
         self.a = a = _integer(a, "exponent a")
         self.b = b = _integer(b, "exponent b")
         if a < 1 or b < 1:
             raise ValueError("exponents a, b must be positive")
-        if f.n_vars != 1:
-            raise ValueError("f must be a one-variable jet")
-        self.f = f
+        c = complex(c)
+        if not cmath.isfinite(c):
+            raise ValueError(f"c must be finite, got {c!r}")
+        self.c = 0j if abs(c) < PRUNE_TOL else c + 0j
         self.name = name
-
-    def _u(self, x: complex, y: complex) -> complex:
-        w = (x ** self.a) * (y ** self.b)
-        return 1.0 + w * self.f.eval((w,))
 
     def eval(self, p: Point) -> Point:
         x, y = p
-        u = self._u(x, y)
+        u = 1.0 + (x ** self.a) * (y ** self.b) * self.c
         if u == 0:
             raise OrbitError("map is singular at this point (u = 0)")
         return (x * u, y / u)
@@ -170,7 +168,7 @@ class ProductPreservingMap(EvaluableMap):
     def _invert(self) -> Optional[EvaluableMap]:
         if self.a == self.b:
             return _InvariantUnitInverse(self)
-        if self.a == self.b + 1 and all(e == (0,) for e in self.f.coeffs):
+        if self.a == self.b + 1:
             return _TangentRootInverse(self)
         return None
 
@@ -180,15 +178,14 @@ class _InvariantUnitInverse(_InverseMap):
 
     def __init__(self, fwd: ProductPreservingMap):
         super().__init__(fwd)
-        self.a, self.f = fwd.a, fwd.f
+        self.a, self.c = fwd.a, fwd.c
 
     def eval(self, q: Point) -> Point:
         X, Y = q
         if X == 0 or Y == 0:
             return (X, Y)
         C = X * Y
-        w = C ** self.a
-        u = 1.0 + w * self.f.eval((w,))
+        u = 1.0 + C ** self.a * self.c
         if u == 0:
             raise OrbitError("map is singular at this point (u = 0)")
         x = X / u
@@ -196,12 +193,12 @@ class _InvariantUnitInverse(_InverseMap):
 
 
 class _TangentRootInverse(_InverseMap):
-    """a = b + 1, constant f = c: x + k x^2 = X with k = c C^b on the level
-    set, solved by the root that is tangent to the identity."""
+    """a = b + 1: x + k x^2 = X with k = c C^b on the level set, solved by
+    the root that is tangent to the identity."""
 
     def __init__(self, fwd: ProductPreservingMap):
         super().__init__(fwd)
-        self.b, self.c = fwd.b, fwd.f.constant_term()
+        self.b, self.c = fwd.b, fwd.c
 
     def eval(self, q: Point) -> Point:
         X, Y = q

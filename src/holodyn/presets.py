@@ -219,16 +219,12 @@ def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
 # -- maps -------------------------------------------------------------------
 
 
-def const_f_jet(value: complex = TWO_PI_I) -> Jet:
-    return Jet(1, 0, {(0,): complex(value)})
+def map_F(c: complex = TWO_PI_I) -> ProductPreservingMap:
+    return ProductPreservingMap(1, 1, c, name="F")
 
 
-def map_F(f_value: complex = TWO_PI_I) -> ProductPreservingMap:
-    return ProductPreservingMap(1, 1, const_f_jet(f_value), name="F")
-
-
-def map_H(f_value: complex = TWO_PI_I) -> ProductPreservingMap:
-    return ProductPreservingMap(2, 1, const_f_jet(f_value), name="H")
+def map_H(c: complex = TWO_PI_I) -> ProductPreservingMap:
+    return ProductPreservingMap(2, 1, c, name="H")
 
 
 def map_h1() -> LinearMap:
@@ -289,7 +285,7 @@ def pseudogroup_seeds(n_seeds: int, radius: float, n_vars: int) -> List[Tuple[co
 
 
 # The golden-mean level constant for the F-map experiment: C is chosen on
-# the locus |1 + C f(C)| = 1 (f == 2 pi i) with rotation number
+# the locus |1 + c C| = 1 (c = 2 pi i) with rotation number
 # gamma = (sqrt(5)-1)/2, i.e. 1 + 2 pi i C = e^(2 pi i gamma).
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 F_LEVEL_CONSTANT = (cmath.exp(TWO_PI_I * GOLDEN_ROTATION) - 1.0) / TWO_PI_I

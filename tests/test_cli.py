@@ -293,6 +293,11 @@ def test_verify_integral_pass_and_fail():
     assert ok.exit_code == 0
     bad = run("verify-integral", "--field", "thmB", "--exponents", "1,0,0")
     assert bad.exit_code == 1
+    # X(x^2 z^2) = 2 x^4 y z^5 has degree 10, above the field's order 8, and
+    # a numeric drift (about 3e-12) under the tol
+    high = run("verify-integral", "--field", "thmB", "--exponents", "2,0,2")
+    assert high.exit_code == 1
+    assert "symbolic derivative along the field vanishes: False" in high.output
 
 
 def test_verify_integral_reads_a_json_field_at_its_own_order(tmp_path):

@@ -136,13 +136,16 @@ def test_antiderivative_vanishes_at_zero():
     assert (F.derivative() - p).max_abs_coeff() < 1e-12
 
 
-def test_json_round_trip():
+def test_to_json_dict_spells_each_term():
+    """A rational frequency as the string q, a complex one by its value."""
     p = (ExpPoly.term(1.0 - 2.0j, 1, Frequency(Fraction(1, 2)))
          + ExpPoly.term(0.25, 0, Frequency.from_complex(0.3 + 0.7j)))
-    d = p.to_json_dict()
-    back = ExpPoly.from_json_dict(d)
-    assert (p - back).max_abs_coeff() < 1e-15
-    assert back.to_json_dict() == d
+    assert p.to_json_dict() == {"terms": [
+        {"k": 0, "q_re": None, "q_im": None, "mu_re": 0.3, "mu_im": 0.7,
+         "c_re": 0.25, "c_im": 0.0},
+        {"k": 1, "q_re": "1/2", "q_im": "0", "mu_re": 0.0, "mu_im": math.pi,
+         "c_re": 1.0, "c_im": -2.0},
+    ]}
 
 
 def test_frequencies_are_interned():
@@ -163,10 +166,6 @@ def test_frequencies_are_interned():
 def test_t_power_must_be_a_non_negative_integer():
     with pytest.raises(ValueError, match=r"t-power must be an integer, got 1\.5"):
         ExpPoly({(1.5, 0): 1})
-    d = ExpPoly.term(1.0, 1).to_json_dict()
-    d["terms"][0]["k"] = 1.5
-    with pytest.raises(ValueError, match=r"t-power must be an integer, got 1\.5"):
-        ExpPoly.from_json_dict(d)
     with pytest.raises(ValueError, match="t-power must be non-negative"):
         ExpPoly({(-1, 0): 1})
     assert ExpPoly({(2.0, 0): 1}).terms == ExpPoly.term(1.0, 2).terms
@@ -176,10 +175,6 @@ def test_t_power_must_be_a_non_negative_integer():
 def test_non_finite_coefficient_rejected(c):
     with pytest.raises(JetError, match=r"coefficient of \(1, 2\*pi\*i\*\(0\)\) is not finite"):
         ExpPoly({(1, 0): c})
-    d = ExpPoly.term(1.0, 1).to_json_dict()
-    d["terms"][0]["c_re"], d["terms"][0]["c_im"] = complex(c).real, complex(c).imag
-    with pytest.raises(JetError, match="is not finite"):
-        ExpPoly.from_json_dict(d)
 
 
 def test_non_finite_frequency_rejected_and_not_interned():

@@ -231,7 +231,16 @@ def test_lie_derivative_first_integral():
 def test_lie_derivative_simple():
     X = linear_field([1.0])
     x = Jet.variable(0, 1, 6)
-    assert lie_derivative(X, x).max_abs_diff(x) == 0.0
+    lx = lie_derivative(X, x)
+    assert lx.order == 11 and lx.truncate(6).max_abs_diff(x) == 0.0
+
+
+def test_lie_derivative_keeps_every_degree_of_the_product():
+    """X(x^2 z^2) along thmB is 2 x^4 y z^5, of degree 10: above the order 8
+    of both factors, and within X.order + g.order - 1."""
+    X = presets.load_field("thmB", 8)
+    lg = lie_derivative(X, Jet(3, 8, {(2, 0, 2): 1.0}))
+    assert lg.order == 15 and lg.coeffs == {(4, 1, 5): 2.0 + 0j}
 
 
 def test_first_integral_drift_conservation():

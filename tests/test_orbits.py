@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from holodyn import flows, holonomy_series, orbits, presets
+from holodyn.exppoly import TWO_PI_I
 from holodyn.flows import numeric_flow
 from holodyn.jets import Jet, JetMap
 from holodyn.orbits import (
@@ -181,7 +182,7 @@ def test_product_preservation_along_orbit():
 
 def test_product_preserving_inverse_round_trip():
     for (a, b) in ((1, 1), (2, 1)):
-        h = ProductPreservingMap(a, b, presets.const_f_jet())
+        h = ProductPreservingMap(a, b, TWO_PI_I)
         inv = h.inverse()
         for p in [(0.2, 0.3), (0.1 + 0.05j, 0.25), (-0.15, 0.2j)]:
             q = h.eval(p)
@@ -205,10 +206,63 @@ def test_product_preserving_inverses_fix_the_axes(make, kind):
         assert inv.eval(q) == q
 
 
+def former_product_steps(a, b, c):
+    """The former steps of ProductPreservingMap(a, b, f) for the constant
+    f = c, kept verbatim: u = 1 + w f(w) through a degree-0 jet's ``eval``
+    in the map and the a = b inverse, and the a = b + 1 inverse's k from
+    the jet's constant term."""
+    f = Jet(1, 0, {(0,): complex(c)})
+
+    def step(p):
+        x, y = p
+        w = (x ** a) * (y ** b)
+        u = 1.0 + w * f.eval((w,))
+        return (x * u, y / u)
+
+    def invariant_unit_inverse(q):
+        X, Y = q
+        if X == 0 or Y == 0:
+            return (X, Y)
+        C = X * Y
+        w = C ** a
+        u = 1.0 + w * f.eval((w,))
+        x = X / u
+        return (x, C / x)
+
+    def tangent_root_inverse(q):
+        X, Y = q
+        if X == 0 or Y == 0:
+            return (X, Y)
+        C = X * Y
+        k = f.constant_term() * C ** b
+        x = 2.0 * X / (1.0 + cmath.sqrt(1.0 + 4.0 * k * X))
+        return (x, C / x)
+
+    return f, step, invariant_unit_inverse if a == b else tangent_root_inverse
+
+
+@pytest.mark.parametrize("c", [TWO_PI_I, 0.5, complex(-0.0, 2), complex(2, -0.0), 1e-15, 0],
+                         ids=["2pi-i", "half", "minus-zero-re", "minus-zero-im", "pruned", "zero"])
+def test_constant_c_steps_equal_the_former_jet_formula_bit_for_bit(c):
+    """F and H, forward and inverse, on 500 seeded points of the 0.3-ball
+    and three on the axes: the stored c is the degree-0 jet's value, and
+    every image has the former bits, signed zeros included."""
+    points = ball_points(500, 0.3, seed=29) + [
+        (0j, 0.2 + 0.1j), (complex(-0.0, 0.1), 0.25 + 0j), (0.2 - 0.1j, complex(0.0, -0.0))]
+    for a, b in ((1, 1), (2, 1)):
+        h = ProductPreservingMap(a, b, c)
+        f, step, inverse = former_product_steps(a, b, c)
+        assert packed((h.c,)) == packed((f.eval((0j,)),))
+        inv = h.inverse()
+        for p in points:
+            assert packed(h.eval(p)) == packed(step(p))
+            assert packed(inv.eval(p)) == packed(inverse(p))
+
+
 def reference_product_inverse(fwd, q):
     """The former inverse of a ProductPreservingMap: Newton on the level set
-    x*y = C with a finite-difference derivative, for every (a, b, f)."""
-    a, b, f = fwd.a, fwd.b, fwd.f
+    x*y = C with a finite-difference derivative, for every (a, b, c)."""
+    a, b, c = fwd.a, fwd.b, fwd.c
     xq, yq = q
     C = xq * yq
     if xq == 0 or yq == 0:
@@ -220,7 +274,7 @@ def reference_product_inverse(fwd, q):
 
     def g(z):
         w = (z ** ex) * cpow if ex else cpow
-        u = 1.0 + w * f.eval((w,))
+        u = 1.0 + w * c
         return z * (u if a >= b else 1.0 / u) - target
 
     z = target
@@ -263,7 +317,7 @@ def ball_points(n, radius, seed):
 
 
 def test_closed_form_inverses_agree_with_the_reference_newton():
-    """F (a = b) and H (a = b + 1, constant f) take closed forms; on 2,000
+    """F (a = b) and H (a = b + 1) take closed forms; on 2,000
     points of the 0.3-ball they agree with the reference to 1e-12
     (relative) and return h(h^-1(q)) to q within 4e-15 (relative), a bound
     the reference itself misses."""
@@ -289,14 +343,14 @@ def H_lattice_records():
 
 
 def test_orbit_verdicts_unchanged_with_the_reference_inverse(H_lattice_records):
-    ref_H = ReferenceInverseMap(2, 1, presets.const_f_jet(), "H")
+    ref_H = ReferenceInverseMap(2, 1, TWO_PI_I, "H")
     old = [iterate_orbit(ref_H, s, DomainBall(0.3)) for s in LATTICE]
     assert [(r.status, r.mu, r.cardinality) for r in H_lattice_records] \
         == [(r.status, r.mu, r.cardinality) for r in old]
     C = presets.F_LEVEL_CONSTANT
     seed = (0.55 + 0j, C / 0.55)
     new = iterate_orbit(presets.map_F(), seed, V1, budget=20_000)
-    ref_F = ReferenceInverseMap(1, 1, presets.const_f_jet(), "F")
+    ref_F = ReferenceInverseMap(1, 1, TWO_PI_I, "F")
     old = iterate_orbit(ref_F, seed, V1, budget=20_000)
     assert new.status == old.status == "BudgetExhausted"
     assert (new.mu, new.cardinality) == (old.mu, old.cardinality)
@@ -334,15 +388,14 @@ class ForwardOnly(EvaluableMap):
         return self.fwd.eval(p)
 
 
-@pytest.mark.parametrize("a, b, f", [
-    (3, 1, presets.const_f_jet(0.5)),
-    (1, 3, presets.const_f_jet()),
-    (2, 1, Jet(1, 4, {(0,): 2j * math.pi, (1,): 0.3})),
-], ids=["3-1", "1-3", "2-1-non-constant-f"])
-def test_product_preserving_germs_without_a_closed_form_have_no_inverse(a, b, f):
-    """Only F (a = b) and H (a = b + 1, constant f) invert; every other germ
-    gets one-sided records, each equal to a forward-only run's."""
-    h = ProductPreservingMap(a, b, f)
+@pytest.mark.parametrize("a, b, c", [
+    (3, 1, 0.5),
+    (1, 3, TWO_PI_I),
+], ids=["3-1", "1-3"])
+def test_product_preserving_germs_without_a_closed_form_have_no_inverse(a, b, c):
+    """Only F (a = b) and H (a = b + 1) invert; every other germ gets
+    one-sided records, each equal to a forward-only run's."""
+    h = ProductPreservingMap(a, b, c)
     assert h.inverse() is None
     V = DomainBall(0.3)
     for s in lattice_seeds(0.3, 4, low=0.05):
@@ -433,16 +486,15 @@ def test_domain_ball_needs_a_finite_positive_radius():
 
 
 @pytest.mark.parametrize("make, reason", [
-    (lambda: ProductPreservingMap(1.5, 1, presets.const_f_jet()),
-     "exponent a must be an integer, got 1.5"),
-    (lambda: ProductPreservingMap(2, 1.9, presets.const_f_jet()),
-     "exponent b must be an integer, got 1.9"),
+    (lambda: ProductPreservingMap(1.5, 1, TWO_PI_I), "exponent a must be an integer, got 1.5"),
+    (lambda: ProductPreservingMap(2, 1.9, TWO_PI_I), "exponent b must be an integer, got 1.9"),
+    (lambda: ProductPreservingMap(2, 1, complex(math.inf, 1)), "c must be finite, got (inf+1j)"),
     (lambda: OneVarParabolicMap(2.7, 1), "d must be an integer, got 2.7"),
     (lambda: MonomialFlowMap(1, 1, 1.5, 0), "a must be an integer, got 1.5"),
     (lambda: MonomialFlowMap(1.5, 1, 1, 1), "n must be an integer, got 1.5"),
     (lambda: OneVarParabolicMap(2, math.nan), "c must be finite, got (nan+0j)"),
     (lambda: OneVarParabolicMap(1, complex(0, math.inf)), "c must be finite, got infj"),
-], ids=["F-a", "H-b", "parabolic-d", "phiX-a", "phiX-n", "parabolic-nan", "parabolic-inf"])
+], ids=["F-a", "H-b", "H-inf-c", "parabolic-d", "phiX-a", "phiX-n", "parabolic-nan", "parabolic-inf"])
 def test_map_classes_refuse_non_integer_parameters_and_a_non_finite_c(make, reason):
     """A truncated exponent would build another germ, and pick another inverse."""
     with pytest.raises(ValueError, match=re.escape(reason)):

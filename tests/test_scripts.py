@@ -61,8 +61,8 @@ def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, t
         runpy.run_path(str(script), run_name="__main__")
 
 
-# the three CLI orbit runs take about 19 s (6, 9-10 and 4 s on 2 vCPUs,
-# Python 3.11) of the full digest's 27 s; they are diffed by hand until
+# the three CLI orbit runs take 14-15 s (about 5, 7-9 and 2-3 s on 2 vCPUs,
+# Python 3.11) of the full digest's 17 s; they are diffed by hand until
 # they are fast
 SLOW_DIGEST_ENTRIES = ("cli:orbit-H", "cli:orbit-parabolic", "cli:orbit-F-level-circle")
 GOLDEN_DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "output_digest.txt"
@@ -70,7 +70,7 @@ GOLDEN_DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "output_dig
 
 def test_output_digest_matches_the_golden_file(capsys):
     """Every fast entry of scripts/output_digest.py hashes as it does in
-    tests/golden/output_digest.txt, the full 288-line digest.
+    tests/golden/output_digest.txt, the full 294-line digest.
 
     The hashes pin this platform: Python 3.11.7, numpy 2.4.6 and the x86-64
     libm. An intended output change regenerates the file with one command,
@@ -82,10 +82,10 @@ def test_output_digest_matches_the_golden_file(capsys):
     fast = [name for name, _ in script["entries"]() if name not in SLOW_DIGEST_ENTRIES]
     script["main"](fast)
     golden = GOLDEN_DIGEST.read_text().splitlines()
-    assert len(golden) == 288
+    assert len(golden) == 294
     slow = tuple(f"{name}:" for name in SLOW_DIGEST_ENTRIES)
     expected = [line for line in golden if not line.startswith(slow)]
-    assert len(expected) == 279
+    assert len(expected) == 285
     assert capsys.readouterr().out.splitlines() == expected
 
 
