@@ -99,6 +99,10 @@ PERIODICITY = {
     "-I:order=4": (lambda: JetMap.linear([[-1.0, 0.0], [0.0, -1.0]], 4), 10),
     "H": (presets.map_H, 200),
 }
+# the slow CLI orbit runs (about 5, 7-9 and 2-3 s on 2 vCPUs, Python 3.11):
+# the golden-file test and scripts/traffic_lines.py leave them out, and they
+# are diffed by hand
+SLOW_DIGEST_ENTRIES = ("cli:orbit-H", "cli:orbit-parabolic", "cli:orbit-F-level-circle")
 # name -> CLI arguments; "{out}" names an output file in a fresh directory and
 # "{in}" the JSON input file that CLI_INPUTS writes there
 CLI_RUNS = {
@@ -147,14 +151,14 @@ CLI_RUNS = {
 }
 
 
-def _foliation_json(spec, order):
-    F = presets.load_foliation(spec, order)
+def _foliation_json(spec):
+    F = presets.load_foliation(spec)
     return {"field": F.field.to_json_dict(), "separatrix_axis": F.separatrix_axis}
 
 
 # CLI run name -> thunk returning the content of its "{in}" file
 CLI_INPUTS = {
-    "holonomy-thmB-json": lambda: _foliation_json("thmB", 4),
+    "holonomy-thmB-json": lambda: _foliation_json("thmB"),
     "flow-example1-json": lambda: presets.load_field("example1(2,3,1,2)").to_json_dict(),
     # (x + y, -y): a linear part that is not diagonal, so no formal flow
     "flow-exit2-json": lambda: VectorField([Jet(2, 4, {(1, 0): 1.0, (0, 1): 1.0}),
@@ -173,12 +177,12 @@ def _table_parts(table) -> dict:
 
 
 def _series(spec, order, z0):
-    F = presets.load_foliation(spec, order)
+    F = presets.load_foliation(spec)
     return _table_parts(holonomy_series(F, order, z0=z0)[1])
 
 
 def _normal_form(spec, order, z0):
-    F = presets.load_foliation(spec, order)
+    F = presets.load_foliation(spec)
     nf = normal_form_or_reason(holonomy_series(F, order, z0=z0)[0])
     if isinstance(nf, NormalFormError):
         return {"reason": str(nf).encode()}
@@ -188,7 +192,7 @@ def _normal_form(spec, order, z0):
 def _flow_table(spec):
     from holodyn.flows import flow_coefficient_table
 
-    return {"table": _canonical(flow_coefficient_table(presets.load_field(spec, 8), 8)
+    return {"table": _canonical(flow_coefficient_table(presets.load_field(spec), 8)
                                 .to_json_dict())}
 
 
@@ -226,7 +230,7 @@ def _drifts():
 
 
 def _holonomy_jet(spec):
-    return holonomy_series(presets.load_foliation(spec, 8), 8)[0]
+    return holonomy_series(presets.load_foliation(spec), 8)[0]
 
 
 def _jet_results():
@@ -237,10 +241,10 @@ def _jet_results():
         "inverse:example3": lambda: _holonomy_jet("example3").inverse().to_json_dict(),
         "compose:xy:thmB": lambda: xy.compose(_holonomy_jet("thmB")).to_json_dict(),
         "lie_derivative:xyz2:thmB":
-            lambda: lie_derivative(presets.load_field("thmB", 8), xyz2).to_json_dict(),
+            lambda: lie_derivative(presets.load_field("thmB"), xyz2).to_json_dict(),
     }
     for spec in FIELDS:
-        results[f"field:{spec}"] = lambda s=spec: presets.load_field(s, 8).to_json_dict()
+        results[f"field:{spec}"] = lambda s=spec: presets.load_field(s).to_json_dict()
     return results
 
 

@@ -23,7 +23,6 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "holodyn"
-SLOW_DIGEST_ENTRIES = ("cli:orbit-H", "cli:orbit-parabolic", "cli:orbit-F-level-circle")
 WORKLOAD_SEED = 7
 
 
@@ -128,7 +127,8 @@ def program_runs():
 
     runs += [lambda make=make: one_pass(make) for make in workloads.WORKLOADS.values()]
     digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"))
-    runs += [thunk for name, thunk in digest["entries"]() if name not in SLOW_DIGEST_ENTRIES]
+    runs += [thunk for name, thunk in digest["entries"]()
+             if name not in digest["SLOW_DIGEST_ENTRIES"]]
     return runs
 
 

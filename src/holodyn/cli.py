@@ -6,8 +6,8 @@ Exit codes: 0 success, 1 reproduction-check failure, 2 bad configuration
 
 All emitted files embed the resolved configuration: JSON outputs carry a
 "config" field, CSV and SVG outputs a leading comment block.  Grids are
-deterministic lattices unless --random-seeds/--seed is given (NumPy
-default_rng, PCG64).
+deterministic lattices unless --random-seeds is given (seeded by --seed:
+NumPy default_rng, PCG64).
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from . import presets, reproduce
 from .coefficients import CoefficientSystemError
 from .flows import (
     DomainEscape,
-    FlowError,
     MaxStepsExceeded,
     StepUnderflow,
     first_integral_drift,
@@ -72,10 +71,10 @@ class NumericFailure(click.ClickException):
     exit_code = EXIT_NUMERIC
 
 
-# library failure -> the CLI error it becomes; the nearest class in a
-# failure's MRO decides, so DomainEscape exits 3 although FlowError exits 2
+# library failure -> the CLI error it becomes, found along the failure's MRO;
+# each FlowError the integrator raises is one of the three numeric failures below
 FAILURES = {
-    **dict.fromkeys((PresetError, HolonomyError, CoefficientSystemError, JetError, FlowError,
+    **dict.fromkeys((PresetError, HolonomyError, CoefficientSystemError, JetError,
                      OrbitError), ConfigError),
     **dict.fromkeys((DomainEscape, StepUnderflow, MaxStepsExceeded, BasePointUnderflow,
                      AxisComponentVanishes, OverflowError), NumericFailure),
@@ -217,7 +216,7 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
     """Exact holonomy of the separatrix axis, plus the normal-form summary."""
     _check_count("--order", order, "MAX_ORDER")
     z0c = _parse_complex(z0)
-    F = presets.load_foliation(field_spec, order)
+    F = presets.load_foliation(field_spec)
     config = {"command": "holonomy", "field": field_spec, "order": order,
               "z0": [z0c.real, z0c.imag]}
     with _library_failures(f"--z0 {z0!r}: the monodromy system"):
@@ -263,7 +262,7 @@ def flow(field_spec, time_str, order, point, emit_path):
     """Formal time-t map of a polynomial field (and a numeric spot check)."""
     _check_count("--order", order, "MAX_ORDER")
     t = _parse_complex(time_str)
-    X = presets.load_field(field_spec, order)
+    X = presets.load_field(field_spec)
     p = _parse_point(point, X.n_vars) if point else None
     config = {"command": "flow", "field": field_spec, "time": [t.real, t.imag],
               "order": order, "point": point}
@@ -341,10 +340,16 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
     _check_count("--budget", budget, "MAX_BUDGET")
     _check_count("--random-seeds", random_seeds, "MAX_SEEDS", "seeds")
     picker = "--level-circle" if level_circle else "--random-seeds" if random_seeds else None
-    given = click.get_current_context().get_parameter_source("grid") is ParameterSource.COMMANDLINE
-    for option, ignored in (("--grid", given), ("--grid-low", grid_low is not None)):
+    ctx = click.get_current_context()
+    given = {name for name in ("grid", "seed", "svg_projection")
+             if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE}
+    for option, ignored in (("--grid", "grid" in given), ("--grid-low", grid_low is not None)):
         if picker and ignored:
             raise ConfigError(f"{option} does not apply to {picker}, which picks its own seeds")
+    if "seed" in given and picker != "--random-seeds":
+        raise ConfigError("--seed does not apply unless --random-seeds picks random seeds")
+    if "svg_projection" in given and svg_path is None:
+        raise ConfigError("--svg-projection does not apply without --svg")
     if seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     h = presets.load_map(map_spec)
@@ -384,7 +389,7 @@ def orbit(map_spec, radius, grid, grid_low, budget, level_circle,
                     pts.append((p[0].real, p[1].real))
                 else:
                     pts.append((p[0].real, p[0].imag))
-        _write_svg(svg_path, config, pts)
+        _write_svg(svg_path, {**config, "svg_projection": svg_projection}, pts)
         click.echo(f"wrote {svg_path}")
 
 
@@ -476,7 +481,7 @@ def petal(d, c, json_path):
 def verify_integral(field_spec, exponents, point, tol):
     """Check that a monomial is a first integral (symbolically and numerically)."""
     _check_finite("--tol", tol, positive=True)
-    X = presets.load_field(field_spec, DEFAULT_ORDER)
+    X = presets.load_field(field_spec)
     try:
         exp = tuple(int(v) for v in exponents.split(","))
     except ValueError:

@@ -63,18 +63,6 @@ class VectorField(JetMap):
         is_diag = all(v == 0 for i, row in enumerate(L) for j, v in enumerate(row) if i != j)
         self.eigenvalues = [row[i] for i, row in enumerate(L)] if is_diag else None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            **super().to_json_dict(),
-            "eigenvalues": None
-            if self.eigenvalues is None
-            else [[l.real, l.imag] for l in self.eigenvalues],
-        }
-
-    def __repr__(self):
-        return f"VectorField({self.components!r})"
-
 
 def lie_derivative(X: VectorField, g: Jet) -> Jet:
     """X(g) = sum_i X_i * dg/dx_i, exact: at order X.order + g.order - 1,
@@ -92,9 +80,8 @@ def lie_derivative(X: VectorField, g: Jet) -> Jet:
 
 
 def flow_coefficient_table(X: VectorField, order: int) -> CoefficientTable:
-    """Exact series coefficients of the flow map of X (diagonal linear part)."""
-    if X.eigenvalues is None:
-        raise FlowError("formal flow requires a diagonal linear part")
+    """Exact series coefficients of the flow map of X; the coefficient solver
+    refuses a linear part that is not diagonal."""
     return solve_coefficient_system([[(0, comp)] for comp in X.components], order)
 
 

@@ -2,8 +2,8 @@
 
 String syntax: a bare name ("thmB") or name(args) with numeric arguments,
 e.g. "example1(1,1,1,1)" or "linear(1,-1,-2)".  The loaders also take a
-``.json`` path.  A field builder takes no order; one rule, ``_at_least``,
-raises every loaded field, preset or JSON, to at least the requested order.
+``.json`` path.  A loaded field keeps its source's order: a preset its
+least order, a JSON file its declared one; only the computation takes an order.
 A preset table per kind (``_FIELDS``, ``_MAPS``, ``_PSEUDOGROUPS``) and one
 bound table decide every outside input, and every rejection is a
 PresetError with a one-line reason.
@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 from .exppoly import TWO_PI_I
 from .flows import VectorField
 from .holonomy import Foliation, realize_as_holonomy
-from .jets import Jet, JetMap, DEFAULT_ORDER
+from .jets import Jet, JetMap
 from .orbits import (
     EvaluableMap,
     LinearMap,
@@ -162,11 +162,6 @@ def _read_json(path: str, kind: str, decode):
         raise PresetError(f"invalid {kind} JSON in {path}: {e}") from e
 
 
-def _at_least(X: VectorField, order: int) -> VectorField:
-    """The order rule of every loaded field: raised to ``order``, never lowered."""
-    return X.truncate(max(X.order, order))
-
-
 def _build(kind: str, table: dict, spec: str):
     """``spec``'s name and what its ``table`` entry builds; every rejection is a PresetError."""
     name, args = _parse(spec)
@@ -194,25 +189,23 @@ def _bounded(out, jets: Sequence[Jet], spec: str, json_kind: str):
     return out
 
 
-def load_field(spec: str, order: int = DEFAULT_ORDER) -> VectorField:
+def load_field(spec: str) -> VectorField:
     if spec.endswith(".json"):
         X = _read_json(spec, "vector-field", VectorField.from_json_dict)
     else:
         _, X = _build("field", _FIELDS, spec)
-    X = _at_least(X, order)
     return _bounded(X, X.components, spec, "vector-field")
 
 
-def load_foliation(spec: str, order: int = DEFAULT_ORDER) -> Foliation:
+def load_foliation(spec: str) -> Foliation:
     """The foliation a JSON file gives, or the one a field preset's foliation rule makes."""
     if spec.endswith(".json"):
         F = _read_json(spec, "foliation", Foliation.from_json_dict)
-        F = Foliation(_at_least(F.field, order), F.separatrix_axis)
     else:
         name, X = _build("field", _FIELDS, spec)
         if _FIELDS[name][2] is None:
             raise PresetError(f"preset {name!r} has no canonical foliation")
-        F = _FIELDS[name][2](_at_least(X, order))
+        F = _FIELDS[name][2](X)
     return _bounded(F, F.field.components, spec, "foliation")
 
 

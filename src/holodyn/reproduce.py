@@ -145,7 +145,7 @@ def check_product_preservation() -> CheckResult:
 def check_realization() -> CheckResult:
     worst = 0.0
     for name in ("genF", "genH", "genLinear"):
-        Y = presets.load_field(name, order=6)
+        Y = presets.load_field(name)
         F = realize_as_holonomy(Y)
         h, _ = holonomy_series(F, 6)
         flow = formal_flow(Y, 1.0, 6)
@@ -334,7 +334,7 @@ def check_property_sweep() -> CheckResult:
         worst = max(worst, ((a * b) * c).max_abs_diff(a * (b * c)))
         worst = max(worst, (a * (b + c)).max_abs_diff(a * b + a * c))
     # flow group law for the (1,1,1,1) conserved field
-    X = presets.load_field("example1(1,1,1,1)", order=6)
+    X = presets.load_field("example1(1,1,1,1)")
     table = flow_coefficient_table(X, 6)
     fs, ft = table.at_time(0.3), table.at_time(0.7)
     group_err = table.at_time(1.0).max_abs_diff(fs.compose(ft))

@@ -47,7 +47,7 @@ def test_holonomy_oracle_rows_are_the_cross_check_rows(tmp_path):
     res = run("holonomy", "--field", "thmB", "--order", "6", "--z0", "0.3+0.5i",
               "--oracle", str(oracle))
     assert res.exit_code == 0
-    F = presets.load_foliation("thmB", 6)
+    F = presets.load_foliation("thmB")
     h, _ = holonomy_series(F, 6, z0=0.3 + 0.5j)
     points = [tuple(v * (1 + 0.2 * k) for k in range(2)) for v in np.linspace(0.01, 0.05, 5)]
 
@@ -144,30 +144,25 @@ NATURAL_ORDERS = {"thmB": 7, "example3": 5, "example1(1,1,1,1)": 3, "example1(2,
                   "linear(1,-1,-2)": 1, "linear(0.5i,-1)": 1, "genF": 3, "genH": 4, "genLinear": 1}
 
 
-def test_every_field_preset_raises_the_order_to_its_minimum(tmp_path):
-    """The one order rule: at every order N from 0 to 12, a field preset
-    loads as the JSON file of its least-order field read at N, at order
-    max(least, N), and a foliation preset as the JSON file of its
-    least-order foliation (the CLI refuses --order 0 before it loads anything)."""
+def test_each_field_preset_loads_at_its_least_order_and_as_its_own_json_file(tmp_path):
+    """A field preset loads at the least order that holds its terms, its
+    JSON form is the JetMap dict the loaders read, and that file loads as
+    the same field; a foliation preset loads as its own JSON file too."""
     field_path, foliation_path = tmp_path / "field.json", tmp_path / "foliation.json"
     for spec, least in NATURAL_ORDERS.items():
-        X = presets.load_field(spec, 0)
+        X = presets.load_field(spec)
         assert X.order == least, spec
+        assert list(X.to_json_dict()) == ["components"]
         field_path.write_text(json.dumps(X.to_json_dict()))
-        has_foliation = not spec.startswith("example1")
-        if has_foliation:
-            F = presets.load_foliation(spec, 0)
+        assert presets.load_field(str(field_path)).to_json_dict() == X.to_json_dict()
+        if not spec.startswith("example1"):
+            F = presets.load_foliation(spec)
+            assert F.field.order == least, spec
             foliation_path.write_text(json.dumps(
                 {"field": F.field.to_json_dict(), "separatrix_axis": F.separatrix_axis}))
-        for order in range(13):
-            X = presets.load_field(spec, order)
-            assert X.order == max(least, order), (spec, order)
-            assert X.to_json_dict() == presets.load_field(str(field_path), order).to_json_dict()
-            if has_foliation:
-                F, G = (presets.load_foliation(s, order) for s in (spec, str(foliation_path)))
-                assert F.field.order == max(least, order), (spec, order)
-                assert (F.field.to_json_dict(), F.separatrix_axis) == \
-                    (G.field.to_json_dict(), G.separatrix_axis)
+            G = presets.load_foliation(str(foliation_path))
+            assert (F.field.to_json_dict(), F.separatrix_axis) == \
+                (G.field.to_json_dict(), G.separatrix_axis)
     with pytest.raises(presets.PresetError, match="preset 'example1' has no canonical foliation"):
         presets.load_foliation("example1(1,1,1,1)")
 
@@ -198,11 +193,18 @@ def test_flow_point_line_is_the_cross_check_value():
     res = run("flow", "--field", "example1(2,3,1,2)", "--time", "0.5+0.5i", "--order", "6",
               "--point", "0.04,0.03i")
     assert res.exit_code == 0
-    X = presets.load_field("example1(2,3,1,2)", 6)
+    X = presets.load_field("example1(2,3,1,2)")
     t = 0.5 + 0.5j
     [(_, _, _, err)] = flow_cross_check(X, formal_flow(X, t, 6), [(0.04, 0.03j)], t)
     assert f"numeric cross-check at 0.04,0.03i: max abs error {err:.3e}" \
         in res.output.splitlines()
+
+
+def test_holonomy_not_tangent_to_the_identity_has_no_normal_form():
+    res = run("holonomy", "--field", "linear(2,-1,-3)", "--order", "3")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == \
+        "normal form: not applicable (map is not tangent to the identity)"
 
 
 def test_small_base_point_above_the_pruning_tolerance_keeps_the_normal_form():
@@ -257,6 +259,20 @@ def test_orbit_svg_scatter(tmp_path):
     assert res.exit_code == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "config:" in text
+
+
+def test_orbit_svg_config_names_its_projection(tmp_path):
+    comments = {}
+    for projection in ("re-re", "re-im"):
+        svg = tmp_path / f"{projection}.svg"
+        res = run("orbit", "--map", "h1", "--grid", "2x2", "--budget", "50", "--svg", str(svg),
+                  "--svg-projection", projection)
+        assert res.exit_code == 0
+        comments[projection] = svg.read_text().splitlines()[1]
+        config = json.loads(comments[projection].removeprefix("<!-- config: ")
+                            .removesuffix(" -->"))
+        assert config["svg_projection"] == projection
+    assert comments["re-re"] != comments["re-im"]
 
 
 def test_orbit_random_seeds_deterministic(tmp_path):
@@ -466,6 +482,13 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "--grid does not apply to --level-circle, which picks its own seeds"),
     (["orbit", "--map", "F", "--level-circle", "--random-seeds", "3", "--grid-low", "0.5"],
      "--grid-low does not apply to --level-circle, which picks its own seeds"),
+    # --seed and --svg-projection have defaults: refused when given to no use
+    (["orbit", "--map", "H", "--grid", "2x2", "--budget", "10", "--seed", "5"],
+     "--seed does not apply unless --random-seeds picks random seeds"),
+    (["orbit", "--map", "F", "--level-circle", "--random-seeds", "2", "--seed", "9"],
+     "--seed does not apply unless --random-seeds picks random seeds"),
+    (["orbit", "--map", "h1", "--grid", "2x2", "--budget", "10", "--svg-projection", "re-im"],
+     "--svg-projection does not apply without --svg"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -632,16 +655,18 @@ FIELD_PRESETS = ("thmB", "example3", "example1(1,1,1,1)", "example1(2,3,1,2)",
     for command, specs in (("holonomy", FOLIATION_PRESETS), ("flow", FIELD_PRESETS))
     for spec in specs for written in (4, 8) for order in (4, 6, 8)])
 def test_json_input_answers_as_its_preset(tmp_path, command, spec, written, order):
-    """A preset written to JSON at one order and read back at --order N gives
-    the preset's answer at --order N: no loader truncates a field."""
+    """A preset written to JSON at order max(its own, written) and read back
+    at --order N gives the preset's answer at --order N: the declared order
+    of a loaded field changes no answer."""
     emit = tmp_path / "emit.json"
     if command == "holonomy":
-        F = presets.load_foliation(spec, written)
-        d = {"field": F.field.to_json_dict(), "separatrix_axis": F.separatrix_axis}
+        F = presets.load_foliation(spec)
+        field = F.field.truncate(max(F.field.order, written))
+        d = {"field": field.to_json_dict(), "separatrix_axis": F.separatrix_axis}
         options = ["--order", str(order), "--emit", str(emit)]
     else:
-        X = presets.load_field(spec, written)
-        d = X.to_json_dict()
+        X = presets.load_field(spec)
+        d = X.truncate(max(X.order, written)).to_json_dict()
         options = ["--order", str(order),
                    "--point", ",".join(["0.03", "0.04i", "0.02"][:X.n_vars])]
     path = tmp_path / "input.json"

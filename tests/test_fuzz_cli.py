@@ -55,10 +55,10 @@ def joined(max_size):
 
 @lru_cache(maxsize=None)
 def _base_documents():
-    """kind -> JSON documents written from presets at order 3."""
-    foliations = [presets.load_foliation(name, 3) for name in ("thmB", "genF", "linear(1,-1)")]
+    """kind -> JSON documents written from presets, each at its preset's order."""
+    foliations = [presets.load_foliation(name) for name in ("thmB", "genF", "linear(1,-1)")]
     return {
-        "field": [presets.load_field(name, 3).to_json_dict()
+        "field": [presets.load_field(name).to_json_dict()
                   for name in ("thmB", "example1(1,1,1,1)", "genH")],
         "foliation": [{"field": F.field.to_json_dict(), "separatrix_axis": F.separatrix_axis}
                       for F in foliations],

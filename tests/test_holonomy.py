@@ -132,7 +132,7 @@ def test_linear_foliation_diagonal_holonomy():
 
 def test_realization_identity_all_generators():
     for name in ("genF", "genH", "genLinear"):
-        Y = presets.load_field(name, order=6)
+        Y = presets.load_field(name)
         h, _ = holonomy_series(realize_as_holonomy(Y), 6)
         assert h.max_abs_diff(formal_flow(Y, 1.0, 6)) < 1e-10
 
@@ -498,7 +498,7 @@ def test_siegel_family_holonomy_matches_the_closed_form(exponents, order, z0):
     8.7e-16 for every other triple, and 2.5e-16 off resonance.
     """
     tol = 2e-13 if exponents == SIEGEL_PRESETS["example3"] else 1e-14
-    F = Foliation(presets._at_least(presets._siegel_family(exponents), order), 2)
+    F = Foliation(presets._siegel_family(exponents), 2)
     h, _ = holonomy_series(F, order, z0=z0)
     assert_matches_closed_form(h, closed_form_holonomy(exponents, order, z0), tol)
 
@@ -823,7 +823,7 @@ def test_normal_form_does_not_depend_on_the_base_point(name, ab, m, order):
     """(a, b) is the same at every base point, and f(0) / z0^m agrees."""
     ratios = []
     for z0 in NORMAL_FORM_BASE_POINTS:
-        h, _ = holonomy_series(presets.load_foliation(name, order), order, z0=complex(z0))
+        h, _ = holonomy_series(presets.load_foliation(name), order, z0=complex(z0))
         nf = extract_normal_form(h)
         assert (nf.a, nf.b) == ab, z0
         ratios.append(nf.f0 / z0 ** m)
@@ -839,8 +839,9 @@ FOLIATION_PRESETS = ("thmB", "example3", "linear(1,-1,-2)", "genF", "genH", "gen
 @pytest.mark.parametrize("name", FOLIATION_PRESETS)
 def test_holonomy_is_a_prefix_of_the_higher_order_holonomy(name, order, z0):
     """h_N equals h_(N+2) truncated to N, coefficient for coefficient."""
-    h, _ = holonomy_series(presets.load_foliation(name, order), order, z0=z0)
-    higher, _ = holonomy_series(presets.load_foliation(name, order + 2), order + 2, z0=z0)
+    F = presets.load_foliation(name)
+    h, _ = holonomy_series(F, order, z0=z0)
+    higher, _ = holonomy_series(F, order + 2, z0=z0)
     assert h.max_abs_diff(higher.truncate(order)) == 0.0
 
 
@@ -873,7 +874,7 @@ def test_normal_form_fits_at_order_32(name, ab):
     """Coefficients of thmB's holonomy reach 1e8 at order 32, so x*y composed
     with it has defects near 1e-8 in absolute terms; relative to the same
     composition on magnitudes they are rounding, and the map is fitted."""
-    h, _ = holonomy_series(presets.load_foliation(name, 32), 32, z0=1.0)
+    h, _ = holonomy_series(presets.load_foliation(name), 32, z0=1.0)
     nf = extract_normal_form(h)
     assert (nf.a, nf.b) == ab
 

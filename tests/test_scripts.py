@@ -27,7 +27,7 @@ def test_holonomy_table_script_prints_normal_form(monkeypatch, capsys):
 
 
 def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, tmp_path):
-    # a named subset: the full run takes about a minute
+    # a named subset: the full run takes about 17 s
     script = SCRIPTS / "output_digest.py"
     monkeypatch.setattr(sys, "argv", [str(script), "flow_table:genF", "numeric:holonomy:genH",
                                       "orbit:h1", "cli:petal"])
@@ -61,10 +61,6 @@ def test_output_digest_script_hashes_the_selected_outputs(monkeypatch, capsys, t
         runpy.run_path(str(script), run_name="__main__")
 
 
-# the three CLI orbit runs take 14-15 s (about 5, 7-9 and 2-3 s on 2 vCPUs,
-# Python 3.11) of the full digest's 17 s; they are diffed by hand until
-# they are fast
-SLOW_DIGEST_ENTRIES = ("cli:orbit-H", "cli:orbit-parabolic", "cli:orbit-F-level-circle")
 GOLDEN_DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "output_digest.txt"
 
 
@@ -79,12 +75,12 @@ def test_output_digest_matches_the_golden_file(capsys):
         PYTHONPATH=src python scripts/output_digest.py > tests/golden/output_digest.txt
     """
     script = runpy.run_path(str(SCRIPTS / "output_digest.py"))
-    fast = [name for name, _ in script["entries"]() if name not in SLOW_DIGEST_ENTRIES]
+    slow = script["SLOW_DIGEST_ENTRIES"]
+    fast = [name for name, _ in script["entries"]() if name not in slow]
     script["main"](fast)
     golden = GOLDEN_DIGEST.read_text().splitlines()
     assert len(golden) == 294
-    slow = tuple(f"{name}:" for name in SLOW_DIGEST_ENTRIES)
-    expected = [line for line in golden if not line.startswith(slow)]
+    expected = [line for line in golden if not line.startswith(tuple(f"{n}:" for n in slow))]
     assert len(expected) == 285
     assert capsys.readouterr().out.splitlines() == expected
 
@@ -96,7 +92,6 @@ def test_traffic_lines_script_lists_the_statements_a_run_misses():
     from holodyn import holonomy, reproduce
 
     script = runpy.run_path(str(SCRIPTS / "traffic_lines.py"))
-    assert script["SLOW_DIGEST_ENTRIES"] == SLOW_DIGEST_ENTRIES
     missed = {(path, line) for path, line, _ in
               script["missed_statements"]([reproduce.check_realization])}
     rhs, first = inspect.getsourcelines(holonomy.MonodromySystem.rhs)
