@@ -7,14 +7,17 @@ warm-up included) and every fast entry of ``scripts/output_digest.py`` (all
 but the three slow ``cli:orbit-*`` entries).  A ``sys.settrace`` line
 trace records the lines they execute, and ``ast`` lists the statements
 inside function bodies (docstrings left out); each statement of which no
-line ran is printed as ``file:line: source``, in file order:
+line ran is printed as ``file: function: source``, in file order, with the
+qualified name of its enclosing function (``Class.method``, ``outer.inner``)
+and the first line of its source:
 
     PYTHONPATH=src python scripts/traffic_lines.py
 
 A printed line is code that no input of those runs reaches: a candidate for
-deletion, or for a run that exercises it.  Module- and class-level
-statements run on import and are not listed.  The whole run takes about
-15 s.
+deletion, or for a run that exercises it.  No line number is printed, so an
+edit elsewhere in a file moves no entry, and the listings of two trees can be
+compared with ``diff``.  Module- and class-level statements run on import
+and are not listed.  The whole run takes about 15 s.
 """
 import ast
 import pathlib
@@ -50,23 +53,27 @@ def _header(stmt) -> range:
 
 
 def function_statements(path: pathlib.Path):
-    """(line, source, header lines) of each statement inside a function body
-    of the module at ``path`` that compiles to bytecode, docstrings excluded."""
+    """(line, qualified name of the enclosing scope, source, header lines)
+    of each statement inside a function body of the module at ``path`` that
+    compiles to bytecode, docstrings excluded."""
     source = path.read_text()
     code_lines = _code_lines(compile(source, str(path), "exec"))
     lines = source.splitlines()
     found = []
 
-    def visit(node, in_function):
+    def visit(node, scope, in_function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.stmt) and in_function and not _is_docstring(child):
                 header = _header(child)
                 if code_lines.intersection(header):
-                    found.append((child.lineno, lines[child.lineno - 1].strip(), header))
-            visit(child, in_function
-                  or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+                    found.append((child.lineno, scope, lines[child.lineno - 1].strip(), header))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name,
+                      in_function or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, scope, in_function)
 
-    visit(ast.parse(source), False)
+    visit(ast.parse(source), "", False)
     return found
 
 
@@ -99,15 +106,16 @@ def executed_lines(runs) -> dict:
 
 
 def missed_statements(runs):
-    """(relative path, line, source) of every function-body statement of
-    src/holodyn that ``runs`` never execute, in file and line order."""
+    """(relative path, line, enclosing function, source) of every
+    function-body statement of src/holodyn that ``runs`` never execute, in
+    file and line order."""
     executed = executed_lines(runs)
     missed = []
     for path in sorted(PACKAGE.glob("*.py")):
         ran = executed.get(str(path), set())
-        for line, source, header in function_statements(path):
+        for line, function, source, header in function_statements(path):
             if not ran.intersection(header):
-                missed.append((str(path.relative_to(ROOT)), line, source))
+                missed.append((str(path.relative_to(ROOT)), line, function, source))
     return missed
 
 
@@ -133,8 +141,8 @@ def program_runs():
 
 
 def main():
-    for path, line, source in missed_statements(program_runs()):
-        print(f"{path}:{line}: {source}")
+    for path, _, function, source in missed_statements(program_runs()):
+        print(f"{path}: {function}: {source}")
 
 
 if __name__ == "__main__":

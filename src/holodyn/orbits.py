@@ -337,7 +337,7 @@ class TruncatedJetMap(EvaluableMap):
         self.n_vars = jmap.n_vars
 
     def eval(self, p: Point) -> Point:
-        return self.jmap.eval(p)
+        return self.jmap.evaluator()(p)
 
     def _invert(self) -> Optional["TruncatedJetMap"]:
         """The inverse jet map (at order 1, np.linalg.inv's entries above
@@ -451,14 +451,15 @@ def iterate_orbit(
 
     Each run applies the map step by step and tests every image before the
     next step, as a plain scalar loop would: first for escape (a step
-    failure, a non-finite part or a modulus above the radius), so no map is
-    evaluated outside V, then for a cycle by ``_cycle_event`` (within the
-    cycle eps of the seed: periodic; of the previous point: converged).  The
-    cycle rule only runs when the real part of coordinate 0 is within the
-    cycle eps of the seed's or the previous point's: |re| <= |c| holds in
-    floating point, so no event is skipped.  The in-ball images get their
-    dedup keys from ``_dedup_keys``, KEY_BATCH points at a time.  The map is
-    called at exactly the points a scalar loop calls it at.
+    failure, or a coordinate c with not |c| <= radius, tested in order up to
+    the first that fails), so no map is evaluated outside V, then for a
+    cycle by ``_cycle_event`` (within the cycle eps of the seed: periodic;
+    of the previous point: converged).  The cycle rule only runs when the
+    real part of coordinate 0 is within the cycle eps of the seed's or the
+    previous point's: |re| <= |c| holds in floating point, so no event is
+    skipped.  The in-ball images get their dedup keys from ``_dedup_keys``,
+    KEY_BATCH points at a time.  The map is called at exactly the points a
+    scalar loop calls it at.
     """
     p = tuple(complex(c) for c in p)
     if not V.contains(p):
@@ -469,9 +470,9 @@ def iterate_orbit(
     fwd_pts: List[Point] = []
     bwd_pts: List[Point] = []
 
-    # inside(|c|) is |c| <= radius, as in V.contains: False for NaN and inf,
-    # so a non-finite image escapes at the step that produced it
-    inside = float(V.radius).__ge__
+    # not |c| <= radius, unlike |c| > radius, holds for NaN (and inf fails
+    # |c| <= radius), so a non-finite image escapes at the step that made it
+    radius = float(V.radius)
 
     def run(direction_map, store) -> Tuple[str, int]:
         """Returns (outcome, steps): steps_inside + 1 escape credit when the
@@ -482,6 +483,7 @@ def iterate_orbit(
         done = 0
         while done < budget:
             batch: List[Point] = []
+            keep = batch.append
             outcome = None
             for steps in range(done + 1, min(done + KEY_BATCH, budget) + 1):
                 prev, prev_re = cur, cur_re
@@ -490,15 +492,18 @@ def iterate_orbit(
                 except STEP_FAILURES:
                     outcome = "escaped"
                     break
-                if not all(map(inside, map(abs, cur))):
-                    outcome = "escaped"
+                for c in cur:
+                    if not abs(c) <= radius:
+                        outcome = "escaped"
+                        break
+                if outcome is not None:
                     break
                 cur_re = cur[0].real
                 if abs(cur_re - seed_re) < eps_cycle or abs(cur_re - prev_re) < eps_cycle:
                     outcome = _cycle_event(cur, prev, p, eps_cycle)
                     if outcome is not None:
                         break
-                batch.append(cur)
+                keep(cur)
             if batch:
                 seen.update(_dedup_keys(batch, eps_dedup))
                 if keep_points:

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import holodyn.flows as flows
-from holodyn import presets
+from holodyn import presets, reproduce
 from holodyn.cli import main
 from holodyn.flows import VectorField, flow_cross_check, formal_flow
 from holodyn.holonomy import holonomy_cross_check, holonomy_series
@@ -349,6 +349,23 @@ def test_reproduce_paper_subset(tmp_path):
     assert "2/2 checks passed" in text
 
 
+def test_reproduce_paper_exits_1_when_a_check_fails(tmp_path, monkeypatch):
+    """A failing check prints its FAIL line, still writes the report and
+    exits 1, after the checks that pass."""
+    monkeypatch.setitem(reproduce.CHECKS, "realization",
+                        lambda: reproduce.CheckResult("realization", False, "forced failure"))
+    report = tmp_path / "rep.md"
+    res = run("reproduce-paper", "--only", "linear-model",
+              "--only", "realization", "--report", str(report))
+    assert res.exit_code == 1
+    assert "[PASS] linear-model" in res.output
+    assert "[FAIL] realization: forced failure" in res.output.splitlines()
+    assert f"wrote {report}" in res.output
+    text = report.read_text()
+    assert "1/2 checks passed" in text
+    assert "| realization | FAIL | forced failure |" in text
+
+
 def test_reproduce_paper_unknown_check(tmp_path):
     res = run("reproduce-paper", "--only", "nope",
               "--report", str(tmp_path / "r.md"))
@@ -489,6 +506,9 @@ def test_reproduce_paper_unknown_check(tmp_path):
      "--seed does not apply unless --random-seeds picks random seeds"),
     (["orbit", "--map", "h1", "--grid", "2x2", "--budget", "10", "--svg-projection", "re-im"],
      "--svg-projection does not apply without --svg"),
+    (["petal", "--d", "2", "--c", "abc"], "cannot parse complex number 'abc'"),
+    (["orbit", "--map", "parabolic(2,1)", "--level-circle"], "--level-circle needs a planar map"),
+    (["orbit", "--map", "H", "--grid", "4y4"], "cannot parse --grid '4y4'; expected e.g. 20x20"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"

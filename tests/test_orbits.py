@@ -878,6 +878,61 @@ def test_budget_at_a_chunk_size_gives_the_scalar_record(budget):
     assert inputs == reference_inputs and len(inputs) == 2 * budget
 
 
+class LastCoordinateEscapes(EvaluableMap):
+    """A germ of C^n_vars, with no inverse, that walks from (0.5, ..., 0.5)
+    along distinct points of modulus 0.5 and at step ``at`` maps into a
+    point whose last coordinate is ``bad`` while every other coordinate
+    stays inside V1; every point it is evaluated at goes to ``inputs``."""
+
+    def __init__(self, n_vars, at, bad):
+        golden = (math.sqrt(5) - 1) / 2
+        self.n_vars = n_vars
+        path = [(0.5 + 0j,) * n_vars] + [
+            tuple(0.5 * cmath.exp(2j * math.pi * (golden * k + j / 7)) for j in range(n_vars))
+            for k in range(1, at + 1)]
+        path[at] = path[at][:-1] + (bad,)
+        self.seed = path[0]
+        self.next = dict(zip(path, path[1:]))
+        self.inputs = []
+
+    def eval(self, p):
+        self.inputs.append(p)
+        return self.next[p]
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), 1.5 + 0j])
+@pytest.mark.parametrize("at", [1, 17, 1025])
+@pytest.mark.parametrize("n_vars", [2, 3])
+def test_an_escape_in_the_last_coordinate_ends_the_run_at_its_step(n_vars, at, bad):
+    """Only the last coordinate of step ``at`` is NaN, inf or beyond the
+    radius: the run escapes at that step, with the reference's record and
+    the map evaluated at the reference's points."""
+    records, inputs = [], []
+    for run in (iterate_orbit, reference_iterate_orbit):
+        h = LastCoordinateEscapes(n_vars, at, bad)
+        records.append(record_fields(run(h, h.seed, V1, budget=4096, keep_points=True)))
+        inputs.append(h.inputs)
+    assert records[0] == records[1]
+    assert inputs[0] == inputs[1] and len(inputs[0]) == at
+    assert records[0][1:6] == ("Escaped", None, at, at, True)
+
+
+def test_a_step_where_u_vanishes_escapes_both_ways():
+    """ProductPreservingMap(1, 1, -1) at (1, 1): u = 1 + xy c = 0 exactly,
+    so the map and its closed-form inverse both raise at step 1.  The record
+    is the reference's: Escaped with mu = 3 (each failed step gets the
+    escape credit, plus n = 0) and cardinality 1, although neither h nor
+    h^-1 is defined at the seed; by the Dom(h^n) count mu would be 1."""
+    h, seed = ProductPreservingMap(1, 1, -1), (1.0, 1.0)
+    for step in (h.eval, h.inverse().eval):
+        with pytest.raises(OrbitError, match=r"u = 0"):
+            step(seed)
+    got, want = (record_fields(run(h, seed, V1, keep_points=True))
+                 for run in (iterate_orbit, reference_iterate_orbit))
+    assert got == want
+    assert got[1:6] == ("Escaped", None, 3, 1, False)
+
+
 # -- pseudogroup ----------------------------------------------------------------
 
 

@@ -74,3 +74,36 @@ def test_a_traced_oracle_point_compiles_no_integrator_of_its_own(monkeypatch):
     assert sources == [flows._dp54_source(2)]
     assert traced.tobytes() == untraced.tobytes()
     assert tracer.layer_metrics()["flows.integrate.calls"] == 1
+
+
+
+def _traced_orbit(h, p, V, budget):
+    """iterate_orbit's record and the tracer's layer metrics of that one call."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rec = orbits.iterate_orbit(h, p, V, budget=budget)
+    finally:
+        tracer.uninstall()
+    return rec, tracer.layer_metrics()
+
+
+def test_traced_orbit_steps_are_counted_by_map_class():
+    """Each step of iterate_orbit runs through its map's class ``eval``: an
+    H lattice seed's escaping runs take mu - 1 evaluations (mu counts n = 0
+    too), and an example3 jet-map seed that exhausts a budget of 200 both
+    ways takes 200 steps of the jet map and 200 of its inverse, which is
+    named example3^-1 and so counted as an inverse evaluation."""
+    V = orbits.DomainBall(workloads.GRID_RADIUS)
+    seed = orbits.lattice_seeds(workloads.GRID_RADIUS, workloads.GRID_PER_AXIS,
+                                low=workloads.GRID_LOW)[57]
+    rec, metrics = _traced_orbit(presets.map_H(), seed, V, orbits.DEFAULT_BUDGET)
+    assert rec.status == "Escaped"
+    assert metrics["orbits.eval.ProductPreservingMap.calls"] \
+        + metrics["orbits.inverse_eval.calls"] == rec.mu - 1
+    jet, _ = holonomy.holonomy_series(presets.load_foliation("example3"), workloads.JET_ORDER)
+    J = orbits.TruncatedJetMap(jet, name="example3")
+    rec, metrics = _traced_orbit(J, (workloads.JET_MODULUS, workloads.JET_MODULUS * 1j), V, 200)
+    assert rec.status == "BudgetExhausted"
+    assert metrics["orbits.eval.TruncatedJetMap.calls"] \
+        == metrics["orbits.inverse_eval.calls"] == 200

@@ -92,12 +92,36 @@ def test_traffic_lines_script_lists_the_statements_a_run_misses():
     from holodyn import holonomy, reproduce
 
     script = runpy.run_path(str(SCRIPTS / "traffic_lines.py"))
-    missed = {(path, line) for path, line, _ in
+    missed = {(path, line): function for path, line, function, _ in
               script["missed_statements"]([reproduce.check_realization])}
     rhs, first = inspect.getsourcelines(holonomy.MonodromySystem.rhs)
     body = range(first + 1, first + len(rhs))
-    assert {("src/holodyn/holonomy.py", line) for line in body} <= missed
+    assert {("src/holodyn/holonomy.py", line) for line in body} <= missed.keys()
+    assert {missed["src/holodyn/holonomy.py", line] for line in body} \
+        == {"MonodromySystem.rhs"}
     check, first = inspect.getsourcelines(reproduce.check_realization)
     ran = [line for line in range(first + 1, first + len(check))
            if ("src/holodyn/reproduce.py", line) in missed]
     assert ran == []
+
+
+def test_traffic_lines_keys_do_not_move_with_the_lines_above(tmp_path):
+    """A statement's listing key is its file, its enclosing scope's qualified
+    name and its source: lines added above it change its line number only."""
+    script = runpy.run_path(str(SCRIPTS / "traffic_lines.py"))
+    body = ("class A:\n"
+            "    def f(self, x):\n"
+            "        def g(y):\n"
+            "            return y\n"
+            "        class B:\n"
+            "            k = 1\n"
+            "        return g(x)\n")
+    keys = []
+    for pad in ("", "# a comment\n\n"):
+        path = tmp_path / "m.py"
+        path.write_text(pad + body)
+        found = script["function_statements"](path)
+        keys.append([(function, source) for _, function, source, _ in found])
+    assert keys[0] == keys[1] == [("A.f", "def g(y):"), ("A.f.g", "return y"),
+                                  ("A.f", "class B:"), ("A.f.B", "k = 1"),
+                                  ("A.f", "return g(x)")]
