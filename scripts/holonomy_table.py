@@ -21,7 +21,7 @@ def main():
     print(f"# ODE residual (symbolic): {table.ode_residual_max():.2e}")
     for j, exp in table.sorted_keys():
         poly = table.entries[(j, exp)]
-        if poly.is_negligible():
+        if not poly.terms:
             continue
         v = poly.eval(1.0)
         print(f"component {j}  x^{list(exp)}  {poly!r}")

@@ -3,8 +3,11 @@
 
 The runs are the 11 ``reproduce-paper`` checks, one pass of each benchmark
 workload of ``perfbench/workloads.py`` at seed 7 (every item and its gate,
-warm-up included) and every fast entry of ``scripts/output_digest.py`` (all
-but the three slow ``cli:orbit-*`` entries).  A ``sys.settrace`` line
+warm-up included), every fast entry of ``scripts/output_digest.py`` (all
+but the three slow ``cli:orbit-*`` entries) and ``scripts/holonomy_table.py``
+on each of ``TABLE_RUNS``: thmB at order 4, and a linear field whose
+eigenvalue ratio is irrational, so that its table prints a frequency off
+the 2*pi*i*q lattice.  A ``sys.settrace`` line
 trace records the lines they execute, and ``ast`` lists the statements
 inside function bodies (docstrings left out); each statement of which no
 line ran is printed as ``file: function: source``, in file order, with the
@@ -17,9 +20,11 @@ A printed line is code that no input of those runs reaches: a candidate for
 deletion, or for a run that exercises it.  No line number is printed, so an
 edit elsewhere in a file moves no entry, and the listings of two trees can be
 compared with ``diff``.  Module- and class-level statements run on import
-and are not listed.  The whole run takes about 15 s.
+and are not listed.  The whole run takes about 25 s on two cores.
 """
 import ast
+import contextlib
+import io
 import pathlib
 import runpy
 import sys
@@ -27,6 +32,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "holodyn"
 WORKLOAD_SEED = 7
+TABLE_RUNS = (("thmB", "4"), ("linear(1,1.41421356,-2)", "2"))
 
 
 def _code_lines(code) -> set:
@@ -119,9 +125,26 @@ def missed_statements(runs):
     return missed
 
 
+def table_runs():
+    """``scripts/holonomy_table.py`` on each argument list of ``TABLE_RUNS``,
+    its output discarded, as callables of no argument."""
+    script = str(ROOT / "scripts" / "holonomy_table.py")
+
+    def run(argv):
+        saved = sys.argv
+        sys.argv = [script, *argv]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(script, run_name="__main__")
+        finally:
+            sys.argv = saved
+
+    return [lambda argv=argv: run(argv) for argv in TABLE_RUNS]
+
+
 def program_runs():
-    """The reproduce checks, one seeded pass of each benchmark workload and
-    the fast digest entries, as callables of no argument."""
+    """The reproduce checks, one seeded pass of each benchmark workload, the
+    fast digest entries and the table script runs, as callables of no argument."""
     from holodyn.reproduce import CHECKS
 
     runs = list(CHECKS.values())
@@ -137,7 +160,7 @@ def program_runs():
     digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"))
     runs += [thunk for name, thunk in digest["entries"]()
              if name not in digest["SLOW_DIGEST_ENTRIES"]]
-    return runs
+    return runs + table_runs()
 
 
 def main():

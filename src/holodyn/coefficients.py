@@ -25,6 +25,7 @@ and holonomy monodromy systems use this engine.
 """
 from __future__ import annotations
 
+import cmath
 from operator import add
 from typing import Dict, List, Sequence, Tuple
 
@@ -99,7 +100,8 @@ def solve_coefficient_system(
 
     The degree-1 terms must form a diagonal alpha_j x_j at frequency 0, the
     one shape for which the recursion is triangular; anything else raises
-    CoefficientSystemError.
+    CoefficientSystemError.  A solved coefficient that is not finite raises
+    OverflowError.
     """
     n = len(system)
     freqs, weights = zip(*(_split_row(j, terms, n, order)
@@ -132,6 +134,9 @@ def solve_coefficient_system(
                 if not gp.terms:
                     continue
                 entry = solve_linear_ode(freqs[j], gp, 0.0)
+                if not all(map(cmath.isfinite, entry.terms.values())):
+                    raise OverflowError(f"component {j}, x^{list(exp)}: "
+                                        "the solved coefficient is not finite")
                 table.entries[(j, exp)] = entry
                 table.forcings[(j, exp)] = gp
                 solved[exp] = entry.terms

@@ -3,9 +3,11 @@
 This ring is closed under differentiation, multiplication and under
 solving first-order linear ODEs a' = alpha*a + g by variation of
 parameters, which is exactly what the holonomy coefficient functions and
-formal flow coefficients require.  The solve multiplies by e^(-/+alpha t)
-as a one-term product on the term dicts (mu -> mu -/+ alpha), with no
-exponential polynomial built and no ``ExpPoly.__mul__`` call.
+formal flow coefficients require.  Products run on term dicts through
+:func:`mul_terms_into`, with no exponential polynomial built per factor;
+``ExpPoly`` has no product of two of its own, only sums and multiples.
+The solve multiplies by e^(-/+alpha t) as a one-term product
+(mu -> mu -/+ alpha).
 
 ``Frequency(q)`` is the exact frequency 2*pi*i*q (q a Fraction), so
 resonance (mu - alpha == 0) is detected exactly; ``Frequency.coerce(x)``
@@ -13,7 +15,8 @@ takes any outside number and keeps one that is no such multiple as a
 complex double, with a 1e-12 resonance tolerance, and refuses one that is
 not finite.  One construction rule: only ``ExpPoly(...)`` checks outside
 input (integral t-powers, finite coefficients), and it prunes once;
-arithmetic results are built by ``ExpPoly._from_clean``.
+arithmetic results are built by ``ExpPoly._from_clean``.  The prune test is
+``Jet``'s, ``not abs(c) < PRUNE_TOL``, which keeps a NaN term.
 """
 from __future__ import annotations
 
@@ -137,13 +140,13 @@ class ExpPoly:
             if not cmath.isfinite(c):
                 raise JetError(f"coefficient of {key} is not finite, got {c!r}")
             clean[key] = clean.get(key, 0.0 + 0j) + c
-        self.terms = {key: c for key, c in clean.items() if abs(c) >= PRUNE_TOL}
+        self.terms = {key: c for key, c in clean.items() if not abs(c) < PRUNE_TOL}
 
     @classmethod
     def _from_clean(cls, terms: Dict[Key, complex]) -> "ExpPoly":
         """Wrap (int, Frequency) keys and complex values, pruning negligible terms."""
         out = cls.__new__(cls)
-        out.terms = {key: c for key, c in terms.items() if abs(c) >= PRUNE_TOL}
+        out.terms = {key: c for key, c in terms.items() if not abs(c) < PRUNE_TOL}
         return out
 
     # -- constructors ------------------------------------------------------
@@ -161,39 +164,23 @@ class ExpPoly:
         """e^(mu t); pass a Frequency, a rational q (meaning 2*pi*i*q) or a complex mu."""
         return cls.term(1.0, k=0, freq=freq)
 
-    # -- ring operations ---------------------------------------------------
+    # -- sums and multiples ------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other: "ExpPoly") -> "ExpPoly":
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0.0 + 0j) + c
         return ExpPoly._from_clean(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
     def __neg__(self):
         return ExpPoly._from_clean({key: -c for key, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ExpPoly._from_clean({key: c * other for key, c in self.terms.items()})
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        out: Dict[Key, complex] = {}
-        mul_terms_into(out, self.terms, other.terms)
-        return ExpPoly._from_clean(out)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    def __mul__(self, other: complex) -> "ExpPoly":
+        """Every term times the number ``other``."""
+        return ExpPoly._from_clean({key: c * other for key, c in self.terms.items()})
 
     # -- calculus ----------------------------------------------------------
 
@@ -242,9 +229,6 @@ class ExpPoly:
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def is_negligible(self) -> bool:
-        return self.max_abs_coeff() < PRUNE_TOL
-
     def _sorted_items(self):
         def key(item):
             (k, f), _ = item
@@ -289,14 +273,6 @@ def mul_terms_into(acc: Dict[Key, complex], a: Dict[Key, complex], b: Dict[Key, 
         for (k2, f2), c2 in b.items():
             key = (k1 + k2, sums.get(f2) or f1 + f2)
             acc[key] = acc.get(key, 0.0 + 0j) + c1 * c2
-
-
-def _coerce(x):
-    if isinstance(x, ExpPoly):
-        return x
-    if isinstance(x, (int, float, complex)):
-        return ExpPoly.term(x)
-    return NotImplemented
 
 
 def solve_linear_ode(alpha, g: ExpPoly, a0) -> ExpPoly:

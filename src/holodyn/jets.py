@@ -1,14 +1,12 @@
 """Sparse truncated multivariate power series (jets) over the complex numbers.
 
-Coefficients are complex doubles by default, but the arithmetic is written
-against a generic coefficient ring: anything supporting ``+``, ``*`` and
-unary ``-`` works (the library builds complex jets only; the coefficient
-tests' reference recursion runs on :class:`holodyn.exppoly.ExpPoly` ones).
-One construction rule: ``Jet(...)`` alone checks outside input (integral
-exponents within the order, finite scalar coefficients), and every
-arithmetic result is built by the trusted :meth:`Jet._from_clean`, which only
-prunes below ``PRUNE_TOL``; so a jet fixes the origin iff it stores no
-constant term.
+Coefficients are complex numbers.  One construction rule: ``Jet(...)``
+alone checks outside input (integral exponents within the order, finite
+coefficients), and every arithmetic result is built by the trusted
+:meth:`Jet._from_clean`, which only prunes coefficients below ``PRUNE_TOL``;
+so a jet fixes the origin iff it stores no constant term.  The prune test is
+``not abs(c) < PRUNE_TOL``, which keeps a NaN: an overflowed result stays
+visible instead of reading as zero.
 
 Monomials are keyed by exponent tuples and iterated in graded
 lexicographic order, which makes every textual or serialized form
@@ -33,16 +31,6 @@ class JetError(ValueError):
 def grlex_key(exp: Sequence[int]):
     """Graded-lex sort key: total degree first, then lexicographic."""
     return (sum(exp), tuple(exp))
-
-
-def _is_scalar(c) -> bool:
-    return isinstance(c, (int, float, complex))
-
-
-def coeff_is_negligible(c) -> bool:
-    if _is_scalar(c):
-        return abs(c) < PRUNE_TOL
-    return c.is_negligible()
 
 
 def _unit(j: int, n: int) -> tuple:
@@ -100,10 +88,10 @@ class Jet:
                 raise JetError(f"negative exponent in {exp}")
             if sum(exp) > order:
                 raise JetError(f"monomial {exp} exceeds truncation order {order}")
-            if _is_scalar(c) and not cmath.isfinite(c):
+            if not cmath.isfinite(c):
                 raise JetError(f"coefficient of {exp} is not finite, got {c!r}")
             clean[exp] = clean[exp] + c if exp in clean else c
-        self.coeffs = {e: c for e, c in clean.items() if not coeff_is_negligible(c)}
+        self.coeffs = {e: c for e, c in clean.items() if not abs(c) < PRUNE_TOL}
         self._evaluator = None
 
     @classmethod
@@ -111,7 +99,7 @@ class Jet:
         """Wrap distinct, valid int-tuple exponents, pruning negligible coefficients."""
         out = cls.__new__(cls)
         out.n_vars, out.order, out._evaluator = n_vars, order, None
-        out.coeffs = {e: c for e, c in coeffs.items() if not coeff_is_negligible(c)}
+        out.coeffs = {e: c for e, c in coeffs.items() if not abs(c) < PRUNE_TOL}
         return out
 
     # -- constructors ------------------------------------------------------
@@ -192,7 +180,7 @@ class Jet:
                     prod = c1 * c2
                     out[exp] = out[exp] + prod if exp in out else prod
             return Jet._from_clean(self.n_vars, self.order, out)
-        # scalar (complex or ring element) multiplication
+        # multiplication by a number
         return Jet._from_clean(self.n_vars, self.order,
                                {e: c * other for e, c in self.coeffs.items()})
 
@@ -214,7 +202,7 @@ class Jet:
         valuation >= 1 part, which terminates after ``order`` passes.
         """
         c0 = self.constant_term()
-        if coeff_is_negligible(c0):
+        if abs(c0) < PRUNE_TOL:
             raise JetError("jet has (numerically) zero constant term; not invertible")
         u = self * (1.0 / c0) - Jet.one(self.n_vars, self.order)
         acc = Jet.one(self.n_vars, self.order)
@@ -302,14 +290,6 @@ class Jet:
     def from_json_dict(cls, d: dict) -> "Jet":
         coeffs = {tuple(t["exp"]): complex(t["re"], t["im"]) for t in d["terms"]}
         return cls(d["n_vars"], d["order"], coeffs)
-
-    def __repr__(self):
-        parts = []
-        for exp, c in self.terms():
-            mono = "*".join(f"x{i}^{e}" for i, e in enumerate(exp) if e) or "1"
-            parts.append(f"({c})*{mono}")
-        body = " + ".join(parts) if parts else "0"
-        return f"Jet[{self.n_vars} vars, N={self.order}]({body})"
 
 
 class JetMap:
@@ -417,9 +397,6 @@ class JetMap:
     @classmethod
     def from_json_dict(cls, d: dict) -> "JetMap":
         return cls([Jet.from_json_dict(c) for c in d["components"]])
-
-    def __repr__(self):
-        return "JetMap(\n  " + ",\n  ".join(repr(c) for c in self.components) + "\n)"
 
 
 def sum_linear(row, jets: Sequence[Jet]) -> Jet:

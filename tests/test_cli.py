@@ -509,6 +509,8 @@ def test_reproduce_paper_unknown_check(tmp_path):
     (["petal", "--d", "2", "--c", "abc"], "cannot parse complex number 'abc'"),
     (["orbit", "--map", "parabolic(2,1)", "--level-circle"], "--level-circle needs a planar map"),
     (["orbit", "--map", "H", "--grid", "4y4"], "cannot parse --grid '4y4'; expected e.g. 20x20"),
+    (["holonomy", "--field", "thmB("], "cannot parse preset spec 'thmB('"),
+    (["flow", "--field", "linear(1,abc)"], "bad numeric argument 'abc' in 'linear(1,abc)'"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -639,6 +641,31 @@ def test_a_vanishing_axis_component_exits_3_with_one_error_line(tmp_path):
         "Error: the axis component X_1 vanishes on the leaf through ((0.05+0j),): "
         "the leafwise equations divide by it"]
     assert not (tmp_path / "o.csv").exists()
+
+
+def siegel_json(path, s: float) -> str:
+    """x(1 + s xyz^2) d/dx + y(1 - s xyz^2) d/dy - z d/dz along the z-axis,
+    example3's shape with the coefficient s, written to ``path``."""
+    field = VectorField([Jet(3, 5, {(1, 0, 0): 1.0, (2, 1, 2): s}),
+                         Jet(3, 5, {(0, 1, 0): 1.0, (1, 2, 2): -s}),
+                         Jet(3, 5, {(0, 0, 1): -1.0})])
+    path.write_text(json.dumps({"field": field.to_json_dict(), "separatrix_axis": 2}))
+    return str(path)
+
+
+@pytest.mark.parametrize("s, monomial", [(1e200, "x^[3, 2]"), (1e150, "x^[4, 3]")])
+def test_an_overflowed_coefficient_exits_3_naming_its_monomial(tmp_path, s, monomial):
+    """The solved coefficient of the named monomial is not finite: the run
+    is refused, where the overflow used to be pruned and print as zero."""
+    emit = tmp_path / "t.json"
+    res = run("holonomy", "--field", siegel_json(tmp_path / "big.json", s), "--order", "7",
+              "--emit", str(emit))
+    assert res.exit_code == 3
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1] == (
+        f"Error: --z0 '1': the monodromy system overflows "
+        f"(component 0, {monomial}: the solved coefficient is not finite)")
+    assert not emit.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -8,6 +8,7 @@ import cmath
 import itertools
 import random
 import re
+from operator import add
 
 import pytest
 
@@ -17,13 +18,68 @@ from holodyn.coefficients import (
     CoefficientTable,
     solve_coefficient_system,
 )
-from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I, solve_linear_ode
+from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I, mul_terms_into, solve_linear_ode
 from holodyn.flows import VectorField, flow_coefficient_table
 from holodyn.holonomy import Foliation, build_monodromy_system
 from holodyn.jets import Jet
 
 PRESETS = ("thmB", "example3", "linear(1,-1,-2)", "genF", "genH", "genLinear")
 TOL = 1e-12
+
+
+# A series truncated at a degree, with exponential-polynomial coefficients:
+# monomial -> ExpPoly term dict.  Each operation prunes its result once, as
+# ExpPoly._from_clean does, and drops the monomials left with no term.
+
+
+def _pruned(series: dict) -> dict:
+    out = {}
+    for exp, terms in series.items():
+        terms = ExpPoly._from_clean(terms).terms
+        if terms:
+            out[exp] = terms
+    return out
+
+
+def series_constant(n: int, c: complex, m: int = 0) -> dict:
+    """c e^(2 pi i m t) as a series in n variables."""
+    return {(0,) * n: {(0, Frequency(m)): c}}
+
+
+def series_add(a: dict, b: dict) -> dict:
+    out = {exp: dict(terms) for exp, terms in a.items()}
+    for exp, terms in b.items():
+        acc = out.setdefault(exp, {})
+        for key, c in terms.items():
+            acc[key] = acc.get(key, 0.0 + 0j) + c
+    return _pruned(out)
+
+
+def series_mul(a: dict, b: dict, order: int) -> dict:
+    out = {}
+    for e1, p1 in a.items():
+        for e2, p2 in b.items():
+            exp = tuple(map(add, e1, e2))
+            if sum(exp) <= order:
+                mul_terms_into(out.setdefault(exp, {}), p1, p2)
+    return _pruned(out)
+
+
+def series_compose(jet: Jet, phi: list, order: int) -> dict:
+    """jet(phi_0, ..., phi_n-1) truncated at ``order``: the sum over the jet's
+    terms c x^A of c * prod phi_i^A_i, each power built once."""
+    one = series_constant(len(phi), 1.0 + 0j)
+    powers = [[one] for _ in phi]
+    out = {}
+    for exp, c in jet.terms():
+        term = one
+        for i, e in enumerate(exp):
+            while len(powers[i]) <= e:
+                powers[i].append(series_mul(powers[i][-1], phi[i], order))
+            if e:
+                term = series_mul(term, powers[i][e], order)
+        out = series_add(out, series_mul(term, series_constant(len(phi), c), order))
+    return out
 
 
 def reference_solve(alphas, forcing, order) -> CoefficientTable:
@@ -38,24 +94,19 @@ def reference_solve(alphas, forcing, order) -> CoefficientTable:
         table.forcings[(j, exp)] = ExpPoly.zero()
 
     for d in range(2, order + 1):
-        phi = []
+        phi = [{exp: p.terms for (i, exp), p in table.entries.items() if i == j and sum(exp) <= d}
+               for j in range(n)]
         for j in range(n):
-            coeffs = {exp: p for (i, exp), p in table.entries.items() if i == j}
-            phi.append(Jet(n, order, coeffs).truncate(d))
-        for j in range(n):
-            g_total = Jet.zero(n, d)
+            g_total = {}
             for m, jet in forcing[j]:
-                if jet.is_zero():
-                    continue
-                composed = jet.truncate(d).compose(phi)
+                composed = series_compose(jet.truncate(d), phi, d)
                 if m != 0:
-                    composed = composed * ExpPoly.exponential(Frequency(m))
-                g_total = g_total + composed
-            for exp, g in g_total.coeffs.items():
+                    composed = series_mul(composed, series_constant(n, 1.0 + 0j, m), d)
+                g_total = series_add(g_total, composed)
+            for exp, terms in g_total.items():
                 if sum(exp) != d:
                     continue
-                if not isinstance(g, ExpPoly):
-                    g = ExpPoly.term(g)
+                g = ExpPoly._from_clean(terms)
                 table.entries[(j, exp)] = solve_linear_ode(freqs[j], g, 0.0)
                 table.forcings[(j, exp)] = g
     return table
@@ -209,6 +260,20 @@ Y2 = Jet.variable(1, 2, 4)
 def test_linear_part_outside_the_triangular_shape_rejected(system, message):
     with pytest.raises(CoefficientSystemError, match=re.escape(message)):
         solve_coefficient_system(system, 4)
+
+
+def test_a_solved_coefficient_that_overflows_is_refused():
+    """s = 1e200 in example3's shape x(1 + s xyz^2) d/dx + y(1 - s xyz^2) d/dy
+    - z d/dz makes the forcing of x^3 y^2 overflow to -inf, and its solved
+    coefficient NaN; the table is refused, not returned without the entry."""
+    s = 1e200
+    field = VectorField([Jet(3, 5, {(1, 0, 0): 1.0, (2, 1, 2): s}),
+                         Jet(3, 5, {(0, 1, 0): 1.0, (1, 2, 2): -s}),
+                         Jet(3, 5, {(0, 0, 1): -1.0})])
+    system = build_monodromy_system(Foliation(field, 2), 7).terms
+    with pytest.raises(OverflowError, match=re.escape("component 0, x^[3, 2]: "
+                                                      "the solved coefficient is not finite")):
+        solve_coefficient_system(system, 7)
 
 
 def test_at_time_overflow_is_a_computed_value_not_bad_input():

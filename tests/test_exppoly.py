@@ -2,13 +2,22 @@
 import cmath
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I, solve_linear_ode
+from holodyn.exppoly import ExpPoly, Frequency, TWO_PI_I, mul_terms_into, solve_linear_ode
 from holodyn.jets import JetError
+
+
+def ring_product(a: ExpPoly, b: ExpPoly) -> ExpPoly:
+    """a * b in the ring: mul_terms_into into an empty dict, then one prune,
+    the operations of the product ExpPoly itself no longer has."""
+    out = {}
+    mul_terms_into(out, a.terms, b.terms)
+    return ExpPoly._from_clean(out)
 
 
 def test_frequency_rational_exactness():
@@ -38,12 +47,12 @@ def test_an_interned_frequency_keeps_one_sign_of_zero():
 def test_exponential_product_cancels():
     a = ExpPoly.exponential(Frequency(1))
     b = ExpPoly.exponential(Frequency(-1))
-    assert (a * b - ExpPoly.term(1.0)).is_negligible()
+    assert not (ring_product(a, b) - ExpPoly.term(1.0)).terms
 
 
 def test_t_power_product():
-    te = ExpPoly.term(1.0, 1) * ExpPoly.exponential(Frequency(2))
-    sq = te * ExpPoly.term(1.0, 1)
+    te = ring_product(ExpPoly.term(1.0, 1), ExpPoly.exponential(Frequency(2)))
+    sq = ring_product(te, ExpPoly.term(1.0, 1))
     # t * e^{mu t} * t = t^2 e^{mu t}
     assert abs(sq.eval(0.7) - 0.49 * cmath.exp(2 * TWO_PI_I * 0.7)) < 1e-12
 
@@ -65,7 +74,21 @@ def test_product_pointwise_oracle(terms_a, terms_b):
 
     a, b = build(terms_a), build(terms_b)
     t = 0.3
-    assert abs((a * b).eval(t) - a.eval(t) * b.eval(t)) < 1e-10
+    assert abs(ring_product(a, b).eval(t) - a.eval(t) * b.eval(t)) < 1e-10
+
+
+def test_an_exponential_polynomial_scales_by_a_number_only():
+    a = ExpPoly.term(1.0, 1, Frequency(1))
+    assert (a * 2j).terms == {(1, Frequency(1)): 2j}
+    with pytest.raises(TypeError):
+        a * a
+
+
+def test_a_nan_term_is_kept():
+    """The prune test is Jet's, so a NaN term that an overflow made stays
+    visible instead of vanishing like a negligible one."""
+    huge = ExpPoly.term(1e200, 0, Frequency(1))
+    assert math.isnan((huge * 1e200 - huge * 1e200).terms[(0, Frequency(1))].real)
 
 
 def test_solve_homogeneous():
@@ -171,10 +194,16 @@ def test_t_power_must_be_a_non_negative_integer():
     assert ExpPoly({(2.0, 0): 1}).terms == ExpPoly.term(1.0, 2).terms
 
 
-@pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(1.0, float("nan"))])
-def test_non_finite_coefficient_rejected(c):
-    with pytest.raises(JetError, match=r"coefficient of \(1, 2\*pi\*i\*\(0\)\) is not finite"):
-        ExpPoly({(1, 0): c})
+@pytest.mark.parametrize("freq, c, key", [
+    (0, float("nan"), "(1, 2*pi*i*(0))"),
+    (0, float("inf"), "(1, 2*pi*i*(0))"),
+    (0, complex(1.0, float("nan")), "(1, 2*pi*i*(0))"),
+    # the key of a frequency off the 2*pi*i*q lattice, by Frequency.__repr__'s complex branch
+    (0.3 + 0.7j, float("nan"), "(1, (0.3+0.7j))"),
+], ids=["nan", "inf", "(1+nanj)", "complex-frequency"])
+def test_non_finite_coefficient_rejected(freq, c, key):
+    with pytest.raises(JetError, match=re.escape(f"coefficient of {key} is not finite")):
+        ExpPoly({(1, freq): c})
 
 
 def test_non_finite_frequency_rejected_and_not_interned():
@@ -190,9 +219,9 @@ def reference_solve_linear_ode(alpha, g: ExpPoly, a0) -> ExpPoly:
     """The ring-product route solve_linear_ode replaced: multiply by the
     exponential polynomials e^(-alpha t) and e^(alpha t)."""
     alpha = Frequency.coerce(alpha)
-    shifted = g * ExpPoly.exponential(-alpha)
+    shifted = ring_product(g, ExpPoly.exponential(-alpha))
     integral = shifted.antiderivative()
-    return (ExpPoly.term(a0) + integral) * ExpPoly.exponential(alpha)
+    return ring_product(ExpPoly.term(a0) + integral, ExpPoly.exponential(alpha))
 
 
 _coeffs = st.one_of(

@@ -105,6 +105,17 @@ def test_traffic_lines_script_lists_the_statements_a_run_misses():
     assert ran == []
 
 
+def test_traffic_lines_runs_the_table_script(capsys):
+    """The table script's runs reach what only it calls: ExpPoly.__repr__ and
+    both branches of Frequency.__repr__, the complex one by the field whose
+    eigenvalue ratio is irrational.  They print nothing into the listing."""
+    script = runpy.run_path(str(SCRIPTS / "traffic_lines.py"))
+    missed = {function for path, _, function, _ in script["missed_statements"](
+        script["table_runs"]()) if path == "src/holodyn/exppoly.py"}
+    assert not missed & {"ExpPoly.__repr__", "Frequency.__repr__"}
+    assert capsys.readouterr().out == ""
+
+
 def test_traffic_lines_keys_do_not_move_with_the_lines_above(tmp_path):
     """A statement's listing key is its file, its enclosing scope's qualified
     name and its source: lines added above it change its line number only."""
