@@ -23,14 +23,14 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import presets, reproduce
-from .coefficients import CoefficientSystemError
+from .coefficients import CoefficientSystemError, solve_coefficient_system
 from .flows import (
     DomainEscape,
     MaxStepsExceeded,
     StepUnderflow,
     first_integral_drift,
+    flow_coefficient_table,
     flow_cross_check,
-    formal_flow,
     lie_derivative,
 )
 from .holonomy import (
@@ -38,8 +38,8 @@ from .holonomy import (
     BasePointUnderflow,
     HolonomyError,
     NormalFormError,
+    build_monodromy_system,
     holonomy_cross_check,
-    holonomy_series,
     normal_form_or_reason,
 )
 from .jets import Jet, JetError, DEFAULT_ORDER
@@ -219,8 +219,12 @@ def holonomy(field_spec, order, z0, emit_path, oracle_path):
     F = presets.load_foliation(field_spec)
     config = {"command": "holonomy", "field": field_spec, "order": order,
               "z0": [z0c.real, z0c.imag]}
+    # holonomy_series in two steps, so that an overflow names the input it comes from
     with _library_failures(f"--z0 {z0!r}: the monodromy system"):
-        h, table = holonomy_series(F, order, z0=z0c)
+        system = build_monodromy_system(F, order, z0=z0c)
+    with _library_failures(f"--order {order}: the coefficient table"):
+        table = solve_coefficient_system(system.terms, order)
+        h = table.at_time(1.0)
 
     _echo_jet_map(f"holonomy of {field_spec} (axis {F.separatrix_axis}, order {order}):", h)
     nf = normal_form_or_reason(h)
@@ -266,8 +270,11 @@ def flow(field_spec, time_str, order, point, emit_path):
     p = _parse_point(point, X.n_vars) if point else None
     config = {"command": "flow", "field": field_spec, "time": [t.real, t.imag],
               "order": order, "point": point}
+    # formal_flow in two steps, so that an overflow names the input it comes from
+    with _library_failures(f"--order {order}: the coefficient table"):
+        table = flow_coefficient_table(X, order)
     with _library_failures(f"--time {time_str!r}: the time-t map"):
-        fmap = formal_flow(X, t, order)
+        fmap = table.at_time(t)
     _echo_jet_map(f"time-{time_str} map of {field_spec} (order {order}):", fmap)
     if p is not None:
         with _library_failures(f"--point {point!r}: the numeric cross-check"):

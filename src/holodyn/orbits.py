@@ -78,7 +78,14 @@ class DomainBall:
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
     def contains(self, p: Point) -> bool:
-        return all(abs(c) <= self.radius for c in p)
+        """Whether every coordinate c has |c| <= radius, tested in order up to
+        the first that fails: the escape test of ``iterate_orbit``'s run loop,
+        so a NaN or infinite coordinate is outside."""
+        radius = self.radius
+        for c in p:
+            if not abs(c) <= radius:
+                return False
+        return True
 
     @property
     def cycle_eps(self) -> float:
@@ -328,16 +335,18 @@ class _TimeMinusOneMap(_InverseMap):
 
 
 class TruncatedJetMap(EvaluableMap):
-    """Iteration of a truncated jet map through its compiled evaluator; the
-    inverse is the inverse jet when it passes the probe check."""
+    """Iteration of a truncated jet map through its compiled evaluator, bound
+    when the map is built; the inverse is the inverse jet when it passes the
+    probe check."""
 
     def __init__(self, jmap: JetMap, name: str = "jet"):
         self.jmap = jmap
         self.name = name
         self.n_vars = jmap.n_vars
+        self._evaluate = jmap.evaluator()
 
     def eval(self, p: Point) -> Point:
-        return self.jmap.evaluator()(p)
+        return self._evaluate(p)
 
     def _invert(self) -> Optional["TruncatedJetMap"]:
         """The inverse jet map (at order 1, np.linalg.inv's entries above
@@ -415,7 +424,11 @@ class OrbitRecord:
 
 def _quantize(p: Point, eps: float):
     """The key of a point or flat matrix p: round(re / eps), round(im / eps) per entry."""
-    return tuple([round(v / eps) for c in p for v in (c.real, c.imag)])
+    key = []
+    for c in p:
+        key.append(round(c.real / eps))
+        key.append(round(c.imag / eps))
+    return tuple(key)
 
 
 def _dedup_keys(points: List[Point], eps: float) -> List[bytes]:

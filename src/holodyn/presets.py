@@ -254,7 +254,8 @@ _MAPS = {
 def load_map(spec: str) -> EvaluableMap:
     if spec.endswith(".json"):
         jmap = _read_json(spec, "jet-map", JetMap.from_json_dict)
-        return _bounded(TruncatedJetMap(jmap, name=spec), jmap.components, spec, "jet-map")
+        # bounded before it is built: building compiles the map's evaluator
+        return TruncatedJetMap(_bounded(jmap, jmap.components, spec, "jet-map"), name=spec)
     _, h = _build("map", _MAPS, spec)
     # phiX(n,m,a,b) is bounded by the order a + b + 1 of its field, as example1 is
     phiX = isinstance(h, MonomialFlowMap)

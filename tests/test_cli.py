@@ -511,6 +511,7 @@ def test_reproduce_paper_unknown_check(tmp_path):
     (["orbit", "--map", "H", "--grid", "4y4"], "cannot parse --grid '4y4'; expected e.g. 20x20"),
     (["holonomy", "--field", "thmB("], "cannot parse preset spec 'thmB('"),
     (["flow", "--field", "linear(1,abc)"], "bad numeric argument 'abc' in 'linear(1,abc)'"),
+    (["orbit", "--map", "parabolic(2,0)"], "invalid map preset 'parabolic(2,0)': c must be nonzero"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -643,13 +644,17 @@ def test_a_vanishing_axis_component_exits_3_with_one_error_line(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+def siegel_field(s: float) -> VectorField:
+    """x(1 + s xyz^2) d/dx + y(1 - s xyz^2) d/dy - z d/dz, example3's shape
+    with the coefficient s."""
+    return VectorField([Jet(3, 5, {(1, 0, 0): 1.0, (2, 1, 2): s}),
+                        Jet(3, 5, {(0, 1, 0): 1.0, (1, 2, 2): -s}),
+                        Jet(3, 5, {(0, 0, 1): -1.0})])
+
+
 def siegel_json(path, s: float) -> str:
-    """x(1 + s xyz^2) d/dx + y(1 - s xyz^2) d/dy - z d/dz along the z-axis,
-    example3's shape with the coefficient s, written to ``path``."""
-    field = VectorField([Jet(3, 5, {(1, 0, 0): 1.0, (2, 1, 2): s}),
-                         Jet(3, 5, {(0, 1, 0): 1.0, (1, 2, 2): -s}),
-                         Jet(3, 5, {(0, 0, 1): -1.0})])
-    path.write_text(json.dumps({"field": field.to_json_dict(), "separatrix_axis": 2}))
+    """The foliation of ``siegel_field(s)`` along the z-axis, written to ``path``."""
+    path.write_text(json.dumps({"field": siegel_field(s).to_json_dict(), "separatrix_axis": 2}))
     return str(path)
 
 
@@ -663,8 +668,24 @@ def test_an_overflowed_coefficient_exits_3_naming_its_monomial(tmp_path, s, mono
     assert res.exit_code == 3
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.output.splitlines()[-1] == (
-        f"Error: --z0 '1': the monodromy system overflows "
+        f"Error: --order 7: the coefficient table overflows "
         f"(component 0, {monomial}: the solved coefficient is not finite)")
+    assert not emit.exists()
+
+
+def test_an_overflowed_flow_coefficient_exits_3_naming_the_order(tmp_path):
+    """``siegel_field(1e200)`` written as a vector field (``flow`` refuses the
+    foliation siegel_json writes): its flow coefficient table overflows
+    whatever the time, so --order is named."""
+    path = tmp_path / "big_field.json"
+    path.write_text(json.dumps(siegel_field(1e200).to_json_dict()))
+    emit = tmp_path / "f.json"
+    res = run("flow", "--field", str(path), "--order", "9", "--emit", str(emit))
+    assert res.exit_code == 3
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[-1] == (
+        "Error: --order 9: the coefficient table overflows "
+        "(component 0, x^[3, 2, 4]: the solved coefficient is not finite)")
     assert not emit.exists()
 
 

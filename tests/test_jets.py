@@ -91,6 +91,15 @@ def test_add_zero_and_negation(a):
     assert (a - a).is_zero()
 
 
+@pytest.mark.parametrize("op", [lambda j: j + 1.0, lambda j: 1.0 + j, lambda j: j - 1.0],
+                         ids=["jet+1.0", "1.0+jet", "jet-1.0"])
+def test_adding_or_subtracting_a_number_is_a_type_error(op):
+    """Jet.__add__ and __sub__ take a Jet only: a number gets NotImplemented,
+    and with no reflected method on either side Python raises TypeError."""
+    with pytest.raises(TypeError, match="unsupported operand"):
+        op(Jet.variable(0, 2, 3))
+
+
 def test_simple_identities():
     x = Jet.variable(0, 1, 5)
     one = Jet.one(1, 5)

@@ -9,6 +9,7 @@ from operator import sub
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from holodyn import flows, holonomy_series, orbits, presets
 from holodyn.exppoly import TWO_PI_I
@@ -501,6 +502,17 @@ def test_map_classes_refuse_non_integer_parameters_and_a_non_finite_c(make, reas
         make()
 
 
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 0)])
+def test_product_preserving_map_refuses_a_non_positive_exponent(a, b):
+    with pytest.raises(ValueError, match="exponents a, b must be positive"):
+        ProductPreservingMap(a, b, 1)
+
+
+def test_lattice_seeds_refuses_a_count_list_of_another_length():
+    with pytest.raises(ValueError, match="2 lattice counts for 3 variables"):
+        lattice_seeds(0.3, [2, 3], n_vars=3)
+
+
 # -- grid experiments ---------------------------------------------------------
 
 
@@ -675,6 +687,86 @@ def test_numpy_keys_and_filter_parts_against_the_scalar_values(differential_reco
                 for q, prev in zip(run, [p] + run[:-1]):
                     for r in (p, prev):
                         assert abs(q[0].real - r[0].real) <= max(map(abs, map(sub, q, r)))
+
+
+# -- per-point helpers against the generator forms they replace ---------------------
+
+
+def generator_contains(V: DomainBall, p) -> bool:
+    """``DomainBall.contains`` as a generator over the coordinates."""
+    return all(abs(c) <= V.radius for c in p)
+
+
+def generator_quantize(p, eps: float):
+    """``_quantize`` as a flat list comprehension."""
+    return tuple([round(v / eps) for c in p for v in (c.real, c.imag)])
+
+
+def outcome(f, *args):
+    """("value", f(*args)), or ("raises", its exception's type and text)."""
+    try:
+        return ("value", f(*args))
+    except (ArithmeticError, ValueError) as e:
+        return ("raises", type(e), str(e))
+
+
+NAN, INF = math.nan, math.inf
+HUGE = complex(1.5e308, 1.5e308)  # |HUGE| overflows a float: abs raises
+# (point, radius, eps): every case runs through both helpers
+HELPER_EDGES = [
+    ((0.1, complex(NAN, 0.0)), 1.0, 1e-9),
+    ((complex(INF, 0.0), 0.1), 1.0, 1e-9),
+    ((0.1, complex(0.0, -INF)), 1.0, 1e-9),
+    ((complex(NAN, INF),), 1.0, 1e-9),
+    ((3 + 4j, 0.2), 5.0, 1e-9),                      # |c| == radius exactly
+    ((0.5, -0.5j), 0.5, 1e-9),
+    ((complex(-0.0, -0.0), complex(0.0, -0.0)), 1.0, 1e-9),
+    ((complex(2.5, -0.5), complex(3.5, 0.5)), 4.0, 1.0),    # half-integers: to even
+    ((complex(0.25, 0.75), complex(-1.25, 1.25)), 2.0, 0.5),
+    ((0.1, HUGE), 1.0, 1e-9),                        # abs raises at coordinate 1
+    ((2.0, HUGE), 1.0, 1e-9),                        # outside at coordinate 0 first
+    ((0.1, HUGE), 1e308, 1e300),
+    ((0.1, complex(1e308, 1e308)), 1.0, 1e-9),       # modulus 1.41e308: no overflow
+    ((0.1, complex(1e308, 1e308)), 1e308, 1.0),
+    (np.array([[1, 1j], [-0.5, 0.5 + 0.5j]], dtype=complex).ravel(), 1.0, 1e-12),
+    (np.array([[1.5, 0], [0, 1]], dtype=complex).ravel(), 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("p, radius, eps", HELPER_EDGES)
+def test_point_helpers_equal_their_generator_forms_on_edge_cases(p, radius, eps):
+    V = DomainBall(radius)
+    assert outcome(V.contains, p) == outcome(generator_contains, V, p)
+    assert outcome(_quantize, p, eps) == outcome(generator_quantize, p, eps)
+
+
+def test_the_huge_coordinate_raises_in_abs_and_its_neighbour_does_not():
+    V = DomainBall(1.0)
+    with pytest.raises(OverflowError, match="absolute value too large"):
+        V.contains((0.1, HUGE))
+    assert abs(complex(1e308, 1e308)) == pytest.approx(1.41421356e308)
+    assert not V.contains((0.1, complex(1e308, 1e308)))
+
+
+coordinates = st.complex_numbers(allow_nan=True, allow_infinity=True)
+
+
+@given(p=st.lists(coordinates, min_size=1, max_size=4).map(tuple),
+       radius=st.floats(min_value=1e-300, max_value=1e300),
+       eps=st.floats(min_value=1e-300, max_value=1e300))
+def test_point_helpers_equal_their_generator_forms(p, radius, eps):
+    V = DomainBall(radius)
+    assert outcome(V.contains, p) == outcome(generator_contains, V, p)
+    assert outcome(_quantize, p, eps) == outcome(generator_quantize, p, eps)
+
+
+@given(p=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=4).map(tuple),
+       radius=st.floats(min_value=0.01, max_value=2.0))
+def test_point_helpers_equal_their_generator_forms_near_the_ball(p, radius):
+    V = DomainBall(radius)
+    assert V.contains(p) == generator_contains(V, p)
+    for eps in (V.dedup_eps, orbits.SNAP, 0.5):
+        assert _quantize(p, eps) == generator_quantize(p, eps)
 
 
 def test_the_scalar_cycle_rule_runs_only_where_the_filter_passes(monkeypatch):
