@@ -263,9 +263,9 @@ def _orbit(make_map, make_seeds, radius, budget, keep_points):
          "backward_points": _points(r.backward_points)} for r in records])}
 
 
-def _pseudogroup():
-    gens, V = presets.pseudogroup_preset("schur24"), DomainBall(1.0)
-    orbits = [pseudogroup_orbit(gens, s, V) for s in lattice_seeds(0.8, 4)[:10]]
+def _pseudogroup(gens, seeds, radius):
+    V = DomainBall(radius)
+    orbits = [pseudogroup_orbit(gens, s, V) for s in seeds]
     return {"records": _canonical([
         {"seed": _points([o.seed])[0], "points": _points(o.points), "words": o.words,
          "truncated": o.truncated, "cardinality": o.cardinality} for o in orbits])}
@@ -322,7 +322,12 @@ def entries():
         yield f"drift:{name}", lambda d=drift: {"repr": repr(d()).encode()}
     for name, spec in ORBITS.items():
         yield f"orbit:{name}", lambda s=spec: _orbit(*s)
-    yield "pseudogroup:schur24", _pseudogroup
+    yield "pseudogroup:schur24", lambda: _pseudogroup(
+        presets.pseudogroup_preset("schur24"), lattice_seeds(0.8, 4)[:10], 1.0)
+    # H alone in the ball of radius 0.3: the domain rule rejects images
+    # outside it, and four of the nine orbits reach the word budget
+    yield "pseudogroup:H-ball", lambda: _pseudogroup(
+        [presets.map_H()], lattice_seeds(0.3, 3, low=0.1), 0.3)
     for name, (make_map, n_max) in PERIODICITY.items():
         yield (f"periodicity:{name}",
                lambda m=make_map, n=n_max: {"period": repr(periodicity_test(m(), n)).encode()})

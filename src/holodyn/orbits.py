@@ -38,10 +38,6 @@ DEFAULT_POINT_BUDGET = 10_000
 DEFAULT_WORD_BUDGET = 40
 CYCLE_EPS_FACTOR = 1e-9
 DEDUP_EPS_FACTOR = 1e-9
-# iterate_orbit gives the in-ball images of a run their dedup keys in NumPy,
-# in batches of at most KEY_BATCH points, so NumPy's fixed cost per call is
-# spread over many points
-KEY_BATCH = 1024
 # TruncatedJetMap._invert accepts an inverse jet when h^-1(h(p)) returns
 # probes of this radius to within INVERSE_TOL
 INVERSE_PROBE_RADIUS = 0.05
@@ -470,16 +466,14 @@ def iterate_orbit(
     of the previous point: converged).  The cycle rule only runs when the
     real part of coordinate 0 is within the cycle eps of the seed's or the
     previous point's: |re| <= |c| holds in floating point, so no event is
-    skipped.  The in-ball images get their dedup keys from ``_dedup_keys``,
-    KEY_BATCH points at a time.  The map is called at exactly the points a
-    scalar loop calls it at.
+    skipped.  The seed and the in-ball images of both runs get their dedup
+    keys from one ``_dedup_keys`` call per orbit.  The map is called at
+    exactly the points a scalar loop calls it at.
     """
     p = tuple(complex(c) for c in p)
     if not V.contains(p):
         raise OrbitError(f"seed {p} lies outside the domain ball of radius {V.radius}")
     eps_cycle = V.cycle_eps
-    eps_dedup = V.dedup_eps
-    seen = set(_dedup_keys([p], eps_dedup))
     fwd_pts: List[Point] = []
     bwd_pts: List[Point] = []
 
@@ -488,42 +482,28 @@ def iterate_orbit(
     radius = float(V.radius)
 
     def run(direction_map, store) -> Tuple[str, int]:
-        """Returns (outcome, steps): steps_inside + 1 escape credit when the
-        run escapes, and the period when it closes."""
+        """Returns (outcome, steps): steps_inside + 1 escape credit when an
+        image leaves V, steps_inside when a step fails, and the period when
+        the run closes."""
         step_map = direction_map.eval
+        keep = store.append
         seed_re = cur_re = p[0].real
         cur = p
-        done = 0
-        while done < budget:
-            batch: List[Point] = []
-            keep = batch.append
-            outcome = None
-            for steps in range(done + 1, min(done + KEY_BATCH, budget) + 1):
-                prev, prev_re = cur, cur_re
-                try:
-                    cur = step_map(cur)
-                except STEP_FAILURES:
-                    outcome = "escaped"
-                    break
-                for c in cur:
-                    if not abs(c) <= radius:
-                        outcome = "escaped"
-                        break
+        for steps in range(1, budget + 1):
+            prev, prev_re = cur, cur_re
+            try:
+                cur = step_map(cur)
+            except STEP_FAILURES:
+                return "escaped", steps - 1
+            for c in cur:
+                if not abs(c) <= radius:
+                    return "escaped", steps
+            cur_re = cur[0].real
+            if abs(cur_re - seed_re) < eps_cycle or abs(cur_re - prev_re) < eps_cycle:
+                outcome = _cycle_event(cur, prev, p, eps_cycle)
                 if outcome is not None:
-                    break
-                cur_re = cur[0].real
-                if abs(cur_re - seed_re) < eps_cycle or abs(cur_re - prev_re) < eps_cycle:
-                    outcome = _cycle_event(cur, prev, p, eps_cycle)
-                    if outcome is not None:
-                        break
-                keep(cur)
-            if batch:
-                seen.update(_dedup_keys(batch, eps_dedup))
-                if keep_points:
-                    store.extend(batch)
-            if outcome is not None:
-                return outcome, steps
-            done = steps
+                    return outcome, steps
+            keep(cur)
         return "budget", budget
 
     f_out, f_steps = run(h, fwd_pts)
@@ -532,13 +512,17 @@ def iterate_orbit(
     if "periodic" in (f_out, b_out):
         status, period, mu = "Periodic", f_steps if f_out == "periodic" else b_steps, None
     elif f_out == "escaped" and b_out in ("escaped", None):
-        # mu counts n in Z with p in Dom(h^n): the escaping step itself still
-        # has p in its domain, plus n = 0 when the orbit is two-sided
+        # mu counts n in Z with p in Dom(h^n): a step whose image leaves V
+        # still has p in its domain, a step that fails does not, plus n = 0
+        # when the orbit is two-sided
         status, period, mu = "Escaped", None, f_steps + b_steps + 1 if b_out else f_steps
     else:
         status, period, mu = "BudgetExhausted", None, None
+    cardinality = len(set(_dedup_keys([p, *fwd_pts, *bwd_pts], V.dedup_eps)))
+    if not keep_points:
+        fwd_pts, bwd_pts = [], []
     return OrbitRecord(
-        seed=p, status=status, period=period, mu=mu, cardinality=len(seen),
+        seed=p, status=status, period=period, mu=mu, cardinality=cardinality,
         one_sided=f_out != "periodic" and inv is None,
         forward_points=fwd_pts, backward_points=bwd_pts,
     )

@@ -512,6 +512,8 @@ def test_reproduce_paper_unknown_check(tmp_path):
     (["holonomy", "--field", "thmB("], "cannot parse preset spec 'thmB('"),
     (["flow", "--field", "linear(1,abc)"], "bad numeric argument 'abc' in 'linear(1,abc)'"),
     (["orbit", "--map", "parabolic(2,0)"], "invalid map preset 'parabolic(2,0)': c must be nonzero"),
+    (["orbit", "--map", "phiX(1,1,-1,0)"],
+     "invalid map preset 'phiX(1,1,-1,0)': exponents a, b must be non-negative, got a=-1, b=0"),
 ])
 def test_bad_configuration_exits_2_with_reason(tmp_path, args, reason):
     jet_map = tmp_path / "map3.json"
@@ -583,6 +585,14 @@ def test_orbit_csv_keeps_every_seed_coordinate(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1].startswith("seed_re_x,seed_im_x,seed_re_y,seed_im_y,seed_re_z,seed_im_z,")
     assert len(set(line.split(",Periodic")[0] for line in lines[2:])) == 8
+
+
+def test_a_one_variable_map_runs_the_product_of_the_grid_counts():
+    """--grid 2x3 on a one-variable map is a lattice of 2 * 3 = 6 seeds on its one axis."""
+    res = run("orbit", "--map", "parabolic(2,1)", "--grid", "2x3", "--budget", "10")
+    assert res.exit_code == 0
+    assert res.output == ("6 seeds: 0 escaped, 0 periodic, 6 budget-exhausted "
+                          "(infinite-suspected)\n")
 
 
 def test_complex_spellings_keep_their_values_and_infinities_are_not_finite():

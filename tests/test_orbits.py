@@ -536,6 +536,33 @@ def test_infinite_contrast_level_seed():
     assert rec.cardinality > 5000
 
 
+# the level-circle orbit's worst drift from its closed form, measured at
+# 3.1e-12 forward and 5.0e-12 backward over 2,000 steps, bounded with a
+# margin of four
+LEVEL_CIRCLE_DRIFT_BOUND = 2e-11
+
+
+def test_level_circle_orbit_follows_its_closed_form_at_40_digits():
+    """F = (x u, y / u), u = 1 + c x y, keeps w = x y, so F^n(x0, y0) =
+    (x0 u^n, y0 u^-n) with u = 1 + c x0 y0: the kept points of one
+    level-circle orbit, 2,000 steps each way, stay within
+    LEVEL_CIRCLE_DRIFT_BOUND of this closed form, evaluated at 40 digits
+    from the seed's and the map's float values."""
+    mpmath = pytest.importorskip("mpmath")
+    h = presets.map_F()
+    [seed] = presets.level_circle_seeds(1)
+    rec = iterate_orbit(h, seed, V1, budget=2000, keep_points=True)
+    assert rec.status == "BudgetExhausted"
+    assert len(rec.forward_points) == len(rec.backward_points) == 2000
+    with mpmath.workdps(40):
+        x0, y0 = map(mpmath.mpc, seed)
+        u = 1 + mpmath.mpc(h.c) * x0 * y0
+        for points, sign in ((rec.forward_points, 1), (rec.backward_points, -1)):
+            drift = max(max(abs(x - x0 * u ** (sign * n)), abs(y - y0 * u ** (-sign * n)))
+                        for n, (x, y) in enumerate(points, start=1))
+            assert drift < LEVEL_CIRCLE_DRIFT_BOUND
+
+
 def test_time_one_map_claim_grid():
     phi = presets.load_map("phiX(1,1,1,1)")
     V = DomainBall(0.4)
@@ -558,7 +585,8 @@ def test_escaped_stable_under_budget_increase():
 
 def reference_iterate_orbit(h, p, V, budget=DEFAULT_BUDGET, keep_points=False):
     """The former iterate_orbit: every test after every step, in Python, with
-    the dedup key as a tuple of (re, im) pairs; its run loop is verbatim."""
+    the dedup key as a tuple of (re, im) pairs; its run loop is verbatim, but
+    a failed step counts the steps before it, as the Dom(h^n) rule asks."""
     def quantize(q, eps):
         return tuple((round(c.real / eps), round(c.imag / eps)) for c in q)
 
@@ -580,7 +608,7 @@ def reference_iterate_orbit(h, p, V, budget=DEFAULT_BUDGET, keep_points=False):
             try:
                 cur = step_map(cur)
             except STEP_FAILURES:
-                return "escaped", step
+                return "escaped", step - 1
             if not all(map(inside, map(abs, cur))):
                 return "escaped", step
             if max(map(abs, map(sub, cur, p))) < eps_cycle:
@@ -843,9 +871,10 @@ def _orbit_and_reference(make, budget):
     return out[0], out[1], inputs[0], inputs[1]
 
 
-# step 1, steps around small powers of two (15-17, 32-33, 64-65, 128-129),
-# and the first and last step of the key batches (1-1024, 1025-2048,
-# 2049-3072, 3073-4096)
+# step 1, steps around small powers of two (15-17, 32-33, 64-65, 128-129)
+# and around multiples of 1,024 (1024-1025, 2048-2049, 3072-3073): steps
+# where a chunked or batched run loop would split, so a regression to one
+# shows against the reference record
 EVENT_STEPS = (1, 15, 16, 17, 32, 33, 64, 65, 128, 129, 1024, 1025, 2048, 2049, 3072, 3073)
 EVENTS = ("closes", "converges", "escapes", "OrbitError", "nan", "ZeroDivisionError")
 
@@ -853,7 +882,7 @@ EVENTS = ("closes", "converges", "escapes", "OrbitError", "nan", "ZeroDivisionEr
 @pytest.mark.parametrize("event", EVENTS)
 @pytest.mark.parametrize("at", EVENT_STEPS)
 def test_chunk_boundaries_give_the_scalar_record(at, event):
-    """An event at every key-batch boundary, forward with a backward run
+    """An event at every step of EVENT_STEPS, forward with a backward run
     that escapes at step 20, and backward after a forward run of 30 steps:
     the record (or the exception) is the reference's, with the budget at the
     event's step or beyond it, and the maps are evaluated at exactly the
@@ -1012,9 +1041,9 @@ def test_an_escape_in_the_last_coordinate_ends_the_run_at_its_step(n_vars, at, b
 def test_a_step_where_u_vanishes_escapes_both_ways():
     """ProductPreservingMap(1, 1, -1) at (1, 1): u = 1 + xy c = 0 exactly,
     so the map and its closed-form inverse both raise at step 1.  The record
-    is the reference's: Escaped with mu = 3 (each failed step gets the
-    escape credit, plus n = 0) and cardinality 1, although neither h nor
-    h^-1 is defined at the seed; by the Dom(h^n) count mu would be 1."""
+    is the reference's: Escaped with mu = 1 and cardinality 1, since neither
+    h nor h^-1 is defined at the seed and the Dom(h^n) count holds n = 0
+    alone; a failed step earns no escape credit."""
     h, seed = ProductPreservingMap(1, 1, -1), (1.0, 1.0)
     for step in (h.eval, h.inverse().eval):
         with pytest.raises(OrbitError, match=r"u = 0"):
@@ -1022,7 +1051,7 @@ def test_a_step_where_u_vanishes_escapes_both_ways():
     got, want = (record_fields(run(h, seed, V1, keep_points=True))
                  for run in (iterate_orbit, reference_iterate_orbit))
     assert got == want
-    assert got[1:6] == ("Escaped", None, 3, 1, False)
+    assert got[1:6] == ("Escaped", None, 1, 1, False)
 
 
 # -- pseudogroup ----------------------------------------------------------------
@@ -1330,13 +1359,14 @@ def test_phiX_inverse_is_the_closed_form_at_time_minus_one(spec):
 def test_phiX_escapes_where_its_flow_blows_up():
     """phiX(1,1,2,0): w = x^2 solves w' = 2 w^2, so from (0.8, 0.1) the flow
     blows up at t = 1 / 1.28: the first forward step raises OrbitError and
-    escapes, and the backward run escapes at step 78 (x y = 0.08 is kept, so
-    |y| > 1 once x^2 < 0.0064): mu = 80, as when the map was integrated."""
+    escapes with no credit (the seed is not in Dom(phi)), and the backward run
+    escapes at step 78 (x y = 0.08 is kept, so |y| > 1 once x^2 < 0.0064):
+    mu = 0 + 78 + 1 = 79."""
     phi = presets.load_map("phiX(1,1,2,0)")
     with pytest.raises(OrbitError, match="blows up"):
         phi.eval((0.8, 0.1))
     rec = iterate_orbit(phi, (0.8, 0.1), V1)
-    assert (rec.status, rec.mu, rec.cardinality, rec.one_sided) == ("Escaped", 80, 78, False)
+    assert (rec.status, rec.mu, rec.cardinality, rec.one_sided) == ("Escaped", 79, 78, False)
 
 
 # -- petals -----------------------------------------------------------------------

@@ -66,7 +66,7 @@ GOLDEN_DIGEST = pathlib.Path(__file__).resolve().parent / "golden" / "output_dig
 
 def test_output_digest_matches_the_golden_file(capsys):
     """Every fast entry of scripts/output_digest.py hashes as it does in
-    tests/golden/output_digest.txt, the full 294-line digest.
+    tests/golden/output_digest.txt, the full 295-line digest.
 
     The hashes pin this platform: Python 3.11.7, numpy 2.4.6 and the x86-64
     libm. An intended output change regenerates the file with one command,
@@ -79,9 +79,9 @@ def test_output_digest_matches_the_golden_file(capsys):
     fast = [name for name, _ in script["entries"]() if name not in slow]
     script["main"](fast)
     golden = GOLDEN_DIGEST.read_text().splitlines()
-    assert len(golden) == 294
+    assert len(golden) == 295
     expected = [line for line in golden if not line.startswith(tuple(f"{n}:" for n in slow))]
-    assert len(expected) == 285
+    assert len(expected) == 286
     assert capsys.readouterr().out.splitlines() == expected
 
 
