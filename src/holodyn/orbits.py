@@ -716,7 +716,8 @@ def petal_analysis(d: int, c: complex) -> PetalReport:
     Attracting directions: arg x where c x^d is negative real; repelling:
     where it is positive real.  Each attracting direction is probed with a
     slightly offset seed and iterated, reporting modulus decay and the
-    angular distance to the direction.
+    angular distance to the direction.  A run steps x = x + c * x ** e in
+    place, the expression and operands of ``OneVarParabolicMap.eval``.
     """
     h = OneVarParabolicMap(d, c)
     theta = cmath.phase(c)
@@ -724,12 +725,13 @@ def petal_analysis(d: int, c: complex) -> PetalReport:
                      for k in range(d))
     repel = sorted(((-theta + 2 * math.pi * k) / d) % (2 * math.pi)
                    for k in range(d))
+    c, e = h.c, h.d + 1
     runs = []
     for ang in attract:
         x = PETAL_SEED_RADIUS * cmath.exp(1j * (ang + PETAL_SEED_OFFSET))
         start_mod = abs(x)
         for _ in range(PETAL_ITERATIONS):
-            (x,) = h.eval((x,))
+            x = x + c * x ** e
             if abs(x) > 10.0:
                 break
         final_arg = cmath.phase(x) % (2 * math.pi)

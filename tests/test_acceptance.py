@@ -69,5 +69,20 @@ def test_pseudogroup_fails_on_a_cardinality_that_does_not_divide_24(monkeypatch)
     result = reproduce.check_pseudogroup()
     assert not result.passed
     assert result.line == ("[FAIL] pseudogroup: closure order 24 (oracle 24), non-commuting "
-                           "generator pair (0, 1), 100 lattice orbits all of cardinality "
-                           "dividing 24 (max 5), H-map periodicity up to 200: None")
+                           "generator pair (0, 1), 100 of 100 lattice orbits of cardinality "
+                           "not dividing 24 (5), H-map periodicity up to 200: None")
+
+
+def test_pseudogroup_fail_names_the_failing_orbits_and_their_cardinalities(monkeypatch):
+    """Orbits of 48, 5 and 5 points among 24-point ones: the detail counts
+    the three that fail and names their cardinalities once each."""
+    sizes = iter([48, 24, 5, 12, 5] + [24] * 95)
+
+    def orbit(gens, seed, V):
+        n = next(sizes)
+        return PseudogroupOrbit(seed, [seed] * n, [""] * n, False)
+
+    monkeypatch.setattr(reproduce, "pseudogroup_orbit", orbit)
+    result = reproduce.check_pseudogroup()
+    assert not result.passed
+    assert ", 3 of 100 lattice orbits of cardinality not dividing 24 (5, 48), " in result.line

@@ -44,6 +44,16 @@ def test_an_interned_frequency_keeps_one_sign_of_zero():
     assert math.copysign(1.0, f.value.imag) == 1.0
 
 
+def test_a_frequency_refuses_every_attribute_assignment():
+    """An interned frequency is shared by every table of the process, so no
+    attribute of it, set or new, can be assigned."""
+    f = Frequency(3)
+    for name, value in (("q", Fraction(1)), ("value", 0j), ("label", "x")):
+        with pytest.raises(AttributeError, match=r"^Frequency is immutable$"):
+            setattr(f, name, value)
+    assert f.q == 3 and f is Frequency(3)
+
+
 def test_exponential_product_cancels():
     a = ExpPoly.exponential(Frequency(1))
     b = ExpPoly.exponential(Frequency(-1))

@@ -236,6 +236,12 @@ def test_lie_derivative_simple():
     assert lx.order == 11 and lx.truncate(6).max_abs_diff(x) == 0.0
 
 
+def test_lie_derivative_refuses_a_function_of_another_dimension():
+    X = linear_field([1.0, -2.0])
+    with pytest.raises(JetError, match=r"^vector field and function have different n_vars$"):
+        lie_derivative(X, Jet.variable(0, 3, 4))
+
+
 def test_lie_derivative_keeps_every_degree_of_the_product():
     """X(x^2 z^2) along thmB is 2 x^4 y z^5, of degree 10: above the orders 7
     and 8 of the factors, and within X.order + g.order - 1 = 14."""

@@ -502,6 +502,16 @@ def test_map_classes_refuse_non_integer_parameters_and_a_non_finite_c(make, reas
         make()
 
 
+def test_the_base_map_has_no_eval():
+    """EvaluableMap is the base of every map class: its own eval raises a
+    bare NotImplementedError, and it has no inverse."""
+    h = EvaluableMap()
+    with pytest.raises(NotImplementedError) as raised:
+        h.eval((0.1 + 0j,))
+    assert str(raised.value) == ""
+    assert h.inverse() is None
+
+
 @pytest.mark.parametrize("a, b", [(0, 1), (1, 0)])
 def test_product_preserving_map_refuses_a_non_positive_exponent(a, b):
     with pytest.raises(ValueError, match="exponents a, b must be positive"):
@@ -1391,6 +1401,43 @@ def test_petal_rotated_coefficient():
     # c = i rotates the flower by -pi/2 per direction formula
     rep = petal_analysis(1, 1.0j)
     assert abs(rep.attracting_dirs[0] - math.pi / 2) < 1e-12
+
+
+def reference_petal_runs(d, c):
+    """The runs of petal_analysis(d, c) by the former loop, each step one
+    ``h.eval((x,))`` call."""
+    h = OneVarParabolicMap(d, c)
+    runs = []
+    for ang in petal_analysis(d, c).attracting_dirs:
+        x = orbits.PETAL_SEED_RADIUS * cmath.exp(1j * (ang + orbits.PETAL_SEED_OFFSET))
+        start_mod = abs(x)
+        for _ in range(orbits.PETAL_ITERATIONS):
+            (x,) = h.eval((x,))
+            if abs(x) > 10.0:
+                break
+        final_arg = cmath.phase(x) % (2 * math.pi)
+        runs.append({"direction": ang, "final_modulus": abs(x), "start_modulus": start_mod,
+                     "converged": abs(x) < start_mod * 0.5,
+                     "arg_error": abs((final_arg - ang + math.pi) % (2 * math.pi) - math.pi)})
+    return runs
+
+
+def hexed(run):
+    return {k: v if isinstance(v, bool) else v.hex() for k, v in run.items()}
+
+
+@pytest.mark.parametrize("d, c", [(1, 1.0), (2, 0.5 + 1j), (3, -1j), (4, 2.0), (5, 0.3 - 0.4j),
+                                  (1, 1e4), (2, 3e5 + 1e5j), (3, 1e7j)])
+def test_petal_runs_equal_the_map_eval_loop_bit_for_bit(d, c):
+    """petal_analysis steps x = x + c * x ** (d + 1) in place: every run's
+    values have the bits of the loop through OneVarParabolicMap.eval.  The
+    large c's throw each run past |x| = 10 within a few steps."""
+    runs = petal_analysis(d, c).runs
+    reference = reference_petal_runs(d, c)
+    assert [hexed(r) for r in runs] == [hexed(r) for r in reference]
+    assert len(runs) == d
+    if abs(c) >= 1e4:
+        assert all(r["final_modulus"] > 10.0 for r in runs)
 
 
 def test_H_level_restriction_matches_petal_model():
